@@ -13,10 +13,10 @@ import argparse
 import json
 import os
 import re
-import shlex
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 from testmend.dataset import RepairSample, load_manifest
 from testmend.errors import InfrastructureError, InputError
@@ -25,15 +25,9 @@ from testmend.evaluate import (
     evaluate_dataset,
     prepare_sample,
     render_table,
-    run_sample,
     write_report,
 )
-from testmend.prompting import (
-    DEFAULT_ATTEMPTS,
-    DEFAULT_TEMPERATURE,
-    DEFAULT_TOKEN_CAP,
-    repair,
-)
+from testmend.prompting import repair
 from testmend.provider import (
     ENDPOINT_VAR,
     KEY_VAR,
@@ -44,37 +38,23 @@ from testmend.provider import (
     ReplayProvider,
     prompt_digest,
 )
-from testmend.rerank import DEFAULT_K, LexicalScorer, RemoteScorer, Scorer
-from testmend.resolver import ResolverBackend
+from testmend.rerank import LexicalScorer, RemoteScorer, Scorer
 from testmend.signatures import make_focal_change, parse_method, render_kinds
 
 PROG = "testmend"
 
 
 @dataclass
-class RunConfig:
+class RunConfig(EvalSettings):
     """Merged run settings; field names double as config-file keys."""
 
-    backend: str = "builtin"
-    lsp_command: str = ""
     scorer: str = "lexical"
     scorer_endpoint: str = ""
     provider: str = ""  # "" (none) | "live" | "replay"
     replay_dir: str = ""
     llm_endpoint: str = ""
     llm_model: str = ""
-    k: int = DEFAULT_K
-    attempts: int = DEFAULT_ATTEMPTS
-    temperature: float = DEFAULT_TEMPERATURE
-    token_cap: int = DEFAULT_TOKEN_CAP
-    jobs: int = 1
-    llm_queries: bool = False
     out: str = "out"
-
-
-_INT_KEYS = {"k", "attempts", "token_cap", "jobs"}
-_FLOAT_KEYS = {"temperature"}
-_BOOL_KEYS = {"llm_queries"}
 
 
 def _load_config_file(path: str) -> dict:
@@ -93,17 +73,14 @@ def _load_config_file(path: str) -> dict:
     return raw
 
 
-def _coerce(key: str, value):
+def _coerce(key: str, value, kind: type):
+    """``value`` as ``kind``, the declared type of config field ``key``."""
     try:
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-        if key in _BOOL_KEYS:
-            if isinstance(value, bool):
-                return value
-            raise ValueError("expected true/false")
-        return str(value)
+        if kind is not str and isinstance(value, bool) != (kind is bool):
+            raise ValueError(f"expected {kind.__name__}")
+        if kind is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError("expected a whole number")
+        return kind(value)
     except (TypeError, ValueError) as exc:
         raise InputError(f"config value {key}={value!r} is invalid: {exc}") from exc
 
@@ -116,8 +93,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if os.environ.get(MODEL_VAR):
         config = replace(config, llm_model=os.environ[MODEL_VAR])
     if getattr(args, "config", None):
+        types = get_type_hints(RunConfig)
         for key, value in _load_config_file(args.config).items():
-            config = replace(config, **{key: _coerce(key, value)})
+            config = replace(config, **{key: _coerce(key, value, types[key])})
     for field in fields(RunConfig):
         flag_value = getattr(args, field.name, None)
         if flag_value is not None:
@@ -161,24 +139,11 @@ def build_provider(config: RunConfig, *, required: bool = False) -> ChatProvider
     raise InputError(f"unknown provider {config.provider!r}")
 
 
-def build_settings(config: RunConfig) -> EvalSettings:
+def check_backend(config: RunConfig) -> None:
     if config.backend not in ("builtin", "lsp"):
         raise InputError(f"unknown backend {config.backend!r}")
-    lsp_command: tuple[str, ...] = ()
-    if config.backend == "lsp":
-        if not config.lsp_command:
-            raise InputError("lsp backend requires --lsp-command")
-        lsp_command = tuple(shlex.split(config.lsp_command))
-    backend = ResolverBackend(kind=config.backend, lsp_command=lsp_command)
-    return EvalSettings(
-        k=config.k,
-        attempts=config.attempts,
-        temperature=config.temperature,
-        token_cap=config.token_cap,
-        jobs=config.jobs,
-        backend=backend,
-        llm_queries=config.llm_queries,
-    )
+    if config.backend == "lsp" and not config.lsp_command:
+        raise InputError("lsp backend requires --lsp-command")
 
 
 # ----------------------------------------------------------------------
@@ -246,9 +211,8 @@ def cmd_classify(args: argparse.Namespace, config: RunConfig) -> int:
 
 def cmd_collect(args: argparse.Namespace, config: RunConfig) -> int:
     sample = _load_sample(args.manifest, args.sample)
-    prepared = prepare_sample(
-        sample, scorer=LexicalScorer(), settings=build_settings(config)
-    )
+    check_backend(config)
+    prepared = prepare_sample(sample, scorer=LexicalScorer(), settings=config)
     path = _write_json(
         _sample_dir(config, sample.id) / "chunks.json",
         {"sample_id": sample.id, "bundle": prepared.bundle.as_dict()},
@@ -260,7 +224,8 @@ def cmd_collect(args: argparse.Namespace, config: RunConfig) -> int:
 def cmd_rerank(args: argparse.Namespace, config: RunConfig) -> int:
     sample = _load_sample(args.manifest, args.sample)
     scorer = build_scorer(config)
-    prepared = prepare_sample(sample, scorer=scorer, settings=build_settings(config))
+    check_backend(config)
+    prepared = prepare_sample(sample, scorer=scorer, settings=config)
     out = _sample_dir(config, sample.id)
     ranked = prepared.ranked.as_dict()
     scored_path = _write_json(
@@ -283,9 +248,9 @@ def cmd_rerank(args: argparse.Namespace, config: RunConfig) -> int:
 
 def cmd_prompt(args: argparse.Namespace, config: RunConfig) -> int:
     sample = _load_sample(args.manifest, args.sample)
-    prepared = prepare_sample(
-        sample, scorer=build_scorer(config), settings=build_settings(config)
-    )
+    scorer = build_scorer(config)
+    check_backend(config)
+    prepared = prepare_sample(sample, scorer=scorer, settings=config)
     out = _sample_dir(config, sample.id)
     prompt_path = out / "prompt.txt"
     # The file holds the rendered prompt byte-exactly, so its SHA-256 is
@@ -302,9 +267,9 @@ def cmd_prompt(args: argparse.Namespace, config: RunConfig) -> int:
 def cmd_repair(args: argparse.Namespace, config: RunConfig) -> int:
     sample = _load_sample(args.manifest, args.sample)
     provider = build_provider(config, required=True)
-    prepared = prepare_sample(
-        sample, scorer=build_scorer(config), settings=build_settings(config)
-    )
+    scorer = build_scorer(config)
+    check_backend(config)
+    prepared = prepare_sample(sample, scorer=scorer, settings=config)
     result = repair(
         prepared.prompt,
         provider,
@@ -332,11 +297,11 @@ def cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
     load = load_manifest(args.manifest)
     for rejected_id, rule in load.rejects:
         print(f"warning: skipping {rejected_id}: {rule}", file=sys.stderr)
+    scorer = build_scorer(config)
+    provider = build_provider(config)
+    check_backend(config)
     report = evaluate_dataset(
-        load.samples,
-        scorer=build_scorer(config),
-        provider=build_provider(config),
-        settings=build_settings(config),
+        load.samples, scorer=scorer, provider=provider, settings=config
     )
     out = Path(config.out)
     write_report(report, out)

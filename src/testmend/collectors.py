@@ -28,11 +28,18 @@ from dataclasses import dataclass, field
 
 from testmend.errors import CursorNotOnIdentifier, InputError, LocatorNotFound
 from testmend.javasrc import lexer
-from testmend.javasrc.ast import ClassDecl, FieldDecl, JavaFile, MethodDecl, find_method, parse_java
+from testmend.javasrc.ast import ClassDecl, FieldDecl, JavaFile, MethodDecl, parse_java
 from testmend.javasrc.format import CursorPos, canonicalize, canonicalize_with_cursor
 from testmend.resolver import BuiltinResolver, CodeIndex, ParsedFile, Resolver
-from testmend.signatures import FocalChange, MethodLocator, SynBCKind
-from testmend.snapshot import POST, PRE, DiffText, Hunk, Location, RepoSnapshot, unified_diff
+from testmend.signatures import (
+    FocalChange,
+    MethodLocator,
+    SynBCKind,
+    find_located,
+    locate_method,
+    type_identifiers,
+)
+from testmend.snapshot import POST, PRE, Hunk, Location, RepoSnapshot, unified_diff
 
 log = logging.getLogger(__name__)
 
@@ -118,31 +125,11 @@ def _changed_lines(hunk: Hunk) -> list[str]:
     ]
 
 
-def type_identifiers(type_text: str) -> list[str]:
-    """Identifier tokens of a type text, in order, deduplicated."""
-    seen: list[str] = []
-    try:
-        tokens = lexer.lex(type_text)
-    except InputError:
-        return seen
-    for tok in tokens:
-        if tok.kind == lexer.IDENT and tok.text not in seen:
-            seen.append(tok.text)
-    return seen
-
-
 class ContextCollector:
-    def __init__(
-        self,
-        snapshot: RepoSnapshot,
-        resolver: Resolver,
-        index: CodeIndex | None = None,
-    ):
+    def __init__(self, snapshot: RepoSnapshot, resolver: Resolver):
         self.snapshot = snapshot
         self.resolver = resolver
-        if index is not None:
-            self.index = index
-        elif isinstance(resolver, BuiltinResolver):
+        if isinstance(resolver, BuiltinResolver):
             self.index = resolver.index
         else:
             self.index = CodeIndex(snapshot)
@@ -164,15 +151,7 @@ class ContextCollector:
         self, version: str, locator: MethodLocator
     ) -> tuple[str, JavaFile, ClassDecl, MethodDecl]:
         text, java_file = self._resolver_document(version, locator.file)
-        hit = find_method(
-            java_file,
-            list(locator.classes),
-            locator.method,
-            list(locator.params) if locator.params is not None else None,
-        )
-        if hit is None:
-            raise LocatorNotFound(f"no method matches {locator.describe()}")
-        cls, method = hit
+        cls, method = find_located(java_file, locator)
         return text, java_file, cls, method
 
     @staticmethod
@@ -560,18 +539,10 @@ class ContextCollector:
                 if not text:
                     continue
                 try:
-                    java_file = parse_java(text)
-                    hit = find_method(
-                        java_file,
-                        list(locator.classes),
-                        locator.method,
-                        list(locator.params) if locator.params is not None else None,
-                    )
+                    _, _, method = locate_method(text, locator)
                 except InputError:
-                    hit = None
-                if hit is None:
                     continue
-                spans.append(self._method_line_span(text, hit[1]))
+                spans.append(self._method_line_span(text, method))
         return pre_spans, post_spans
 
     # ------------------------------------------------------------------
@@ -621,38 +592,6 @@ def _hunk_overlaps(
         if hunk.post_start <= end and hunk.post_end > start:
             return True
     return False
-
-
-# -- module-level operation wrappers ------------------------------------
-
-
-def collect_class_ctx(
-    focal: FocalChange, snapshot: RepoSnapshot, resolver: Resolver
-) -> dict[str, ClassCtxGroup]:
-    groups, _ = ContextCollector(snapshot, resolver).collect_class_ctx(focal)
-    return groups
-
-
-def collect_usage_ctx(
-    focal: FocalChange,
-    snapshot: RepoSnapshot,
-    resolver: Resolver,
-    test_locator: MethodLocator | None = None,
-) -> list[ContextChunk]:
-    chunks, _ = ContextCollector(snapshot, resolver).collect_usage_ctx(focal, test_locator)
-    return chunks
-
-
-def collect_env_ctx(
-    focal: FocalChange,
-    test_locator: MethodLocator,
-    snapshot: RepoSnapshot,
-    resolver: Resolver,
-) -> tuple[list[ContextChunk], list[ContextChunk]]:
-    focal_chunks, test_chunks, _ = ContextCollector(snapshot, resolver).collect_env_ctx(
-        focal, test_locator
-    )
-    return focal_chunks, test_chunks
 
 
 def construct_bundle(

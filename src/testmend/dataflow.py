@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from testmend.errors import ParseError
 from testmend.javasrc import lexer
 from testmend.javasrc.format import canonicalize
 from testmend.javasrc.lexer import IDENT, KEYWORD, Token
@@ -111,24 +112,6 @@ def member_accesses(statement: Statement, receivers: set[str]) -> list[MemberAcc
     return out
 
 
-def mentions(statement: Statement, name: str) -> bool:
-    return any(t.kind == IDENT and t.text == name for t in statement.tokens)
-
-
-def defines(statement: Statement, name: str) -> bool:
-    """True if the statement declares or assigns ``name``."""
-    toks = statement.tokens
-    for i, tok in enumerate(toks):
-        if tok.kind != IDENT or tok.text != name:
-            continue
-        nxt = toks[i + 1].text if i + 1 < len(toks) else ""
-        if nxt == "=" or nxt.endswith("=") and nxt not in ("==", "<=", ">=", "!="):
-            return True
-        if nxt in (";", ":", ",") and i > 0 and _looks_like_type(toks[i - 1]):
-            return True
-    return False
-
-
 def declared_type(statement: Statement, name: str) -> str | None:
     """Simple type name if the statement *declares* ``name``, else None.
 
@@ -174,7 +157,7 @@ def dataflow_edges(text: str) -> set[tuple[str, int, int]]:
     """
     try:
         tokens = lexer.lex(text)
-    except Exception:  # noqa: BLE001 — malformed candidates are expected
+    except ParseError:  # malformed candidates are expected
         return set()
     defined: set[str] = set()
     for i, tok in enumerate(tokens):

@@ -12,10 +12,11 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import shlex
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from testmend import metrics
@@ -71,36 +72,27 @@ class SampleScore:
     error: str | None = None
     timings: dict[str, float] = field(default_factory=dict)
 
-    def as_dict(self, include_timings: bool = False) -> dict:
-        row = {
-            "sample_id": self.sample_id,
-            "code_bleu": None if self.code_bleu is None else round(self.code_bleu, 6),
-            "diff_bleu": None if self.diff_bleu is None else round(self.diff_bleu, 6),
-            "exact_match": self.exact_match,
-            "exact_match_raw": self.exact_match_raw,
-            "syntax_ok": self.syntax_ok,
-            "prompt_token_count": self.prompt_token_count,
-            "selection_reason": self.selection_reason,
-            "selected_text": self.selected_text,
-            "ground_truth": self.ground_truth,
-            "kinds": self.kinds,
-            "scorer_fallback": self.scorer_fallback,
-            "error": self.error,
-        }
-        if include_timings:
-            row["timings"] = {k: round(v, 6) for k, v in sorted(self.timings.items())}
+    def as_dict(self) -> dict:
+        row = {f.name: getattr(self, f.name) for f in fields(self)}
+        del row["timings"]
+        for name in ("code_bleu", "diff_bleu"):
+            if row[name] is not None:
+                row[name] = round(row[name], 6)
         return row
 
 
 @dataclass
 class EvalSettings:
+    """Pipeline settings; field names double as config-file keys."""
+
     k: int = DEFAULT_K
     attempts: int = DEFAULT_ATTEMPTS
     temperature: float = DEFAULT_TEMPERATURE
     token_cap: int = DEFAULT_TOKEN_CAP
     jobs: int = 1
-    backend: ResolverBackend = field(default_factory=ResolverBackend)
     llm_queries: bool = False  # statement queries via the provider
+    backend: str = "builtin"  # "builtin" | "lsp"
+    lsp_command: str = ""  # language server command line (lsp backend)
 
 
 @contextmanager
@@ -160,8 +152,13 @@ def prepare_sample(
         test_text = method_full_text(test_source, sample.test)
         test_body = method_body_text(test_source, sample.test)
     with _stage(timings, "collect"):
-        resolver = make_resolver(settings.backend, snapshot)
-        bundle = construct_bundle(focal, sample.test, snapshot, resolver)
+        lsp_command = settings.lsp_command if settings.backend == "lsp" else ""
+        backend = ResolverBackend(settings.backend, tuple(shlex.split(lsp_command)))
+        resolver = make_resolver(backend, snapshot)
+        try:
+            bundle = construct_bundle(focal, sample.test, snapshot, resolver)
+        finally:
+            resolver.close()
     with _stage(timings, "queries"):
         focal_diff = unified_diff(
             canonicalize(focal_pre_text), canonicalize(focal_post_text)
@@ -320,7 +317,7 @@ def evaluate_dataset(
     config = {
         "scorer": scorer.kind,
         "provider": provider_kind(provider),
-        "backend": settings.backend.kind,
+        "backend": settings.backend,
         "k": settings.k,
         "attempts": settings.attempts,
         "temperature": settings.temperature,

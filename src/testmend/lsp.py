@@ -192,6 +192,7 @@ class JsonRpcClient:
                 self.proc.wait(timeout=5)
             except Exception:  # noqa: BLE001
                 self.proc.kill()
+                self.proc.wait(timeout=5)
 
 
 class LspSession:
@@ -200,14 +201,18 @@ class LspSession:
     def __init__(self, command: tuple[str, ...], root: Path, timeout: float):
         self.root = root
         self.client = JsonRpcClient(command, cwd=root, timeout=timeout)
-        self.client.request(
-            "initialize",
-            {
-                "processId": None,
-                "rootUri": path_to_uri(root),
-                "capabilities": {},
-            },
-        )
+        try:
+            self.client.request(
+                "initialize",
+                {
+                    "processId": None,
+                    "rootUri": path_to_uri(root),
+                    "capabilities": {},
+                },
+            )
+        except BackendUnavailable:
+            self.client.close()  # no session holds the server: end it here
+            raise
         self.client.notify("initialized", {})
         self._opened: set[str] = set()
 

@@ -12,10 +12,9 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Protocol, Sequence
+from typing import Protocol, Sequence
 
 import requests
 
@@ -50,18 +49,6 @@ class ProviderConfig:
     model: str
     key: str = ""
     timeout: float = 60.0
-
-    @classmethod
-    def from_env(cls, environ: Mapping[str, str] | None = None) -> "ProviderConfig | None":
-        env = os.environ if environ is None else environ
-        endpoint = env.get(ENDPOINT_VAR, "")
-        if not endpoint:
-            return None
-        return cls(
-            endpoint=endpoint,
-            model=env.get(MODEL_VAR, "default"),
-            key=env.get(KEY_VAR, ""),
-        )
 
 
 class LiveProvider:
@@ -151,19 +138,3 @@ class ReplayProvider:
             f"no replay response for prompt digest {digest} (attempt {attempt}) "
             f"in {self.directory}"
         )
-
-
-def make_provider(
-    *,
-    replay_dir: str | Path | None = None,
-    config: ProviderConfig | None = None,
-    environ: Mapping[str, str] | None = None,
-) -> ChatProvider | None:
-    """Replay directory if given, else a live provider if configured."""
-    if replay_dir is not None:
-        return ReplayProvider(replay_dir)
-    if config is None:
-        config = ProviderConfig.from_env(environ)
-    if config is None:
-        return None
-    return LiveProvider(config)

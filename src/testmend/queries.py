@@ -27,10 +27,15 @@ from testmend.dataflow import (
     member_accesses,
     split_statements,
 )
-from testmend.errors import FocalInvocationNotFound, ProviderError
+from testmend.errors import FocalInvocationNotFound, ParseError, ProviderError
 from testmend.javasrc import lexer
 from testmend.provider import ChatProvider, Message
-from testmend.signatures import FocalChange, SynBCKind, get_obsolete_params
+from testmend.signatures import (
+    FocalChange,
+    SynBCKind,
+    get_obsolete_params,
+    type_identifiers,
+)
 from testmend.snapshot import DiffText
 
 log = logging.getLogger(__name__)
@@ -84,7 +89,7 @@ def simple_type_name(type_text: str) -> str:
         for tok in lexer.lex(base):
             if tok.is_word():
                 last = tok.text
-    except Exception:  # unlexable type text: fall back to a crude split
+    except ParseError:  # unlexable type text: fall back to a crude split
         last = base.replace("[", ".").replace("]", ".").split(".")[-1].strip()
     return last
 
@@ -262,8 +267,7 @@ def fallback_obsolete_stmts(focal: FocalChange, test_body: str) -> str:
     interest: set[str] = {focal.original.name}
     for param in get_obsolete_params(focal.original, focal.updated):
         interest.add(param.name)
-        for tok_text in _identifiers(param.type_text):
-            interest.add(tok_text)
+        interest.update(type_identifiers(param.type_text))
     matched = [
         s
         for s in statements
@@ -277,13 +281,6 @@ def fallback_obsolete_stmts(focal: FocalChange, test_body: str) -> str:
         matched = sorted(matched, key=lambda s: (abs(s.index - anchor), s.index))
         matched = sorted(matched[:STATEMENT_QUERY_CAP], key=lambda s: s.index)
     return " ".join(s.text for s in matched)
-
-
-def _identifiers(text: str) -> list[str]:
-    try:
-        return [t.text for t in lexer.lex(text) if t.kind == lexer.IDENT]
-    except Exception:
-        return []
 
 
 def load_fewshot_exemplars() -> list[dict]:

@@ -142,12 +142,6 @@ def _min_max(values: list[float]) -> list[float]:
     return [(v - low) / (high - low) for v in values]
 
 
-def make_scorer(endpoint: str | None = None, timeout: float = 30.0) -> Scorer:
-    if endpoint:
-        return RemoteScorer(endpoint, timeout=timeout)
-    return LexicalScorer()
-
-
 # ----------------------------------------------------------------------
 # selection
 # ----------------------------------------------------------------------
@@ -296,12 +290,3 @@ def rerank_bundle(
     result.rankings["env_test"] = env_test_ranked
     result.bundle.env_ctx_test = [s.chunk for s in env_test_ranked]
     return result
-
-
-def select_troctx(
-    bundle: TROCtxBundle,
-    queries: QuerySet,
-    scorer: Scorer | None = None,
-    k: int = DEFAULT_K,
-) -> TROCtxBundle:
-    return rerank_bundle(bundle, queries, scorer, k).bundle

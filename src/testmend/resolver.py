@@ -187,9 +187,9 @@ def make_resolver(backend: ResolverBackend, snapshot: RepoSnapshot) -> "Resolver
 class BuiltinResolver:
     """Index-based resolver over canonicalized snapshot files."""
 
-    def __init__(self, snapshot: RepoSnapshot, index: CodeIndex | None = None):
+    def __init__(self, snapshot: RepoSnapshot):
         self.snapshot = snapshot
-        self.index = index or CodeIndex(snapshot)
+        self.index = CodeIndex(snapshot)
 
     def close(self) -> None:  # symmetry with the LSP backend
         return None
@@ -237,15 +237,7 @@ class BuiltinResolver:
         return same_package
 
     def _declarations_in_file(self, parsed: ParsedFile, name: str) -> list[Location]:
-        out: list[Location] = []
-        for cls in parsed.java.all_classes():
-            if cls.name == name and cls.name_token is not None:
-                out.append(parsed.token_location(cls.name_token))
-            for member in cls.members:
-                if isinstance(member, MethodDecl) and member.name == name:
-                    out.append(parsed.token_location(member.name_token))
-                elif isinstance(member, FieldDecl) and name in member.names:
-                    out.append(parsed.token_location(member.name_token))
+        out = [parsed.token_location(t) for t in _declaration_name_tokens(parsed, name)]
         out.sort(key=lambda loc: (loc.start.line, loc.start.col))
         return out
 
@@ -265,7 +257,7 @@ class BuiltinResolver:
         for candidate in self.index.iter_files(version):
             if not self._visible_from(candidate, parsed, owner):
                 continue
-            decl_tokens = self._declaration_name_token_offsets(candidate, name, decl_kind)
+            decl_tokens = {t.offset for t in _declaration_name_tokens(candidate, name)}
             tokens = candidate.java.tokens
             for i, t in enumerate(tokens):
                 if t.kind != lexer.IDENT or t.text != name:
@@ -316,16 +308,16 @@ class BuiltinResolver:
             return True
         return origin.java.package in candidate.java.wildcard_imports
 
-    def _declaration_name_token_offsets(
-        self, parsed: ParsedFile, name: str, decl_kind: str
-    ) -> set[int]:
-        offsets: set[int] = set()
-        for cls in parsed.java.all_classes():
-            if cls.name == name and cls.name_token is not None:
-                offsets.add(cls.name_token.offset)
-            for member in cls.members:
-                if isinstance(member, MethodDecl) and member.name == name:
-                    offsets.add(member.name_token.offset)
-                elif isinstance(member, FieldDecl) and name in member.names:
-                    offsets.add(member.name_token.offset)
-        return offsets
+
+def _declaration_name_tokens(parsed: ParsedFile, name: str) -> list[lexer.Token]:
+    """Name tokens of the classes, methods and fields called ``name``."""
+    out: list[lexer.Token] = []
+    for cls in parsed.java.all_classes():
+        if cls.name == name and cls.name_token is not None:
+            out.append(cls.name_token)
+        for member in cls.members:
+            if isinstance(member, MethodDecl) and member.name == name:
+                out.append(member.name_token)
+            elif isinstance(member, FieldDecl) and name in member.names:
+                out.append(member.name_token)
+    return out

@@ -16,9 +16,10 @@ An empty set means the signatures are identical.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from testmend.errors import LocatorNotFound
+from testmend.errors import LocatorNotFound, ParseError
+from testmend.javasrc import lexer
 from testmend.javasrc.ast import ClassDecl, JavaFile, MethodDecl, find_method, parse_java
 
 
@@ -107,6 +108,19 @@ class FocalChange:
         return SynBCKind.RET in self.kinds
 
 
+def type_identifiers(type_text: str) -> list[str]:
+    """Identifier tokens of a type text, in order, deduplicated."""
+    seen: list[str] = []
+    try:
+        tokens = lexer.lex(type_text)
+    except ParseError:
+        return seen
+    for tok in tokens:
+        if tok.kind == lexer.IDENT and tok.text not in seen:
+            seen.append(tok.text)
+    return seen
+
+
 def signature_of(method: MethodDecl) -> MethodSignature:
     return MethodSignature(
         name=method.name,
@@ -118,11 +132,10 @@ def signature_of(method: MethodDecl) -> MethodSignature:
     )
 
 
-def locate_method(
-    source: str, locator: MethodLocator
-) -> tuple[JavaFile, ClassDecl, MethodDecl]:
-    """Find the declaration a locator addresses; raises LocatorNotFound."""
-    java_file = parse_java(source)
+def find_located(
+    java_file: JavaFile, locator: MethodLocator
+) -> tuple[ClassDecl, MethodDecl]:
+    """The declaration a locator addresses in a parsed file; raises LocatorNotFound."""
     hit = find_method(
         java_file,
         list(locator.classes),
@@ -131,7 +144,15 @@ def locate_method(
     )
     if hit is None:
         raise LocatorNotFound(f"no method matches {locator.describe()}")
-    cls, method = hit
+    return hit
+
+
+def locate_method(
+    source: str, locator: MethodLocator
+) -> tuple[JavaFile, ClassDecl, MethodDecl]:
+    """Parse ``source`` and find the declaration a locator addresses."""
+    java_file = parse_java(source)
+    cls, method = find_located(java_file, locator)
     return java_file, cls, method
 
 

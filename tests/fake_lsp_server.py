@@ -12,6 +12,7 @@ Environment knobs used by tests:
 * ``FAKE_LSP_STALL=first-definition`` — swallow the first definition
   request (forces a client retry);
 * ``FAKE_LSP_STALL=always`` — swallow every definition request;
+* ``FAKE_LSP_STALL=initialize`` — swallow the initialize request;
 * ``FAKE_LSP_LINKS=1`` — answer definitions as LocationLink objects.
 """
 
@@ -140,6 +141,8 @@ def main():
         method = message["method"]
         msg_id = message.get("id")
         if method == "initialize":
+            if STALL == "initialize":
+                continue  # the session never starts
             # Exercise the client's server-request handling before the
             # initialize response arrives.
             send({"jsonrpc": "2.0", "id": 999, "method": "workspace/configuration",

@@ -285,6 +285,47 @@ def test_config_file_values_apply_without_flags(tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "key, value, expected",
+    [
+        ("k", "3", 3),
+        ("k", 4.0, 4),
+        ("temperature", 1, 1.0),
+        ("temperature", "0.5", 0.5),
+    ],
+)
+def test_config_values_take_the_declared_type(tmp_path, key, value, expected):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({key: value}))
+    args = build_parser().parse_args(
+        ["eval", "--manifest", "m.json", "--config", str(cfg_file)]
+    )
+    resolved = getattr(resolve_config(args), key)
+    assert (resolved, type(resolved)) == (expected, type(expected))
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("k", 2.7),
+        ("k", "2.5"),
+        ("jobs", True),
+        ("token_cap", False),
+        ("temperature", True),
+        ("llm_queries", 1),
+    ],
+)
+def test_malformed_config_value_exits_2(tmp_path, capsys, key, value):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({key: value}))
+    code = run_cli(
+        "classify", "--manifest", MANIFEST, "--sample", "mount-param",
+        "--config", str(cfg_file), "--out", str(tmp_path / "a"),
+    )
+    assert code == 2
+    assert f"config value {key}=" in capsys.readouterr().err
+
+
 def test_unknown_config_key_is_validation_error(tmp_path, capsys):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"sorcerer": "remote"}))
@@ -350,6 +391,17 @@ def test_lsp_backend_without_command_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert "--lsp-command" in capsys.readouterr().err
+
+
+def test_unknown_backend_in_config_file_exits_2(tmp_path, capsys):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"backend": "ctags"}))
+    code = run_cli(
+        "collect", "--manifest", MANIFEST, "--sample", "mount-param",
+        "--config", str(cfg_file), "--out", str(tmp_path / "a"),
+    )
+    assert code == 2
+    assert "unknown backend 'ctags'" in capsys.readouterr().err
 
 
 def test_exhausted_replay_directory_exits_1(tmp_path, capsys):

@@ -4,9 +4,7 @@ from testmend.dataflow import (
     Statement,
     dataflow_edges,
     declared_type,
-    defines,
     member_accesses,
-    mentions,
     split_statements,
 )
 
@@ -62,14 +60,15 @@ def test_member_access_receiver_must_head_the_chain():
     assert [(a.member,) for a in member_accesses(stmts[0], {"holder"})] == [("opts",)]
 
 
-def test_mentions_and_defines():
-    stmts = split_statements(BODY)
-    assert mentions(stmts[1], "MountOptions")
-    assert not mentions(stmts[0], "mountOptions")
-    assert defines(stmts[1], "mountOptions")
-    assert not defines(stmts[2], "mountOptions")
-    assigned = split_statements("total += delta;")[0]
-    assert defines(assigned, "total")
+def test_dataflow_edges_def_sites():
+    # The declaration defines mountOptions; passing it as an argument is a use.
+    edges = dataflow_edges(BODY)
+    assert {e for e in edges if e[0] == "mountOptions"} == {("mountOptions", 0, 0)}
+    # A compound assignment uses the old definition and starts a new one.
+    assert dataflow_edges("int total = 0; total += delta; use(total);") == {
+        ("total", 0, 0),
+        ("total", 1, 1),
+    }
 
 
 def test_declared_type():

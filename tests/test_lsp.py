@@ -1,17 +1,22 @@
 """Wire-level tests of the LSP resolver against a scripted stdio server."""
 
+import shlex
 import sys
 from pathlib import Path
 
 import pytest
 
+from testmend import lsp
+from testmend.dataset import load_manifest
 from testmend.errors import BackendUnavailable
+from testmend.evaluate import EvalSettings, prepare_sample
 from testmend.javasrc.format import CursorPos
 from testmend.lsp import LspResolver
 from testmend.resolver import ResolverBackend, make_resolver
 from testmend.snapshot import PRE, Location, RepoSnapshot
 
 SERVER = str(Path(__file__).parent / "fake_lsp_server.py")
+MANIFEST = Path(__file__).parent / "fixtures" / "manifest.json"
 
 WIDGET = """package a;
 
@@ -38,6 +43,24 @@ def repo(tmp_path):
         (d / "Widget.java").write_text(WIDGET)
         (d / "Gadget.java").write_text(GADGET)
     return RepoSnapshot(tmp_path / "pre", tmp_path / "post")
+
+
+@pytest.fixture()
+def servers(monkeypatch):
+    """Every language-server process started during the test."""
+    started = []
+    original = lsp.JsonRpcClient.__init__
+
+    def record(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        started.append(self.proc)
+
+    monkeypatch.setattr(lsp.JsonRpcClient, "__init__", record)
+    yield started
+    for proc in started:  # whatever the outcome, leave no server behind
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=5)
 
 
 def backend(**env_extra):
@@ -147,3 +170,26 @@ def test_nonexistent_binary_raises(repo):
         resolver.goto_definition(
             Location(PRE, "src/Gadget.java", CursorPos(0, 0), CursorPos(0, 1))
         )
+
+
+def test_prepare_sample_leaves_no_server_running(servers):
+    command = shlex.join([sys.executable, SERVER])
+    settings = EvalSettings(backend="lsp", lsp_command=command)
+    for sample in load_manifest(MANIFEST).samples:
+        prepare_sample(sample, settings=settings)
+    assert len(servers) >= 2
+    assert [proc.poll() is not None for proc in servers] == [True] * len(servers)
+
+
+def test_failed_session_leaves_no_server_running(repo, monkeypatch, servers):
+    monkeypatch.setenv("FAKE_LSP_STALL", "initialize")
+    resolver = LspResolver(
+        repo,
+        ResolverBackend(kind="lsp", lsp_command=(sys.executable, SERVER), timeout=0.5),
+    )
+    with pytest.raises(BackendUnavailable):
+        resolver.goto_definition(
+            Location(PRE, "src/Gadget.java", CursorPos(0, 0), CursorPos(0, 1))
+        )
+    assert len(servers) == 1
+    assert servers[0].poll() is not None

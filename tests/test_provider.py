@@ -6,7 +6,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from testmend.errors import ProviderError
+from testmend.cli import build_parser, build_provider, resolve_config
+from testmend.errors import InputError, ProviderError
 from testmend.provider import (
     ENDPOINT_VAR,
     KEY_VAR,
@@ -14,7 +15,6 @@ from testmend.provider import (
     LiveProvider,
     ProviderConfig,
     ReplayProvider,
-    make_provider,
     prompt_digest,
 )
 
@@ -155,21 +155,32 @@ def test_replay_provider_requires_directory(tmp_path):
         ReplayProvider(tmp_path / "missing")
 
 
-def test_config_from_env(tmp_path):
-    assert ProviderConfig.from_env({}) is None
-    config = ProviderConfig.from_env(
-        {ENDPOINT_VAR: "http://x/chat", MODEL_VAR: "gpt-x", KEY_VAR: "k"}
-    )
-    assert config == ProviderConfig(endpoint="http://x/chat", model="gpt-x", key="k")
+def provider_from(*flags):
+    args = build_parser().parse_args(["eval", "--manifest", "m.json", *flags])
+    return build_provider(resolve_config(args))
 
 
-def test_make_provider_precedence(tmp_path):
+def test_live_provider_config_from_environment(monkeypatch):
+    for var in (ENDPOINT_VAR, MODEL_VAR, KEY_VAR):
+        monkeypatch.delenv(var, raising=False)
+    assert provider_from() is None
+    monkeypatch.setenv(ENDPOINT_VAR, "http://x/chat")
+    monkeypatch.setenv(MODEL_VAR, "gpt-x")
+    monkeypatch.setenv(KEY_VAR, "k")
+    live = provider_from("--provider", "live")
+    assert live.config == ProviderConfig(endpoint="http://x/chat", model="gpt-x", key="k")
+
+
+def test_build_provider_follows_provider_setting(tmp_path, monkeypatch):
     digest_dir = tmp_path / "replay"
     digest_dir.mkdir()
-    provider = make_provider(
-        replay_dir=digest_dir, environ={ENDPOINT_VAR: "http://live"}
-    )
+    monkeypatch.setenv(ENDPOINT_VAR, "http://live")
+    monkeypatch.setenv(MODEL_VAR, "m")
+    provider = provider_from("--provider", "replay", "--replay-dir", str(digest_dir))
     assert isinstance(provider, ReplayProvider)
-    live = make_provider(environ={ENDPOINT_VAR: "http://live"})
-    assert isinstance(live, LiveProvider)
-    assert make_provider(environ={}) is None
+    assert isinstance(provider_from("--provider", "live"), LiveProvider)
+    assert provider_from() is None
+    # A live provider needs a model: there is no fallback name.
+    monkeypatch.delenv(MODEL_VAR)
+    with pytest.raises(InputError, match="endpoint and model"):
+        provider_from("--provider", "live")

@@ -9,6 +9,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from testmend.cli import RunConfig, build_scorer
 from testmend.collectors import ClassCtxGroup, ContextChunk, TROCtxBundle
 from testmend.errors import ScorerError
 from testmend.queries import QuerySet
@@ -17,9 +18,7 @@ from testmend.rerank import (
     LexicalScorer,
     RemoteScorer,
     identifier_tokens,
-    make_scorer,
     rerank_bundle,
-    select_troctx,
 )
 
 # The member chunks of the replacement option type from the worked
@@ -246,10 +245,13 @@ def test_remote_scorer_raises_on_http_failure(score_double):
         RemoteScorer(score_double["endpoint"]).score("q", ["a"])
 
 
-def test_make_scorer_prefers_endpoint():
-    assert make_scorer(None).kind == "lexical"
-    remote = make_scorer("http://127.0.0.1:1/rerank")
+def test_build_scorer_follows_config():
+    assert build_scorer(RunConfig()).kind == "lexical"
+    remote = build_scorer(
+        RunConfig(scorer="remote", scorer_endpoint="http://127.0.0.1:1/rerank")
+    )
     assert remote.kind == "remote"
+    assert remote.endpoint == "http://127.0.0.1:1/rerank"
     assert remote.timeout == 30.0
 
 
@@ -265,7 +267,7 @@ def test_constructors_retained_without_consuming_k():
     bundle = TROCtxBundle(
         class_ctx={"Box": ClassCtxGroup("Box", "param", members, ["Box"])}
     )
-    out = select_troctx(bundle, qset(param=("setLid()",)), k=2)
+    out = rerank_bundle(bundle, qset(param=("setLid()",)), k=2).bundle
     kept = out.class_ctx["Box"].chunks
     assert kept[0].is_constructor
     assert len(kept) == 3  # ctor + k non-constructors
@@ -282,11 +284,11 @@ def test_class_groups_routed_by_role():
             class_ctx={"T": ClassCtxGroup("T", role, [filler, param_hit, ret_hit], ["T"])}
         )
 
-    by_param = select_troctx(group("param"), queries, k=1).class_ctx["T"].chunks
+    by_param = rerank_bundle(group("param"), queries, k=1).bundle.class_ctx["T"].chunks
     assert by_param == [param_hit]
-    by_ret = select_troctx(group("return"), queries, k=1).class_ctx["T"].chunks
+    by_ret = rerank_bundle(group("return"), queries, k=1).bundle.class_ctx["T"].chunks
     assert by_ret == [ret_hit]
-    by_both = select_troctx(group("both"), queries, k=2).class_ctx["T"].chunks
+    by_both = rerank_bundle(group("both"), queries, k=2).bundle.class_ctx["T"].chunks
     assert set(c.text for c in by_both) == {param_hit.text, ret_hit.text}
 
 
@@ -296,7 +298,7 @@ def test_class_scoring_uses_signature_form_not_text():
     bundle = TROCtxBundle(
         class_ctx={"T": ClassCtxGroup("T", "param", [loud_text, decoy], ["T"])}
     )
-    out = select_troctx(bundle, qset(param=("setOptions()",)), k=1)
+    out = rerank_bundle(bundle, qset(param=("setOptions()",)), k=1).bundle
     kept = out.class_ctx["T"].chunks
     assert kept == [decoy]
     assert kept[0].text == "zzz qqq"  # selection never rewrites chunk text
@@ -309,7 +311,7 @@ def test_usage_chunks_scored_by_best_side():
     noise = chunk("- aaa bbb;\n+ ccc ddd;")
     bundle = TROCtxBundle(usage_ctx=[noise, relevant])
     stmts = "MountOptions mountOptions = MountOptions.defaults();"
-    out = select_troctx(bundle, qset(stmts=stmts), k=1)
+    out = rerank_bundle(bundle, qset(stmts=stmts), k=1).bundle
     assert out.usage_ctx == [relevant]
 
 
@@ -326,7 +328,7 @@ def test_usage_planted_tokens_match_exhaustive_scoring():
             deleted += f" {planted_at[i]} mFileSystem"
         chunks.append(chunk(f"- {deleted}\n+ {added}"))
     bundle = TROCtxBundle(usage_ctx=list(chunks))
-    out = select_troctx(bundle, qset(stmts=stmts), k=3)
+    out = rerank_bundle(bundle, qset(stmts=stmts), k=3).bundle
 
     # Exhaustive check: score every side text in one corpus-shaped call
     # and take each chunk's max, exactly as the selection contract says.
@@ -354,7 +356,7 @@ def test_env_groups_use_their_own_queries():
         analysis="parameter type changed to MountPOptions",
         stmts="assertTrue(mFileSystem.exists(alluxioPath));",
     )
-    out = select_troctx(bundle, queries, k=1)
+    out = rerank_bundle(bundle, queries, k=1).bundle
     assert out.env_ctx_focal == [focal_hit]
     assert out.env_ctx_test == [test_hit]
 
@@ -362,7 +364,7 @@ def test_env_groups_use_their_own_queries():
 def test_ties_keep_collection_order():
     chunks = [chunk(f"- same tokens here {'x' * 0}") for _ in range(4)]
     bundle = TROCtxBundle(usage_ctx=list(chunks))
-    out = select_troctx(bundle, qset(stmts="different vocabulary entirely"), k=3)
+    out = rerank_bundle(bundle, qset(stmts="different vocabulary entirely"), k=3).bundle
     assert out.usage_ctx == chunks[:3]
 
 
@@ -381,8 +383,8 @@ def test_empty_query_set_keeps_first_k_flagged_unranked():
 def test_small_groups_and_k_override():
     chunks = [chunk("- a b;"), chunk("- c d;")]
     bundle = TROCtxBundle(usage_ctx=list(chunks))
-    assert len(select_troctx(bundle, qset(stmts="a"), k=5).usage_ctx) == 2
-    assert len(select_troctx(bundle, qset(stmts="a"), k=1).usage_ctx) == 1
+    assert len(rerank_bundle(bundle, qset(stmts="a"), k=5).bundle.usage_ctx) == 2
+    assert len(rerank_bundle(bundle, qset(stmts="a"), k=1).bundle.usage_ctx) == 1
 
 
 def test_selection_is_subset_and_deterministic():
