@@ -25,6 +25,7 @@ from testmend.evaluate import (
     evaluate_dataset,
     prepare_sample,
     render_table,
+    resolver_backend,
     write_report,
 )
 from testmend.prompting import repair
@@ -139,13 +140,6 @@ def build_provider(config: RunConfig, *, required: bool = False) -> ChatProvider
     raise InputError(f"unknown provider {config.provider!r}")
 
 
-def check_backend(config: RunConfig) -> None:
-    if config.backend not in ("builtin", "lsp"):
-        raise InputError(f"unknown backend {config.backend!r}")
-    if config.backend == "lsp" and not config.lsp_command:
-        raise InputError("lsp backend requires --lsp-command")
-
-
 # ----------------------------------------------------------------------
 # artifact helpers
 # ----------------------------------------------------------------------
@@ -211,7 +205,7 @@ def cmd_classify(args: argparse.Namespace, config: RunConfig) -> int:
 
 def cmd_collect(args: argparse.Namespace, config: RunConfig) -> int:
     sample = _load_sample(args.manifest, args.sample)
-    check_backend(config)
+    resolver_backend(config)
     prepared = prepare_sample(sample, scorer=LexicalScorer(), settings=config)
     path = _write_json(
         _sample_dir(config, sample.id) / "chunks.json",
@@ -224,7 +218,7 @@ def cmd_collect(args: argparse.Namespace, config: RunConfig) -> int:
 def cmd_rerank(args: argparse.Namespace, config: RunConfig) -> int:
     sample = _load_sample(args.manifest, args.sample)
     scorer = build_scorer(config)
-    check_backend(config)
+    resolver_backend(config)
     prepared = prepare_sample(sample, scorer=scorer, settings=config)
     out = _sample_dir(config, sample.id)
     ranked = prepared.ranked.as_dict()
@@ -249,7 +243,7 @@ def cmd_rerank(args: argparse.Namespace, config: RunConfig) -> int:
 def cmd_prompt(args: argparse.Namespace, config: RunConfig) -> int:
     sample = _load_sample(args.manifest, args.sample)
     scorer = build_scorer(config)
-    check_backend(config)
+    resolver_backend(config)
     prepared = prepare_sample(sample, scorer=scorer, settings=config)
     out = _sample_dir(config, sample.id)
     prompt_path = out / "prompt.txt"
@@ -268,7 +262,7 @@ def cmd_repair(args: argparse.Namespace, config: RunConfig) -> int:
     sample = _load_sample(args.manifest, args.sample)
     provider = build_provider(config, required=True)
     scorer = build_scorer(config)
-    check_backend(config)
+    resolver_backend(config)
     prepared = prepare_sample(sample, scorer=scorer, settings=config)
     result = repair(
         prepared.prompt,
@@ -299,7 +293,7 @@ def cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
         print(f"warning: skipping {rejected_id}: {rule}", file=sys.stderr)
     scorer = build_scorer(config)
     provider = build_provider(config)
-    check_backend(config)
+    resolver_backend(config)
     report = evaluate_dataset(
         load.samples, scorer=scorer, provider=provider, settings=config
     )

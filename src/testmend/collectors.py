@@ -19,6 +19,11 @@ Three context families are gathered for a focal change:
 All chunk text is canonical-form source, so chunks never contain comment
 syntax.  A single chunk is capped at 40 lines plus a trailing
 ``[truncated]`` marker.
+
+Every Location here — what the resolver takes and returns, and each
+chunk's ``origin`` — is in canonical coordinates, whatever the resolver
+backend.  Every file fact (canonical text, parse, PRE→POST diff) comes
+from the :class:`~testmend.resolver.CodeIndex`, which computes it once.
 """
 
 from __future__ import annotations
@@ -28,18 +33,17 @@ from dataclasses import dataclass, field
 
 from testmend.errors import CursorNotOnIdentifier, InputError, LocatorNotFound
 from testmend.javasrc import lexer
-from testmend.javasrc.ast import ClassDecl, FieldDecl, JavaFile, MethodDecl, parse_java
-from testmend.javasrc.format import CursorPos, canonicalize, canonicalize_with_cursor
+from testmend.javasrc.ast import ClassDecl, FieldDecl, MethodDecl
+from testmend.javasrc.format import CursorPos
 from testmend.resolver import BuiltinResolver, CodeIndex, ParsedFile, Resolver
 from testmend.signatures import (
     FocalChange,
     MethodLocator,
     SynBCKind,
     find_located,
-    locate_method,
     type_identifiers,
 )
-from testmend.snapshot import POST, PRE, Hunk, Location, RepoSnapshot, unified_diff
+from testmend.snapshot import POST, PRE, Hunk, Location, RepoSnapshot
 
 log = logging.getLogger(__name__)
 
@@ -133,37 +137,13 @@ class ContextCollector:
             self.index = resolver.index
         else:
             self.index = CodeIndex(snapshot)
-        self._doc_parse_cache: dict[tuple[str, str], tuple[str, JavaFile]] = {}
 
-    # ------------------------------------------------------------------
-    # shared helpers
-    # ------------------------------------------------------------------
-
-    def _resolver_document(self, version: str, path: str) -> tuple[str, JavaFile]:
-        """The resolver-coordinate text of a file plus its parse."""
-        key = (version, path)
-        if key not in self._doc_parse_cache:
-            text = self.resolver.document_text(version, path)
-            self._doc_parse_cache[key] = (text, parse_java(text))
-        return self._doc_parse_cache[key]
-
-    def _locate_in_document(
-        self, version: str, locator: MethodLocator
-    ) -> tuple[str, JavaFile, ClassDecl, MethodDecl]:
-        text, java_file = self._resolver_document(version, locator.file)
-        cls, method = find_located(java_file, locator)
-        return text, java_file, cls, method
-
-    @staticmethod
-    def _offset_position(text: str, offset: int) -> CursorPos:
-        line = text.count("\n", 0, offset)
-        col = offset - (text.rfind("\n", 0, offset) + 1)
-        return CursorPos(line, col)
-
-    def _method_line_span(self, text: str, method: MethodDecl) -> tuple[int, int]:
-        start = text.count("\n", 0, method.start)
-        end = text.count("\n", 0, method.end)
-        return start, end
+    def _locate(self, locator: MethodLocator) -> tuple[ParsedFile, MethodDecl]:
+        """The post-version parse of a locator's file and the method it addresses."""
+        parsed = self.index.file(POST, locator.file)
+        if parsed is None:
+            raise InputError(f"cannot load {POST}:{locator.file}")
+        return parsed, find_located(parsed.java, locator)[1]
 
     # ------------------------------------------------------------------
     # class context
@@ -198,18 +178,16 @@ class ContextCollector:
         roles = self.new_type_names(focal)
         if not roles:
             return groups, warnings
-        doc_text, _, _, post_method = self._locate_in_document(POST, focal.post_locator)
+        parsed, post_method = self._locate(focal.post_locator)
         header_tokens = [
             t
-            for t in lexer.lex(doc_text[post_method.start : post_method.header_end])
-            if t.kind == lexer.IDENT
+            for t in parsed.java.tokens
+            if t.kind == lexer.IDENT and post_method.start <= t.offset < post_method.header_end
         ]
         for type_name, role in roles.items():
             group = ClassCtxGroup(type_name=type_name, role=role)
             groups[type_name] = group
-            definition = self._resolve_type(
-                type_name, focal.post_locator.file, doc_text, post_method, header_tokens
-            )
+            definition = self._resolve_type(type_name, parsed, header_tokens)
             if definition is None:
                 warnings.append(f"type {type_name} is not defined inside the snapshot")
                 continue
@@ -220,25 +198,13 @@ class ContextCollector:
     def _resolve_type(
         self,
         type_name: str,
-        focal_file: str,
-        doc_text: str,
-        post_method: MethodDecl,
+        focal: ParsedFile,
         header_tokens: list[lexer.Token],
     ) -> tuple[ParsedFile, ClassDecl] | None:
-        location = None
-        for tok in header_tokens:
-            if tok.text == type_name:
-                pos = self._offset_position(doc_text, post_method.start + tok.offset)
-                location = Location(
-                    version=POST,
-                    file=focal_file,
-                    start=pos,
-                    end=CursorPos(pos.line, pos.col + len(type_name)),
-                )
-                break
-        if location is not None:
+        tok = next((t for t in header_tokens if t.text == type_name), None)
+        if tok is not None:
             try:
-                for definition in self.resolver.goto_definition(location):
+                for definition in self.resolver.goto_definition(focal.token_location(tok)):
                     parsed = self.index.file(POST, definition.file)
                     if parsed is None:
                         continue
@@ -248,7 +214,7 @@ class ContextCollector:
             except (CursorNotOnIdentifier, InputError) as exc:
                 log.debug("definition lookup failed for %s: %s", type_name, exc)
         # Fall back to scope-rule resolution over the index.
-        return self.index.resolve_class(POST, focal_file, type_name)
+        return self.index.resolve_class(POST, focal.path, type_name)
 
     def _collect_members_with_parents(
         self,
@@ -333,36 +299,20 @@ class ContextCollector:
         if focal.post_locator is None:
             raise InputError("focal change has no post-version locator")
         warnings: list[str] = []
-        doc_text, _, _, post_method = self._locate_in_document(POST, focal.post_locator)
-        name_pos = self._offset_position(doc_text, post_method.name_token.offset)
-        decl_location = Location(
-            version=POST,
-            file=focal.post_locator.file,
-            start=name_pos,
-            end=CursorPos(name_pos.line, name_pos.col + len(post_method.name)),
-        )
-        references = self.resolver.find_references(decl_location)
-        focal_span = (post_method.start, post_method.end)
-        test_span: tuple[int, int] | None = None
-        test_file = test_locator.file if test_locator else None
+        parsed, post_method = self._locate(focal.post_locator)
+        references = self.resolver.find_references(parsed.token_location(post_method.name_token))
+        excluded = [(parsed, post_method)]  # the focal method's own body
         if test_locator is not None:
             try:
-                _, _, _, test_method = self._locate_in_document(POST, test_locator)
-                test_span = (test_method.start, test_method.end)
-            except (LocatorNotFound, InputError):
-                test_span = None  # test absent in post tree: nothing to exclude
+                excluded.append(self._locate(test_locator))  # the obsolete test itself
+            except InputError:
+                pass  # test absent in post tree: nothing to exclude
         chunks: list[ContextChunk] = []
         seen_texts: set[str] = set()
         for ref in references:
-            if ref.file == focal.post_locator.file and self._within(
-                doc_text, ref.start, focal_span
-            ):
-                continue  # the focal method's own body
-            if test_file is not None and ref.file == test_file and test_span is not None:
-                ref_doc, _ = self._resolver_document(POST, ref.file)
-                if self._within(ref_doc, ref.start, test_span):
-                    continue  # the obsolete test itself
-            chunk = self._usage_chunk(focal, ref, warnings)
+            if any(_within(pf, method, ref) for pf, method in excluded):
+                continue
+            chunk = self._usage_chunk(focal, ref)
             if chunk is None or not chunk.text.strip():
                 continue
             if chunk.text in seen_texts:
@@ -371,25 +321,12 @@ class ContextCollector:
             chunks.append(chunk)
         return chunks, warnings
 
-    def _within(self, text: str, pos: CursorPos, span: tuple[int, int]) -> bool:
-        offset = _position_offset(text, pos)
-        return span[0] <= offset < span[1]
-
-    def _usage_chunk(
-        self, focal: FocalChange, ref: Location, warnings: list[str]
-    ) -> ContextChunk | None:
-        raw_updated = self.resolver.document_text(POST, ref.file)
-        try:
-            canon_updated, cursor = canonicalize_with_cursor(raw_updated, ref.start)
-        except CursorNotOnIdentifier:
-            return None  # e.g. a comment hit reported by an LSP backend
-        raw_original = self.snapshot.read_or_empty(PRE, ref.file)
-        canon_original = canonicalize(raw_original) if raw_original.strip() else ""
-        diff = unified_diff(canon_original, canon_updated)
+    def _usage_chunk(self, focal: FocalChange, ref: Location) -> ContextChunk | None:
+        diff = self.index.diff(ref.file)
         if diff.is_empty():
             return None
-        invocation_line = cursor.line
-        scope = self._enclosing_method_lines(canon_updated, invocation_line)
+        invocation_line = ref.start.line
+        scope = self._enclosing_method_lines(ref.file, invocation_line)
         before: list[str] = []
         invocation: list[str] = []
         after: list[str] = []
@@ -415,17 +352,14 @@ class ContextCollector:
             origin=ref,
         )
 
-    def _enclosing_method_lines(
-        self, canonical_text: str, line: int
-    ) -> tuple[int, int] | None:
-        try:
-            java_file = parse_java(canonical_text)
-        except InputError:
+    def _enclosing_method_lines(self, path: str, line: int) -> tuple[int, int] | None:
+        parsed = self.index.file(POST, path)
+        if parsed is None:
             return None
         best: tuple[int, int] | None = None
-        for cls in java_file.all_classes():
+        for cls in parsed.java.all_classes():
             for method in cls.methods():
-                span = self._method_line_span(canonical_text, method)
+                span = _line_span(parsed.canonical, method)
                 if span[0] <= line <= span[1]:
                     if best is None or span[1] - span[0] < best[1] - best[0]:
                         best = span
@@ -441,22 +375,12 @@ class ContextCollector:
         if focal.post_locator is None or focal.pre_locator is None:
             raise InputError("focal change lacks pre/post locators")
         warnings: list[str] = []
-        focal_chunks = self._env_chunks_for(
-            anchor_file=focal.post_locator.file,
-            exclusions=[
-                (focal.post_locator.file, focal.pre_locator, focal.post_locator),
-                (test_locator.file, test_locator, test_locator),
-            ],
-            warnings=warnings,
-        )
-        test_chunks = self._env_chunks_for(
-            anchor_file=test_locator.file,
-            exclusions=[
-                (focal.post_locator.file, focal.pre_locator, focal.post_locator),
-                (test_locator.file, test_locator, test_locator),
-            ],
-            warnings=warnings,
-        )
+        exclusions = [
+            (focal.post_locator.file, focal.pre_locator, focal.post_locator),
+            (test_locator.file, test_locator, test_locator),
+        ]
+        focal_chunks = self._env_chunks_for(focal.post_locator.file, exclusions, warnings)
+        test_chunks = self._env_chunks_for(test_locator.file, exclusions, warnings)
         return focal_chunks, test_chunks, warnings
 
     def _env_files(self, anchor_file: str, warnings: list[str]) -> list[str]:
@@ -493,16 +417,10 @@ class ContextCollector:
     ) -> list[ContextChunk]:
         chunks: list[ContextChunk] = []
         for path in self._env_files(anchor_file, warnings):
-            pre_raw = self.snapshot.read_or_empty(PRE, path)
-            post_raw = self.snapshot.read_or_empty(POST, path)
-            canon_pre = canonicalize(pre_raw) if pre_raw.strip() else ""
-            canon_post = canonicalize(post_raw) if post_raw.strip() else ""
-            diff = unified_diff(canon_pre, canon_post)
+            diff = self.index.diff(path)
             if diff.is_empty():
                 continue
-            excluded_pre, excluded_post = self._excluded_spans(
-                path, canon_pre, canon_post, exclusions
-            )
+            excluded_pre, excluded_post = self._excluded_spans(path, exclusions)
             for hunk in diff.hunks:
                 if _hunk_overlaps(hunk, excluded_pre, excluded_post):
                     continue
@@ -523,8 +441,6 @@ class ContextCollector:
     def _excluded_spans(
         self,
         path: str,
-        canon_pre: str,
-        canon_post: str,
         exclusions: list[tuple[str, MethodLocator, MethodLocator]],
     ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
         pre_spans: list[tuple[int, int]] = []
@@ -532,17 +448,18 @@ class ContextCollector:
         for ex_file, pre_loc, post_loc in exclusions:
             if ex_file != path:
                 continue
-            for text, locator, spans in (
-                (canon_pre, pre_loc, pre_spans),
-                (canon_post, post_loc, post_spans),
+            for version, locator, spans in (
+                (PRE, pre_loc, pre_spans),
+                (POST, post_loc, post_spans),
             ):
-                if not text:
+                parsed = self.index.file(version, path)
+                if parsed is None:
                     continue
                 try:
-                    _, _, method = locate_method(text, locator)
-                except InputError:
+                    _, method = find_located(parsed.java, locator)
+                except LocatorNotFound:
                     continue
-                spans.append(self._method_line_span(text, method))
+                spans.append(_line_span(parsed.canonical, method))
         return pre_spans, post_spans
 
     # ------------------------------------------------------------------
@@ -573,11 +490,17 @@ def _parent_simple_name(cls: ClassDecl) -> str | None:
     return identifiers[0] if identifiers else None
 
 
-def _position_offset(text: str, pos: CursorPos) -> int:
-    lines = text.split("\n")
-    if pos.line >= len(lines):
-        return len(text)
-    return sum(len(line) + 1 for line in lines[: pos.line]) + pos.col
+def _line_span(text: str, method: MethodDecl) -> tuple[int, int]:
+    """First and last line of ``method`` in ``text``."""
+    return text.count("\n", 0, method.start), text.count("\n", 0, method.end)
+
+
+def _within(parsed: ParsedFile, method: MethodDecl, location: Location) -> bool:
+    """Whether ``location`` is a token inside ``method`` of ``parsed``."""
+    if location.file != parsed.path:
+        return False
+    tok = parsed.token_at(location.start)
+    return tok is not None and method.start <= tok.offset < method.end
 
 
 def _hunk_overlaps(

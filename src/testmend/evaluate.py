@@ -22,7 +22,7 @@ from pathlib import Path
 from testmend import metrics
 from testmend.collectors import TROCtxBundle, construct_bundle
 from testmend.dataset import RepairSample
-from testmend.errors import ProviderError, ScorerError
+from testmend.errors import InputError, ProviderError, ScorerError
 from testmend.javasrc.format import canonicalize
 from testmend.prompting import (
     DEFAULT_ATTEMPTS,
@@ -95,6 +95,20 @@ class EvalSettings:
     lsp_command: str = ""  # language server command line (lsp backend)
 
 
+def resolver_backend(settings: EvalSettings) -> ResolverBackend:
+    """The resolver backend the settings select; raises InputError if malformed."""
+    if settings.backend not in ("builtin", "lsp"):
+        raise InputError(f"unknown backend {settings.backend!r}")
+    if settings.backend == "builtin":
+        return ResolverBackend()
+    if not settings.lsp_command:
+        raise InputError("lsp backend requires --lsp-command")
+    try:
+        return ResolverBackend("lsp", tuple(shlex.split(settings.lsp_command)))
+    except ValueError as exc:
+        raise InputError(f"malformed --lsp-command {settings.lsp_command!r}: {exc}") from exc
+
+
 @contextmanager
 def _stage(timings: dict[str, float], name: str):
     start = time.perf_counter()
@@ -152,9 +166,7 @@ def prepare_sample(
         test_text = method_full_text(test_source, sample.test)
         test_body = method_body_text(test_source, sample.test)
     with _stage(timings, "collect"):
-        lsp_command = settings.lsp_command if settings.backend == "lsp" else ""
-        backend = ResolverBackend(settings.backend, tuple(shlex.split(lsp_command)))
-        resolver = make_resolver(backend, snapshot)
+        resolver = make_resolver(resolver_backend(settings), snapshot)
         try:
             bundle = construct_bundle(focal, sample.test, snapshot, resolver)
         finally:

@@ -16,7 +16,8 @@ rewritten here.  Guarantees:
 
 ``canonicalize_with_cursor`` additionally maps a position sitting on an
 identifier in the raw text to that identifier's position in the
-canonical text (same occurrence index of the same identifier text).
+canonical text (same occurrence index of the same identifier text);
+``canonical_positions`` maps every token of a lexed text at once.
 """
 
 from __future__ import annotations
@@ -279,6 +280,13 @@ def canonicalize(source: str) -> str:
     if not tokens:
         return ""
     return _prepare(tokens).run()
+
+
+def canonical_positions(tokens: list[Token]) -> list[CursorPos]:
+    """Where each of ``tokens`` (a ``lex`` result) starts in the canonical text."""
+    emitter = _prepare(tokens)
+    emitter.run()
+    return emitter.positions
 
 
 def canonicalize_with_cursor(source: str, cursor: CursorPos) -> tuple[str, CursorPos]:

@@ -2,10 +2,15 @@
 
 Speaks JSON-RPC 2.0 over a child process's stdio with Content-Length
 framing.  One server process is started per snapshot version (the
-version's root is the workspace root).  Unlike the builtin backend, the
-coordinates here refer to the raw on-disk file text, which
-``document_text`` returns unmodified; callers that need canonical
-coordinates map them with ``canonicalize_with_cursor``.
+version's root is the workspace root).
+
+Like every :class:`~testmend.resolver.Resolver`, :class:`LspResolver`
+takes and returns Locations in canonical coordinates.  It is the one
+place that maps them to the raw file text the server sees and back:
+``canonicalize`` keeps the token stream, so token *i* of the raw text is
+token *i* of the canonical text.  Each file is lexed once.  A hit that
+is not on an identifier (say, a word inside a comment) has no canonical
+position and is dropped.
 
 Failure policy: each request gets a timeout (default 30 s) and a single
 retry; a second failure — or a dead server process — raises
@@ -22,8 +27,9 @@ from pathlib import Path
 from urllib.parse import unquote, urlparse
 from urllib.request import pathname2url
 
-from testmend.errors import BackendUnavailable
-from testmend.javasrc.format import CursorPos
+from testmend.errors import BackendUnavailable, CursorNotOnIdentifier
+from testmend.javasrc import lexer
+from testmend.javasrc.format import CursorPos, canonical_positions
 from testmend.snapshot import Location, RepoSnapshot
 
 log = logging.getLogger(__name__)
@@ -193,6 +199,10 @@ class JsonRpcClient:
             except Exception:  # noqa: BLE001
                 self.proc.kill()
                 self.proc.wait(timeout=5)
+            self._reader.join(timeout=5)  # it stops at end of output
+            for pipe in (self.proc.stdin, self.proc.stdout):
+                if pipe is not None:
+                    pipe.close()
 
 
 class LspSession:
@@ -248,6 +258,7 @@ class LspResolver:
         self.command = tuple(backend.lsp_command)
         self.timeout = backend.timeout
         self._sessions: dict[str, LspSession] = {}
+        self._identifiers: dict[tuple[str, str], list[tuple[lexer.Token, CursorPos]]] = {}
 
     def _session(self, version: str) -> LspSession:
         if version not in self._sessions:
@@ -256,17 +267,34 @@ class LspResolver:
             )
         return self._sessions[version]
 
-    def document_text(self, version: str, path: str) -> str:
-        return (self.snapshot.root(version) / path).read_text(encoding="utf-8")
+    def _identifier_tokens(
+        self, version: str, path: str
+    ) -> list[tuple[lexer.Token, CursorPos]]:
+        """A file's raw identifier tokens, each with its canonical start."""
+        key = (version, path)
+        if key not in self._identifiers:
+            tokens = lexer.lex(self.snapshot.read(version, path))
+            self._identifiers[key] = [
+                (tok, pos)
+                for tok, pos in zip(tokens, canonical_positions(tokens))
+                if tok.kind == lexer.IDENT
+            ]
+        return self._identifiers[key]
 
     def _text_document_position(self, location: Location) -> dict:
         session = self._session(location.version)
         session.ensure_open(location.file)
+        cursor = location.start
+        for tok, pos in self._identifier_tokens(location.version, location.file):
+            if pos.line == cursor.line and pos.col <= cursor.col < pos.col + len(tok.text):
+                break
+        else:
+            raise CursorNotOnIdentifier(f"no identifier at {location.describe()}")
         return {
             "textDocument": {
                 "uri": path_to_uri(self.snapshot.root(location.version) / location.file)
             },
-            "position": {"line": location.start.line, "character": location.start.col},
+            "position": {"line": tok.line, "character": tok.col + cursor.col - pos.col},
         }
 
     def _to_location(self, version: str, raw: dict) -> Location | None:
@@ -279,12 +307,13 @@ class LspResolver:
             rel = path.resolve().relative_to(self.snapshot.root(version).resolve())
         except ValueError:
             return None  # outside the workspace (library code)
-        return Location(
-            version=version,
-            file=str(rel).replace("\\", "/"),
-            start=CursorPos(range_["start"]["line"], range_["start"]["character"]),
-            end=CursorPos(range_["end"]["line"], range_["end"]["character"]),
-        )
+        file = str(rel).replace("\\", "/")
+        line, col = range_["start"]["line"], range_["start"]["character"]
+        for tok, pos in self._identifier_tokens(version, file):
+            if tok.line == line and tok.col <= col < tok.col + len(tok.text):
+                end = CursorPos(pos.line, pos.col + len(tok.text))
+                return Location(version=version, file=file, start=pos, end=end)
+        return None  # not on an identifier: no canonical position
 
     def goto_definition(self, location: Location) -> list[Location]:
         result = self._session(location.version).client.request(

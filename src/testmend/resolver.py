@@ -1,10 +1,11 @@
 """Name resolution over a snapshot: the builtin backend and its index.
 
-The builtin backend works entirely on canonicalized file texts — its
-coordinates (and the coordinates of every Location it returns) refer to
-the canonical form exposed by :meth:`BuiltinResolver.document_text`.
-Resolution is name-based with Java scope rules approximated through
-imports and packages:
+Every :class:`~testmend.snapshot.Location` a :class:`Resolver` takes or
+returns is in canonical coordinates: a line and column of the file's
+canonical form (:func:`~testmend.javasrc.format.canonicalize`), which
+:meth:`CodeIndex.canonical` returns.  The builtin backend works on those
+texts directly.  Resolution is name-based with Java scope rules
+approximated through imports and packages:
 
 * ``goto_definition`` tiers: declarations in the same file, then classes
   reachable through explicit/wildcard imports, then classes in the same
@@ -15,7 +16,10 @@ imports and packages:
   declaration name tokens themselves are excluded.
 
 A language-server backend implementing the same protocol lives in
-:mod:`testmend.lsp`.
+:mod:`testmend.lsp`; it maps between raw and canonical positions itself.
+
+:class:`CodeIndex` owns each file's facts — canonical text, parse and
+PRE→POST diff — and computes each once.
 """
 
 from __future__ import annotations
@@ -26,9 +30,9 @@ from typing import Protocol
 
 from testmend.errors import CursorNotOnIdentifier, InputError
 from testmend.javasrc import lexer
-from testmend.javasrc.ast import ClassDecl, FieldDecl, MethodDecl, parse_java
+from testmend.javasrc.ast import ClassDecl, FieldDecl, JavaFile, MethodDecl, parse_java
 from testmend.javasrc.format import CursorPos, canonicalize
-from testmend.snapshot import Location, RepoSnapshot
+from testmend.snapshot import POST, PRE, DiffText, Location, RepoSnapshot, unified_diff
 
 log = logging.getLogger(__name__)
 
@@ -56,11 +60,13 @@ class ParsedFile:
 
 
 class CodeIndex:
-    """Lazily parsed canonical views of every Java file in a snapshot."""
+    """Lazily computed canonical texts, parses and diffs of a snapshot's files."""
 
     def __init__(self, snapshot: RepoSnapshot):
         self.snapshot = snapshot
+        self._canonical: dict[tuple[str, str], str] = {}
         self._files: dict[tuple[str, str], ParsedFile | None] = {}
+        self._diffs: dict[str, DiffText] = {}
         self._listing: dict[str, list[str]] = {}
 
     def paths(self, version: str) -> list[str]:
@@ -68,14 +74,33 @@ class CodeIndex:
             self._listing[version] = self.snapshot.java_files(version)
         return self._listing[version]
 
+    def canonical(self, version: str, path: str) -> str:
+        """Canonical text of a file; ``""`` if it is missing or blank.
+
+        Raises :class:`~testmend.errors.ParseError` if the file does not lex.
+        """
+        key = (version, path)
+        if key not in self._canonical:
+            raw = self.snapshot.read_or_empty(version, path)
+            self._canonical[key] = canonicalize(raw) if raw.strip() else ""
+        return self._canonical[key]
+
+    def diff(self, path: str) -> DiffText:
+        """The canonical PRE→POST diff of a file."""
+        if path not in self._diffs:
+            self._diffs[path] = unified_diff(
+                self.canonical(PRE, path), self.canonical(POST, path)
+            )
+        return self._diffs[path]
+
     def file(self, version: str, path: str) -> ParsedFile | None:
+        """The parse of a file's canonical text; None if missing or unparsable."""
         key = (version, path)
         if key not in self._files:
             parsed: ParsedFile | None = None
             if self.snapshot.exists(version, path):
-                raw = self.snapshot.read(version, path)
                 try:
-                    canonical = canonicalize(raw)
+                    canonical = self.canonical(version, path)
                     parsed = ParsedFile(
                         version=version,
                         path=path,
@@ -149,11 +174,10 @@ def _class_location(parsed: ParsedFile, cls: ClassDecl) -> Location:
 
 
 class Resolver(Protocol):
-    """What the collectors need from a resolution backend."""
+    """What the collectors need from a resolution backend.
 
-    def document_text(self, version: str, path: str) -> str:
-        """The text whose coordinates this backend's Locations refer to."""
-        ...
+    Every Location passed in and returned is in canonical coordinates.
+    """
 
     def goto_definition(self, location: Location) -> list[Location]:
         ...
@@ -194,23 +218,19 @@ class BuiltinResolver:
     def close(self) -> None:  # symmetry with the LSP backend
         return None
 
-    def document_text(self, version: str, path: str) -> str:
-        parsed = self.index.file(version, path)
-        if parsed is None:
-            raise InputError(f"cannot load {version}:{path}")
-        return parsed.canonical
-
-    # -- definitions -----------------------------------------------------
-
-    def goto_definition(self, location: Location) -> list[Location]:
+    def _identifier_at(self, location: Location) -> tuple[ParsedFile, lexer.Token]:
         parsed = self.index.file(location.version, location.file)
         if parsed is None:
             raise InputError(f"cannot load {location.version}:{location.file}")
         tok = parsed.token_at(location.start)
         if tok is None or tok.kind != lexer.IDENT:
-            raise CursorNotOnIdentifier(
-                f"no identifier at {location.describe()}"
-            )
+            raise CursorNotOnIdentifier(f"no identifier at {location.describe()}")
+        return parsed, tok
+
+    # -- definitions -----------------------------------------------------
+
+    def goto_definition(self, location: Location) -> list[Location]:
+        parsed, tok = self._identifier_at(location)
         name = tok.text
         same_file = self._declarations_in_file(parsed, name)
         if same_file:
@@ -244,12 +264,7 @@ class BuiltinResolver:
     # -- references ------------------------------------------------------
 
     def find_references(self, location: Location) -> list[Location]:
-        parsed = self.index.file(location.version, location.file)
-        if parsed is None:
-            raise InputError(f"cannot load {location.version}:{location.file}")
-        tok = parsed.token_at(location.start)
-        if tok is None or tok.kind != lexer.IDENT:
-            raise CursorNotOnIdentifier(f"no identifier at {location.describe()}")
+        parsed, tok = self._identifier_at(location)
         name = tok.text
         decl_kind, owner = self._declaration_kind(parsed, tok)
         version = location.version

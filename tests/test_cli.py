@@ -393,6 +393,22 @@ def test_lsp_backend_without_command_exits_2(tmp_path, capsys):
     assert "--lsp-command" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["collect", "rerank", "prompt", "repair", "eval"])
+def test_malformed_lsp_command_exits_2(tmp_path, capsys, command):
+    replay = tmp_path / "replay"
+    replay.mkdir()
+    sample = [] if command == "eval" else ["--sample", "mount-param"]
+    code = run_cli(
+        command, "--manifest", MANIFEST, *sample,
+        "--backend", "lsp", "--lsp-command", '"unterminated',
+        "--provider", "replay", "--replay-dir", str(replay),
+        "--out", str(tmp_path / "a"),
+    )
+    assert code == 2
+    assert "error: malformed --lsp-command" in capsys.readouterr().err
+    assert not (tmp_path / "a").exists()
+
+
 def test_unknown_backend_in_config_file_exits_2(tmp_path, capsys):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"backend": "ctags"}))

@@ -593,6 +593,36 @@ def test_env_ctx_includes_parent_file_changes(mini):
     assert parent.text == "+ reset();"
 
 
+def test_env_ctx_diffs_a_file_that_canonicalizes_but_does_not_parse(tmp_path):
+    # The test class has an unbalanced '{': it lexes and canonicalizes, but
+    # does not parse, so its diff must not depend on the parse.
+    test_pre = """\
+package app;
+
+public class T {
+    int LIMIT = 1;
+
+    public void testRun() {
+        new S().run(1);
+    {
+}
+"""
+    service_pre = "package app;\npublic class S {\n    public void run(int a) {\n    }\n}\n"
+    snap = write_repo(
+        tmp_path,
+        pre={"app/S.java": service_pre, "app/T.java": test_pre},
+        post={
+            "app/S.java": service_pre.replace("int a", "long a"),
+            "app/T.java": test_pre.replace("LIMIT = 1", "LIMIT = 2"),
+        },
+    )
+    focal = focal_for(snap, "app/S.java", ("S",), "run")
+    test_loc = MethodLocator("app/T.java", ("T",), "testRun")
+    focal_chunks, test_chunks, _ = collector_for(snap).collect_env_ctx(focal, test_loc)
+    assert focal_chunks == []
+    assert [c.text for c in test_chunks] == ["- int LIMIT = 1;\n+ int LIMIT = 2;"]
+
+
 def test_env_ctx_changed_lines_have_diff_markers(mini):
     _, collector, focal, test_loc = mini
     focal_chunks, test_chunks, _ = collector.collect_env_ctx(focal, test_loc)

@@ -12,7 +12,7 @@ from testmend.errors import BackendUnavailable
 from testmend.evaluate import EvalSettings, prepare_sample
 from testmend.javasrc.format import CursorPos
 from testmend.lsp import LspResolver
-from testmend.resolver import ResolverBackend, make_resolver
+from testmend.resolver import CodeIndex, ResolverBackend, make_resolver
 from testmend.snapshot import PRE, Location, RepoSnapshot
 
 SERVER = str(Path(__file__).parent / "fake_lsp_server.py")
@@ -78,7 +78,8 @@ def make(repo, monkeypatch, **env):
 
 
 def gadget_usage_location(repo, resolver):
-    text = resolver.document_text(PRE, "src/Gadget.java")
+    """The 'Widget' parameter type in Gadget.go, in canonical coordinates."""
+    text = CodeIndex(repo).canonical(PRE, "src/Gadget.java")
     line_index = next(
         i for i, line in enumerate(text.splitlines()) if "w.spin" not in line and "Widget w" in line
     )
@@ -87,22 +88,15 @@ def gadget_usage_location(repo, resolver):
                     CursorPos(line_index, col + len("Widget")))
 
 
-def test_document_text_is_raw_disk_content(repo, monkeypatch):
-    resolver = make(repo, monkeypatch)
-    try:
-        assert resolver.document_text(PRE, "src/Gadget.java") == GADGET
-    finally:
-        resolver.close()
-
-
 def test_definition_over_the_wire(repo, monkeypatch):
     resolver = make(repo, monkeypatch)
     try:
         defs = resolver.goto_definition(gadget_usage_location(repo, resolver))
         assert len(defs) == 1
         assert defs[0].file == "src/Widget.java"
-        # Position of 'Widget' on the 'public class Widget' line of raw text.
-        assert defs[0].start == CursorPos(2, len("public class "))
+        # 'Widget' on the 'public class Widget' line of the canonical text;
+        # the raw text has a blank line after the package declaration.
+        assert defs[0].start == CursorPos(1, len("public class "))
         assert defs[0].end.col == defs[0].start.col + len("Widget")
     finally:
         resolver.close()
@@ -117,16 +111,17 @@ def test_location_links_are_normalized(repo, monkeypatch):
         resolver.close()
 
 
-def test_references_include_raw_text_hits(repo, monkeypatch):
+def test_references_drop_comment_hits(repo, monkeypatch):
     resolver = make(repo, monkeypatch)
     try:
         refs = resolver.find_references(gadget_usage_location(repo, resolver))
-        files = {r.file for r in refs}
-        assert "src/Gadget.java" in files
-        # The scripted server scans raw text, so comment occurrences on the
-        # usage line are reported too; downstream canonical mapping is what
-        # filters them.  Here we only assert wire fidelity and ordering.
-        assert refs == sorted(refs, key=lambda r: (r.file, r.start.line, r.start.col))
+        # The scripted server scans raw text, so it also reports the two
+        # 'Widget' words in the comment on the usage line; those have no
+        # canonical position and are dropped.  What is left is the parameter
+        # type on canonical line 2, '    void go(Widget w) {'.
+        assert [(r.file, r.start, r.end) for r in refs] == [
+            ("src/Gadget.java", CursorPos(2, 12), CursorPos(2, 18))
+        ]
     finally:
         resolver.close()
 
@@ -179,6 +174,16 @@ def test_prepare_sample_leaves_no_server_running(servers):
         prepare_sample(sample, settings=settings)
     assert len(servers) >= 2
     assert [proc.poll() is not None for proc in servers] == [True] * len(servers)
+
+
+@pytest.mark.parametrize("sample", load_manifest(MANIFEST).samples, ids=lambda s: s.id)
+def test_lsp_bundle_equals_builtin_bundle(sample, servers):
+    command = shlex.join([sys.executable, SERVER])
+    lsp_bundle = prepare_sample(
+        sample, settings=EvalSettings(backend="lsp", lsp_command=command)
+    ).bundle
+    builtin_bundle = prepare_sample(sample, settings=EvalSettings()).bundle
+    assert lsp_bundle.as_dict() == builtin_bundle.as_dict()
 
 
 def test_failed_session_leaves_no_server_running(repo, monkeypatch, servers):

@@ -1,10 +1,19 @@
 """Builtin resolver tests against a fixture repo with a known call graph."""
 
+from typing import get_type_hints
+
 import pytest
 
 from testmend.errors import CursorNotOnIdentifier
+from testmend.javasrc.ast import JavaFile
 from testmend.javasrc.format import CursorPos
-from testmend.resolver import BuiltinResolver, CodeIndex, ResolverBackend, make_resolver
+from testmend.resolver import (
+    BuiltinResolver,
+    CodeIndex,
+    ParsedFile,
+    ResolverBackend,
+    make_resolver,
+)
 from testmend.snapshot import POST, PRE, Location, RepoSnapshot
 
 FILES = {
@@ -63,7 +72,7 @@ def resolver(tmp_path):
 
 def loc_of(resolver, version, path, needle, occurrence=0):
     """Location of the n-th occurrence of an identifier in canonical text."""
-    text = resolver.document_text(version, path)
+    text = resolver.index.canonical(version, path)
     lines = text.splitlines()
     seen = 0
     import re
@@ -121,7 +130,7 @@ def brute_force_references(resolver, version, name, visible_files, kind):
     import re
     out = []
     for path in visible_files:
-        text = resolver.document_text(version, path)
+        text = resolver.index.canonical(version, path)
         for lineno, line in enumerate(text.splitlines()):
             for m in re.finditer(r"[A-Za-z_$][A-Za-z0-9_$]*", line):
                 if m.group(0) != name:
@@ -179,10 +188,11 @@ def test_references_are_stably_ordered(resolver):
     assert first == sorted(first, key=lambda r: (r.file, r.start.line, r.start.col))
 
 
-def test_document_text_is_canonical(resolver):
-    text = resolver.document_text(PRE, "src/a/Widget.java")
+def test_index_canonical_text_is_canonical(resolver):
+    text = resolver.index.canonical(PRE, "src/a/Widget.java")
     from testmend.javasrc.format import canonicalize
     assert canonicalize(text) == text
+    assert text == canonicalize(FILES["src/a/Widget.java"])
 
 
 def test_make_resolver_builtin(resolver):
@@ -199,3 +209,7 @@ def test_code_index_resolve_class(resolver):
     hit2 = index.resolve_class(PRE, "src/a/Gadget.java", "Remote")
     assert hit2 is not None and hit2[0].path == "src/b/Remote.java"
     assert index.resolve_class(PRE, "src/a/Gadget.java", "Missing") is None
+
+
+def test_parsed_file_type_hints_resolve():
+    assert get_type_hints(ParsedFile)["java"] is JavaFile
