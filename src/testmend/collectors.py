@@ -88,15 +88,6 @@ class TROCtxBundle:
     env_ctx_test: list[ContextChunk] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
 
-    def all_chunks(self) -> list[ContextChunk]:
-        out: list[ContextChunk] = []
-        for group in self.class_ctx.values():
-            out.extend(group.chunks)
-        out.extend(self.usage_ctx)
-        out.extend(self.env_ctx_focal)
-        out.extend(self.env_ctx_test)
-        return out
-
     def as_dict(self) -> dict:
         return {
             "class_ctx": {

@@ -23,8 +23,6 @@ from testmend.javasrc import lexer
 from testmend.javasrc.format import canonicalize
 from testmend.javasrc.lexer import IDENT, KEYWORD, Token
 
-_MODIFIER_OR_NOISE = frozenset({"final", "@"})
-
 PRIMITIVES = frozenset(
     "boolean byte char short int long float double var".split()
 )

@@ -134,14 +134,10 @@ class JavaFile:
         return None
 
 
-_OPEN_FOR = {"}": "{", ")": "(", "]": "["}
-
-
 class _Cursor:
-    def __init__(self, tokens: list[Token], text_len: int):
+    def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
-        self.text_len = text_len
 
     def eof(self) -> bool:
         return self.pos >= len(self.tokens)
@@ -228,7 +224,7 @@ def _render_type(tokens: list[Token]) -> str:
 class _Parser:
     def __init__(self, text: str):
         self.text = text
-        self.cur = _Cursor(lexer.lex(text), len(text))
+        self.cur = _Cursor(lexer.lex(text))
 
     # -- annotations and modifiers -------------------------------------
 

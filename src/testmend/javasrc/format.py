@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 from testmend.errors import CursorNotOnIdentifier, ParseError
 from testmend.javasrc import lexer
+from testmend.javasrc.ast import PRIMITIVE_WORDS
 from testmend.javasrc.lexer import IDENT, KEYWORD, OP, Token
 
 INDENT = "    "
@@ -88,10 +89,7 @@ def _classify_braces(tokens: list[Token]) -> dict[int, str]:
         elif t.text == "}":
             kind = stack.pop()[1] if stack else "block"
             kinds[i] = kind
-        if t.text in ("{", "}"):
-            prev_kind = kinds[i]
-        elif t.kind != lexer.COMMENT:
-            prev_kind = None
+        prev_kind = kinds[i] if t.text in ("{", "}") else None
         prev = t
     return kinds
 
@@ -119,8 +117,8 @@ def _mark_generic_angles(tokens: list[Token]) -> set[int]:
                 if depth <= 0:
                     ok = depth == 0
                     break
-            elif kind == IDENT or (kind == KEYWORD and text in _GENERIC_BODY) or (
-                kind == KEYWORD and _is_primitive(text)
+            elif kind == IDENT or (
+                kind == KEYWORD and (text in _GENERIC_BODY or text in PRIMITIVE_WORDS)
             ):
                 pass
             elif kind == OP and text in _GENERIC_BODY:
@@ -131,10 +129,6 @@ def _mark_generic_angles(tokens: list[Token]) -> set[int]:
         if ok:
             marked.update(region)
     return marked
-
-
-def _is_primitive(text: str) -> bool:
-    return text in ("boolean", "byte", "char", "short", "int", "long", "float", "double", "void")
 
 
 class _Emitter:

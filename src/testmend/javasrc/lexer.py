@@ -1,15 +1,25 @@
 """A small maximal-munch lexer for Java source text.
 
 Produces a flat token stream with positions; no semantic interpretation.
-Comments are emitted as tokens so that callers can either drop them
-(canonical formatting) or inspect them.  The lexer is deliberately lenient
-about token *sequences* (it never looks at grammar) but strict about
-malformed lexemes: unterminated strings, comments or characters raise
-:class:`~testmend.errors.ParseError`.
+:func:`lex` is one loop over a single compiled ``re`` master pattern with
+a named group per lexeme, tried in order (see "Writing a Tokenizer" in
+the ``re`` documentation).  Whitespace and comments are matched and
+skipped, so the stream never contains them.  A token's line and column
+come from its offset and the offset of the last newline before it.
+
+Character classes are ``re``'s: a number starts with ``\\d`` (a Unicode
+decimal digit), an identifier with ``[^\\W\\d]`` or ``$`` and continues
+with ``\\w`` or ``$``.  So ``'²'`` and ``'Ⅷ'`` lex as identifiers.
+
+The lexer is deliberately lenient about token *sequences* (it never looks
+at grammar) but strict about malformed lexemes: unterminated strings,
+text blocks, comments or characters, and characters no lexeme starts
+with, raise :class:`~testmend.errors.ParseError`.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from testmend.errors import ParseError
@@ -25,44 +35,12 @@ KEYWORDS = frozenset(
     """.split()
 )
 
-# Multi-character operators, longest first so maximal munch falls out of a
-# simple ordered scan.
-_OPERATORS = [
-    ">>>=",
-    ">>>",
-    "<<=",
-    ">>=",
-    "...",
-    "->",
-    "::",
-    "<<",
-    ">>",
-    "==",
-    "!=",
-    "<=",
-    ">=",
-    "&&",
-    "||",
-    "++",
-    "--",
-    "+=",
-    "-=",
-    "*=",
-    "/=",
-    "%=",
-    "&=",
-    "|=",
-    "^=",
-]
-_SINGLE_OPERATORS = set("(){}[];,.=<>!~?:+-*/%&|^@")
-
 IDENT = "ident"
 KEYWORD = "keyword"
 NUMBER = "number"
 STRING = "string"
 CHAR = "char"
 OP = "op"
-COMMENT = "comment"
 
 
 @dataclass(frozen=True)
@@ -81,149 +59,58 @@ class Token:
         return self.kind in (IDENT, KEYWORD, NUMBER, STRING, CHAR)
 
 
-def _is_ident_start(c: str) -> bool:
-    return bool(c) and (c.isalpha() or c in "_$")
+# A '.' continues a number only before a digit, an f/F/d/D suffix or the
+# end of the text, so "1.5" and "1.f" are one token but "x1.toString" is
+# not.  An exponent sign follows e/E/p/P only in numbers that start with
+# a digit.  Operators are listed longest first.  The ``open_*`` groups
+# match the start of a lexeme whose end is missing.
+_MASTER = re.compile(
+    r'''
+      (?P<skip> [ \t\r\n\f]+ | //[^\n]* | /\*.*?\*/ )
+    | (?P<string> """.*?""" | "(?!"")(?:[^"\\\n]|\\.)*" )
+    | (?P<char> '(?:[^'\\\n]|\\.)*' )
+    | (?P<number> \d(?:[eEpP][+-]|\w|\.(?=[\dfFdD]|\Z))*
+                | \.\d(?:\w|\.(?=[\dfFdD]|\Z))* )
+    | (?P<ident> (?:[^\W\d]|\$)[\w$]* )
+    | (?P<open_comment> /\* )
+    | (?P<open_text_block> """ )
+    | (?P<open_string> " )
+    | (?P<open_char> ' )
+    | (?P<op> >>>=? | <<= | >>= | \.\.\. | -> | :: | << | >> | [=!<>&|+\-*/%^]=
+            | && | \|\| | \+\+ | -- | [(){}\[\];,.=<>!~?:+\-*/%&|^@] )
+    | (?P<unexpected> . )
+    ''',
+    re.DOTALL | re.VERBOSE,
+)
+
+# Error group -> (message, columns from the lexeme start to the report).
+_ERRORS = {
+    "open_comment": ("unterminated block comment", 2),
+    "open_text_block": ("unterminated text block", 3),
+    "open_string": ("unterminated string literal", 0),
+    "open_char": ("unterminated character literal", 0),
+}
 
 
-def _is_ident_part(c: str) -> bool:
-    return bool(c) and (c.isalnum() or c in "_$")
-
-
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.n = len(text)
-        self.i = 0
-        self.line = 0
-        self.col = 0
-
-    def error(self, message: str) -> ParseError:
-        return ParseError(message, self.line, self.col)
-
-    def peek(self, ahead: int = 0) -> str:
-        j = self.i + ahead
-        return self.text[j] if j < self.n else ""
-
-    def advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self.i >= self.n:
-                return
-            if self.text[self.i] == "\n":
-                self.line += 1
-                self.col = 0
-            else:
-                self.col += 1
-            self.i += 1
-
-    def take_until(self, terminator: str, what: str) -> None:
-        end = self.text.find(terminator, self.i)
-        if end < 0:
-            raise self.error(f"unterminated {what}")
-        while self.i < end + len(terminator):
-            self.advance()
-
-
-def lex(text: str, keep_comments: bool = False) -> list[Token]:
+def lex(text: str) -> list[Token]:
     """Tokenize ``text``; raises :class:`ParseError` on malformed lexemes."""
-    s = _Scanner(text)
     tokens: list[Token] = []
-
-    def emit(kind: str, start: int, line: int, col: int) -> None:
-        tokens.append(Token(kind, text[start : s.i], line, col, start))
-
-    while s.i < s.n:
-        c = s.peek()
-        if c in " \t\r\n\f":
-            s.advance()
-            continue
-        start, line, col = s.i, s.line, s.col
-        if c == "/" and s.peek(1) == "/":
-            end = text.find("\n", s.i)
-            while s.i < (end if end >= 0 else s.n):
-                s.advance()
-            if keep_comments:
-                emit(COMMENT, start, line, col)
-            continue
-        if c == "/" and s.peek(1) == "*":
-            s.advance(2)
-            s.take_until("*/", "block comment")
-            if keep_comments:
-                emit(COMMENT, start, line, col)
-            continue
-        if c == '"':
-            if s.peek(1) == '"' and s.peek(2) == '"':
-                s.advance(3)
-                s.take_until('"""', "text block")
-            else:
-                s.advance()
-                while True:
-                    ch = s.peek()
-                    if ch == "" or ch == "\n":
-                        raise ParseError("unterminated string literal", line, col)
-                    if ch == "\\":
-                        s.advance(2)
-                        continue
-                    s.advance()
-                    if ch == '"':
-                        break
-            emit(STRING, start, line, col)
-            continue
-        if c == "'":
-            s.advance()
-            while True:
-                ch = s.peek()
-                if ch == "" or ch == "\n":
-                    raise ParseError("unterminated character literal", line, col)
-                if ch == "\\":
-                    s.advance(2)
-                    continue
-                s.advance()
-                if ch == "'":
-                    break
-            emit(CHAR, start, line, col)
-            continue
-        if c.isdigit() or (c == "." and s.peek(1).isdigit()):
-            s.advance()
-            while True:
-                ch = s.peek()
-                if ch and (ch.isalnum() or ch == "_"):
-                    s.advance()
-                elif ch == "." and (s.peek(1).isdigit() or _is_exponentish(s.peek(1))):
-                    s.advance()
-                elif ch and ch in "+-" and s.peek(-1) in "eEpP" and text[start].isdigit():
-                    s.advance()
-                else:
-                    break
-            emit(NUMBER, start, line, col)
-            continue
-        if _is_ident_start(c):
-            s.advance()
-            while _is_ident_part(s.peek()):
-                s.advance()
-            word = text[start : s.i]
-            tokens.append(Token(KEYWORD if word in KEYWORDS else IDENT, word, line, col, start))
-            continue
-        matched = False
-        for op in _OPERATORS:
-            if text.startswith(op, s.i):
-                s.advance(len(op))
-                emit(OP, start, line, col)
-                matched = True
-                break
-        if matched:
-            continue
-        if c in _SINGLE_OPERATORS:
-            s.advance()
-            emit(OP, start, line, col)
-            continue
-        raise s.error(f"unexpected character {c!r}")
+    line = line_start = 0
+    for m in _MASTER.finditer(text):
+        kind, value, start = m.lastgroup, m.group(), m.start()
+        if kind in _ERRORS:
+            message, shift = _ERRORS[kind]
+            raise ParseError(message, line, start - line_start + shift)
+        if kind == "unexpected":
+            raise ParseError(f"unexpected character {value!r}", line, start - line_start)
+        if kind != "skip":
+            if kind == IDENT and value in KEYWORDS:
+                kind = KEYWORD
+            tokens.append(Token(kind, value, line, start - line_start, start))
+        if "\n" in value:
+            line += value.count("\n")
+            line_start = start + value.rindex("\n") + 1
     return tokens
-
-
-def _is_exponentish(c: str) -> bool:
-    # After a '.', continue the number only for digit-like continuations
-    # (e.g. "1.5", "1.e3" is rare but legal); never swallow ".foo".
-    return c in "fFdD"
 
 
 def token_texts(text: str) -> list[str]:

@@ -242,23 +242,6 @@ def assemble_prompt(
     return prompt
 
 
-def naive_prompt(
-    focal: FocalChange,
-    test_body: str,
-    *,
-    focal_pre_text: str = "",
-    focal_post_text: str = "",
-) -> RepairPrompt:
-    """The no-context baseline: role, task, test, and diff only."""
-    return assemble_prompt(
-        focal,
-        test_body,
-        TROCtxBundle(),
-        focal_pre_text=focal_pre_text,
-        focal_post_text=focal_post_text,
-    )
-
-
 # ----------------------------------------------------------------------
 # response handling
 # ----------------------------------------------------------------------
@@ -459,7 +442,7 @@ def repair(
     candidates: list[RepairCandidate] = []
     for attempt in range(attempts):
         try:
-            raw = provider.complete(messages, temperature=temperature)
+            raw = provider.complete(messages, temperature=temperature, attempt=attempt)
         except ProviderError as exc:
             log.warning("repair attempt %d failed: %s", attempt, exc)
             continue

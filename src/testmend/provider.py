@@ -30,8 +30,14 @@ Message = dict[str, str]
 
 
 class ChatProvider(Protocol):
-    def complete(self, messages: Sequence[Message], *, temperature: float = 0.0) -> str:
-        """Return the assistant text for a chat-completion request."""
+    def complete(
+        self, messages: Sequence[Message], *, temperature: float = 0.0, attempt: int = 0
+    ) -> str:
+        """Return the assistant text for a chat-completion request.
+
+        ``attempt`` numbers the independent requests made for one prompt
+        (0, 1, ...); a provider may use it to pick a distinct response.
+        """
         ...
 
 
@@ -58,7 +64,9 @@ class LiveProvider:
         self.config = config
         self.session = session or requests.Session()
 
-    def complete(self, messages: Sequence[Message], *, temperature: float = 0.0) -> str:
+    def complete(
+        self, messages: Sequence[Message], *, temperature: float = 0.0, attempt: int = 0
+    ) -> str:
         body = {
             "model": self.config.model,
             "temperature": temperature,
@@ -114,22 +122,21 @@ def _brief(payload: object) -> str:
 class ReplayProvider:
     """Serves canned responses from ``<digest>[.<n>].txt`` files.
 
-    Repeated requests with the same prompt advance an attempt counter so
-    a directory can hold distinct responses per attempt
-    (``<digest>.0.txt``, ``<digest>.1.txt``, ...); a plain
-    ``<digest>.txt`` answers every attempt.
+    Attempt ``n`` of a prompt is answered by ``<digest>.<n>.txt``, so a
+    directory can hold distinct responses per attempt; a plain
+    ``<digest>.txt`` answers every attempt.  The provider keeps no state
+    between requests, so samples that share a prompt get the same answers.
     """
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
         if not self.directory.is_dir():
             raise ProviderError(f"replay directory does not exist: {self.directory}")
-        self._attempt_counts: dict[str, int] = {}
 
-    def complete(self, messages: Sequence[Message], *, temperature: float = 0.0) -> str:
+    def complete(
+        self, messages: Sequence[Message], *, temperature: float = 0.0, attempt: int = 0
+    ) -> str:
         digest = prompt_digest(messages)
-        attempt = self._attempt_counts.get(digest, 0)
-        self._attempt_counts[digest] = attempt + 1
         for name in (f"{digest}.{attempt}.txt", f"{digest}.txt"):
             path = self.directory / name
             if path.is_file():

@@ -27,7 +27,14 @@ from testmend.collectors import (
 )
 from testmend.dataset import load_manifest
 from testmend.evaluate import prepare_sample, run_sample
-from testmend.prompting import assemble_prompt, naive_prompt
+from testmend.javasrc.format import canonicalize
+from testmend.prompting import (
+    SYSTEM_TEXT,
+    TASK_TEXT,
+    RepairPrompt,
+    assemble_prompt,
+    focal_diff_text,
+)
 from testmend.provider import ENDPOINT_VAR, ReplayProvider, prompt_digest
 from testmend.queries import QuerySet
 from testmend.rerank import LexicalScorer, rerank_bundle
@@ -539,9 +546,14 @@ def test_empty_bundle_prompt_equals_plain_baseline():
         focal, test_text, TROCtxBundle(),
         focal_pre_text=pre_text, focal_post_text=post_text,
     )
-    baseline = naive_prompt(
-        focal, test_text, focal_pre_text=pre_text, focal_post_text=post_text
+    # The plain baseline: role, task, test and focal diff, nothing else.
+    baseline = RepairPrompt(
+        system_text=SYSTEM_TEXT,
+        task_text=TASK_TEXT,
+        original_test_text=canonicalize(test_text),
+        focal_diff_text=focal_diff_text(focal, pre_text, post_text),
     )
+    assert assembled == baseline
     assert assembled.render() == baseline.render()
     assert assembled.messages() == baseline.messages()
     accept("prompt from an empty context bundle equals the plain baseline byte-exactly")

@@ -430,3 +430,37 @@ def test_exhausted_replay_directory_exits_1(tmp_path, capsys):
     )
     assert code == 1
     assert "repair attempts failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_samples_sharing_a_prompt_get_the_same_replay_attempts(tmp_path, capsys, jobs):
+    entries = {e["id"]: e for e in json.loads(Path(MANIFEST).read_text())}
+    mount = {
+        **entries["mount-param"],
+        **{key: str(FIXTURES / entries["mount-param"][key])
+           for key in ("pre_root", "post_root", "ground_truth_path")},
+    }
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps([mount, {**mount, "id": "mount-param-copy"}]))
+    replay = seed_replay_via_prompt_artifact(
+        tmp_path, "mount-param", "mount/ground_truth.java"
+    )
+    # Attempt 0 answers with the ground truth, attempts 1 and 2 with a
+    # valid but wrong method: a sample served another sample's attempts
+    # scores differently or fails.
+    (plain,) = replay.iterdir()
+    plain.rename(replay / f"{plain.stem}.0.txt")
+    for attempt in (1, 2):
+        (replay / f"{plain.stem}.{attempt}.txt").write_text(
+            "```java\npublic void mount() throws Exception {\n}\n```"
+        )
+    out = tmp_path / "report"
+    assert run_cli(
+        "eval", "--manifest", str(manifest), "--provider", "replay",
+        "--replay-dir", str(replay), "--out", str(out), "--jobs", jobs,
+    ) == 0
+    capsys.readouterr()
+    rows = [json.loads(line) for line in (out / "report.jsonl").read_text().splitlines()]
+    assert [row.pop("sample_id") for row in rows] == ["mount-param", "mount-param-copy"]
+    assert rows[0] == rows[1]
+    assert rows[0]["error"] is None and rows[0]["exact_match"] is True

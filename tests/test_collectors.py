@@ -10,10 +10,18 @@ from testmend.collectors import (
     cap_chunk_text,
     construct_bundle,
 )
-from testmend.javasrc import lexer
 from testmend.resolver import BuiltinResolver
 from testmend.signatures import MethodLocator, make_focal_change, parse_method
 from testmend.snapshot import POST, PRE, RepoSnapshot
+
+import scanner_oracle
+
+
+def all_chunks(bundle):
+    groups = [g.chunks for g in bundle.class_ctx.values()]
+    return [c for chunks in groups for c in chunks] + (
+        bundle.usage_ctx + bundle.env_ctx_focal + bundle.env_ctx_test
+    )
 
 
 def write_repo(root: Path, pre: dict[str, str], post: dict[str, str]) -> RepoSnapshot:
@@ -644,7 +652,7 @@ def test_bundle_gathers_all_families(mini):
     assert len(bundle.env_ctx_focal) == 2
     assert len(bundle.env_ctx_test) == 1
     assert bundle.warnings == []
-    assert len(bundle.all_chunks()) == 6 + 1 + 2 + 1
+    assert len(all_chunks(bundle)) == 6 + 1 + 2 + 1
 
 
 def test_bundle_skips_class_ctx_for_norm_only_change(tmp_path):
@@ -666,10 +674,10 @@ def test_bundle_skips_class_ctx_for_norm_only_change(tmp_path):
 def test_bundle_chunks_lex_cleanly(mini):
     snap, _, focal, test_loc = mini
     bundle = construct_bundle(focal, test_loc, snap, BuiltinResolver(snap))
-    for chunk in bundle.all_chunks():
+    for chunk in all_chunks(bundle):
         for line in chunk.text.splitlines():
             body = line[2:] if line[:2] in ("- ", "+ ") else line
             if body == TRUNCATION_MARKER:
                 continue
-            toks = lexer.lex(body, keep_comments=True)
-            assert all(t.kind != lexer.COMMENT for t in toks)
+            toks = scanner_oracle.lex(body, keep_comments=True)
+            assert all(t.kind != scanner_oracle.COMMENT for t in toks)

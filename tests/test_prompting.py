@@ -8,13 +8,15 @@ import pytest
 from testmend.collectors import ClassCtxGroup, ContextChunk, TROCtxBundle
 from testmend.errors import ProviderError
 from testmend.javasrc.ast import MethodDecl, parse_java
+from testmend.javasrc.format import canonicalize
 from testmend.javasrc.lexer import token_texts
 from testmend.prompting import (
+    SYSTEM_TEXT,
+    TASK_TEXT,
     RepairPrompt,
     assemble_prompt,
     extract_method_text,
     focal_diff_text,
-    naive_prompt,
     repair,
     token_edit_distance,
     validate_syntax,
@@ -87,13 +89,22 @@ def sample_bundle():
     )
 
 
+def all_chunks(bundle):
+    groups = [g.chunks for g in bundle.class_ctx.values()]
+    return [c for chunks in groups for c in chunks] + (
+        bundle.usage_ctx + bundle.env_ctx_focal + bundle.env_ctx_test
+    )
+
+
 class ScriptedProvider:
     def __init__(self, responses):
         self.responses = list(responses)
         self.calls = []
 
-    def complete(self, messages, *, temperature=0.0):
-        self.calls.append({"messages": messages, "temperature": temperature})
+    def complete(self, messages, *, temperature=0.0, attempt=0):
+        self.calls.append(
+            {"messages": messages, "temperature": temperature, "attempt": attempt}
+        )
         item = self.responses.pop(0)
         if isinstance(item, Exception):
             raise item
@@ -120,7 +131,7 @@ def test_prompt_section_order_and_verbatim_chunks():
         text.index("## Environment changes of the test"),
     ]
     assert order == sorted(order)
-    for c in bundle.all_chunks():
+    for c in all_chunks(bundle):
         assert c.text in text
     assert "How other callers of mount changed between versions." in text
     assert "@@" in prompt.focal_diff_text
@@ -139,11 +150,16 @@ def test_empty_bundle_prompt_equals_naive_baseline():
         FOCAL, TEST_BODY, TROCtxBundle(), focal_pre_text=FOCAL_PRE,
         focal_post_text=FOCAL_POST,
     )
-    naive = naive_prompt(
-        FOCAL, TEST_BODY, focal_pre_text=FOCAL_PRE, focal_post_text=FOCAL_POST
+    # The naive baseline: role, task, test and focal diff, nothing else.
+    naive = RepairPrompt(
+        system_text=SYSTEM_TEXT,
+        task_text=TASK_TEXT,
+        original_test_text=canonicalize(TEST_BODY),
+        focal_diff_text=focal_diff_text(FOCAL, FOCAL_PRE, FOCAL_POST),
     )
+    assert with_empty == naive
     assert with_empty.render() == naive.render()
-    assert "##" not in naive.render().split("## Focal method change")[1]
+    assert "##" not in with_empty.render().split("## Focal method change")[1]
 
 
 def test_prompt_rendering_is_deterministic_and_digest_aligned():
@@ -312,6 +328,7 @@ def test_repair_temperature_and_attempt_count():
     result = repair(make_prompt(), provider, attempts=3, temperature=0.1)
     assert len(provider.calls) == 3
     assert all(c["temperature"] == 0.1 for c in provider.calls)
+    assert [c["attempt"] for c in provider.calls] == [0, 1, 2]
     assert [c.attempt for c in result.candidates] == [0, 1, 2]
 
 

@@ -129,7 +129,7 @@ def test_replay_provider_serves_plain_digest_file(tmp_path):
     (tmp_path / f"{digest}.txt").write_text("canned")
     provider = ReplayProvider(tmp_path)
     assert provider.complete(MESSAGES) == "canned"
-    assert provider.complete(MESSAGES) == "canned"  # every attempt
+    assert provider.complete(MESSAGES, attempt=1) == "canned"  # every attempt
 
 
 def test_replay_provider_attempt_sequencing(tmp_path):
@@ -139,8 +139,10 @@ def test_replay_provider_attempt_sequencing(tmp_path):
     (tmp_path / f"{digest}.txt").write_text("fallback")
     provider = ReplayProvider(tmp_path)
     assert provider.complete(MESSAGES) == "first"
-    assert provider.complete(MESSAGES) == "second"
-    assert provider.complete(MESSAGES) == "fallback"  # attempt 2 has no file
+    assert provider.complete(MESSAGES, attempt=1) == "second"
+    assert provider.complete(MESSAGES, attempt=2) == "fallback"  # no .2 file
+    # No state is kept between requests: attempt 0 is answered again.
+    assert provider.complete(MESSAGES, attempt=0) == "first"
 
 
 def test_replay_provider_missing_response_raises(tmp_path):

@@ -220,8 +220,8 @@ class ScriptedProvider:
         self.responses = list(responses)
         self.calls = []
 
-    def complete(self, messages, *, temperature=0.0):
-        self.calls.append((list(messages), temperature))
+    def complete(self, messages, *, temperature=0.0, attempt=0):
+        self.calls.append((list(messages), temperature, attempt))
         item = self.responses.pop(0)
         if isinstance(item, Exception):
             raise item
@@ -243,13 +243,14 @@ def test_provider_two_step_flow():
     analysis, stmts = build_statement_queries(diff, MOUNT_TEST_BODY, provider, focal)
     assert (analysis, stmts) == ("THE ANALYSIS", "THE STMTS")
     assert len(provider.calls) == 2
-    first_messages, first_temp = provider.calls[0]
-    assert first_temp == 0.0
+    first_messages, first_temp, first_attempt = provider.calls[0]
+    assert (first_temp, first_attempt) == (0.0, 0)
     assert first_messages[0]["role"] == "system"
     # two exemplars contribute four messages each
     assert len(first_messages) == 1 + 8 + 1
     assert "MountPOptions" in first_messages[-1]["content"]
-    second_messages, _ = provider.calls[1]
+    second_messages, _, second_attempt = provider.calls[1]
+    assert second_attempt == 0
     assert second_messages[-2] == {"role": "assistant", "content": "THE ANALYSIS"}
     assert "invalidated" in second_messages[-1]["content"]
 

@@ -69,6 +69,13 @@ def hand_cosines(query: str, documents: list[str]) -> list[float]:
     return out
 
 
+def all_chunks(bundle):
+    groups = [g.chunks for g in bundle.class_ctx.values()]
+    return [c for chunks in groups for c in chunks] + (
+        bundle.usage_ctx + bundle.env_ctx_focal + bundle.env_ctx_test
+    )
+
+
 def chunk(text, label="group", ctor=False, sig=None):
     return ContextChunk(
         text=text,
@@ -398,8 +405,8 @@ def test_selection_is_subset_and_deterministic():
     first = rerank_bundle(bundle, queries, k=2)
     second = rerank_bundle(bundle, queries, k=2)
     assert first.as_dict() == second.as_dict()
-    assert set(id(c) for c in first.bundle.all_chunks()) <= set(
-        id(c) for c in bundle.all_chunks()
+    assert set(id(c) for c in all_chunks(first.bundle)) <= set(
+        id(c) for c in all_chunks(bundle)
     )
 
 
