@@ -205,7 +205,6 @@ def cmd_classify(args: argparse.Namespace, config: RunConfig) -> int:
 
 def cmd_collect(args: argparse.Namespace, config: RunConfig) -> int:
     sample = _load_sample(args.manifest, args.sample)
-    resolver_backend(config)
     prepared = prepare_sample(sample, scorer=LexicalScorer(), settings=config)
     path = _write_json(
         _sample_dir(config, sample.id) / "chunks.json",
@@ -218,7 +217,6 @@ def cmd_collect(args: argparse.Namespace, config: RunConfig) -> int:
 def cmd_rerank(args: argparse.Namespace, config: RunConfig) -> int:
     sample = _load_sample(args.manifest, args.sample)
     scorer = build_scorer(config)
-    resolver_backend(config)
     prepared = prepare_sample(sample, scorer=scorer, settings=config)
     out = _sample_dir(config, sample.id)
     ranked = prepared.ranked.as_dict()
@@ -243,7 +241,6 @@ def cmd_rerank(args: argparse.Namespace, config: RunConfig) -> int:
 def cmd_prompt(args: argparse.Namespace, config: RunConfig) -> int:
     sample = _load_sample(args.manifest, args.sample)
     scorer = build_scorer(config)
-    resolver_backend(config)
     prepared = prepare_sample(sample, scorer=scorer, settings=config)
     out = _sample_dir(config, sample.id)
     prompt_path = out / "prompt.txt"
@@ -262,7 +259,6 @@ def cmd_repair(args: argparse.Namespace, config: RunConfig) -> int:
     sample = _load_sample(args.manifest, args.sample)
     provider = build_provider(config, required=True)
     scorer = build_scorer(config)
-    resolver_backend(config)
     prepared = prepare_sample(sample, scorer=scorer, settings=config)
     result = repair(
         prepared.prompt,

@@ -16,6 +16,10 @@ Three context families are gathered for a focal change:
   its parents' files (and likewise for the test), excluding hunks that
   overlap the focal/test method bodies themselves.
 
+Both follow parents through one walk, ``ContextCollector._parent_chain``,
+which warns when a parent is outside the snapshot or the chain is
+truncated, and stops at a parent already in the chain.
+
 All chunk text is canonical-form source, so chunks never contain comment
 syntax.  A single chunk is capped at 40 lines plus a trailing
 ``[truncated]`` marker.
@@ -23,7 +27,8 @@ syntax.  A single chunk is capped at 40 lines plus a trailing
 Every Location here — what the resolver takes and returns, and each
 chunk's ``origin`` — is in canonical coordinates, whatever the resolver
 backend.  Every file fact (canonical text, parse, PRE→POST diff) comes
-from the :class:`~testmend.resolver.CodeIndex`, which computes it once.
+from the resolver's :class:`~testmend.resolver.CodeIndex`
+(``resolver.index``), which computes it once.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from testmend.errors import CursorNotOnIdentifier, InputError, LocatorNotFound
 from testmend.javasrc import lexer
 from testmend.javasrc.ast import ClassDecl, FieldDecl, MethodDecl
 from testmend.javasrc.format import CursorPos
-from testmend.resolver import BuiltinResolver, CodeIndex, ParsedFile, Resolver
+from testmend.resolver import ParsedFile, Resolver
 from testmend.signatures import (
     FocalChange,
     MethodLocator,
@@ -124,10 +129,7 @@ class ContextCollector:
     def __init__(self, snapshot: RepoSnapshot, resolver: Resolver):
         self.snapshot = snapshot
         self.resolver = resolver
-        if isinstance(resolver, BuiltinResolver):
-            self.index = resolver.index
-        else:
-            self.index = CodeIndex(snapshot)
+        self.index = resolver.index
 
     def _locate(self, locator: MethodLocator) -> tuple[ParsedFile, MethodDecl]:
         """The post-version parse of a locator's file and the method it addresses."""
@@ -182,8 +184,9 @@ class ContextCollector:
             if definition is None:
                 warnings.append(f"type {type_name} is not defined inside the snapshot")
                 continue
-            parsed, cls = definition
-            self._collect_members_with_parents(group, parsed, cls, warnings)
+            for pf, cls in self._parent_chain(POST, *definition, warnings):
+                group.defining_classes.append(cls.name)
+                group.chunks.extend(self._member_chunks(pf, cls))
         return groups, warnings
 
     def _resolve_type(
@@ -207,38 +210,28 @@ class ContextCollector:
         # Fall back to scope-rule resolution over the index.
         return self.index.resolve_class(POST, focal.path, type_name)
 
-    def _collect_members_with_parents(
-        self,
-        group: ClassCtxGroup,
-        parsed: ParsedFile,
-        cls: ClassDecl,
-        warnings: list[str],
-    ) -> None:
-        current: tuple[ParsedFile, ClassDecl] | None = (parsed, cls)
-        seen: set[str] = set()
-        depth = 0
-        while current is not None and depth <= PARENT_DEPTH_CAP:
-            pf, decl = current
-            if decl.name in seen:
-                break  # inheritance cycle guard
-            seen.add(decl.name)
-            group.defining_classes.append(decl.name)
-            group.chunks.extend(self._member_chunks(pf, decl))
-            parent_name = _parent_simple_name(decl)
-            if parent_name is None:
-                break
-            depth += 1
-            if depth > PARENT_DEPTH_CAP:
+    def _parent_chain(
+        self, version: str, parsed: ParsedFile, cls: ClassDecl, warnings: list[str]
+    ) -> list[tuple[ParsedFile, ClassDecl]]:
+        """``cls`` and up to ``PARENT_DEPTH_CAP`` of its superclasses, nearest first."""
+        chain = [(parsed, cls)]
+        while (parent_name := _parent_simple_name(chain[-1][1])) is not None:
+            if len(chain) > PARENT_DEPTH_CAP:
                 warnings.append(
                     f"parent chain of {cls.name} exceeds {PARENT_DEPTH_CAP} levels; truncated"
                 )
                 break
-            current = self.index.resolve_class(POST, pf.path, parent_name)
-            if current is None:
+            pf, decl = chain[-1]
+            parent = self.index.resolve_class(version, pf.path, parent_name)
+            if parent is None:
                 warnings.append(
                     f"parent class {parent_name} of {decl.name} is outside the snapshot"
                 )
-        return None
+                break
+            if any(known is parent[1] for _, known in chain):
+                break  # inheritance cycle
+            chain.append(parent)
+        return chain
 
     def _member_chunks(self, pf: ParsedFile, cls: ClassDecl) -> list[ContextChunk]:
         label = f"Defined in class {cls.name}"
@@ -249,9 +242,9 @@ class ContextCollector:
                 if "private" in member.modifiers:
                     continue
                 if member.body_start is not None:
-                    text = pf.canonical[member.start : member.body_start].rstrip() + ";"
+                    text = pf.java.slice(member.start, member.body_start).rstrip() + ";"
                 else:
-                    text = pf.canonical[member.start : member.end].strip()
+                    text = pf.java.slice(member.start, member.end).strip()
                 text = " ".join(text.split("\n"))
                 chunks.append(
                     ContextChunk(
@@ -269,7 +262,7 @@ class ContextCollector:
                     )
                     if not (class_lombok or field_lombok):
                         continue
-                text = " ".join(pf.canonical[member.start : member.end].split("\n"))
+                text = " ".join(pf.java.slice(member.start, member.end).split("\n"))
                 chunks.append(
                     ContextChunk(
                         text=cap_chunk_text(text),
@@ -350,7 +343,7 @@ class ContextCollector:
         best: tuple[int, int] | None = None
         for cls in parsed.java.all_classes():
             for method in cls.methods():
-                span = _line_span(parsed.canonical, method)
+                span = _line_span(parsed.java.text, method)
                 if span[0] <= line <= span[1]:
                     if best is None or span[1] - span[0] < best[1] - best[0]:
                         best = span
@@ -376,29 +369,12 @@ class ContextCollector:
 
     def _env_files(self, anchor_file: str, warnings: list[str]) -> list[str]:
         """The anchor file plus its class's parent files (post tree)."""
-        files = [anchor_file]
         version = POST if self.snapshot.exists(POST, anchor_file) else PRE
         parsed = self.index.file(version, anchor_file)
-        if parsed is None:
-            return files
-        classes = parsed.java.classes
-        if not classes:
-            return files
-        current = (parsed, classes[0])
-        for _ in range(PARENT_DEPTH_CAP):
-            parent_name = _parent_simple_name(current[1])
-            if parent_name is None:
-                break
-            parent = self.index.resolve_class(version, current[0].path, parent_name)
-            if parent is None:
-                warnings.append(
-                    f"parent class {parent_name} of {current[1].name} is outside the snapshot"
-                )
-                break
-            if parent[0].path not in files:
-                files.append(parent[0].path)
-            current = parent
-        return files
+        if parsed is None or not parsed.java.classes:
+            return [anchor_file]
+        chain = self._parent_chain(version, parsed, parsed.java.classes[0], warnings)
+        return list(dict.fromkeys(pf.path for pf, _ in chain))
 
     def _env_chunks_for(
         self,
@@ -450,7 +426,7 @@ class ContextCollector:
                     _, method = find_located(parsed.java, locator)
                 except LocatorNotFound:
                     continue
-                spans.append(_line_span(parsed.canonical, method))
+                spans.append(_line_span(parsed.java.text, method))
         return pre_spans, post_spans
 
     # ------------------------------------------------------------------

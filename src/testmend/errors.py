@@ -45,10 +45,6 @@ class ManifestError(InputError):
     """The dataset manifest is structurally invalid."""
 
 
-class PatchConflict(InputError):
-    """A diff does not apply cleanly to the text it is patched onto."""
-
-
 class EmptyReference(InputError):
     """A similarity metric was asked to score against an empty reference."""
 

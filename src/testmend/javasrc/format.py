@@ -14,10 +14,12 @@ rewritten here.  Guarantees:
 * the transform is idempotent: canonicalize(canonicalize(x)) ==
   canonicalize(x).
 
-``canonicalize_with_cursor`` additionally maps a position sitting on an
-identifier in the raw text to that identifier's position in the
-canonical text (same occurrence index of the same identifier text);
-``canonical_positions`` maps every token of a lexed text at once.
+Because the token stream is kept, token *i* of ``lex(source)`` is token
+*i* of ``lex(canonicalize(source))``: canonical positions are read off
+the lexed canonical text, and the emitter tracks none.
+``canonicalize_with_cursor`` maps a position sitting on an identifier in
+the raw text to that identifier's position in the canonical text that
+way.
 """
 
 from __future__ import annotations
@@ -138,14 +140,12 @@ class _Emitter:
         self.angles = angles
         self.lines: list[str] = []
         self.parts: list[str] = []
-        self.width = 0
         self.indent = 0
         self.paren_depth = 0
         self.block_paren_stack = [0]
         self.prev: Token | None = None
         self.prev_unary = False
         self.prev_angle_close = False
-        self.positions: list[CursorPos] = []
 
     def run(self) -> str:
         for i, tok in enumerate(self.tokens):
@@ -157,15 +157,11 @@ class _Emitter:
         if self.parts:
             self.lines.append("".join(self.parts).rstrip())
             self.parts = []
-            self.width = 0
 
     def append(self, text: str) -> None:
         if not self.parts:
-            prefix = INDENT * max(self.indent, 0)
-            self.parts.append(prefix)
-            self.width = len(prefix)
+            self.parts.append(INDENT * max(self.indent, 0))
         self.parts.append(text)
-        self.width += len(text)
 
     def emit(self, i: int, tok: Token) -> None:
         text = tok.text
@@ -183,9 +179,6 @@ class _Emitter:
         if self.parts and self.needs_space(tok, i):
             self.append(" ")
 
-        self.positions.append(
-            CursorPos(len(self.lines), self.width if self.parts else len(INDENT * max(self.indent, 0)))
-        )
         self.append(text)
 
         if text == "(":
@@ -264,23 +257,15 @@ class _Emitter:
         return True
 
 
-def _prepare(tokens: list[Token]) -> _Emitter:
-    return _Emitter(tokens, _classify_braces(tokens), _mark_generic_angles(tokens))
+def _emit(tokens: list[Token]) -> str:
+    if not tokens:
+        return ""
+    return _Emitter(tokens, _classify_braces(tokens), _mark_generic_angles(tokens)).run()
 
 
 def canonicalize(source: str) -> str:
     """Reformat ``source`` into canonical form (see module docstring)."""
-    tokens = lexer.lex(source)
-    if not tokens:
-        return ""
-    return _prepare(tokens).run()
-
-
-def canonical_positions(tokens: list[Token]) -> list[CursorPos]:
-    """Where each of ``tokens`` (a ``lex`` result) starts in the canonical text."""
-    emitter = _prepare(tokens)
-    emitter.run()
-    return emitter.positions
+    return _emit(lexer.lex(source))
 
 
 def canonicalize_with_cursor(source: str, cursor: CursorPos) -> tuple[str, CursorPos]:
@@ -288,21 +273,14 @@ def canonicalize_with_cursor(source: str, cursor: CursorPos) -> tuple[str, Curso
 
     ``cursor`` must sit on an identifier token of ``source`` (raises
     :class:`CursorNotOnIdentifier` otherwise).  The returned position is
-    the start of the same occurrence of that identifier in the canonical
-    text.
+    the start of the same token in the canonical text.
     """
     tokens = lexer.lex(source)
-    target_index: int | None = None
-    for idx, t in enumerate(tokens):
-        if t.kind != IDENT or t.line != cursor.line:
-            continue
-        if t.col <= cursor.col < t.col + len(t.text):
-            target_index = idx
+    for index, t in enumerate(tokens):
+        if t.kind == IDENT and t.line == cursor.line and t.col <= cursor.col < t.col + len(t.text):
             break
-    if target_index is None:
-        raise CursorNotOnIdentifier(
-            f"no identifier at line {cursor.line}, col {cursor.col}"
-        )
-    emitter = _prepare(tokens)
-    text = emitter.run()
-    return text, emitter.positions[target_index]
+    else:
+        raise CursorNotOnIdentifier(f"no identifier at line {cursor.line}, col {cursor.col}")
+    text = _emit(tokens)
+    target = lexer.lex(text)[index]
+    return text, CursorPos(target.line, target.col)

@@ -5,12 +5,13 @@ framing.  One server process is started per snapshot version (the
 version's root is the workspace root).
 
 Like every :class:`~testmend.resolver.Resolver`, :class:`LspResolver`
-takes and returns Locations in canonical coordinates.  It is the one
-place that maps them to the raw file text the server sees and back:
-``canonicalize`` keeps the token stream, so token *i* of the raw text is
-token *i* of the canonical text.  Each file is lexed once.  A hit that
-is not on an identifier (say, a word inside a comment) has no canonical
-position and is dropped.
+takes and returns Locations in canonical coordinates, those of its own
+:class:`~testmend.resolver.CodeIndex`.  It is the one place that maps
+them to the raw file text the server sees and back: ``canonicalize``
+keeps the token stream, so raw token *i* is token *i* of the lexed
+canonical text (``index.canonical``), and the two are paired once per
+file.  A hit that is not on an identifier (say, a word inside a comment)
+has no canonical position and is dropped.
 
 Failure policy: each request gets a timeout (default 30 s) and a single
 retry; a second failure — or a dead server process — raises
@@ -29,7 +30,8 @@ from urllib.request import pathname2url
 
 from testmend.errors import BackendUnavailable, CursorNotOnIdentifier
 from testmend.javasrc import lexer
-from testmend.javasrc.format import CursorPos, canonical_positions
+from testmend.javasrc.format import CursorPos
+from testmend.resolver import CodeIndex
 from testmend.snapshot import Location, RepoSnapshot
 
 log = logging.getLogger(__name__)
@@ -255,6 +257,7 @@ class LspResolver:
         if not backend.lsp_command:
             raise BackendUnavailable("no language-server command configured")
         self.snapshot = snapshot
+        self.index = CodeIndex(snapshot)
         self.command = tuple(backend.lsp_command)
         self.timeout = backend.timeout
         self._sessions: dict[str, LspSession] = {}
@@ -273,10 +276,11 @@ class LspResolver:
         """A file's raw identifier tokens, each with its canonical start."""
         key = (version, path)
         if key not in self._identifiers:
-            tokens = lexer.lex(self.snapshot.read(version, path))
+            raw = lexer.lex(self.snapshot.read(version, path))
+            canonical = lexer.lex(self.index.canonical(version, path))
             self._identifiers[key] = [
-                (tok, pos)
-                for tok, pos in zip(tokens, canonical_positions(tokens))
+                (tok, CursorPos(at.line, at.col))
+                for tok, at in zip(raw, canonical)
                 if tok.kind == lexer.IDENT
             ]
         return self._identifiers[key]

@@ -7,9 +7,11 @@ canonical form (:func:`~testmend.javasrc.format.canonicalize`), which
 texts directly.  Resolution is name-based with Java scope rules
 approximated through imports and packages:
 
-* ``goto_definition`` tiers: declarations in the same file, then classes
-  reachable through explicit/wildcard imports, then classes in the same
-  package.  The first non-empty tier wins.
+* ``goto_definition`` returns the declarations of the name in the same
+  file if there are any; otherwise the one class that
+  :meth:`CodeIndex.resolve_class` finds: an explicit import, then the
+  wildcard imports in order, then the same package.  An explicit import
+  shadows a wildcard import of the same simple name (JLS §6.4.1).
 * ``find_references`` is a token scan over the version's files filtered
   by visibility (same file, import of the declaring class, or same
   package).  Method references require an immediately following ``(``;
@@ -41,7 +43,6 @@ log = logging.getLogger(__name__)
 class ParsedFile:
     version: str
     path: str
-    canonical: str
     java: JavaFile
 
     def token_at(self, pos: CursorPos) -> lexer.Token | None:
@@ -100,13 +101,8 @@ class CodeIndex:
             parsed: ParsedFile | None = None
             if self.snapshot.exists(version, path):
                 try:
-                    canonical = self.canonical(version, path)
-                    parsed = ParsedFile(
-                        version=version,
-                        path=path,
-                        canonical=canonical,
-                        java=parse_java(canonical),
-                    )
+                    java = parse_java(self.canonical(version, path))
+                    parsed = ParsedFile(version=version, path=path, java=java)
                 except InputError as exc:
                     log.warning("skipping unparsable file %s:%s (%s)", version, path, exc)
             self._files[key] = parsed
@@ -176,8 +172,11 @@ def _class_location(parsed: ParsedFile, cls: ClassDecl) -> Location:
 class Resolver(Protocol):
     """What the collectors need from a resolution backend.
 
-    Every Location passed in and returned is in canonical coordinates.
+    Every Location passed in and returned is in canonical coordinates,
+    those of ``index``, which also serves the collectors' file facts.
     """
+
+    index: CodeIndex
 
     def goto_definition(self, location: Location) -> list[Location]:
         ...
@@ -235,26 +234,8 @@ class BuiltinResolver:
         same_file = self._declarations_in_file(parsed, name)
         if same_file:
             return same_file
-        version = location.version
-        imported: list[Location] = []
-        fqn = parsed.java.imports.get(name)
-        if fqn:
-            hit = self.index.class_by_fqn(version, fqn)
-            if hit:
-                imported.append(_class_location(*hit))
-        for package in parsed.java.wildcard_imports:
-            hit = self.index.class_by_fqn(version, f"{package}.{name}")
-            if hit:
-                imported.append(_class_location(*hit))
-        if imported:
-            return imported
-        package = parsed.java.package
-        same_package = [
-            _class_location(pf, cls)
-            for pf, cls in self.index.classes_named(version, name)
-            if pf.java.package == package and pf.path != parsed.path
-        ]
-        return same_package
+        hit = self.index.resolve_class(location.version, parsed.path, name)
+        return [_class_location(*hit)] if hit else []
 
     def _declarations_in_file(self, parsed: ParsedFile, name: str) -> list[Location]:
         out = [parsed.token_location(t) for t in _declaration_name_tokens(parsed, name)]

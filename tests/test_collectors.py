@@ -631,6 +631,34 @@ public class T {
     assert [c.text for c in test_chunks] == ["- int LIMIT = 1;\n+ int LIMIT = 2;"]
 
 
+def test_env_ctx_parent_chain_capped_at_five(tmp_path):
+    pre = {
+        f"app/C{i}.java": (
+            f"package app;\npublic class C{i} extends C{i + 1} {{\n"
+            f"    public int f{i} = 1;\n\n    void keep() {{\n    }}\n\n"
+            f"    public void run(int a) {{\n    }}\n}}\n"
+        )
+        for i in range(6)
+    }
+    pre["app/C6.java"] = "package app;\npublic class C6 {\n    public int f6 = 1;\n}\n"
+    pre["app/T.java"] = (
+        "package app;\npublic class T {\n    public void testRun() {\n"
+        "        new C0().run(1);\n    }\n}\n"
+    )
+    post = {path: text.replace(" = 1;", " = 2;") for path, text in pre.items()}
+    post["app/C0.java"] = post["app/C0.java"].replace("int a", "long a")
+    snap = write_repo(tmp_path, pre=pre, post=post)
+    focal = focal_for(snap, "app/C0.java", ("C0",), "run")
+    test_loc = MethodLocator("app/T.java", ("T",), "testRun")
+    focal_chunks, test_chunks, warnings = collector_for(snap).collect_env_ctx(focal, test_loc)
+    # the anchor file plus at most five parent files
+    assert [c.group_label for c in focal_chunks] == [
+        f"Environment change in app/C{i}.java" for i in range(6)
+    ]
+    assert test_chunks == []
+    assert warnings == ["parent chain of C0 exceeds 5 levels; truncated"]
+
+
 def test_env_ctx_changed_lines_have_diff_markers(mini):
     _, collector, focal, test_loc = mini
     focal_chunks, test_chunks, _ = collector.collect_env_ctx(focal, test_loc)

@@ -11,7 +11,7 @@ import pytest
 
 from testmend.errors import CursorNotOnIdentifier
 from testmend.javasrc.format import CursorPos, canonicalize, canonicalize_with_cursor
-from testmend.javasrc.lexer import lex, token_texts
+from testmend.javasrc.lexer import IDENT, lex, token_texts
 
 import scanner_oracle
 
@@ -193,12 +193,15 @@ def _random_source(rng):
         n = rng.choice(names)
         t = rng.choice(types)
         kind = rng.random()
-        if kind < 0.4:
+        if kind < 0.3:
             body.append(f"{t} {n} = helper.make({rng.randint(0, 9)});")
-        elif kind < 0.7:
+        elif kind < 0.55:
             body.append(f"if ({n} != null) {{ sink.accept({n}); }}")
-        else:
+        elif kind < 0.8:
             body.append(f"for (int i = 0; i < {rng.randint(2, 9)}; i++) {{ {n} = work(i); }}")
+        else:
+            lines = "".join(f"  {n} line {k}\n" for k in range(rng.randint(1, 3)))
+            body.append(f'String {n} = """\n{lines}  """; sink.accept({n});')
     methods = "\n".join(
         f"public void m{i}() {{ {' '.join(body)} }}" for i in range(rng.randint(1, 3))
     )
@@ -213,3 +216,21 @@ def test_properties_on_generated_sources():
         out = canonicalize(src)
         assert token_texts(out) == token_texts(src), src
         assert canonicalize(out) == out, src
+
+
+def test_cursor_lands_on_the_same_token_of_the_lexed_canonical_text():
+    rng = random.Random(20231116)
+    with_text_block = 0
+    for _ in range(30):
+        src = _random_source(rng)
+        with_text_block += '"""' in src
+        tokens = lex(src)
+        for i, tok in enumerate(tokens):
+            if tok.kind != IDENT:
+                continue
+            last_char = CursorPos(tok.line, tok.col + len(tok.text) - 1)
+            out, pos = canonicalize_with_cursor(src, last_char)
+            canonical_tok = lex(out)[i]
+            assert (pos.line, pos.col) == (canonical_tok.line, canonical_tok.col), (src, tok)
+            assert out.splitlines()[pos.line][pos.col :].startswith(tok.text)
+    assert with_text_block > 0

@@ -126,6 +126,41 @@ def test_references_drop_comment_hits(repo, monkeypatch):
         resolver.close()
 
 
+GADGET_WITH_TEXT_BLOCK = '''package a;
+
+public class Gadget {
+    String doc = """
+        spins
+        """;
+    void go(Widget w) {
+        w.spin(1); // Widget usage in comment: Widget
+    }
+}
+'''
+
+
+def test_references_after_a_text_block_equal_builtin(tmp_path, monkeypatch):
+    for version in ("pre", "post"):
+        d = tmp_path / version / "src"
+        d.mkdir(parents=True)
+        (d / "Widget.java").write_text(WIDGET)
+        (d / "Gadget.java").write_text(GADGET_WITH_TEXT_BLOCK)
+    snap = RepoSnapshot(tmp_path / "pre", tmp_path / "post")
+    # 'Widget' in '    void go(Widget w) {', canonical line 5: the text
+    # block spans lines 2-4.
+    usage = Location(PRE, "src/Gadget.java", CursorPos(5, 12), CursorPos(5, 18))
+    builtin = make_resolver(ResolverBackend(), snap)
+    resolver = make(snap, monkeypatch)
+    try:
+        refs = resolver.find_references(usage)
+    finally:
+        resolver.close()
+    assert refs == builtin.find_references(usage)
+    assert [(r.file, r.start, r.end) for r in refs] == [
+        ("src/Gadget.java", CursorPos(5, 12), CursorPos(5, 18))
+    ]
+
+
 def test_timeout_then_retry_succeeds(repo, monkeypatch):
     monkeypatch.setenv("FAKE_LSP_STALL", "first-definition")
     resolver = LspResolver(

@@ -213,3 +213,20 @@ def test_code_index_resolve_class(resolver):
 
 def test_parsed_file_type_hints_resolve():
     assert get_type_hints(ParsedFile)["java"] is JavaFile
+
+
+def test_explicit_import_shadows_wildcard_import(tmp_path):
+    files = {
+        "src/p/X.java": "package p;\npublic class X { }\n",
+        "src/q/X.java": "package q;\npublic class X { }\n",
+        "src/r/U.java": "package r;\nimport p.X;\nimport q.*;\nclass U {\n    X x;\n}\n",
+    }
+    for version in ("pre", "post"):
+        for rel, text in files.items():
+            path = tmp_path / version / rel
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+    resolver = BuiltinResolver(RepoSnapshot(tmp_path / "pre", tmp_path / "post"))
+    # occurrence 0 is the one in "import p.X;"
+    defs = resolver.goto_definition(loc_of(resolver, POST, "src/r/U.java", "X", occurrence=1))
+    assert [(d.file, d.start) for d in defs] == [("src/p/X.java", CursorPos(1, 13))]

