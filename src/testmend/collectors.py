@@ -18,7 +18,8 @@ Three context families are gathered for a focal change:
 
 Both follow parents through one walk, ``ContextCollector._parent_chain``,
 which warns when a parent is outside the snapshot or the chain is
-truncated, and stops at a parent already in the chain.
+truncated, and stops at a parent already in the chain.  A bundle keeps
+each warning once, in first-seen order.
 
 All chunk text is canonical-form source, so chunks never contain comment
 syntax.  A single chunk is capped at 40 lines plus a trailing
@@ -447,6 +448,8 @@ class ContextCollector:
         bundle.env_ctx_focal = focal_env
         bundle.env_ctx_test = test_env
         bundle.warnings.extend(env_warnings)
+        # The class context and both environment walks can meet the same parent.
+        bundle.warnings = list(dict.fromkeys(bundle.warnings))
         return bundle
 
 

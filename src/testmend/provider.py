@@ -14,11 +14,12 @@ import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol, Sequence
-
-import requests
+from typing import TYPE_CHECKING, Protocol, Sequence
 
 from testmend.errors import ProviderError
+
+if TYPE_CHECKING:
+    import requests
 
 log = logging.getLogger(__name__)
 
@@ -61,12 +62,16 @@ class LiveProvider:
     """HTTP chat-completion client with one retry per request."""
 
     def __init__(self, config: ProviderConfig, session: requests.Session | None = None):
+        import requests  # only the live client needs it; it is slow to import
+
         self.config = config
         self.session = session or requests.Session()
 
     def complete(
         self, messages: Sequence[Message], *, temperature: float = 0.0, attempt: int = 0
     ) -> str:
+        import requests
+
         body = {
             "model": self.config.model,
             "temperature": temperature,

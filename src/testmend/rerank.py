@@ -15,13 +15,14 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Protocol, Sequence
-
-import requests
+from typing import TYPE_CHECKING, Protocol, Sequence
 
 from testmend.collectors import ClassCtxGroup, ContextChunk, TROCtxBundle
 from testmend.errors import ScorerError
 from testmend.queries import QuerySet
+
+if TYPE_CHECKING:
+    import requests
 
 log = logging.getLogger(__name__)
 
@@ -102,11 +103,15 @@ class RemoteScorer:
         timeout: float = 30.0,
         session: requests.Session | None = None,
     ):
+        import requests  # only the remote scorer needs it; it is slow to import
+
         self.endpoint = endpoint
         self.timeout = timeout
         self.session = session or requests.Session()
 
     def score(self, query: str, documents: Sequence[str]) -> list[float]:
+        import requests
+
         if not documents:
             return []
         try:

@@ -17,11 +17,18 @@ approximated through imports and packages:
   package).  Method references require an immediately following ``(``;
   declaration name tokens themselves are excluded.
 
+Lookups by name read only the files whose raw text mentions the name
+(:meth:`CodeIndex.files_mentioning`); the rest are never canonicalized or
+parsed.  This is safe because the lexer and ``canonicalize`` copy
+identifier text verbatim and decode no ``\\uXXXX`` escapes: a file whose
+raw text lacks the name holds no identifier token, class name or
+reference equal to it.
+
 A language-server backend implementing the same protocol lives in
 :mod:`testmend.lsp`; it maps between raw and canonical positions itself.
 
 :class:`CodeIndex` owns each file's facts — canonical text, parse and
-PRE→POST diff — and computes each once.
+PRE→POST diff — and computes each once, as it does each class lookup.
 """
 
 from __future__ import annotations
@@ -69,6 +76,7 @@ class CodeIndex:
         self._files: dict[tuple[str, str], ParsedFile | None] = {}
         self._diffs: dict[str, DiffText] = {}
         self._listing: dict[str, list[str]] = {}
+        self._classes: dict[tuple[str, str, str], tuple[ParsedFile, ClassDecl] | None] = {}
 
     def paths(self, version: str) -> list[str]:
         if version not in self._listing:
@@ -108,9 +116,19 @@ class CodeIndex:
             self._files[key] = parsed
         return self._files[key]
 
-    def iter_files(self, version: str) -> list[ParsedFile]:
+    def files_mentioning(self, version: str, name: str) -> list[ParsedFile]:
+        """Parses of the version's files whose raw text contains ``name``, in path order.
+
+        A file without the substring is skipped before it is canonicalized
+        or parsed.  Such a file holds no token or class named ``name`` (see
+        the module docstring), so the files kept are a superset of those
+        that can match, in the same order, and every lookup answers as a
+        full scan would.
+        """
         out = []
         for path in self.paths(version):
+            if name not in self.snapshot.read(version, path):
+                continue
             parsed = self.file(version, path)
             if parsed is not None:
                 out.append(parsed)
@@ -118,14 +136,14 @@ class CodeIndex:
 
     def classes_named(self, version: str, simple_name: str) -> list[tuple[ParsedFile, ClassDecl]]:
         hits = []
-        for parsed in self.iter_files(version):
+        for parsed in self.files_mentioning(version, simple_name):
             for cls in parsed.java.all_classes():
                 if cls.name == simple_name:
                     hits.append((parsed, cls))
         return hits
 
     def class_by_fqn(self, version: str, fqn: str) -> tuple[ParsedFile, ClassDecl] | None:
-        for parsed in self.iter_files(version):
+        for parsed in self.files_mentioning(version, fqn.rsplit(".", 1)[-1]):
             for cls in parsed.java.all_classes():
                 qualified = (
                     f"{parsed.java.package}.{cls.qualified_name}"
@@ -139,7 +157,15 @@ class CodeIndex:
     def resolve_class(
         self, version: str, from_path: str, simple_name: str
     ) -> tuple[ParsedFile, ClassDecl] | None:
-        """Resolve a simple class name as seen from ``from_path``."""
+        """Resolve a simple class name as seen from ``from_path`` (memoized)."""
+        key = (version, from_path, simple_name)
+        if key not in self._classes:
+            self._classes[key] = self._lookup_class(version, from_path, simple_name)
+        return self._classes[key]
+
+    def _lookup_class(
+        self, version: str, from_path: str, simple_name: str
+    ) -> tuple[ParsedFile, ClassDecl] | None:
         origin = self.file(version, from_path)
         if origin is not None:
             for cls in origin.java.all_classes():
@@ -250,7 +276,7 @@ class BuiltinResolver:
         decl_kind, owner = self._declaration_kind(parsed, tok)
         version = location.version
         out: list[Location] = []
-        for candidate in self.index.iter_files(version):
+        for candidate in self.index.files_mentioning(version, name):
             if not self._visible_from(candidate, parsed, owner):
                 continue
             decl_tokens = {t.offset for t in _declaration_name_tokens(candidate, name)}

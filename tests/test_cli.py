@@ -251,6 +251,15 @@ def test_module_entry_point(tmp_path):
     assert proc.stdout.splitlines()[0] == "RetSynBC"
 
 
+def test_importing_the_cli_does_not_load_requests():
+    # Only the live provider and the remote scorer need requests.
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, testmend.cli; print('requests' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.strip() == "False"
+
+
 # ----------------------------------------------------------------------
 # configuration precedence and validation
 # ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Context collection over synthetic two-version repositories."""
 
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ from testmend.collectors import (
     cap_chunk_text,
     construct_bundle,
 )
-from testmend.resolver import BuiltinResolver
+from testmend.resolver import BuiltinResolver, CodeIndex
 from testmend.signatures import MethodLocator, make_focal_change, parse_method
 from testmend.snapshot import POST, PRE, RepoSnapshot
 
@@ -311,16 +312,27 @@ public class GetterOpts {
     assert all("dropped" not in t for t in getter_texts)
 
 
-def test_class_ctx_unresolved_type_warns(tmp_path):
+def test_class_ctx_unresolved_type_warns(tmp_path, monkeypatch):
     snap = write_repo(
         tmp_path,
         pre={"app/S.java": "package app;\npublic class S {\n    public void go(int a) {\n    }\n}\n"},
         post={"app/S.java": "package app;\npublic class S {\n    public void go(ExternalThing a) {\n    }\n}\n"},
     )
+    scans = Counter()
+    files_mentioning = CodeIndex.files_mentioning
+
+    def counted(index, version, name):
+        scans[name] += 1
+        return files_mentioning(index, version, name)
+
+    monkeypatch.setattr(CodeIndex, "files_mentioning", counted)
     focal = focal_for(snap, "app/S.java", ("S",), "go")
     groups, warnings = collector_for(snap).collect_class_ctx(focal)
     assert groups["ExternalThing"].chunks == []
     assert any("ExternalThing" in w for w in warnings)
+    # goto_definition already ends in resolve_class; the fallback lookup of
+    # the same name must not scan the snapshot a second time.
+    assert scans == Counter({"ExternalThing": 1})
 
 
 def test_class_ctx_parent_chain_capped_at_five(tmp_path):
@@ -697,6 +709,29 @@ def test_bundle_skips_class_ctx_for_norm_only_change(tmp_path):
     test_loc = MethodLocator("app/C.java", ("C",), "go")
     bundle = construct_bundle(focal, test_loc, snap, BuiltinResolver(snap))
     assert bundle.class_ctx == {}
+
+
+def test_bundle_keeps_one_copy_of_each_warning(tmp_path):
+    # The class context (new type S) and both environment walks (from S,
+    # and from T through S) each meet the parent Ext outside the snapshot.
+    service_pre = (
+        "package app;\npublic class S extends Ext {\n"
+        "    public void go(int a) {\n    }\n}\n"
+    )
+    test = (
+        "package app;\npublic class T extends S {\n"
+        "    public void testGo() {\n        go(1);\n    }\n}\n"
+    )
+    snap = write_repo(
+        tmp_path,
+        pre={"app/S.java": service_pre, "app/T.java": test},
+        post={"app/S.java": service_pre.replace("int a", "S a"), "app/T.java": test},
+    )
+    focal = focal_for(snap, "app/S.java", ("S",), "go")
+    test_loc = MethodLocator("app/T.java", ("T",), "testGo")
+    bundle = construct_bundle(focal, test_loc, snap, BuiltinResolver(snap))
+    assert list(bundle.class_ctx) == ["S"]
+    assert bundle.warnings == ["parent class Ext of S is outside the snapshot"]
 
 
 def test_bundle_chunks_lex_cleanly(mini):

@@ -1,5 +1,6 @@
 """Builtin resolver tests against a fixture repo with a known call graph."""
 
+import logging
 from typing import get_type_hints
 
 import pytest
@@ -230,3 +231,24 @@ def test_explicit_import_shadows_wildcard_import(tmp_path):
     # occurrence 0 is the one in "import p.X;"
     defs = resolver.goto_definition(loc_of(resolver, POST, "src/r/U.java", "X", occurrence=1))
     assert [(d.file, d.start) for d in defs] == [("src/p/X.java", CursorPos(1, 13))]
+
+
+def test_lookups_parse_only_the_files_that_mention_the_name(tmp_path, caplog):
+    files = {
+        "src/a/A.java": "package a;\npublic class A {\n    void run() { }\n}\n",
+        "src/a/B.java": "package a;\nclass B {\n    void go(A a) { a.run(); }\n}\n",
+        "src/a/Broken.java": "package a;\nclass Broken {\n    void x() {\n",
+    }
+    for rel, text in files.items():
+        for version in ("pre", "post"):
+            path = tmp_path / version / rel
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+    index = CodeIndex(RepoSnapshot(tmp_path / "pre", tmp_path / "post"))
+    with caplog.at_level(logging.WARNING, logger="testmend.resolver"):
+        mentioning = index.files_mentioning(POST, "run")
+        assert [pf.path for pf in mentioning] == ["src/a/A.java", "src/a/B.java"]
+        assert caplog.messages == []  # Broken.java was never parsed
+        assert index.files_mentioning(POST, "Broken") == []
+        assert len(caplog.messages) == 1
+        assert caplog.messages[0].startswith("skipping unparsable file post:src/a/Broken.java")
