@@ -28,6 +28,7 @@ from testmend.evaluate import (
     resolver_backend,
     write_report,
 )
+from testmend.javasrc.ast import parse_java
 from testmend.prompting import repair
 from testmend.provider import (
     ENDPOINT_VAR,
@@ -86,6 +87,9 @@ def _coerce(key: str, value, kind: type):
         raise InputError(f"config value {key}={value!r} is invalid: {exc}") from exc
 
 
+_MINIMUMS = {"k": 0, "attempts": 1, "jobs": 1}
+
+
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Defaults, overridden by environment, config file, then flags."""
     config = RunConfig()
@@ -101,6 +105,12 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         flag_value = getattr(args, field.name, None)
         if flag_value is not None:
             config = replace(config, **{field.name: flag_value})
+    for key, minimum in _MINIMUMS.items():
+        value = getattr(config, key)
+        if value < minimum:
+            raise InputError(
+                f"config value {key}={value!r} is invalid: must be at least {minimum}"
+            )
     return config
 
 
@@ -181,9 +191,13 @@ def _load_sample(manifest: str, sample_id: str) -> RepairSample:
 def cmd_classify(args: argparse.Namespace, config: RunConfig) -> int:
     sample = _load_sample(args.manifest, args.sample)
     snapshot = sample.snapshot()
+    pre_file = parse_java(snapshot.read("pre", sample.focal_pre.file))
+    original = parse_method(pre_file, sample.focal_pre)
+    post_file = parse_java(snapshot.read("post", sample.focal_post.file))
+    updated = parse_method(post_file, sample.focal_post)
     focal = make_focal_change(
-        parse_method(snapshot.read("pre", sample.focal_pre.file), sample.focal_pre),
-        parse_method(snapshot.read("post", sample.focal_post.file), sample.focal_post),
+        original,
+        updated,
         pre_locator=sample.focal_pre,
         post_locator=sample.focal_post,
     )

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from testmend.errors import InputError, ManifestError, ParseError
+from testmend.javasrc.ast import parse_java
 from testmend.javasrc.lexer import token_texts
 from testmend.signatures import MethodLocator, method_body_text, method_full_text
 from testmend.snapshot import RepoSnapshot
@@ -124,20 +125,18 @@ def validate_sample(sample: RepairSample) -> str | None:
     except InputError:
         return RULE_MISSING_SNAPSHOT
     try:
-        test_source = snapshot.read("pre", sample.test.file)
-        test_text = method_full_text(test_source, sample.test)
-        test_body = method_body_text(test_source, sample.test)
+        test_file = parse_java(snapshot.read("pre", sample.test.file))
+        test_text = method_full_text(test_file, sample.test)
+        test_body = method_body_text(test_file, sample.test)
     except (InputError, OSError):
         return RULE_INCOMPLETE_TEST
     if not test_body.strip("{} \t\n"):
         return RULE_INCOMPLETE_TEST
     try:
-        pre_body = method_body_text(
-            snapshot.read("pre", sample.focal_pre.file), sample.focal_pre
-        )
-        post_body = method_body_text(
-            snapshot.read("post", sample.focal_post.file), sample.focal_post
-        )
+        pre_file = parse_java(snapshot.read("pre", sample.focal_pre.file))
+        pre_body = method_body_text(pre_file, sample.focal_pre)
+        post_file = parse_java(snapshot.read("post", sample.focal_post.file))
+        post_body = method_body_text(post_file, sample.focal_post)
     except (InputError, OSError):
         return RULE_SIGNATURE_ONLY_FOCAL
     if not pre_body.strip("{} \t\n") or not post_body.strip("{} \t\n"):

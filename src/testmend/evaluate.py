@@ -23,6 +23,7 @@ from testmend import metrics
 from testmend.collectors import TROCtxBundle, construct_bundle
 from testmend.dataset import RepairSample
 from testmend.errors import InputError, ProviderError, ScorerError
+from testmend.javasrc.ast import parse_java
 from testmend.javasrc.format import canonicalize
 from testmend.prompting import (
     DEFAULT_ATTEMPTS,
@@ -43,7 +44,6 @@ from testmend.rerank import (
 )
 from testmend.resolver import ResolverBackend, make_resolver
 from testmend.signatures import (
-    FocalChange,
     make_focal_change,
     method_body_text,
     method_full_text,
@@ -123,12 +123,8 @@ class PreparedSample:
     """Everything the pipeline produces for one sample short of the repair."""
 
     sample: RepairSample
-    focal: FocalChange
     kinds: str
-    focal_pre_text: str
-    focal_post_text: str
     test_text: str
-    test_body: str
     bundle: TROCtxBundle
     queries: QuerySet
     ranked: RerankResult
@@ -154,17 +150,22 @@ def prepare_sample(
         post_source = snapshot.read("post", sample.focal_post.file)
         test_source = snapshot.read("pre", sample.test.file)
     with _stage(timings, "classify"):
+        pre_file = parse_java(pre_source)
+        original = parse_method(pre_file, sample.focal_pre)
+        post_file = parse_java(post_source)
+        updated = parse_method(post_file, sample.focal_post)
         focal = make_focal_change(
-            parse_method(pre_source, sample.focal_pre),
-            parse_method(post_source, sample.focal_post),
+            original,
+            updated,
             pre_locator=sample.focal_pre,
             post_locator=sample.focal_post,
         )
         kinds = render_kinds(focal.kinds)
-        focal_pre_text = method_full_text(pre_source, sample.focal_pre)
-        focal_post_text = method_full_text(post_source, sample.focal_post)
-        test_text = method_full_text(test_source, sample.test)
-        test_body = method_body_text(test_source, sample.test)
+        focal_pre_text = method_full_text(pre_file, sample.focal_pre)
+        focal_post_text = method_full_text(post_file, sample.focal_post)
+        test_file = parse_java(test_source)
+        test_text = method_full_text(test_file, sample.test)
+        test_body = method_body_text(test_file, sample.test)
     with _stage(timings, "collect"):
         resolver = make_resolver(resolver_backend(settings), snapshot)
         try:
@@ -195,22 +196,12 @@ def prepare_sample(
             ranked = rerank_bundle(bundle, queries, LexicalScorer(), settings.k)
     with _stage(timings, "prompt"):
         prompt = assemble_prompt(
-            focal,
-            test_text,
-            ranked.bundle,
-            focal_pre_text=focal_pre_text,
-            focal_post_text=focal_post_text,
-            token_cap=settings.token_cap,
-            rankings=ranked.rankings,
+            focal, test_text, ranked, focal_diff, token_cap=settings.token_cap
         )
     return PreparedSample(
         sample=sample,
-        focal=focal,
         kinds=kinds,
-        focal_pre_text=focal_pre_text,
-        focal_post_text=focal_post_text,
         test_text=test_text,
-        test_body=test_body,
         bundle=bundle,
         queries=queries,
         ranked=ranked,
@@ -336,14 +327,13 @@ def evaluate_dataset(
         "token_cap": settings.token_cap,
         "llm_queries": settings.llm_queries,
     }
-    jobs = max(1, settings.jobs)
-    if jobs == 1:
+    if settings.jobs == 1:
         rows = [
             run_sample(s, scorer=scorer, provider=provider, settings=settings)
             for s in samples
         ]
     else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+        with ThreadPoolExecutor(max_workers=settings.jobs) as pool:
             futures = [
                 pool.submit(
                     run_sample, s, scorer=scorer, provider=provider, settings=settings

@@ -44,8 +44,6 @@ class FieldDecl:
     end: int
     name_token: Token
 
-    kind: str = "field"
-
 
 @dataclass
 class MethodDecl:
@@ -61,8 +59,6 @@ class MethodDecl:
     name_token: Token
     body_start: int | None  # offset of the opening brace, None for abstract
     body_end: int | None  # offset just past the closing brace
-
-    kind: str = "method"
 
     @property
     def header_end(self) -> int:
@@ -86,17 +82,12 @@ class ClassDecl:
     name_token: Token | None = None
     enclosing: list[str] = field(default_factory=list)
 
-    kind: str = "class"
-
     @property
     def qualified_name(self) -> str:
         return ".".join([*self.enclosing, self.name])
 
     def methods(self) -> list[MethodDecl]:
         return [m for m in self.members if isinstance(m, MethodDecl)]
-
-    def fields(self) -> list[FieldDecl]:
-        return [m for m in self.members if isinstance(m, FieldDecl)]
 
     def nested_classes(self) -> list["ClassDecl"]:
         return [m for m in self.members if isinstance(m, ClassDecl)]
@@ -680,8 +671,6 @@ def find_method(
     else:
         candidates = java_file.all_classes()
     for cls in candidates:
-        if cls is None:
-            continue
         for method in cls.methods():
             if method.name != method_name:
                 continue

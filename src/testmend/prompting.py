@@ -15,17 +15,16 @@ import math
 import re
 from dataclasses import dataclass
 
-from testmend.collectors import TROCtxBundle
 from testmend.errors import EmptyReference, ParseError, ProviderError
 from testmend.javasrc import lexer
 from testmend.javasrc.ast import MethodDecl, parse_java
 from testmend.javasrc.format import canonicalize
 from testmend.javasrc.lexer import token_texts
 from testmend.metrics import code_bleu, code_tokens, normalize_method_text
-from testmend.provider import ChatProvider, Message
-from testmend.rerank import ScoredChunk
+from testmend.provider import ChatProvider, Message, render_messages
+from testmend.rerank import RerankResult
 from testmend.signatures import FocalChange
-from testmend.snapshot import unified_diff
+from testmend.snapshot import DiffText
 
 log = logging.getLogger(__name__)
 
@@ -95,7 +94,7 @@ class RepairPrompt:
 
     def render(self) -> str:
         """The exact text hashed for replay keys (role-tagged messages)."""
-        return "\n\n".join(f"[{m['role']}]\n{m['content']}" for m in self.messages())
+        return render_messages(self.messages())
 
     def token_count(self) -> int:
         return len(self.render().split())
@@ -125,15 +124,12 @@ def _canonical_or_raw(text: str) -> str:
         return text
 
 
-def focal_diff_text(focal: FocalChange, pre_text: str = "", post_text: str = "") -> str:
-    """Unified diff of the focal method, or a signature-level diff when
-    the method bodies are not supplied."""
-    if pre_text or post_text:
-        diff = unified_diff(_canonical_or_raw(pre_text), _canonical_or_raw(post_text))
-        rendered = diff.unified(context=3)
-        if rendered:
-            return rendered
-    return f"- {focal.original.render()}\n+ {focal.updated.render()}"
+def focal_diff_text(focal: FocalChange, diff: DiffText) -> str:
+    """Unified rendering of the focal method's diff, or a signature-level
+    diff when the method texts do not differ line by line."""
+    return diff.unified(context=3) or (
+        f"- {focal.original.render()}\n+ {focal.updated.render()}"
+    )
 
 
 @dataclass
@@ -145,74 +141,58 @@ class _TrimEntry:
     score: float
 
 
-def _chunk_scores(rankings: dict[str, list[ScoredChunk]] | None) -> dict:
-    scores: dict[tuple[str, str], float] = {}
-    for name, ranked in (rankings or {}).items():
-        for sc in ranked:
-            scores.setdefault((name, sc.chunk.text), sc.score)
-    return scores
-
-
 def assemble_prompt(
     focal: FocalChange,
-    test_body: str,
-    troctx: TROCtxBundle,
+    test_text: str,
+    ranked: RerankResult,
+    focal_diff: DiffText,
     *,
-    focal_pre_text: str = "",
-    focal_post_text: str = "",
     token_cap: int = DEFAULT_TOKEN_CAP,
-    rankings: dict[str, list[ScoredChunk]] | None = None,
 ) -> RepairPrompt:
-    scores = _chunk_scores(rankings)
+    """The repair prompt over the retained context of ``ranked``.
+
+    Over ``token_cap`` tokens, chunks are dropped lowest rerank score
+    first (a chunk rerank did not score counts 0); constructors stay.
+    """
+    scores = {
+        id(scored.chunk): scored.score
+        for family in ranked.rankings.values()
+        for scored in family
+    }
+    troctx = ranked.bundle
     sections: list[tuple[str, str, list[str]]] = []
     entries: list[_TrimEntry] = []
 
-    def add_section(label, description, pairs, family_rank, score_key):
-        if not pairs:
+    def add_section(label, description, chunks, family_rank):
+        if not chunks:
             return
         index = len(sections)
-        sections.append((label, description, [text for text, _ in pairs]))
-        for pos, (text, pinned) in enumerate(pairs):
-            score = math.inf if pinned else scores.get((score_key, text), 0.0)
-            entries.append(_TrimEntry(family_rank, pos, index, text, score))
+        sections.append((label, description, [c.text for c in chunks]))
+        for pos, c in enumerate(chunks):
+            score = math.inf if c.is_constructor else scores.get(id(c), 0.0)
+            entries.append(_TrimEntry(family_rank, pos, index, c.text, score))
 
     for type_name, group in troctx.class_ctx.items():
         add_section(
-            f"Defined in class {type_name}",
-            CLASS_SECTION_DESC,
-            [(c.text, c.is_constructor) for c in group.chunks],
-            family_rank=3,
-            score_key=f"class:{type_name}",
+            f"Defined in class {type_name}", CLASS_SECTION_DESC, group.chunks, 3
         )
-    name = focal.updated.name
     add_section(
         USAGE_SECTION[0],
-        USAGE_SECTION[1].format(name=name),
-        [(c.text, False) for c in troctx.usage_ctx],
-        family_rank=2,
-        score_key="usage",
+        USAGE_SECTION[1].format(name=focal.updated.name),
+        troctx.usage_ctx,
+        2,
     )
-    add_section(
-        ENV_FOCAL_SECTION[0],
-        ENV_FOCAL_SECTION[1],
-        [(c.text, False) for c in troctx.env_ctx_focal],
-        family_rank=1,
-        score_key="env_focal",
-    )
-    add_section(
-        ENV_TEST_SECTION[0],
-        ENV_TEST_SECTION[1],
-        [(c.text, False) for c in troctx.env_ctx_test],
-        family_rank=0,
-        score_key="env_test",
-    )
+    add_section(*ENV_FOCAL_SECTION, troctx.env_ctx_focal, 1)
+    add_section(*ENV_TEST_SECTION, troctx.env_ctx_test, 0)
+    original_test_text = _canonical_or_raw(test_text)
+    diff_text = focal_diff_text(focal, focal_diff)
 
     def build(trimmed: int) -> RepairPrompt:
         return RepairPrompt(
             system_text=SYSTEM_TEXT,
             task_text=TASK_TEXT,
-            original_test_text=_canonical_or_raw(test_body),
-            focal_diff_text=focal_diff_text(focal, focal_pre_text, focal_post_text),
+            original_test_text=original_test_text,
+            focal_diff_text=diff_text,
             context_sections=tuple(
                 PromptSection(label, desc, tuple(texts))
                 for label, desc, texts in sections

@@ -42,12 +42,16 @@ class ChatProvider(Protocol):
         ...
 
 
-def prompt_digest(messages: Sequence[Message]) -> str:
-    """Stable SHA-256 over the rendered prompt messages."""
-    rendered = "\n\n".join(
+def render_messages(messages: Sequence[Message]) -> str:
+    """Prompt messages as one role-tagged text, the text replay keys hash."""
+    return "\n\n".join(
         f"[{m.get('role', 'user')}]\n{m.get('content', '')}" for m in messages
     )
-    return hashlib.sha256(rendered.encode("utf-8")).hexdigest()
+
+
+def prompt_digest(messages: Sequence[Message]) -> str:
+    """Stable SHA-256 over the rendered prompt messages."""
+    return hashlib.sha256(render_messages(messages).encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -81,7 +85,7 @@ class LiveProvider:
         if self.config.key:
             headers["Authorization"] = f"Bearer {self.config.key}"
         last_error: Exception | None = None
-        for attempt in range(2):
+        for retry in range(2):
             try:
                 response = self.session.post(
                     self.config.endpoint,
@@ -93,7 +97,7 @@ class LiveProvider:
                 return _extract_text(response.json())
             except (requests.RequestException, ValueError, ProviderError) as exc:
                 last_error = exc
-                if attempt == 0:
+                if retry == 0:
                     log.debug("provider request failed, retrying once: %s", exc)
         raise ProviderError(f"provider request failed after retry: {last_error}")
 

@@ -348,10 +348,7 @@ def build_query_set(
     test_body: str,
     provider: ChatProvider | None = None,
 ) -> QuerySet:
-    if focal.is_param or focal.is_ret:
-        param_q, ret_q = build_operation_queries(focal, test_body)
-    else:
-        param_q, ret_q = (), ()
+    param_q, ret_q = build_operation_queries(focal, test_body)
     analysis, stmts = build_statement_queries(focal_diff, test_body, provider, focal)
     return QuerySet(
         param_op_queries=param_q,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from testmend.errors import LocatorNotFound, ParseError
 from testmend.javasrc import lexer
-from testmend.javasrc.ast import ClassDecl, JavaFile, MethodDecl, find_method, parse_java
+from testmend.javasrc.ast import ClassDecl, JavaFile, MethodDecl, find_method
 
 
 class SynBCKind(enum.Enum):
@@ -147,31 +147,22 @@ def find_located(
     return hit
 
 
-def locate_method(
-    source: str, locator: MethodLocator
-) -> tuple[JavaFile, ClassDecl, MethodDecl]:
-    """Parse ``source`` and find the declaration a locator addresses."""
-    java_file = parse_java(source)
-    cls, method = find_located(java_file, locator)
-    return java_file, cls, method
-
-
-def parse_method(source: str, locator: MethodLocator) -> MethodSignature:
+def parse_method(java_file: JavaFile, locator: MethodLocator) -> MethodSignature:
     """Extract the signature of the method a locator addresses."""
-    _, _, method = locate_method(source, locator)
+    _, method = find_located(java_file, locator)
     return signature_of(method)
 
 
-def method_body_text(source: str, locator: MethodLocator) -> str:
+def method_body_text(java_file: JavaFile, locator: MethodLocator) -> str:
     """The method's body text including braces ('' for abstract methods)."""
-    java_file, _, method = locate_method(source, locator)
+    _, method = find_located(java_file, locator)
     if method.body_start is None:
         return ""
     return java_file.slice(method.body_start, method.body_end)
 
 
-def method_full_text(source: str, locator: MethodLocator) -> str:
-    java_file, _, method = locate_method(source, locator)
+def method_full_text(java_file: JavaFile, locator: MethodLocator) -> str:
+    _, method = find_located(java_file, locator)
     return java_file.slice(method.start, method.end)
 
 

@@ -27,6 +27,7 @@ from testmend.collectors import (
 )
 from testmend.dataset import load_manifest
 from testmend.evaluate import prepare_sample, run_sample
+from testmend.javasrc.ast import parse_java
 from testmend.javasrc.format import canonicalize
 from testmend.prompting import (
     SYSTEM_TEXT,
@@ -37,7 +38,7 @@ from testmend.prompting import (
 )
 from testmend.provider import ENDPOINT_VAR, ReplayProvider, prompt_digest
 from testmend.queries import QuerySet
-from testmend.rerank import LexicalScorer, rerank_bundle
+from testmend.rerank import LexicalScorer, RerankResult, rerank_bundle
 from testmend.resolver import ResolverBackend, make_resolver
 from testmend.signatures import (
     MethodLocator,
@@ -217,8 +218,8 @@ def _usage_chunk_for(root, kind):
         method=POST_METHOD[kind], params=POST_PARAMS[kind],
     )
     focal = make_focal_change(
-        parse_method(snapshot.read("pre", pre_loc.file), pre_loc),
-        parse_method(snapshot.read("post", post_loc.file), post_loc),
+        parse_method(parse_java(snapshot.read("pre", pre_loc.file)), pre_loc),
+        parse_method(parse_java(snapshot.read("post", post_loc.file)), post_loc),
         pre_locator=pre_loc,
         post_locator=post_loc,
     )
@@ -531,29 +532,29 @@ def test_dataset_evaluation_reruns_byte_identical(tmp_path, capsys):
 def test_empty_bundle_prompt_equals_plain_baseline():
     sample = load_manifest(MANIFEST).samples[0]
     snapshot = sample.snapshot()
-    pre_source = snapshot.read("pre", sample.focal_pre.file)
-    post_source = snapshot.read("post", sample.focal_post.file)
-    test_source = snapshot.read("pre", sample.test.file)
+    pre_file = parse_java(snapshot.read("pre", sample.focal_pre.file))
+    post_file = parse_java(snapshot.read("post", sample.focal_post.file))
+    test_file = parse_java(snapshot.read("pre", sample.test.file))
     focal = make_focal_change(
-        parse_method(pre_source, sample.focal_pre),
-        parse_method(post_source, sample.focal_post),
+        parse_method(pre_file, sample.focal_pre),
+        parse_method(post_file, sample.focal_post),
         pre_locator=sample.focal_pre,
         post_locator=sample.focal_post,
     )
-    test_text = method_full_text(test_source, sample.test)
-    pre_text = method_full_text(pre_source, sample.focal_pre)
-    post_text = method_full_text(post_source, sample.focal_post)
+    test_text = method_full_text(test_file, sample.test)
+    pre_text = method_full_text(pre_file, sample.focal_pre)
+    post_text = method_full_text(post_file, sample.focal_post)
 
+    focal_diff = unified_diff(canonicalize(pre_text), canonicalize(post_text))
     assembled = assemble_prompt(
-        focal, test_text, TROCtxBundle(),
-        focal_pre_text=pre_text, focal_post_text=post_text,
+        focal, test_text, RerankResult(TROCtxBundle()), focal_diff
     )
     # The plain baseline: role, task, test and focal diff, nothing else.
     baseline = RepairPrompt(
         system_text=SYSTEM_TEXT,
         task_text=TASK_TEXT,
         original_test_text=canonicalize(test_text),
-        focal_diff_text=focal_diff_text(focal, pre_text, post_text),
+        focal_diff_text=focal_diff_text(focal, focal_diff),
     )
     assert assembled == baseline
     assert assembled.render() == baseline.render()

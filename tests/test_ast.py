@@ -3,7 +3,7 @@
 import pytest
 
 from testmend.errors import ParseError
-from testmend.javasrc.ast import find_method, parse_java
+from testmend.javasrc.ast import FieldDecl, find_method, parse_java
 
 SAMPLE = """\
 package alluxio.master.file;
@@ -63,7 +63,7 @@ def test_class_structure():
 
 def test_fields():
     cls = parse_java(SAMPLE).classes[0]
-    fields = cls.fields()
+    fields = [m for m in cls.members if isinstance(m, FieldDecl)]
     assert [f.names for f in fields] == [["LIMIT"], ["mMountTable"], ["a", "b"]]
     assert fields[0].modifiers == {"public", "static", "final"}
     assert fields[1].type_text == "MountTable"
@@ -135,7 +135,8 @@ def test_annotations_on_members():
     cls = jf.classes[0]
     go = cls.methods()[0]
     assert go.annotations == ["Deprecated", "SuppressWarnings"]
-    assert cls.fields()[0].annotations == ["Getter"]
+    fields = [m for m in cls.members if isinstance(m, FieldDecl)]
+    assert fields[0].annotations == ["Getter"]
 
 
 def test_class_level_annotations():
@@ -185,7 +186,8 @@ def test_initializers_and_field_expressions():
         }
     """)
     cls = jf.classes[0]
-    assert [f.names for f in cls.fields()] == [["idx"], ["nums"], ["s", "t"]]
+    fields = [m for m in cls.members if isinstance(m, FieldDecl)]
+    assert [f.names for f in fields] == [["idx"], ["nums"], ["s", "t"]]
     assert [m.name for m in cls.methods()] == ["after"]
 
 

@@ -322,6 +322,9 @@ def test_config_values_take_the_declared_type(tmp_path, key, value, expected):
         ("token_cap", False),
         ("temperature", True),
         ("llm_queries", 1),
+        ("k", -1),
+        ("attempts", 0),
+        ("jobs", 0),
     ],
 )
 def test_malformed_config_value_exits_2(tmp_path, capsys, key, value):
@@ -333,6 +336,16 @@ def test_malformed_config_value_exits_2(tmp_path, capsys, key, value):
     )
     assert code == 2
     assert f"config value {key}=" in capsys.readouterr().err
+
+
+def test_out_of_range_flag_exits_2_naming_the_minimum(tmp_path, capsys):
+    code = run_cli(
+        "rerank", "--manifest", MANIFEST, "--sample", "mount-param",
+        "--k", "-1", "--out", str(tmp_path / "a"),
+    )
+    assert code == 2
+    assert "config value k=-1 is invalid: must be at least 0" in capsys.readouterr().err
+    assert not (tmp_path / "a").exists()
 
 
 def test_unknown_config_key_is_validation_error(tmp_path, capsys):

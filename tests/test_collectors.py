@@ -11,6 +11,7 @@ from testmend.collectors import (
     cap_chunk_text,
     construct_bundle,
 )
+from testmend.javasrc.ast import parse_java
 from testmend.resolver import BuiltinResolver, CodeIndex
 from testmend.signatures import MethodLocator, make_focal_change, parse_method
 from testmend.snapshot import POST, PRE, RepoSnapshot
@@ -41,8 +42,8 @@ def focal_for(
     method: str,
 ):
     locator = MethodLocator(path, classes, method)
-    original = parse_method(snap.read(PRE, path), locator)
-    updated = parse_method(snap.read(POST, path), locator)
+    original = parse_method(parse_java(snap.read(PRE, path)), locator)
+    updated = parse_method(parse_java(snap.read(POST, path)), locator)
     return make_focal_change(original, updated, locator, locator)
 
 

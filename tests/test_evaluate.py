@@ -1,6 +1,7 @@
 """Dataset evaluation: per-sample pipeline runs, aggregates, report files."""
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from testmend.evaluate import (
     run_sample,
     write_report,
 )
+from testmend.javasrc.ast import parse_java
 from testmend.provider import LiveProvider, ProviderConfig, ReplayProvider, prompt_digest
 from testmend.rerank import LexicalScorer
 
@@ -114,6 +116,29 @@ def test_prepare_sample_return_change_pipeline(fixture_samples):
     assert group.chunks[1].text == "public int getTotal();"
     assert prepared.ranked.bundle.env_ctx_focal == []
     assert prepared.ranked.bundle.env_ctx_test == []
+
+
+def test_prepare_sample_parses_each_source_once(fixture_samples, monkeypatch):
+    # Count parses everywhere but in the resolver, whose CodeIndex parses
+    # the snapshot files collect looks into.
+    parsed = []
+
+    def counting_parse(text):
+        parsed.append(text)
+        return parse_java(text)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("testmend") and name != "testmend.resolver":
+            if getattr(module, "parse_java", None) is parse_java:
+                monkeypatch.setattr(module, "parse_java", counting_parse)
+    sample = fixture_samples[0]
+    prepare_sample(sample)
+    snapshot = sample.snapshot()
+    assert parsed == [
+        snapshot.read("pre", sample.focal_pre.file),
+        snapshot.read("post", sample.focal_post.file),
+        snapshot.read("pre", sample.test.file),
+    ]
 
 
 def test_prepare_sample_records_stage_timings(fixture_samples):

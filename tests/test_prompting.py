@@ -22,8 +22,9 @@ from testmend.prompting import (
     validate_syntax,
 )
 from testmend.provider import prompt_digest
-from testmend.rerank import ScoredChunk
+from testmend.rerank import RerankResult, ScoredChunk
 from testmend.signatures import MethodSignature, make_focal_change
+from testmend.snapshot import unified_diff
 
 ORI_SIG = MethodSignature(
     name="mount",
@@ -57,6 +58,8 @@ public void mount(AlluxioURI alluxioPath, AlluxioURI ufsPath, MountOptions optio
 FOCAL_POST = FOCAL_PRE.replace("MountOptions", "MountPOptions").replace(
     "isReadOnly", "hasReadOnly"
 )
+FOCAL_DIFF = unified_diff(canonicalize(FOCAL_PRE), canonicalize(FOCAL_POST))
+NO_DIFF = unified_diff("", "")
 
 VALID_REPAIR = """\
 public void mount() {
@@ -118,9 +121,7 @@ class ScriptedProvider:
 
 def test_prompt_section_order_and_verbatim_chunks():
     bundle = sample_bundle()
-    prompt = assemble_prompt(
-        FOCAL, TEST_BODY, bundle, focal_pre_text=FOCAL_PRE, focal_post_text=FOCAL_POST
-    )
+    prompt = assemble_prompt(FOCAL, TEST_BODY, RerankResult(bundle), FOCAL_DIFF)
     text = prompt.user_text()
     order = [
         text.index("## Original test method"),
@@ -138,24 +139,23 @@ def test_prompt_section_order_and_verbatim_chunks():
 
 
 def test_prompt_without_bodies_falls_back_to_signature_diff():
-    rendered = focal_diff_text(FOCAL)
+    rendered = focal_diff_text(FOCAL, NO_DIFF)
     assert rendered.splitlines()[0].startswith("- ")
     assert "MountOptions" in rendered and "MountPOptions" in rendered
-    prompt = assemble_prompt(FOCAL, TEST_BODY, TROCtxBundle())
+    prompt = assemble_prompt(FOCAL, TEST_BODY, RerankResult(TROCtxBundle()), NO_DIFF)
     assert prompt.focal_diff_text == rendered
 
 
 def test_empty_bundle_prompt_equals_naive_baseline():
     with_empty = assemble_prompt(
-        FOCAL, TEST_BODY, TROCtxBundle(), focal_pre_text=FOCAL_PRE,
-        focal_post_text=FOCAL_POST,
+        FOCAL, TEST_BODY, RerankResult(TROCtxBundle()), FOCAL_DIFF
     )
     # The naive baseline: role, task, test and focal diff, nothing else.
     naive = RepairPrompt(
         system_text=SYSTEM_TEXT,
         task_text=TASK_TEXT,
         original_test_text=canonicalize(TEST_BODY),
-        focal_diff_text=focal_diff_text(FOCAL, FOCAL_PRE, FOCAL_POST),
+        focal_diff_text=focal_diff_text(FOCAL, FOCAL_DIFF),
     )
     assert with_empty == naive
     assert with_empty.render() == naive.render()
@@ -163,19 +163,23 @@ def test_empty_bundle_prompt_equals_naive_baseline():
 
 
 def test_prompt_rendering_is_deterministic_and_digest_aligned():
-    one = assemble_prompt(FOCAL, TEST_BODY, sample_bundle())
-    two = assemble_prompt(FOCAL, TEST_BODY, sample_bundle())
+    one = assemble_prompt(FOCAL, TEST_BODY, RerankResult(sample_bundle()), NO_DIFF)
+    two = assemble_prompt(FOCAL, TEST_BODY, RerankResult(sample_bundle()), NO_DIFF)
     assert one.render() == two.render()
     digest = hashlib.sha256(one.render().encode()).hexdigest()
     assert digest == prompt_digest(one.messages())
+
+
+def user_lines(ranked):
+    return assemble_prompt(FOCAL, TEST_BODY, ranked, NO_DIFF).user_text().splitlines()
 
 
 def test_adding_a_chunk_only_appends_within_its_group():
     base = sample_bundle()
     grown = sample_bundle()
     grown.usage_ctx.append(chunk("- extra(old);\n+ extra(new);"))
-    base_lines = assemble_prompt(FOCAL, TEST_BODY, base).user_text().splitlines()
-    grown_lines = assemble_prompt(FOCAL, TEST_BODY, grown).user_text().splitlines()
+    base_lines = user_lines(RerankResult(base))
+    grown_lines = user_lines(RerankResult(grown))
     it = iter(grown_lines)
     assert all(line in it for line in base_lines)  # ordered subsequence
 
@@ -183,9 +187,11 @@ def test_adding_a_chunk_only_appends_within_its_group():
 def test_token_cap_trims_env_test_first_by_default():
     bundle = sample_bundle()
     bundle.env_ctx_test.append(chunk("- more(old);\n+ more(new);"))
-    full = assemble_prompt(FOCAL, TEST_BODY, bundle)
+    full = assemble_prompt(FOCAL, TEST_BODY, RerankResult(bundle), NO_DIFF)
     cap = full.token_count() - 1
-    trimmed = assemble_prompt(FOCAL, TEST_BODY, bundle, token_cap=cap)
+    trimmed = assemble_prompt(
+        FOCAL, TEST_BODY, RerankResult(bundle), NO_DIFF, token_cap=cap
+    )
     assert trimmed.trimmed_chunks == 1
     env_test = [s for s in trimmed.context_sections
                 if s.label == "Environment changes of the test"]
@@ -203,17 +209,37 @@ def test_token_cap_trims_lowest_score_first_with_rankings():
         "env_focal": [ScoredChunk(bundle.env_ctx_focal[0], 0.9, "q")],
         "class:MountPOptions": [ScoredChunk(member, 0.7, "q")],
     }
-    full = assemble_prompt(FOCAL, TEST_BODY, bundle, rankings=rankings)
+    ranked = RerankResult(bundle, rankings)
+    full = assemble_prompt(FOCAL, TEST_BODY, ranked, NO_DIFF)
     cap = full.token_count() - 1
-    trimmed = assemble_prompt(FOCAL, TEST_BODY, bundle, token_cap=cap, rankings=rankings)
+    trimmed = assemble_prompt(FOCAL, TEST_BODY, ranked, NO_DIFF, token_cap=cap)
     labels = [s.label for s in trimmed.context_sections]
     assert "Usage changes of the focal method" not in labels
     assert "Environment changes of the test" in labels
 
 
+def test_token_cap_trims_a_chunk_rerank_did_not_score_first():
+    bundle = sample_bundle()
+    rankings = {
+        "usage": [ScoredChunk(bundle.usage_ctx[0], 0.1, "q")],
+        "env_test": [ScoredChunk(bundle.env_ctx_test[0], 0.1, "q")],
+        "env_focal": [ScoredChunk(bundle.env_ctx_focal[0], 0.1, "q")],
+    }
+    ranked = RerankResult(bundle, rankings)
+    full = assemble_prompt(FOCAL, TEST_BODY, ranked, NO_DIFF)
+    cap = full.token_count() - 1
+    trimmed = assemble_prompt(FOCAL, TEST_BODY, ranked, NO_DIFF, token_cap=cap)
+    # The unscored class member counts 0 and goes before any scored chunk.
+    assert trimmed.trimmed_chunks == 1
+    assert trimmed.context_sections[0].chunk_texts == ("public MountPOptions();",)
+    assert len(trimmed.context_sections) == len(full.context_sections)
+
+
 def test_token_cap_never_trims_constructors():
     bundle = sample_bundle()
-    trimmed = assemble_prompt(FOCAL, TEST_BODY, bundle, token_cap=0)
+    trimmed = assemble_prompt(
+        FOCAL, TEST_BODY, RerankResult(bundle), NO_DIFF, token_cap=0
+    )
     labels = [s.label for s in trimmed.context_sections]
     assert labels == ["Defined in class MountPOptions"]
     assert trimmed.context_sections[0].chunk_texts == ("public MountPOptions();",)
@@ -317,10 +343,7 @@ def test_validate_syntax_agrees_with_independent_full_file_parse():
 
 
 def make_prompt():
-    return assemble_prompt(
-        FOCAL, TEST_BODY, TROCtxBundle(), focal_pre_text=FOCAL_PRE,
-        focal_post_text=FOCAL_POST,
-    )
+    return assemble_prompt(FOCAL, TEST_BODY, RerankResult(TROCtxBundle()), FOCAL_DIFF)
 
 
 def test_repair_temperature_and_attempt_count():

@@ -3,6 +3,7 @@
 import random
 import time
 
+from testmend.javasrc.ast import parse_java
 from testmend.signatures import (
     MethodLocator,
     MethodSignature,
@@ -88,11 +89,12 @@ def test_parse_method_from_source():
     }
     """
     loc = MethodLocator(file="F.java", classes=("FileSystemMaster",), method="mount")
-    signature = parse_method(src, loc)
+    java_file = parse_java(src)
+    signature = parse_method(java_file, loc)
     assert signature.name == "mount"
     assert signature.param_types == ("AlluxioURI", "AlluxioURI", "MountOptions")
     assert signature.param_names == ("a", "u", "o")
-    assert "go(o);" in method_body_text(src, loc)
+    assert "go(o);" in method_body_text(java_file, loc)
 
 
 def test_make_focal_change():
