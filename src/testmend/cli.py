@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
-from testmend.dataset import RepairSample, load_manifest
+from testmend.dataset import load_manifest, load_sample
 from testmend.errors import InfrastructureError, InputError
 from testmend.evaluate import (
     EvalSettings,
@@ -172,24 +172,13 @@ def _write_json(path: Path, payload: dict) -> Path:
     return path
 
 
-def _load_sample(manifest: str, sample_id: str) -> RepairSample:
-    load = load_manifest(manifest)
-    for sample in load.samples:
-        if sample.id == sample_id:
-            return sample
-    for rejected_id, rule in load.rejects:
-        if rejected_id == sample_id:
-            raise InputError(f"sample {sample_id} was rejected: {rule}")
-    raise InputError(f"sample {sample_id} is not in {manifest}")
-
-
 # ----------------------------------------------------------------------
 # subcommands
 # ----------------------------------------------------------------------
 
 
 def cmd_classify(args: argparse.Namespace, config: RunConfig) -> int:
-    sample = _load_sample(args.manifest, args.sample)
+    sample = load_sample(args.manifest, args.sample)
     snapshot = sample.snapshot()
     pre_file = parse_java(snapshot.read("pre", sample.focal_pre.file))
     original = parse_method(pre_file, sample.focal_pre)
@@ -218,7 +207,7 @@ def cmd_classify(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def cmd_collect(args: argparse.Namespace, config: RunConfig) -> int:
-    sample = _load_sample(args.manifest, args.sample)
+    sample = load_sample(args.manifest, args.sample)
     prepared = prepare_sample(sample, scorer=LexicalScorer(), settings=config)
     path = _write_json(
         _sample_dir(config, sample.id) / "chunks.json",
@@ -229,7 +218,7 @@ def cmd_collect(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def cmd_rerank(args: argparse.Namespace, config: RunConfig) -> int:
-    sample = _load_sample(args.manifest, args.sample)
+    sample = load_sample(args.manifest, args.sample)
     scorer = build_scorer(config)
     prepared = prepare_sample(sample, scorer=scorer, settings=config)
     out = _sample_dir(config, sample.id)
@@ -253,7 +242,7 @@ def cmd_rerank(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def cmd_prompt(args: argparse.Namespace, config: RunConfig) -> int:
-    sample = _load_sample(args.manifest, args.sample)
+    sample = load_sample(args.manifest, args.sample)
     scorer = build_scorer(config)
     prepared = prepare_sample(sample, scorer=scorer, settings=config)
     out = _sample_dir(config, sample.id)
@@ -270,7 +259,7 @@ def cmd_prompt(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def cmd_repair(args: argparse.Namespace, config: RunConfig) -> int:
-    sample = _load_sample(args.manifest, args.sample)
+    sample = load_sample(args.manifest, args.sample)
     provider = build_provider(config, required=True)
     scorer = build_scorer(config)
     prepared = prepare_sample(sample, scorer=scorer, settings=config)

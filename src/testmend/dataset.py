@@ -150,11 +150,20 @@ def validate_sample(sample: RepairSample) -> str | None:
     return None
 
 
+def _admit(entry: dict, base: Path) -> RepairSample | str:
+    """The entry's sample if it is well formed and clean, else the rule it breaks."""
+    try:
+        sample = _build_sample(entry, base)
+    except ManifestError as exc:
+        log.warning("skipping manifest entry: %s", exc)
+        return "malformed-entry"
+    return validate_sample(sample) or sample
+
+
 def load_manifest(path: str | Path) -> ManifestLoad:
     """Samples that pass hygiene, plus (id, rule) pairs for the rest."""
     p = Path(path)
     entries = read_manifest(p)
-    base = p.parent
     load = ManifestLoad()
     seen: set[str] = set()
     for entry in entries:
@@ -163,15 +172,25 @@ def load_manifest(path: str | Path) -> ManifestLoad:
             load.rejects.append((entry_id, "duplicate-id"))
             continue
         seen.add(entry_id)
-        try:
-            sample = _build_sample(entry, base)
-        except ManifestError as exc:
-            log.warning("skipping manifest entry: %s", exc)
-            load.rejects.append((entry_id, "malformed-entry"))
-            continue
-        rule = validate_sample(sample)
-        if rule is not None:
-            load.rejects.append((entry_id, rule))
-            continue
-        load.samples.append(sample)
+        admitted = _admit(entry, p.parent)
+        if isinstance(admitted, str):
+            load.rejects.append((entry_id, admitted))
+        else:
+            load.samples.append(admitted)
     return load
+
+
+def load_sample(path: str | Path, sample_id: str) -> RepairSample:
+    """The manifest's first entry with ``sample_id``; no other entry is validated.
+
+    Raises :class:`~testmend.errors.InputError` if no entry has that id or
+    the entry is rejected, naming the rule it breaks.
+    """
+    p = Path(path)
+    entry = next((e for e in read_manifest(p) if e["id"] == sample_id), None)
+    if entry is None:
+        raise InputError(f"sample {sample_id} is not in {path}")
+    admitted = _admit(entry, p.parent)
+    if isinstance(admitted, str):
+        raise InputError(f"sample {sample_id} was rejected: {admitted}")
+    return admitted

@@ -29,11 +29,22 @@ A language-server backend implementing the same protocol lives in
 
 :class:`CodeIndex` owns each file's facts — canonical text, parse and
 PRE→POST diff — and computes each once, as it does each class lookup.
+A ``CodeIndex`` lives for one sample, but it reads canonical texts and
+parses through one content cache shared by every sample in the process
+(:class:`SourceCache`).  The cache is keyed by a file's raw text alone,
+since ``canonicalize`` and ``parse_java`` depend on nothing else, so
+byte-identical files are canonicalized and parsed once whichever sample
+or version they belong to.  It is an LRU bounded by the characters of its
+keys (:data:`SOURCE_CACHE_CHARS`), and it caches no failure.  Its
+:class:`~testmend.javasrc.ast.JavaFile` values are shared across samples
+and threads: nothing mutates a ``JavaFile`` once ``parse_java`` returns it.
 """
 
 from __future__ import annotations
 
 import logging
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -67,8 +78,79 @@ class ParsedFile:
         )
 
 
+# At about 43 bytes of heap per cached source character, the cache holds
+# at most some 45 MB.
+SOURCE_CACHE_CHARS = 1 << 20
+
+
+class SourceCache:
+    """Canonical texts and parses of Java sources, keyed by the raw text.
+
+    An LRU whose keys total at most :data:`SOURCE_CACHE_CHARS` characters;
+    a text longer than that is never stored.  A lookup or insert takes one
+    lock, and canonicalizing and parsing run outside it: two threads that
+    miss on the same text both do the work, and the first value stored
+    wins.  An :class:`~testmend.errors.InputError` from ``canonicalize`` or
+    ``parse_java`` propagates and is not stored, so every caller that asks
+    again tries again; a text that canonicalizes but does not parse keeps
+    its canonical form.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._entries: OrderedDict[str, tuple[str, JavaFile | None]] = OrderedDict()
+        self._chars = 0
+
+    def canonical(self, raw: str) -> str:
+        """``canonicalize(raw)``, or ``""`` for a blank text."""
+        return self._entry(raw)[0]
+
+    def parse(self, raw: str) -> JavaFile:
+        """``parse_java`` of the text's canonical form."""
+        canonical, java = self._entry(raw)
+        if java is None:
+            canonical, java = self._put(raw, canonical, parse_java(canonical))
+        assert java is not None
+        return java
+
+    def _entry(self, raw: str) -> tuple[str, JavaFile | None]:
+        with self._lock:
+            entry = self._entries.get(raw)
+            if entry is not None:
+                self._entries.move_to_end(raw)
+                return entry
+        return self._put(raw, canonicalize(raw) if raw.strip() else "", None)
+
+    def _put(
+        self, raw: str, canonical: str, java: JavaFile | None
+    ) -> tuple[str, JavaFile | None]:
+        """Store a result unless one is stored already; return the stored one."""
+        with self._lock:
+            entry = self._entries.get(raw)
+            if entry is not None and (entry[1] is not None or java is None):
+                self._entries.move_to_end(raw)
+                return entry
+            if entry is None:
+                if len(raw) > SOURCE_CACHE_CHARS:
+                    return canonical, java
+                self._chars += len(raw)
+            self._entries[raw] = (canonical, java)
+            self._entries.move_to_end(raw)
+            while self._chars > SOURCE_CACHE_CHARS:
+                evicted, _ = self._entries.popitem(last=False)
+                self._chars -= len(evicted)
+            return canonical, java
+
+
+_SOURCES = SourceCache()
+
+
 class CodeIndex:
-    """Lazily computed canonical texts, parses and diffs of a snapshot's files."""
+    """Lazily computed canonical texts, parses and diffs of a snapshot's files.
+
+    One index serves one sample; canonical texts and parses come through
+    the process-wide :class:`SourceCache`.
+    """
 
     def __init__(self, snapshot: RepoSnapshot):
         self.snapshot = snapshot
@@ -90,8 +172,7 @@ class CodeIndex:
         """
         key = (version, path)
         if key not in self._canonical:
-            raw = self.snapshot.read_or_empty(version, path)
-            self._canonical[key] = canonicalize(raw) if raw.strip() else ""
+            self._canonical[key] = _SOURCES.canonical(self.snapshot.read_or_empty(version, path))
         return self._canonical[key]
 
     def diff(self, path: str) -> DiffText:
@@ -109,7 +190,7 @@ class CodeIndex:
             parsed: ParsedFile | None = None
             if self.snapshot.exists(version, path):
                 try:
-                    java = parse_java(self.canonical(version, path))
+                    java = _SOURCES.parse(self.snapshot.read(version, path))
                     parsed = ParsedFile(version=version, path=path, java=java)
                 except InputError as exc:
                     log.warning("skipping unparsable file %s:%s (%s)", version, path, exc)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from testmend import dataset
 from testmend.cli import build_parser, main, resolve_config, sanitize_id
 from testmend.provider import ENDPOINT_VAR, KEY_VAR, MODEL_VAR
 
@@ -120,6 +121,56 @@ def test_collect_writes_full_bundle(tmp_path, capsys):
     assert len(bundle["usage_ctx"]) == 4  # all callers, before any reranking
     assert "MountPOptions" in bundle["class_ctx"]
     assert len(bundle["class_ctx"]["MountPOptions"]["chunks"]) == 7
+
+
+def test_single_sample_command_validates_only_that_sample(tmp_path, monkeypatch):
+    validated = []
+    validate_sample = dataset.validate_sample
+
+    def counted(sample):
+        validated.append(sample.id)
+        return validate_sample(sample)
+
+    monkeypatch.setattr(dataset, "validate_sample", counted)
+    assert len(json.loads(Path(MANIFEST).read_text())) == 2
+    assert run_cli(
+        "collect", "--manifest", MANIFEST, "--sample", "mount-param", "--out", str(tmp_path)
+    ) == 0
+    assert validated == ["mount-param"]
+
+
+def mount_entry():
+    """The fixture manifest's mount-param entry, with absolute paths."""
+    mount = json.loads(Path(MANIFEST).read_text())[0]
+    return {
+        **mount,
+        **{key: str(FIXTURES / mount[key]) for key in ("pre_root", "post_root", "ground_truth_path")},
+    }
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        (lambda m: [{**m, "id": "other"}], "sample mount-param is not in"),
+        # The first entry with the id decides, even with a clean one after it.
+        (lambda m: [{"id": "mount-param"}, m], "sample mount-param was rejected: malformed-entry"),
+        (
+            lambda m: [{**m, "pre_root": "nowhere"}, m],
+            "sample mount-param was rejected: missing-snapshot",
+        ),
+    ],
+)
+def test_single_sample_command_names_a_missing_or_rejected_sample(
+    tmp_path, capsys, entries, message
+):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(entries(mount_entry())))
+    code = run_cli(
+        "collect", "--manifest", str(manifest), "--sample", "mount-param",
+        "--out", str(tmp_path / "a"),
+    )
+    assert code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_rerank_writes_scores_and_selection(tmp_path):

@@ -1,11 +1,13 @@
 """Dataset evaluation: per-sample pipeline runs, aggregates, report files."""
 
 import json
+import shutil
 import sys
 from pathlib import Path
 
 import pytest
 
+from testmend import resolver
 from testmend.dataset import RepairSample, load_manifest
 from testmend.errors import ScorerError
 from testmend.evaluate import (
@@ -283,6 +285,43 @@ def test_parallel_jobs_match_serial_results(fixture_samples, tmp_path):
         fixture_samples, provider=provider, settings=EvalSettings(jobs=4)
     )
     assert [r.as_dict() for r in serial.rows] == [r.as_dict() for r in parallel.rows]
+
+
+def test_samples_sharing_files_report_alike_at_any_jobs(tmp_path, monkeypatch):
+    """Two byte-identical snapshots read one cache, from one thread or four.
+
+    The reports match each other and the rows of each sample run alone
+    from an empty cache.
+    """
+    mount = json.loads((FIXTURES / "manifest.json").read_text())[0]
+    entries = []
+    for copy in ("a", "b"):
+        shutil.copytree(FIXTURES / "mount", tmp_path / copy / "mount")
+        paths = {key: f"{copy}/{mount[key]}" for key in ("pre_root", "post_root", "ground_truth_path")}
+        entries.append({**mount, **paths, "id": f"mount-{copy}"})
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(entries))
+    load = load_manifest(manifest)
+    assert load.rejects == []
+    provider = seed_replay(tmp_path, load.samples, ground_truth_response)
+
+    def report_files(samples, jobs, out_name):
+        monkeypatch.setattr(resolver, "_SOURCES", resolver.SourceCache())
+        report = evaluate_dataset(samples, provider=provider, settings=EvalSettings(jobs=jobs))
+        paths = write_report(report, tmp_path / out_name)
+        return paths["json"].read_bytes(), paths["jsonl"].read_bytes()
+
+    alone = b"".join(report_files([s], 1, f"alone-{s.id}")[1] for s in load.samples)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        serial = report_files(load.samples, 1, "jobs-1")
+        parallel = report_files(load.samples, 4, "jobs-4")
+    finally:
+        sys.setswitchinterval(interval)
+    assert parallel == serial
+    assert serial[1] == alone
+    assert [json.loads(line)["exact_match"] for line in alone.splitlines()] == [True, True]
 
 
 def test_provider_kind_labels(tmp_path):

@@ -5,6 +5,7 @@ from typing import get_type_hints
 
 import pytest
 
+import testmend.resolver as resolver_module
 from testmend.errors import CursorNotOnIdentifier
 from testmend.javasrc.ast import JavaFile
 from testmend.javasrc.format import CursorPos
@@ -252,3 +253,106 @@ def test_lookups_parse_only_the_files_that_mention_the_name(tmp_path, caplog):
         assert index.files_mentioning(POST, "Broken") == []
         assert len(caplog.messages) == 1
         assert caplog.messages[0].startswith("skipping unparsable file post:src/a/Broken.java")
+
+
+# ----------------------------------------------------------------------
+# the process-wide source cache
+#
+# Each test's sources carry a comment no other test uses, so entries that
+# earlier tests left in the shared cache cannot make a count pass.
+# ----------------------------------------------------------------------
+
+
+def write_snapshot(root, files):
+    """Write the same files into both versions."""
+    for version in ("pre", "post"):
+        for rel, text in files.items():
+            path = root / version / rel
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+    return RepoSnapshot(root / "pre", root / "post")
+
+
+@pytest.fixture()
+def work_counts(monkeypatch):
+    """Counts of the canonicalize and parse_java calls the cache makes."""
+    counts = {"canonicalize": 0, "parse_java": 0}
+    for name in counts:
+        original = getattr(resolver_module, name)
+
+        def counted(text, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(text)
+
+        monkeypatch.setattr(resolver_module, name, counted)
+    return counts
+
+
+def test_identical_snapshot_elsewhere_is_neither_canonicalized_nor_parsed(tmp_path, work_counts):
+    files = {
+        "src/a/A.java": "// cache-copy-a\npackage a;\npublic class A {\n    void run() { }\n}\n",
+        "src/a/B.java": "// cache-copy-b\npackage a;\nclass B {\n    void go(A a) { a.run(); }\n}\n",
+    }
+    first = CodeIndex(write_snapshot(tmp_path / "one", files))
+    expected = [(pf.path, pf.java) for pf in first.files_mentioning(POST, "run")]
+    assert work_counts == {"canonicalize": 2, "parse_java": 2}
+    second = CodeIndex(write_snapshot(tmp_path / "two", files))
+    assert [(pf.path, pf.java) for pf in second.files_mentioning(POST, "run")] == expected
+    assert second.canonical(POST, "src/a/A.java") == first.canonical(POST, "src/a/A.java")
+    assert work_counts == {"canonicalize": 2, "parse_java": 2}
+
+
+def test_pre_and_post_copies_of_an_unchanged_file_share_one_parse(tmp_path, work_counts):
+    files = {"src/a/A.java": "// cache-pre-post\npackage a;\nclass A { }\n"}
+    index = CodeIndex(write_snapshot(tmp_path, files))
+    assert index.file(PRE, "src/a/A.java").java is index.file(POST, "src/a/A.java").java
+    assert work_counts == {"canonicalize": 1, "parse_java": 1}
+
+
+def test_unparsable_file_is_parsed_again_by_each_index(tmp_path, caplog, work_counts):
+    # It lexes, so its canonical text is cached; its failed parse is not.
+    files = {"src/a/Broken.java": "// cache-broken\npackage a;\nclass Broken {\n    void x() {\n"}
+    with caplog.at_level(logging.WARNING, logger="testmend.resolver"):
+        for n in (1, 2):
+            index = CodeIndex(write_snapshot(tmp_path / str(n), files))
+            assert index.file(PRE, "src/a/Broken.java") is None
+            assert index.file(PRE, "src/a/Broken.java") is None
+            assert work_counts == {"canonicalize": 1, "parse_java": n}
+            assert len(caplog.messages) == n
+            assert caplog.messages[-1].startswith("skipping unparsable file pre:src/a/Broken.java")
+
+
+def test_cache_evicts_least_recently_used_within_its_bound(monkeypatch, work_counts):
+    sources = [f"// cache-lru-{i}\nclass C{i} {{ }}\n" for i in range(4)]
+    monkeypatch.setattr(resolver_module, "SOURCE_CACHE_CHARS", 2 * len(sources[0]) + 1)
+    cache = resolver_module.SourceCache()
+    held = []
+
+    def use(i):
+        cache.parse(sources[i])
+        held.append(sum(map(len, cache._entries)))
+
+    use(0)
+    use(1)
+    use(0)  # 1 is now the least recently used
+    use(2)  # evicts 1
+    assert work_counts["parse_java"] == 3
+    use(0)
+    assert work_counts["parse_java"] == 3
+    use(1)  # parsed again; evicts 2
+    assert work_counts["parse_java"] == 4
+    use(0)
+    assert work_counts["parse_java"] == 4
+    assert list(cache._entries) == [sources[1], sources[0]]
+    assert max(held) <= resolver_module.SOURCE_CACHE_CHARS
+
+
+def test_cache_never_stores_a_text_longer_than_its_bound(monkeypatch, work_counts):
+    short = "// cache-short\nclass Short { }\n"
+    long = "// cache-long, longer than the whole bound\nclass Long { }\n"
+    monkeypatch.setattr(resolver_module, "SOURCE_CACHE_CHARS", len(short) + 1)
+    cache = resolver_module.SourceCache()
+    cache.parse(short)
+    assert cache.parse(long).classes[0].name == "Long"
+    assert work_counts == {"canonicalize": 2, "parse_java": 2}
+    assert list(cache._entries) == [short]  # the long text evicted nothing
