@@ -28,7 +28,6 @@ from testmend.evaluate import (
     resolver_backend,
     write_report,
 )
-from testmend.javasrc.ast import parse_java
 from testmend.prompting import repair
 from testmend.provider import (
     ENDPOINT_VAR,
@@ -41,6 +40,7 @@ from testmend.provider import (
     prompt_digest,
 )
 from testmend.rerank import LexicalScorer, RemoteScorer, Scorer
+from testmend.resolver import parse_source
 from testmend.signatures import make_focal_change, parse_method, render_kinds
 
 PROG = "testmend"
@@ -180,9 +180,9 @@ def _write_json(path: Path, payload: dict) -> Path:
 def cmd_classify(args: argparse.Namespace, config: RunConfig) -> int:
     sample = load_sample(args.manifest, args.sample)
     snapshot = sample.snapshot()
-    pre_file = parse_java(snapshot.read("pre", sample.focal_pre.file))
+    pre_file = parse_source(snapshot.read("pre", sample.focal_pre.file))
     original = parse_method(pre_file, sample.focal_pre)
-    post_file = parse_java(snapshot.read("post", sample.focal_post.file))
+    post_file = parse_source(snapshot.read("post", sample.focal_post.file))
     updated = parse_method(post_file, sample.focal_post)
     focal = make_focal_change(
         original,

@@ -7,19 +7,22 @@ method's locator in the pre version, the ground-truth repaired test
 fail a hygiene rule are skipped and reported with the violated rule:
 an unresolvable or empty test (``incomplete-test``), a focal method
 without bodies on both sides (``signature-only-focal``), or a test that
-never names the focal method (``focal-not-used``).
+never names the focal method (``focal-not-used``).  Hygiene reads the
+cached parse of each source's canonical form
+(:func:`~testmend.resolver.parse_source`), which holds no comments, so a
+body of only comments is empty.  Files not in UTF-8 are read as ISO-8859-1.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
-from testmend.errors import InputError, ManifestError, ParseError
-from testmend.javasrc.ast import parse_java
+from testmend.errors import InputError, ManifestError
 from testmend.javasrc.lexer import token_texts
+from testmend.resolver import parse_source
 from testmend.signatures import MethodLocator, method_body_text, method_full_text
 from testmend.snapshot import RepoSnapshot
 
@@ -87,35 +90,36 @@ def _locator(record: dict, file_key: str, params_key: str, post: bool = False) -
 
 
 def _build_sample(entry: dict, base: Path) -> RepairSample:
+    ground_truth = entry.get("ground_truth")
+    gt_path = entry.get("ground_truth_path")
+    for key, value in (("ground_truth", ground_truth), ("ground_truth_path", gt_path)):
+        if value is not None and not isinstance(value, str):
+            raise ManifestError(f"entry {entry['id']}: {key} is not a string")
+    if ground_truth is None and gt_path is not None:
+        try:
+            ground_truth = (base / gt_path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ManifestError(
+                f"entry {entry['id']}: ground truth file {gt_path} unreadable: {exc}"
+            ) from exc
     try:
         focal = entry["focal"]
         test = entry["test"]
-        sample = RepairSample(
+        return RepairSample(
             id=entry["id"],
             pre_root=str((base / entry["pre_root"]).resolve()),
             post_root=str((base / entry["post_root"]).resolve()),
             focal_pre=_locator(focal, "file_pre", "params_pre"),
             focal_post=_locator(focal, "file_post", "params_post", post=True),
             test=_locator(test, "file", "params"),
+            # Candidates are compared stripped; surrounding whitespace in a
+            # ground-truth file is a storage artifact, not part of the answer.
+            ground_truth=None if ground_truth is None else ground_truth.strip(),
             project=entry.get("project", ""),
             commit=entry.get("commit", ""),
         )
     except (KeyError, TypeError) as exc:
         raise ManifestError(f"entry {entry.get('id', '?')} is malformed: {exc}") from exc
-    ground_truth = entry.get("ground_truth")
-    gt_path = entry.get("ground_truth_path")
-    if ground_truth is None and gt_path is not None:
-        try:
-            ground_truth = (base / gt_path).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ManifestError(
-                f"entry {entry['id']}: ground truth file {gt_path} unreadable: {exc}"
-            ) from exc
-    if ground_truth is not None:
-        # Candidates are compared stripped; surrounding whitespace in a
-        # ground-truth file is a storage artifact, not part of the answer.
-        sample = replace(sample, ground_truth=ground_truth.strip())
-    return sample
 
 
 def validate_sample(sample: RepairSample) -> str | None:
@@ -125,7 +129,7 @@ def validate_sample(sample: RepairSample) -> str | None:
     except InputError:
         return RULE_MISSING_SNAPSHOT
     try:
-        test_file = parse_java(snapshot.read("pre", sample.test.file))
+        test_file = parse_source(snapshot.read("pre", sample.test.file))
         test_text = method_full_text(test_file, sample.test)
         test_body = method_body_text(test_file, sample.test)
     except (InputError, OSError):
@@ -133,19 +137,15 @@ def validate_sample(sample: RepairSample) -> str | None:
     if not test_body.strip("{} \t\n"):
         return RULE_INCOMPLETE_TEST
     try:
-        pre_file = parse_java(snapshot.read("pre", sample.focal_pre.file))
+        pre_file = parse_source(snapshot.read("pre", sample.focal_pre.file))
         pre_body = method_body_text(pre_file, sample.focal_pre)
-        post_file = parse_java(snapshot.read("post", sample.focal_post.file))
+        post_file = parse_source(snapshot.read("post", sample.focal_post.file))
         post_body = method_body_text(post_file, sample.focal_post)
     except (InputError, OSError):
         return RULE_SIGNATURE_ONLY_FOCAL
     if not pre_body.strip("{} \t\n") or not post_body.strip("{} \t\n"):
         return RULE_SIGNATURE_ONLY_FOCAL
-    try:
-        test_tokens = token_texts(test_text)
-    except ParseError:
-        return RULE_INCOMPLETE_TEST
-    if sample.focal_pre.method not in test_tokens:
+    if sample.focal_pre.method not in token_texts(test_text):
         return RULE_FOCAL_NOT_USED
     return None
 

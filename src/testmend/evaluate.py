@@ -23,7 +23,6 @@ from testmend import metrics
 from testmend.collectors import TROCtxBundle, construct_bundle
 from testmend.dataset import RepairSample
 from testmend.errors import InputError, ProviderError, ScorerError
-from testmend.javasrc.ast import parse_java
 from testmend.javasrc.format import canonicalize
 from testmend.prompting import (
     DEFAULT_ATTEMPTS,
@@ -42,7 +41,7 @@ from testmend.rerank import (
     Scorer,
     rerank_bundle,
 )
-from testmend.resolver import ResolverBackend, make_resolver
+from testmend.resolver import ResolverBackend, make_resolver, parse_source
 from testmend.signatures import (
     make_focal_change,
     method_body_text,
@@ -150,9 +149,9 @@ def prepare_sample(
         post_source = snapshot.read("post", sample.focal_post.file)
         test_source = snapshot.read("pre", sample.test.file)
     with _stage(timings, "classify"):
-        pre_file = parse_java(pre_source)
+        pre_file = parse_source(pre_source)
         original = parse_method(pre_file, sample.focal_pre)
-        post_file = parse_java(post_source)
+        post_file = parse_source(post_source)
         updated = parse_method(post_file, sample.focal_post)
         focal = make_focal_change(
             original,
@@ -163,7 +162,7 @@ def prepare_sample(
         kinds = render_kinds(focal.kinds)
         focal_pre_text = method_full_text(pre_file, sample.focal_pre)
         focal_post_text = method_full_text(post_file, sample.focal_post)
-        test_file = parse_java(test_source)
+        test_file = parse_source(test_source)
         test_text = method_full_text(test_file, sample.test)
         test_body = method_body_text(test_file, sample.test)
     with _stage(timings, "collect"):

@@ -228,16 +228,14 @@ class LspSession:
         self.client.notify("initialized", {})
         self._opened: set[str] = set()
 
-    def ensure_open(self, relpath: str) -> None:
+    def ensure_open(self, relpath: str, text: str) -> None:
         if relpath in self._opened:
             return
-        abspath = self.root / relpath
-        text = abspath.read_text(encoding="utf-8")
         self.client.notify(
             "textDocument/didOpen",
             {
                 "textDocument": {
-                    "uri": path_to_uri(abspath),
+                    "uri": path_to_uri(self.root / relpath),
                     "languageId": "java",
                     "version": 1,
                     "text": text,
@@ -287,7 +285,7 @@ class LspResolver:
 
     def _text_document_position(self, location: Location) -> dict:
         session = self._session(location.version)
-        session.ensure_open(location.file)
+        session.ensure_open(location.file, self.snapshot.read(location.version, location.file))
         cursor = location.start
         for tok, pos in self._identifier_tokens(location.version, location.file):
             if pos.line == cursor.line and pos.col <= cursor.col < pos.col + len(tok.text):

@@ -117,13 +117,6 @@ class RepairPrompt:
         }
 
 
-def _canonical_or_raw(text: str) -> str:
-    try:
-        return canonicalize(text)
-    except ParseError:
-        return text
-
-
 def focal_diff_text(focal: FocalChange, diff: DiffText) -> str:
     """Unified rendering of the focal method's diff, or a signature-level
     diff when the method texts do not differ line by line."""
@@ -184,7 +177,7 @@ def assemble_prompt(
     )
     add_section(*ENV_FOCAL_SECTION, troctx.env_ctx_focal, 1)
     add_section(*ENV_TEST_SECTION, troctx.env_ctx_test, 0)
-    original_test_text = _canonical_or_raw(test_text)
+    original_test_text = canonicalize(test_text)
     diff_text = focal_diff_text(focal, focal_diff)
 
     def build(trimmed: int) -> RepairPrompt:

@@ -38,6 +38,8 @@ or version they belong to.  It is an LRU bounded by the characters of its
 keys (:data:`SOURCE_CACHE_CHARS`), and it caches no failure.  Its
 :class:`~testmend.javasrc.ast.JavaFile` values are shared across samples
 and threads: nothing mutates a ``JavaFile`` once ``parse_java`` returns it.
+Hygiene and classify read a sample's own sources through it too
+(:func:`parse_source`), so no stage parses a snapshot file's raw text.
 """
 
 from __future__ import annotations
@@ -143,6 +145,11 @@ class SourceCache:
 
 
 _SOURCES = SourceCache()
+
+
+def parse_source(raw: str) -> JavaFile:
+    """The cached parse of a source text's canonical form."""
+    return _SOURCES.parse(raw)
 
 
 class CodeIndex:

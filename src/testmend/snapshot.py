@@ -60,14 +60,16 @@ class RepoSnapshot:
         return self.path(version, relpath).is_file()
 
     def read(self, version: str, relpath: str) -> str:
-        """File content with newlines normalized to LF."""
+        """File content as UTF-8, else ISO-8859-1, with newlines read as LF."""
         key = (version, relpath)
         if key not in self._cache:
             p = self.path(version, relpath)
             if not p.is_file():
                 raise InputError(f"no such file in {version} tree: {relpath}")
-            text = p.read_text(encoding="utf-8")
-            self._cache[key] = text.replace("\r\n", "\n").replace("\r", "\n")
+            try:  # text mode reads CR LF and CR as LF
+                self._cache[key] = p.read_text(encoding="utf-8")
+            except UnicodeDecodeError:  # ISO-8859-1 decodes every byte
+                self._cache[key] = p.read_text(encoding="iso-8859-1")
         return self._cache[key]
 
     def read_or_empty(self, version: str, relpath: str) -> str:

@@ -158,29 +158,27 @@ def test_reject_test_that_never_uses_focal(tmp_path):
 
 
 def test_reject_incomplete_test(tmp_path):
-    empty_body = CALC_TEST.replace(
-        "int got = calc.add(1, 2);\n        assertEquals(3, got);", ""
+    statements = "int got = calc.add(1, 2);\n        assertEquals(3, got);"
+    empty_body = CALC_TEST.replace(statements, "")
+    # Hygiene reads the canonical form, which holds no comments.
+    comment_only = CALC_TEST.replace(
+        statements, "// TODO calc.add(1, 2)\n        /* assertEquals(3, got); */"
     )
-    manifest = write_workspace(tmp_path, [base_entry()], test=empty_body)
-    assert load_manifest(manifest).rejects == [("calc-001", RULE_INCOMPLETE_TEST)]
-
     missing = CALC_TEST.replace("testAdd", "testOther")
-    manifest = write_workspace(tmp_path, [base_entry()], test=missing)
-    assert load_manifest(manifest).rejects == [("calc-001", RULE_INCOMPLETE_TEST)]
+    for test in (empty_body, comment_only, missing):
+        manifest = write_workspace(tmp_path, [base_entry()], test=test)
+        assert load_manifest(manifest).rejects == [("calc-001", RULE_INCOMPLETE_TEST)]
 
 
 def test_reject_signature_only_focal(tmp_path):
     hollow = CALC_POST.replace("return a + b;", "")
-    manifest = write_workspace(tmp_path, [base_entry()], post=hollow)
-    assert load_manifest(manifest).rejects == [
-        ("calc-001", RULE_SIGNATURE_ONLY_FOCAL)
-    ]
-
+    comment_only = CALC_POST.replace("return a + b;", "// return a + b;")
     gone = "class Calc {\n}\n"
-    manifest = write_workspace(tmp_path, [base_entry()], post=gone)
-    assert load_manifest(manifest).rejects == [
-        ("calc-001", RULE_SIGNATURE_ONLY_FOCAL)
-    ]
+    for post in (hollow, comment_only, gone):
+        manifest = write_workspace(tmp_path, [base_entry()], post=post)
+        assert load_manifest(manifest).rejects == [
+            ("calc-001", RULE_SIGNATURE_ONLY_FOCAL)
+        ]
 
 
 def test_reject_malformed_and_duplicate_entries(tmp_path):
@@ -200,10 +198,18 @@ def test_reject_missing_snapshot_root(tmp_path):
 
 
 def test_missing_ground_truth_file_rejects_entry(tmp_path):
-    entry = base_entry()
-    entry["ground_truth_path"] = "gt/absent.java"
-    manifest = write_workspace(tmp_path, [entry])
-    assert load_manifest(manifest).rejects == [("calc-001", "malformed-entry")]
+    (tmp_path / "gt").mkdir()
+    (tmp_path / "gt" / "latin1.java").write_bytes(b"void testAdd() { } // Ren\xe9\n")
+    for key, value in [
+        ("ground_truth_path", "gt/absent.java"),
+        ("ground_truth_path", "gt/latin1.java"),
+        ("ground_truth_path", 7),
+        ("ground_truth", 5),
+    ]:
+        entry = base_entry()
+        entry[key] = value
+        manifest = write_workspace(tmp_path, [entry])
+        assert load_manifest(manifest).rejects == [("calc-001", "malformed-entry")]
 
 
 def test_loading_preserves_order_and_is_deterministic(tmp_path):

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from testmend import resolver
-from testmend.dataset import RepairSample, load_manifest
+from testmend.dataset import RepairSample, load_manifest, load_sample
 from testmend.errors import ScorerError
 from testmend.evaluate import (
     EvalSettings,
@@ -21,6 +21,7 @@ from testmend.evaluate import (
     write_report,
 )
 from testmend.javasrc.ast import parse_java
+from testmend.javasrc.format import canonicalize
 from testmend.provider import LiveProvider, ProviderConfig, ReplayProvider, prompt_digest
 from testmend.rerank import LexicalScorer
 
@@ -56,6 +57,20 @@ def ground_truth_response(sample, prepared):
 
 def unchanged_test_response(sample, prepared):
     return "```java\n" + prepared.test_text.strip() + "\n```"
+
+
+def copy_mount(tmp_path, copy):
+    """The ``mount-param`` entry over a copy of its snapshot in ``tmp_path/copy``."""
+    mount = json.loads((FIXTURES / "manifest.json").read_text())[0]
+    shutil.copytree(FIXTURES / "mount", tmp_path / copy / "mount")
+    paths = {key: f"{copy}/{mount[key]}" for key in ("pre_root", "post_root", "ground_truth_path")}
+    return {**mount, **paths}
+
+
+def write_manifest(tmp_path, entries):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(entries))
+    return manifest
 
 
 # ----------------------------------------------------------------------
@@ -120,9 +135,23 @@ def test_prepare_sample_return_change_pipeline(fixture_samples):
     assert prepared.ranked.bundle.env_ctx_test == []
 
 
-def test_prepare_sample_parses_each_source_once(fixture_samples, monkeypatch):
-    # Count parses everywhere but in the resolver, whose CodeIndex parses
-    # the snapshot files collect looks into.
+def test_prepare_sample_parses_each_source_once(tmp_path, monkeypatch):
+    """Hygiene parses each sample source once, in canonical form, and
+    ``prepare_sample`` reads those parses from the shared cache."""
+    entry = copy_mount(tmp_path, "once")
+    sources = [
+        ("pre", entry["focal"]["file_pre"]),
+        ("post", entry["focal"]["file_post"]),
+        ("pre", entry["test"]["file"]),
+    ]
+    # A comment no other test uses keeps cache entries left by earlier
+    # tests from making the counts pass.  Both versions get it, so the
+    # test file stays unchanged from PRE to POST.
+    for version in ("pre", "post"):
+        for path in {path for _, path in sources}:
+            source = tmp_path / "once" / "mount" / version / path
+            source.write_text(source.read_text() + f"// parsed once: {path}\n")
+    manifest = write_manifest(tmp_path, [entry])
     parsed = []
 
     def counting_parse(text):
@@ -130,17 +159,38 @@ def test_prepare_sample_parses_each_source_once(fixture_samples, monkeypatch):
         return parse_java(text)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("testmend") and name != "testmend.resolver":
-            if getattr(module, "parse_java", None) is parse_java:
-                monkeypatch.setattr(module, "parse_java", counting_parse)
-    sample = fixture_samples[0]
-    prepare_sample(sample)
+        if name.startswith("testmend") and getattr(module, "parse_java", None) is parse_java:
+            monkeypatch.setattr(module, "parse_java", counting_parse)
+    sample = load_sample(manifest, entry["id"])
     snapshot = sample.snapshot()
-    assert parsed == [
-        snapshot.read("pre", sample.focal_pre.file),
-        snapshot.read("post", sample.focal_post.file),
-        snapshot.read("pre", sample.test.file),
-    ]
+    raw = [snapshot.read(version, path) for version, path in sources]
+    canonical = [canonicalize(text) for text in raw]
+    assert not set(raw) & set(parsed)
+    assert sorted(text for text in parsed if text in canonical) == sorted(canonical)
+
+    parsed.clear()
+    prepare_sample(sample)
+    assert not set(raw + canonical) & set(parsed)
+
+
+def test_non_utf8_files_report_like_the_fixture(fixture_samples, tmp_path):
+    """A Latin-1 file among the ones collect reads, or as the test file,
+    changes no report row."""
+    entry = copy_mount(tmp_path, "latin1")
+    root = tmp_path / "latin1" / "mount"
+    for version in ("pre", "post"):
+        (root / version / "src" / "Legacy.java").write_bytes(
+            b"// Ren\xe9 wrote this.\npublic class Legacy {\n}\n"
+        )
+    with (root / "pre" / entry["test"]["file"]).open("ab") as test_file:
+        test_file.write(b"// Ren\xe9\n")
+    load = load_manifest(write_manifest(tmp_path, [entry]))
+    assert load.rejects == []
+    provider = seed_replay(tmp_path, fixture_samples[:1], ground_truth_response)
+    expected = evaluate_dataset(fixture_samples[:1], provider=provider)
+    report = evaluate_dataset(load.samples, provider=provider)
+    assert [r.as_dict() for r in report.rows] == [r.as_dict() for r in expected.rows]
+    assert report.rows[0].error is None
 
 
 def test_prepare_sample_records_stage_timings(fixture_samples):
@@ -293,15 +343,8 @@ def test_samples_sharing_files_report_alike_at_any_jobs(tmp_path, monkeypatch):
     The reports match each other and the rows of each sample run alone
     from an empty cache.
     """
-    mount = json.loads((FIXTURES / "manifest.json").read_text())[0]
-    entries = []
-    for copy in ("a", "b"):
-        shutil.copytree(FIXTURES / "mount", tmp_path / copy / "mount")
-        paths = {key: f"{copy}/{mount[key]}" for key in ("pre_root", "post_root", "ground_truth_path")}
-        entries.append({**mount, **paths, "id": f"mount-{copy}"})
-    manifest = tmp_path / "manifest.json"
-    manifest.write_text(json.dumps(entries))
-    load = load_manifest(manifest)
+    entries = [{**copy_mount(tmp_path, copy), "id": f"mount-{copy}"} for copy in ("a", "b")]
+    load = load_manifest(write_manifest(tmp_path, entries))
     assert load.rejects == []
     provider = seed_replay(tmp_path, load.samples, ground_truth_response)
 

@@ -45,6 +45,20 @@ def test_crlf_normalized(tmp_path):
     assert s.read(PRE, "X.java") == s.read(POST, "X.java")
 
 
+def test_non_utf8_file_reads_as_latin1(tmp_path):
+    pre = tmp_path / "p"
+    post = tmp_path / "q"
+    pre.mkdir()
+    post.mkdir()
+    # The same text as ISO-8859-1 bytes (with CR LF and CR newlines) and as UTF-8.
+    utf8 = "// Ren\u00e9 \u00ff\nclass X {\n}\n"
+    (pre / "X.java").write_bytes(b"// Ren\xe9 \xff\r\nclass X {\r}\n")
+    (post / "X.java").write_bytes(utf8.encode("utf-8"))
+    s = RepoSnapshot(pre, post)
+    assert s.read(PRE, "X.java") == utf8
+    assert s.read(POST, "X.java") == utf8
+
+
 def test_java_files_sorted(snap):
     assert snap.java_files(PRE) == ["src/A.java", "src/Gone.java"]
     assert snap.java_files(POST) == ["src/A.java", "src/New.java"]
