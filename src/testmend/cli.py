@@ -25,7 +25,7 @@ from testmend.evaluate import (
     evaluate_dataset,
     prepare_sample,
     render_table,
-    resolver_backend,
+    split_lsp_command,
     write_report,
 )
 from testmend.prompting import repair
@@ -35,7 +35,6 @@ from testmend.provider import (
     MODEL_VAR,
     ChatProvider,
     LiveProvider,
-    ProviderConfig,
     ReplayProvider,
     prompt_digest,
 )
@@ -48,9 +47,12 @@ PROG = "testmend"
 
 @dataclass
 class RunConfig(EvalSettings):
-    """Merged run settings; field names double as config-file keys."""
+    """Merged run settings; field names double as config-file keys.
 
-    scorer: str = "lexical"
+    A non-empty ``scorer_endpoint`` selects the remote scorer; an empty one,
+    the default, selects the lexical scorer.
+    """
+
     scorer_endpoint: str = ""
     provider: str = ""  # "" (none) | "live" | "replay"
     replay_dir: str = ""
@@ -115,13 +117,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def build_scorer(config: RunConfig) -> Scorer:
-    if config.scorer == "lexical":
-        return LexicalScorer()
-    if config.scorer == "remote":
-        if not config.scorer_endpoint:
-            raise InputError("remote scorer requires --scorer-endpoint")
+    if config.scorer_endpoint:
         return RemoteScorer(config.scorer_endpoint)
-    raise InputError(f"unknown scorer {config.scorer!r}")
+    return LexicalScorer()
 
 
 def build_provider(config: RunConfig, *, required: bool = False) -> ChatProvider | None:
@@ -141,12 +139,9 @@ def build_provider(config: RunConfig, *, required: bool = False) -> ChatProvider
                 "live provider requires an endpoint and model "
                 f"(--llm-endpoint/--llm-model or {ENDPOINT_VAR}/{MODEL_VAR})"
             )
-        provider_config = ProviderConfig(
-            endpoint=config.llm_endpoint,
-            model=config.llm_model,
-            key=os.environ.get(KEY_VAR, ""),
+        return LiveProvider(
+            config.llm_endpoint, config.llm_model, key=os.environ.get(KEY_VAR, "")
         )
-        return LiveProvider(provider_config)
     raise InputError(f"unknown provider {config.provider!r}")
 
 
@@ -292,7 +287,7 @@ def cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
         print(f"warning: skipping {rejected_id}: {rule}", file=sys.stderr)
     scorer = build_scorer(config)
     provider = build_provider(config)
-    resolver_backend(config)
+    split_lsp_command(config)
     report = evaluate_dataset(
         load.samples, scorer=scorer, provider=provider, settings=config
     )
@@ -319,15 +314,13 @@ COMMANDS = {
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file (keys match flag names)")
-    parser.add_argument("--backend", choices=["builtin", "lsp"], default=None)
     parser.add_argument(
         "--lsp-command", dest="lsp_command", default=None,
-        help="language server command line (lsp backend)",
+        help="language server command line; selects the LSP resolver",
     )
-    parser.add_argument("--scorer", choices=["lexical", "remote"], default=None)
     parser.add_argument(
         "--scorer-endpoint", dest="scorer_endpoint", default=None,
-        help="HTTP endpoint of the remote reranking scorer",
+        help="HTTP endpoint of a remote reranking scorer; selects that scorer",
     )
     parser.add_argument("--provider", choices=["live", "replay"], default=None)
     parser.add_argument(
@@ -358,7 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
         ("repair", True),
         ("eval", False),
     ):
-        cmd = sub.add_parser(name)
+        # Whole flag names only: a removed flag such as --scorer must not
+        # pass as a prefix of --scorer-endpoint.
+        cmd = sub.add_parser(name, allow_abbrev=False)
         cmd.add_argument("--manifest", required=True, help="dataset manifest JSON")
         if needs_sample:
             cmd.add_argument("--sample", required=True, help="sample id to process")

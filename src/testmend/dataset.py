@@ -73,6 +73,10 @@ def read_manifest(path: str | Path) -> list[dict]:
     return data
 
 
+def _strings(value: object) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 def _locator(record: dict, file_key: str, params_key: str, post: bool = False) -> MethodLocator:
     params = record.get(params_key)
     classes = record["classes"]
@@ -81,8 +85,19 @@ def _locator(record: dict, file_key: str, params_key: str, post: bool = False) -
         # Renames may move or rename the method in the post tree.
         classes = record.get("classes_post", classes)
         method = record.get("method_post", method)
+    file = record[file_key]
+    if not (
+        isinstance(file, str)
+        and isinstance(method, str)
+        and _strings(classes)
+        and (params is None or _strings(params))
+    ):
+        raise ManifestError(
+            f"locator with {file_key}: file and method must be strings, "
+            f"classes and {params_key} lists of strings"
+        )
     return MethodLocator(
-        file=record[file_key],
+        file=file,
         classes=tuple(classes),
         method=method,
         params=tuple(params) if params is not None else None,

@@ -32,7 +32,7 @@ from testmend.prompting import (
     assemble_prompt,
     repair,
 )
-from testmend.provider import ChatProvider, LiveProvider, ReplayProvider
+from testmend.provider import ChatProvider
 from testmend.queries import QuerySet, build_query_set
 from testmend.rerank import (
     DEFAULT_K,
@@ -41,7 +41,7 @@ from testmend.rerank import (
     Scorer,
     rerank_bundle,
 )
-from testmend.resolver import ResolverBackend, make_resolver, parse_source
+from testmend.resolver import make_resolver, parse_source
 from testmend.signatures import (
     make_focal_change,
     method_body_text,
@@ -82,7 +82,11 @@ class SampleScore:
 
 @dataclass
 class EvalSettings:
-    """Pipeline settings; field names double as config-file keys."""
+    """Pipeline settings; field names double as config-file keys.
+
+    A non-blank ``lsp_command`` selects the language-server resolver; a
+    blank one, the default, selects the builtin resolver.
+    """
 
     k: int = DEFAULT_K
     attempts: int = DEFAULT_ATTEMPTS
@@ -90,20 +94,13 @@ class EvalSettings:
     token_cap: int = DEFAULT_TOKEN_CAP
     jobs: int = 1
     llm_queries: bool = False  # statement queries via the provider
-    backend: str = "builtin"  # "builtin" | "lsp"
-    lsp_command: str = ""  # language server command line (lsp backend)
+    lsp_command: str = ""  # language server command line
 
 
-def resolver_backend(settings: EvalSettings) -> ResolverBackend:
-    """The resolver backend the settings select; raises InputError if malformed."""
-    if settings.backend not in ("builtin", "lsp"):
-        raise InputError(f"unknown backend {settings.backend!r}")
-    if settings.backend == "builtin":
-        return ResolverBackend()
-    if not settings.lsp_command:
-        raise InputError("lsp backend requires --lsp-command")
+def split_lsp_command(settings: EvalSettings) -> tuple[str, ...]:
+    """The language-server command words, empty for the builtin resolver."""
     try:
-        return ResolverBackend("lsp", tuple(shlex.split(settings.lsp_command)))
+        return tuple(shlex.split(settings.lsp_command))
     except ValueError as exc:
         raise InputError(f"malformed --lsp-command {settings.lsp_command!r}: {exc}") from exc
 
@@ -166,7 +163,7 @@ def prepare_sample(
         test_text = method_full_text(test_file, sample.test)
         test_body = method_body_text(test_file, sample.test)
     with _stage(timings, "collect"):
-        resolver = make_resolver(resolver_backend(settings), snapshot)
+        resolver = make_resolver(snapshot, split_lsp_command(settings))
         try:
             bundle = construct_bundle(focal, sample.test, snapshot, resolver)
         finally:
@@ -297,16 +294,6 @@ class EvaluationReport:
         }
 
 
-def provider_kind(provider: ChatProvider | None) -> str:
-    if provider is None:
-        return "none"
-    if isinstance(provider, ReplayProvider):
-        return "replay"
-    if isinstance(provider, LiveProvider):
-        return "live"
-    return type(provider).__name__.lower()
-
-
 def evaluate_dataset(
     samples: list[RepairSample],
     *,
@@ -318,8 +305,9 @@ def evaluate_dataset(
     scorer = scorer or LexicalScorer()
     config = {
         "scorer": scorer.kind,
-        "provider": provider_kind(provider),
-        "backend": settings.backend,
+        "provider": "none" if provider is None else provider.kind,
+        # shlex.split gives words exactly when the text has more than its blanks.
+        "backend": "lsp" if settings.lsp_command.strip(" \t\r\n") else "builtin",
         "k": settings.k,
         "attempts": settings.attempts,
         "temperature": settings.temperature,

@@ -1,25 +1,1 @@
 """Lexing, structural parsing and canonical formatting of Java sources."""
-
-from testmend.javasrc.lexer import Token, lex
-from testmend.javasrc.format import canonicalize, canonicalize_with_cursor
-from testmend.javasrc.ast import (
-    ClassDecl,
-    FieldDecl,
-    JavaFile,
-    MethodDecl,
-    Parameter,
-    parse_java,
-)
-
-__all__ = [
-    "Token",
-    "lex",
-    "canonicalize",
-    "canonicalize_with_cursor",
-    "parse_java",
-    "JavaFile",
-    "ClassDecl",
-    "MethodDecl",
-    "FieldDecl",
-    "Parameter",
-]

@@ -2,7 +2,9 @@
 
 Speaks JSON-RPC 2.0 over a child process's stdio with Content-Length
 framing.  One server process is started per snapshot version (the
-version's root is the workspace root).
+version's root is the workspace root).  It is the backend whenever a
+server command line is configured (``--lsp-command``); an empty or blank
+command selects the builtin resolver instead.
 
 Like every :class:`~testmend.resolver.Resolver`, :class:`LspResolver`
 takes and returns Locations in canonical coordinates, those of its own
@@ -251,13 +253,13 @@ class LspSession:
 class LspResolver:
     """Resolver backed by a language server per snapshot version."""
 
-    def __init__(self, snapshot: RepoSnapshot, backend) -> None:
-        if not backend.lsp_command:
+    def __init__(self, snapshot: RepoSnapshot, command: tuple[str, ...], timeout: float = 30.0):
+        if not command:
             raise BackendUnavailable("no language-server command configured")
         self.snapshot = snapshot
         self.index = CodeIndex(snapshot)
-        self.command = tuple(backend.lsp_command)
-        self.timeout = backend.timeout
+        self.command = tuple(command)
+        self.timeout = timeout
         self._sessions: dict[str, LspSession] = {}
         self._identifiers: dict[tuple[str, str], list[tuple[lexer.Token, CursorPos]]] = {}
 

@@ -99,23 +99,6 @@ class RepairPrompt:
     def token_count(self) -> int:
         return len(self.render().split())
 
-    def as_dict(self) -> dict:
-        return {
-            "system_text": self.system_text,
-            "task_text": self.task_text,
-            "original_test_text": self.original_test_text,
-            "focal_diff_text": self.focal_diff_text,
-            "context_sections": [
-                {
-                    "label": s.label,
-                    "description": s.description,
-                    "chunk_texts": list(s.chunk_texts),
-                }
-                for s in self.context_sections
-            ],
-            "trimmed_chunks": self.trimmed_chunks,
-        }
-
 
 def focal_diff_text(focal: FocalChange, diff: DiffText) -> str:
     """Unified rendering of the focal method's diff, or a signature-level

@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Protocol, Sequence
 
@@ -31,6 +30,8 @@ Message = dict[str, str]
 
 
 class ChatProvider(Protocol):
+    kind: str
+
     def complete(
         self, messages: Sequence[Message], *, temperature: float = 0.0, attempt: int = 0
     ) -> str:
@@ -54,21 +55,26 @@ def prompt_digest(messages: Sequence[Message]) -> str:
     return hashlib.sha256(render_messages(messages).encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True)
-class ProviderConfig:
-    endpoint: str
-    model: str
-    key: str = ""
-    timeout: float = 60.0
-
-
 class LiveProvider:
     """HTTP chat-completion client with one retry per request."""
 
-    def __init__(self, config: ProviderConfig, session: requests.Session | None = None):
+    kind = "live"
+
+    def __init__(
+        self,
+        endpoint: str,
+        model: str,
+        *,
+        key: str = "",
+        timeout: float = 60.0,
+        session: requests.Session | None = None,
+    ):
         import requests  # only the live client needs it; it is slow to import
 
-        self.config = config
+        self.endpoint = endpoint
+        self.model = model
+        self.key = key
+        self.timeout = timeout
         self.session = session or requests.Session()
 
     def complete(
@@ -77,21 +83,21 @@ class LiveProvider:
         import requests
 
         body = {
-            "model": self.config.model,
+            "model": self.model,
             "temperature": temperature,
             "messages": [dict(m) for m in messages],
         }
         headers = {"Content-Type": "application/json"}
-        if self.config.key:
-            headers["Authorization"] = f"Bearer {self.config.key}"
+        if self.key:
+            headers["Authorization"] = f"Bearer {self.key}"
         last_error: Exception | None = None
         for retry in range(2):
             try:
                 response = self.session.post(
-                    self.config.endpoint,
+                    self.endpoint,
                     json=body,
                     headers=headers,
-                    timeout=self.config.timeout,
+                    timeout=self.timeout,
                 )
                 response.raise_for_status()
                 return _extract_text(response.json())
@@ -136,6 +142,8 @@ class ReplayProvider:
     ``<digest>.txt`` answers every attempt.  The provider keeps no state
     between requests, so samples that share a prompt get the same answers.
     """
+
+    kind = "replay"
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)

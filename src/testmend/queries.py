@@ -68,14 +68,6 @@ class QuerySet:
     synbc_analysis: str
     obsolete_stmts: str
 
-    def as_dict(self) -> dict:
-        return {
-            "param_op_queries": list(self.param_op_queries),
-            "ret_op_queries": list(self.ret_op_queries),
-            "synbc_analysis": self.synbc_analysis,
-            "obsolete_stmts": self.obsolete_stmts,
-        }
-
 
 def upper_camel(name: str) -> str:
     return name[:1].upper() + name[1:] if name else name

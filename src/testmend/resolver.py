@@ -26,6 +26,8 @@ reference equal to it.
 
 A language-server backend implementing the same protocol lives in
 :mod:`testmend.lsp`; it maps between raw and canonical positions itself.
+:func:`make_resolver` picks it when given a server command line, and the
+builtin backend when the command is empty.
 
 :class:`CodeIndex` owns each file's facts — canonical text, parse and
 PRE→POST diff — and computes each once, as it does each class lookup.
@@ -302,23 +304,13 @@ class Resolver(Protocol):
         ...
 
 
-@dataclass(frozen=True)
-class ResolverBackend:
-    """Backend selection plus connection settings."""
-
-    kind: str = "builtin"  # "builtin" | "lsp"
-    lsp_command: tuple[str, ...] = ()
-    timeout: float = 30.0
-
-
-def make_resolver(backend: ResolverBackend, snapshot: RepoSnapshot) -> "Resolver":
-    if backend.kind == "builtin":
+def make_resolver(snapshot: RepoSnapshot, lsp_command: tuple[str, ...] = ()) -> Resolver:
+    """The language-server resolver if a command is given, else the builtin one."""
+    if not lsp_command:
         return BuiltinResolver(snapshot)
-    if backend.kind == "lsp":
-        from testmend.lsp import LspResolver
+    from testmend.lsp import LspResolver
 
-        return LspResolver(snapshot, backend)
-    raise InputError(f"unknown resolver backend {backend.kind!r}")
+    return LspResolver(snapshot, lsp_command)
 
 
 class BuiltinResolver:

@@ -39,7 +39,7 @@ from testmend.prompting import (
 from testmend.provider import ENDPOINT_VAR, ReplayProvider, prompt_digest
 from testmend.queries import QuerySet
 from testmend.rerank import LexicalScorer, RerankResult, rerank_bundle
-from testmend.resolver import ResolverBackend, make_resolver
+from testmend.resolver import make_resolver
 from testmend.signatures import (
     MethodLocator,
     MethodSignature,
@@ -227,7 +227,7 @@ def _usage_chunk_for(root, kind):
         file="src/WidgetTest.java", classes=("WidgetTest",),
         method="testCalc", params=(),
     )
-    resolver = make_resolver(ResolverBackend(), snapshot)
+    resolver = make_resolver(snapshot)
     bundle = construct_bundle(focal, test_loc, snapshot, resolver)
     return focal, bundle
 
@@ -575,14 +575,12 @@ def test_live_mode_timing_is_logged_not_asserted(tmp_path):
             "remote scorer, and live provider"
         )
         return
-    from testmend.provider import ProviderConfig, LiveProvider, MODEL_VAR
+    from testmend.provider import LiveProvider, MODEL_VAR
 
     provider = LiveProvider(
-        ProviderConfig(
-            endpoint=os.environ[ENDPOINT_VAR],
-            model=os.environ.get(MODEL_VAR, "default"),
-            key=os.environ.get("SYNBC_LLM_KEY", ""),
-        )
+        os.environ[ENDPOINT_VAR],
+        os.environ.get(MODEL_VAR, "default"),
+        key=os.environ.get("SYNBC_LLM_KEY", ""),
     )
     sample = load_manifest(MANIFEST).samples[0]
     start = time.perf_counter()

@@ -448,24 +448,6 @@ def test_repair_without_provider_exits_2(tmp_path, capsys):
     assert "--provider" in capsys.readouterr().err
 
 
-def test_remote_scorer_without_endpoint_exits_2(tmp_path, capsys):
-    code = run_cli(
-        "rerank", "--manifest", MANIFEST, "--sample", "mount-param",
-        "--scorer", "remote", "--out", str(tmp_path / "a"),
-    )
-    assert code == 2
-    assert "--scorer-endpoint" in capsys.readouterr().err
-
-
-def test_lsp_backend_without_command_exits_2(tmp_path, capsys):
-    code = run_cli(
-        "collect", "--manifest", MANIFEST, "--sample", "mount-param",
-        "--backend", "lsp", "--out", str(tmp_path / "a"),
-    )
-    assert code == 2
-    assert "--lsp-command" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("command", ["collect", "rerank", "prompt", "repair", "eval"])
 def test_malformed_lsp_command_exits_2(tmp_path, capsys, command):
     replay = tmp_path / "replay"
@@ -473,7 +455,7 @@ def test_malformed_lsp_command_exits_2(tmp_path, capsys, command):
     sample = [] if command == "eval" else ["--sample", "mount-param"]
     code = run_cli(
         command, "--manifest", MANIFEST, *sample,
-        "--backend", "lsp", "--lsp-command", '"unterminated',
+        "--lsp-command", '"unterminated',
         "--provider", "replay", "--replay-dir", str(replay),
         "--out", str(tmp_path / "a"),
     )
@@ -483,14 +465,24 @@ def test_malformed_lsp_command_exits_2(tmp_path, capsys, command):
 
 
 def test_unknown_backend_in_config_file_exits_2(tmp_path, capsys):
+    # The backends follow from lsp_command and scorer_endpoint; the keys
+    # that once named them are unknown.
     cfg_file = tmp_path / "cfg.json"
-    cfg_file.write_text(json.dumps({"backend": "ctags"}))
+    cfg_file.write_text(json.dumps({"backend": "lsp", "scorer": "remote"}))
     code = run_cli(
         "collect", "--manifest", MANIFEST, "--sample", "mount-param",
         "--config", str(cfg_file), "--out", str(tmp_path / "a"),
     )
     assert code == 2
-    assert "unknown backend 'ctags'" in capsys.readouterr().err
+    assert "unknown keys backend, scorer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--backend", "lsp"], ["--scorer", "remote"]])
+def test_removed_backend_flag_exits_2(tmp_path, flags):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("eval", "--manifest", MANIFEST, *flags, "--out", str(tmp_path / "a"))
+    assert exc.value.code == 2
+    assert not (tmp_path / "a").exists()
 
 
 def test_exhausted_replay_directory_exits_1(tmp_path, capsys):

@@ -190,6 +190,24 @@ def test_reject_malformed_and_duplicate_entries(tmp_path):
     assert ("calc-001", "duplicate-id") in load.rejects
 
 
+@pytest.mark.parametrize(
+    "record, key, value",
+    [
+        ("test", "file", 7),
+        ("test", "params", [1]),
+        ("test", "classes", "CalcTest"),
+        ("focal", "method", 5),
+        ("focal", "params_pre", "int"),
+        ("focal", "classes_post", "Calc"),
+    ],
+)
+def test_locator_field_of_the_wrong_type_is_malformed(tmp_path, record, key, value):
+    entry = base_entry()
+    entry[record][key] = value
+    manifest = write_workspace(tmp_path, [entry])
+    assert load_manifest(manifest).rejects == [("calc-001", "malformed-entry")]
+
+
 def test_reject_missing_snapshot_root(tmp_path):
     entry = base_entry()
     entry["pre_root"] = "nowhere"

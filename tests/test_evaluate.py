@@ -16,13 +16,12 @@ from testmend.evaluate import (
     SampleScore,
     evaluate_dataset,
     prepare_sample,
-    provider_kind,
     run_sample,
     write_report,
 )
 from testmend.javasrc.ast import parse_java
 from testmend.javasrc.format import canonicalize
-from testmend.provider import LiveProvider, ProviderConfig, ReplayProvider, prompt_digest
+from testmend.provider import LiveProvider, ReplayProvider, prompt_digest
 from testmend.rerank import LexicalScorer
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -367,11 +366,10 @@ def test_samples_sharing_files_report_alike_at_any_jobs(tmp_path, monkeypatch):
     assert [json.loads(line)["exact_match"] for line in alone.splitlines()] == [True, True]
 
 
-def test_provider_kind_labels(tmp_path):
-    assert provider_kind(None) == "none"
-    assert provider_kind(ReplayProvider(tmp_path)) == "replay"
-    live = LiveProvider(ProviderConfig(endpoint="http://x", model="m"))
-    assert provider_kind(live) == "live"
+def test_providers_name_their_kind(tmp_path):
+    assert ReplayProvider(tmp_path).kind == "replay"
+    assert LiveProvider("http://x", "m").kind == "live"
+    assert evaluate_dataset([]).config["provider"] == "none"
 
 
 # ----------------------------------------------------------------------

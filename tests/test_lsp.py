@@ -7,12 +7,13 @@ from pathlib import Path
 import pytest
 
 from testmend import lsp
+from testmend.cli import main
 from testmend.dataset import load_manifest
 from testmend.errors import BackendUnavailable
 from testmend.evaluate import EvalSettings, prepare_sample
 from testmend.javasrc.format import CursorPos
 from testmend.lsp import LspResolver
-from testmend.resolver import CodeIndex, ResolverBackend, make_resolver
+from testmend.resolver import CodeIndex, make_resolver
 from testmend.snapshot import PRE, Location, RepoSnapshot
 
 SERVER = str(Path(__file__).parent / "fake_lsp_server.py")
@@ -63,18 +64,10 @@ def servers(monkeypatch):
             proc.wait(timeout=5)
 
 
-def backend(**env_extra):
-    return ResolverBackend(
-        kind="lsp",
-        lsp_command=(sys.executable, SERVER),
-        timeout=10.0,
-    )
-
-
 def make(repo, monkeypatch, **env):
     for key, value in env.items():
         monkeypatch.setenv(key, value)
-    return make_resolver(backend(), repo)
+    return LspResolver(repo, (sys.executable, SERVER), timeout=10.0)
 
 
 def gadget_usage_location(repo, resolver):
@@ -149,7 +142,7 @@ def test_references_after_a_text_block_equal_builtin(tmp_path, monkeypatch):
     # 'Widget' in '    void go(Widget w) {', canonical line 5: the text
     # block spans lines 2-4.
     usage = Location(PRE, "src/Gadget.java", CursorPos(5, 12), CursorPos(5, 18))
-    builtin = make_resolver(ResolverBackend(), snap)
+    builtin = make_resolver(snap)
     resolver = make(snap, monkeypatch)
     try:
         refs = resolver.find_references(usage)
@@ -163,10 +156,7 @@ def test_references_after_a_text_block_equal_builtin(tmp_path, monkeypatch):
 
 def test_timeout_then_retry_succeeds(repo, monkeypatch):
     monkeypatch.setenv("FAKE_LSP_STALL", "first-definition")
-    resolver = LspResolver(
-        repo,
-        ResolverBackend(kind="lsp", lsp_command=(sys.executable, SERVER), timeout=1.5),
-    )
+    resolver = LspResolver(repo, (sys.executable, SERVER), timeout=1.5)
     try:
         defs = resolver.goto_definition(gadget_usage_location(repo, resolver))
         assert [d.file for d in defs] == ["src/Widget.java"]
@@ -176,10 +166,7 @@ def test_timeout_then_retry_succeeds(repo, monkeypatch):
 
 def test_persistent_timeout_raises_backend_unavailable(repo, monkeypatch):
     monkeypatch.setenv("FAKE_LSP_STALL", "always")
-    resolver = LspResolver(
-        repo,
-        ResolverBackend(kind="lsp", lsp_command=(sys.executable, SERVER), timeout=0.5),
-    )
+    resolver = LspResolver(repo, (sys.executable, SERVER), timeout=0.5)
     try:
         with pytest.raises(BackendUnavailable):
             resolver.goto_definition(gadget_usage_location(repo, resolver))
@@ -189,13 +176,11 @@ def test_persistent_timeout_raises_backend_unavailable(repo, monkeypatch):
 
 def test_missing_command_raises(repo):
     with pytest.raises(BackendUnavailable):
-        LspResolver(repo, ResolverBackend(kind="lsp", lsp_command=()))
+        LspResolver(repo, ())
 
 
 def test_nonexistent_binary_raises(repo):
-    resolver = LspResolver(
-        repo, ResolverBackend(kind="lsp", lsp_command=("/no/such/binary",), timeout=1.0)
-    )
+    resolver = LspResolver(repo, ("/no/such/binary",), timeout=1.0)
     with pytest.raises(BackendUnavailable):
         resolver.goto_definition(
             Location(PRE, "src/Gadget.java", CursorPos(0, 0), CursorPos(0, 1))
@@ -204,7 +189,7 @@ def test_nonexistent_binary_raises(repo):
 
 def test_prepare_sample_leaves_no_server_running(servers):
     command = shlex.join([sys.executable, SERVER])
-    settings = EvalSettings(backend="lsp", lsp_command=command)
+    settings = EvalSettings(lsp_command=command)
     for sample in load_manifest(MANIFEST).samples:
         prepare_sample(sample, settings=settings)
     assert len(servers) >= 2
@@ -214,19 +199,30 @@ def test_prepare_sample_leaves_no_server_running(servers):
 @pytest.mark.parametrize("sample", load_manifest(MANIFEST).samples, ids=lambda s: s.id)
 def test_lsp_bundle_equals_builtin_bundle(sample, servers):
     command = shlex.join([sys.executable, SERVER])
-    lsp_bundle = prepare_sample(
-        sample, settings=EvalSettings(backend="lsp", lsp_command=command)
-    ).bundle
+    lsp_bundle = prepare_sample(sample, settings=EvalSettings(lsp_command=command)).bundle
     builtin_bundle = prepare_sample(sample, settings=EvalSettings()).bundle
     assert lsp_bundle.as_dict() == builtin_bundle.as_dict()
 
 
+def test_lsp_command_alone_selects_the_lsp_resolver(tmp_path, servers):
+    chunks = {}
+    for name, flags in (
+        ("builtin", []),
+        ("lsp", ["--lsp-command", shlex.join([sys.executable, SERVER])]),
+    ):
+        out = tmp_path / name
+        assert main([
+            "collect", "--manifest", str(MANIFEST), "--sample", "mount-param",
+            *flags, "--out", str(out),
+        ]) == 0
+        chunks[name] = (out / "mount-param" / "chunks.json").read_bytes()
+    assert servers and all(proc.poll() is not None for proc in servers)
+    assert chunks["lsp"] == chunks["builtin"]
+
+
 def test_failed_session_leaves_no_server_running(repo, monkeypatch, servers):
     monkeypatch.setenv("FAKE_LSP_STALL", "initialize")
-    resolver = LspResolver(
-        repo,
-        ResolverBackend(kind="lsp", lsp_command=(sys.executable, SERVER), timeout=0.5),
-    )
+    resolver = LspResolver(repo, (sys.executable, SERVER), timeout=0.5)
     with pytest.raises(BackendUnavailable):
         resolver.goto_definition(
             Location(PRE, "src/Gadget.java", CursorPos(0, 0), CursorPos(0, 1))

@@ -13,7 +13,6 @@ from testmend.provider import (
     KEY_VAR,
     MODEL_VAR,
     LiveProvider,
-    ProviderConfig,
     ReplayProvider,
     prompt_digest,
 )
@@ -59,8 +58,7 @@ def http_double():
 
 
 def provider_for(state, **kwargs) -> LiveProvider:
-    config = ProviderConfig(endpoint=state["endpoint"], model="m-test", timeout=5.0, **kwargs)
-    return LiveProvider(config)
+    return LiveProvider(state["endpoint"], "m-test", timeout=5.0, **kwargs)
 
 
 def test_prompt_digest_is_stable_and_role_sensitive():
@@ -170,7 +168,9 @@ def test_live_provider_config_from_environment(monkeypatch):
     monkeypatch.setenv(MODEL_VAR, "gpt-x")
     monkeypatch.setenv(KEY_VAR, "k")
     live = provider_from("--provider", "live")
-    assert live.config == ProviderConfig(endpoint="http://x/chat", model="gpt-x", key="k")
+    assert (live.endpoint, live.model, live.key, live.timeout) == (
+        "http://x/chat", "gpt-x", "k", 60.0
+    )
 
 
 def test_build_provider_follows_provider_setting(tmp_path, monkeypatch):

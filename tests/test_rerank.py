@@ -254,9 +254,8 @@ def test_remote_scorer_raises_on_http_failure(score_double):
 
 def test_build_scorer_follows_config():
     assert build_scorer(RunConfig()).kind == "lexical"
-    remote = build_scorer(
-        RunConfig(scorer="remote", scorer_endpoint="http://127.0.0.1:1/rerank")
-    )
+    assert build_scorer(RunConfig(scorer_endpoint="")).kind == "lexical"
+    remote = build_scorer(RunConfig(scorer_endpoint="http://127.0.0.1:1/rerank"))
     assert remote.kind == "remote"
     assert remote.endpoint == "http://127.0.0.1:1/rerank"
     assert remote.timeout == 30.0

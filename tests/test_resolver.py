@@ -13,7 +13,6 @@ from testmend.resolver import (
     BuiltinResolver,
     CodeIndex,
     ParsedFile,
-    ResolverBackend,
     make_resolver,
 )
 from testmend.snapshot import POST, PRE, Location, RepoSnapshot
@@ -199,7 +198,7 @@ def test_index_canonical_text_is_canonical(resolver):
 
 def test_make_resolver_builtin(resolver):
     snap = resolver.snapshot
-    r = make_resolver(ResolverBackend(kind="builtin"), snap)
+    r = make_resolver(snap)
     assert isinstance(r, BuiltinResolver)
 
 
