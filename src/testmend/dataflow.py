@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from testmend.errors import ParseError
 from testmend.javasrc import lexer
 from testmend.javasrc.format import canonicalize
 from testmend.javasrc.lexer import IDENT, KEYWORD, Token
@@ -145,18 +144,13 @@ def _looks_like_type(tok: Token) -> bool:
 # -- def-use edges for the similarity metric ----------------------------
 
 
-def dataflow_edges(text: str) -> set[tuple[str, int, int]]:
-    """Def-use edges ``(var, def_ordinal, use_ordinal)`` of a code text.
+def dataflow_edges(tokens: list[Token]) -> set[tuple[str, int, int]]:
+    """Def-use edges ``(var, def_ordinal, use_ordinal)`` of a token stream.
 
-    A variable is any identifier that is defined in the text (declared,
+    A variable is any identifier that is defined in the stream (declared,
     assigned, or bound in an enhanced-for).  Each later occurrence is a
-    use and links to the latest definition's ordinal.  Unparsable text
-    yields an empty set (callers decide how to score that).
+    use and links to the latest definition's ordinal.
     """
-    try:
-        tokens = lexer.lex(text)
-    except ParseError:  # malformed candidates are expected
-        return set()
     defined: set[str] = set()
     for i, tok in enumerate(tokens):
         if tok.kind != IDENT:

@@ -6,11 +6,13 @@ method's locator in the pre version, the ground-truth repaired test
 (inline or by path), and optional project/commit metadata.  Entries that
 fail a hygiene rule are skipped and reported with the violated rule:
 an unresolvable or empty test (``incomplete-test``), a focal method
-without bodies on both sides (``signature-only-focal``), or a test that
-never names the focal method (``focal-not-used``).  Hygiene reads the
-cached parse of each source's canonical form
-(:func:`~testmend.resolver.parse_source`), which holds no comments, so a
-body of only comments is empty.  Files not in UTF-8 are read as ISO-8859-1.
+without bodies on both sides (``signature-only-focal``), a test that
+never names the focal method (``focal-not-used``), or a ground truth
+with no code tokens, which no metric can score against
+(``empty-ground-truth``).  Hygiene reads the cached parse of each
+source's canonical form (:func:`~testmend.resolver.parse_source`), which
+holds no comments, so a body of only comments is empty.  Files not in
+UTF-8 are read as ISO-8859-1.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from pathlib import Path
 
 from testmend.errors import InputError, ManifestError
 from testmend.javasrc.lexer import token_texts
+from testmend.metrics import has_code_tokens
 from testmend.resolver import parse_source
 from testmend.signatures import MethodLocator, method_body_text, method_full_text
 from testmend.snapshot import RepoSnapshot
@@ -32,6 +35,7 @@ RULE_INCOMPLETE_TEST = "incomplete-test"
 RULE_SIGNATURE_ONLY_FOCAL = "signature-only-focal"
 RULE_FOCAL_NOT_USED = "focal-not-used"
 RULE_MISSING_SNAPSHOT = "missing-snapshot"
+RULE_EMPTY_GROUND_TRUTH = "empty-ground-truth"
 
 
 @dataclass(frozen=True)
@@ -162,6 +166,8 @@ def validate_sample(sample: RepairSample) -> str | None:
         return RULE_SIGNATURE_ONLY_FOCAL
     if sample.focal_pre.method not in token_texts(test_text):
         return RULE_FOCAL_NOT_USED
+    if sample.ground_truth is not None and not has_code_tokens(sample.ground_truth):
+        return RULE_EMPTY_GROUND_TRUTH
     return None
 
 

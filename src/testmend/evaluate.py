@@ -242,15 +242,16 @@ def run_sample(
             score.selected_text = result.selected_text
         with _stage(timings, "metrics"):
             if sample.ground_truth is not None:
-                score.code_bleu = metrics.code_bleu(
-                    result.selected_text, sample.ground_truth
-                )
-                score.diff_bleu = metrics.diff_bleu(
-                    prepared.test_text, result.selected_text, sample.ground_truth
-                )
-                score.exact_match = metrics.exact_match(
-                    result.selected_text, sample.ground_truth
-                )
+                records = result.records
+                selected = metrics.record_in(records, result.selected_text)
+                truth = metrics.record_in(records, sample.ground_truth)
+                if result.code_bleu is not None:
+                    score.code_bleu = result.code_bleu[result.selected]
+                else:
+                    score.code_bleu = metrics.code_bleu(selected, truth)
+                original = metrics.record_in(records, prepared.test_text)
+                score.diff_bleu = metrics.diff_bleu(original, selected, truth)
+                score.exact_match = metrics.exact_match(selected, truth)
                 score.exact_match_raw = metrics.exact_match_raw(
                     result.selected_text, sample.ground_truth
                 )

@@ -5,6 +5,10 @@ keyword-weighted BLEU, syntax-subtree match, and def-use dataflow match,
 equally weighted.  ``diff_bleu`` scores only the lines a repair changed
 relative to the obsolete test, so unchanged boilerplate cannot inflate
 the score.  All component scores live in [0, 1].
+
+The metrics read :class:`MetricRecord` values, one per method text,
+which hold everything they need of that text: a sample builds one record
+per distinct text and scores every pair from those.
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ from testmend.javasrc import lexer
 from testmend.javasrc.format import canonicalize
 
 KEYWORD_WEIGHT = 5.0
+_KEYWORD_WEIGHTS = {k: KEYWORD_WEIGHT for k in lexer.KEYWORDS}
+_MAX_N = 4
 _BRACKETS = {"(": ")", "{": "}", "[": "]"}
 _AST_DEPTHS = (1, 2, 3)
 
@@ -41,6 +47,19 @@ def normalize_method_text(text: str) -> str:
     return "\n".join(line.strip() for line in canonical.splitlines() if line.strip())
 
 
+def has_code_tokens(text: str) -> bool:
+    """True iff ``text`` normalizes to code tokens, as a ``code_bleu``
+    reference must.
+
+    Canonicalizing keeps the token stream, so a text that lexes has code
+    tokens exactly when it has tokens: one lex decides.
+    """
+    try:
+        return bool(lexer.lex(text))
+    except ParseError:
+        return bool(code_tokens(normalize_method_text(text)))
+
+
 # ----------------------------------------------------------------------
 # BLEU
 # ----------------------------------------------------------------------
@@ -50,10 +69,13 @@ def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
+def _ngrams(tokens: Sequence[str]) -> tuple[Counter, ...]:
+    return tuple(_ngram_counts(tokens, n) for n in range(1, _MAX_N + 1))
+
+
 def _precisions(
-    candidate: Sequence[str],
-    reference: Sequence[str],
-    max_n: int,
+    candidate: Sequence[Counter],
+    reference: Sequence[Counter],
     unigram_weight: dict[str, float] | None = None,
 ) -> list[float]:
     """Clipped n-gram precisions; add-one smoothed for n >= 2.
@@ -62,9 +84,7 @@ def _precisions(
     emphasis); higher orders are never weighted.
     """
     out: list[float] = []
-    for n in range(1, max_n + 1):
-        cand = _ngram_counts(candidate, n)
-        ref = _ngram_counts(reference, n)
+    for n, (cand, ref) in enumerate(zip(candidate, reference), start=1):
         overlap = cand & ref
         if n == 1 and unigram_weight is not None:
             matched = sum(unigram_weight.get(g[0], 1.0) * c for g, c in overlap.items())
@@ -79,9 +99,15 @@ def _precisions(
     return out
 
 
-def _bleu_from_precisions(
-    precisions: Sequence[float], cand_len: int, ref_len: int
+def _bleu(
+    candidate: Sequence[Counter],
+    reference: Sequence[Counter],
+    cand_len: int,
+    ref_len: int,
+    unigram_weight: dict[str, float] | None = None,
 ) -> float:
+    """BLEU-4 with brevity penalty from the n-gram counts of both sides."""
+    precisions = _precisions(candidate, reference, unigram_weight)
     if cand_len == 0 or precisions[0] == 0.0:
         return 0.0
     brevity = 1.0 if cand_len >= ref_len else math.exp(1.0 - ref_len / cand_len)
@@ -89,31 +115,26 @@ def _bleu_from_precisions(
     return brevity * math.exp(log_mean)
 
 
-def bleu(candidate: Sequence[str], reference: Sequence[str], max_n: int = 4) -> float:
-    """BLEU with brevity penalty over pre-tokenized sequences."""
+def bleu(candidate: Sequence[str], reference: Sequence[str]) -> float:
+    """BLEU-4 with brevity penalty over pre-tokenized sequences."""
     if not reference:
         raise EmptyReference("bleu reference token sequence is empty")
-    precisions = _precisions(candidate, reference, max_n)
-    return _bleu_from_precisions(precisions, len(candidate), len(reference))
+    return _bleu(_ngrams(candidate), _ngrams(reference), len(candidate), len(reference))
 
 
-def weighted_bleu(
-    candidate: Sequence[str],
-    reference: Sequence[str],
-    max_n: int = 4,
-    keywords: frozenset[str] = lexer.KEYWORDS,
-    weight: float = KEYWORD_WEIGHT,
-) -> float:
-    """BLEU whose unigram precision counts language keywords ``weight``-fold."""
+def weighted_bleu(candidate: Sequence[str], reference: Sequence[str]) -> float:
+    """BLEU-4 whose unigram precision counts language keywords
+    ``KEYWORD_WEIGHT``-fold."""
     if not reference:
         raise EmptyReference("weighted bleu reference token sequence is empty")
-    weights = {k: weight for k in keywords}
-    precisions = _precisions(candidate, reference, max_n, unigram_weight=weights)
-    return _bleu_from_precisions(precisions, len(candidate), len(reference))
+    return _bleu(
+        _ngrams(candidate), _ngrams(reference), len(candidate), len(reference),
+        _KEYWORD_WEIGHTS,
+    )
 
 
 # ----------------------------------------------------------------------
-# syntax-subtree match
+# syntax subtrees
 # ----------------------------------------------------------------------
 
 
@@ -161,86 +182,126 @@ def _subtree_signatures(root: _BracketNode, depth: int) -> Counter:
     return out
 
 
-def ast_match(candidate_text: str, reference_text: str) -> float:
+# ----------------------------------------------------------------------
+# one record per method text
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class MetricRecord:
+    """Everything the metrics read of one method text.
+
+    ``tokens`` are the code tokens of ``text`` (its word split if it does
+    not lex), ``ngrams`` their 1- to 4-gram counts, ``subtrees`` the
+    bracket-subtree signature counts at depths 1 to 3 (None if the
+    brackets do not balance), and ``edges`` the def-use edges of the
+    same tokens (none if the text does not lex).
+    """
+
+    text: str  # normalize_method_text of the method text
+    tokens: tuple[str, ...]
+    ngrams: tuple[Counter, ...]
+    subtrees: tuple[Counter, ...] | None
+    edges: frozenset[tuple[str, int, int]]
+
+
+def metric_record(text: str) -> MetricRecord:
+    """The record of ``text``: one canonicalization and one lex."""
+    normalized = normalize_method_text(text)
+    try:
+        lexed = lexer.lex(normalized)
+    except ParseError:
+        tokens = tuple(normalized.split())
+        edges: frozenset = frozenset()
+    else:
+        tokens = tuple(t.text for t in lexed)
+        edges = frozenset(dataflow_edges(lexed))
+    root = _bracket_tree(tokens)
+    subtrees = (
+        None if root is None else tuple(_subtree_signatures(root, d) for d in _AST_DEPTHS)
+    )
+    return MetricRecord(normalized, tokens, _ngrams(tokens), subtrees, edges)
+
+
+def record_in(records: dict[str, MetricRecord], text: str) -> MetricRecord:
+    """``text``'s record in ``records``, built and added on first use."""
+    record = records.get(text)
+    if record is None:
+        record = records[text] = metric_record(text)
+    return record
+
+
+# ----------------------------------------------------------------------
+# components and composite metrics
+# ----------------------------------------------------------------------
+
+
+def ast_match(candidate: MetricRecord, reference: MetricRecord) -> float:
     """Fraction of reference bracket-scope subtrees (depth <= 3) present
     in the candidate, averaged over the depths."""
-    ref_root = _bracket_tree(code_tokens(reference_text))
-    if ref_root is None:
-        ref_root = _BracketNode("")
-    if not _subtree_signatures(ref_root, 1):
+    ref_sigs = reference.subtrees
+    if ref_sigs is None or not ref_sigs[0]:
         return 1.0
-    cand_root = _bracket_tree(code_tokens(candidate_text))
-    if cand_root is None:
+    cand_sigs = candidate.subtrees
+    if cand_sigs is None:
         return 0.0
-    fractions = []
-    for depth in _AST_DEPTHS:
-        ref_sigs = _subtree_signatures(ref_root, depth)
-        cand_sigs = _subtree_signatures(cand_root, depth)
-        matched = sum((ref_sigs & cand_sigs).values())
-        fractions.append(matched / sum(ref_sigs.values()))
+    fractions = [
+        sum((ref & cand).values()) / sum(ref.values())
+        for ref, cand in zip(ref_sigs, cand_sigs)
+    ]
     return sum(fractions) / len(fractions)
 
 
-def dataflow_match(candidate_text: str, reference_text: str) -> float:
+def dataflow_match(candidate: MetricRecord, reference: MetricRecord) -> float:
     """Fraction of reference def-use edges present in the candidate."""
-    ref_edges = dataflow_edges(reference_text)
-    if not ref_edges:
+    if not reference.edges:
         return 1.0
-    cand_edges = dataflow_edges(candidate_text)
-    return len(ref_edges & cand_edges) / len(ref_edges)
+    return len(reference.edges & candidate.edges) / len(reference.edges)
 
 
-# ----------------------------------------------------------------------
-# composite metrics
-# ----------------------------------------------------------------------
-
-
-def code_bleu(candidate: str, reference: str) -> float:
+def code_bleu(candidate: MetricRecord, reference: MetricRecord) -> float:
     """0.25·BLEU + 0.25·keyword-weighted BLEU + 0.25·syntax match +
-    0.25·dataflow match, over canonicalized method texts."""
-    cand_norm = normalize_method_text(candidate)
-    ref_norm = normalize_method_text(reference)
-    ref_tokens = code_tokens(ref_norm)
-    if not ref_tokens:
+    0.25·dataflow match, over normalized method texts."""
+    if not reference.tokens:
         raise EmptyReference("code_bleu reference has no tokens")
-    cand_tokens = code_tokens(cand_norm)
+    grams = (candidate.ngrams, reference.ngrams, len(candidate.tokens), len(reference.tokens))
     return 0.25 * (
-        bleu(cand_tokens, ref_tokens)
-        + weighted_bleu(cand_tokens, ref_tokens)
-        + ast_match(cand_norm, ref_norm)
-        + dataflow_match(cand_norm, ref_norm)
+        _bleu(*grams)
+        + _bleu(*grams, _KEYWORD_WEIGHTS)
+        + ast_match(candidate, reference)
+        + dataflow_match(candidate, reference)
     )
 
 
-def _changed_lines(text: str, original_lines: set[str]) -> list[str]:
-    return [
-        line
-        for line in normalize_method_text(text).splitlines()
-        if line not in original_lines
-    ]
+def _changed_tokens(lines: list[str], record: MetricRecord) -> Sequence[str]:
+    text = "\n".join(lines)
+    return record.tokens if text == record.text else code_tokens(text)
 
 
-def diff_bleu(original_test: str, candidate: str, reference: str) -> float:
+def diff_bleu(
+    original_test: MetricRecord, candidate: MetricRecord, reference: MetricRecord
+) -> float:
     """BLEU restricted to the lines each side changed vs the obsolete test.
 
-    Line membership is judged set-wise on canonicalized, stripped lines.
-    Both sides unchanged scores 1.0; exactly one side unchanged scores
-    0.0 (a no-op repair against a real reference change, or vice versa).
+    Line membership is judged set-wise on normalized lines.  Both sides
+    unchanged scores 1.0; exactly one side unchanged scores 0.0 (a no-op
+    repair against a real reference change, or vice versa).
     """
-    original_lines = set(normalize_method_text(original_test).splitlines())
-    cand_changed = _changed_lines(candidate, original_lines)
-    ref_changed = _changed_lines(reference, original_lines)
+    original_lines = set(original_test.text.splitlines())
+    cand_changed = [line for line in candidate.text.splitlines() if line not in original_lines]
+    ref_changed = [line for line in reference.text.splitlines() if line not in original_lines]
     if not cand_changed and not ref_changed:
         return 1.0
     if not cand_changed or not ref_changed:
         return 0.0
-    return bleu(
-        code_tokens("\n".join(cand_changed)), code_tokens("\n".join(ref_changed))
-    )
+    ref_tokens = _changed_tokens(ref_changed, reference)
+    if cand_changed == ref_changed:
+        return bleu(ref_tokens, ref_tokens)
+    return bleu(_changed_tokens(cand_changed, candidate), ref_tokens)
 
 
-def exact_match(candidate: str, reference: str) -> bool:
-    return normalize_method_text(candidate) == normalize_method_text(reference)
+def exact_match(candidate: MetricRecord, reference: MetricRecord) -> bool:
+    return candidate.text == reference.text
 
 
 def exact_match_raw(candidate: str, reference: str) -> bool:

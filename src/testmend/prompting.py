@@ -10,17 +10,17 @@ response, syntax-checks it, and selects a winner.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from testmend.errors import EmptyReference, ParseError, ProviderError
 from testmend.javasrc import lexer
 from testmend.javasrc.ast import MethodDecl, parse_java
 from testmend.javasrc.format import canonicalize
-from testmend.javasrc.lexer import token_texts
-from testmend.metrics import code_bleu, code_tokens, normalize_method_text
+from testmend.metrics import MetricRecord, code_bleu, record_in
 from testmend.provider import ChatProvider, Message, render_messages
 from testmend.rerank import RerankResult
 from testmend.signatures import FocalChange
@@ -291,11 +291,10 @@ def validate_syntax(method_text: str) -> bool:
     members = java_file.classes[0].members
     if len(members) != 1 or not isinstance(members[0], MethodDecl):
         return False
-    member_text = wrapped[members[0].start : members[0].end]
-    try:
-        return token_texts(member_text) == token_texts(text)
-    except ParseError:
-        return False
+    # The method must span every token of the text: all tokens but the
+    # wrapper's three before it and its closing brace.
+    inner = java_file.tokens[3:-1]
+    return members[0].start == inner[0].offset and members[0].end == inner[-1].end_offset
 
 
 def token_edit_distance(a: list[str], b: list[str]) -> int:
@@ -334,9 +333,19 @@ class RepairCandidate:
 
 @dataclass
 class RepairResult:
+    """The candidates and the selected one.
+
+    ``code_bleu`` holds each candidate's score against the ground truth
+    when selection computed them; ``records`` holds the metric record of
+    every text selection read (see :func:`~testmend.metrics.record_in`),
+    so the metrics stage builds none of them again.
+    """
+
     candidates: list[RepairCandidate]
     selected: int
     selection_reason: str
+    code_bleu: list[float] | None = None
+    records: dict[str, MetricRecord] = field(default_factory=dict, repr=False)
 
     @property
     def selected_text(self) -> str:
@@ -358,26 +367,32 @@ def _select(
     candidates: list[RepairCandidate],
     original_test: str,
     ground_truth: str | None,
-) -> tuple[int, str]:
+) -> RepairResult:
+    records: dict[str, MetricRecord] = {}
+
+    def result(selected: int, reason: str, scores: list[float] | None = None):
+        return RepairResult(candidates, selected, reason, scores, records)
+
     if ground_truth is not None:
+        truth = record_in(records, ground_truth)
         try:
-            scores = [code_bleu(c.method_text, ground_truth) for c in candidates]
+            scores = [code_bleu(record_in(records, c.method_text), truth) for c in candidates]
         except EmptyReference:
             scores = None
         if scores is not None:
             best = min(range(len(candidates)), key=lambda i: (-scores[i], i))
-            return best, "best-code-bleu"
+            return result(best, "best-code-bleu", scores)
     valid = [i for i, c in enumerate(candidates) if c.syntax_ok]
     if not valid:
-        return 0, "all-invalid"
-    original_tokens = code_tokens(normalize_method_text(original_test))
+        return result(0, "all-invalid")
+    original_tokens = record_in(records, original_test).tokens
 
     def distance(i: int) -> int:
-        tokens = code_tokens(normalize_method_text(candidates[i].method_text))
+        tokens = record_in(records, candidates[i].method_text).tokens
         return token_edit_distance(tokens, original_tokens)
 
     best = min(valid, key=lambda i: (distance(i), i))
-    return best, "valid-min-edit"
+    return result(best, "valid-min-edit")
 
 
 def repair(
@@ -392,9 +407,13 @@ def repair(
     With a ground truth the highest-CodeBLEU candidate wins (evaluation
     setting); without one, the syntactically valid candidate closest to
     the original test wins.  Attempts that fail at the provider shrink
-    the candidate pool; an empty pool is fatal for the sample.
+    the candidate pool; an empty pool is fatal for the sample.  A
+    response that repeats is extracted once, and a method text that
+    repeats is syntax-checked and given its metric record once.
     """
     messages = prompt.messages()
+    extract = functools.cache(extract_method_text)
+    check = functools.cache(validate_syntax)
     candidates: list[RepairCandidate] = []
     for attempt in range(attempts):
         try:
@@ -402,16 +421,15 @@ def repair(
         except ProviderError as exc:
             log.warning("repair attempt %d failed: %s", attempt, exc)
             continue
-        method_text = extract_method_text(raw)
+        method_text = extract(raw)
         candidates.append(
             RepairCandidate(
                 attempt=attempt,
                 raw_text=raw,
                 method_text=method_text,
-                syntax_ok=validate_syntax(method_text),
+                syntax_ok=check(method_text),
             )
         )
     if not candidates:
         raise ProviderError(f"all {attempts} repair attempts failed")
-    selected, reason = _select(candidates, prompt.original_test_text, ground_truth)
-    return RepairResult(candidates=candidates, selected=selected, selection_reason=reason)
+    return _select(candidates, prompt.original_test_text, ground_truth)

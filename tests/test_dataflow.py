@@ -7,6 +7,8 @@ from testmend.dataflow import (
     member_accesses,
     split_statements,
 )
+from testmend.javasrc.lexer import lex
+from testmend.metrics import metric_record
 
 BODY = """{
     AlluxioURI alluxioPath = new AlluxioURI("/mnt");
@@ -62,10 +64,10 @@ def test_member_access_receiver_must_head_the_chain():
 
 def test_dataflow_edges_def_sites():
     # The declaration defines mountOptions; passing it as an argument is a use.
-    edges = dataflow_edges(BODY)
+    edges = dataflow_edges(lex(BODY))
     assert {e for e in edges if e[0] == "mountOptions"} == {("mountOptions", 0, 0)}
     # A compound assignment uses the old definition and starts a new one.
-    assert dataflow_edges("int total = 0; total += delta; use(total);") == {
+    assert dataflow_edges(lex("int total = 0; total += delta; use(total);")) == {
         ("total", 0, 0),
         ("total", 1, 1),
     }
@@ -85,7 +87,7 @@ def test_declared_type():
 def test_dataflow_edges_hand_computed():
     text = "int a = 1; int b = a + a; a = b;"
     # defs: a@0, b@0, a@1  uses: a (x2, def 0), b (def 0)
-    assert dataflow_edges(text) == {
+    assert dataflow_edges(lex(text)) == {
         ("a", 0, 0),
         ("a", 0, 1),
         ("b", 0, 0),
@@ -94,22 +96,24 @@ def test_dataflow_edges_hand_computed():
 
 def test_dataflow_edges_reassignment_advances_ordinal():
     text = "int a = 1; a = 2; use(a);"
-    assert dataflow_edges(text) == {("a", 1, 0)}
+    assert dataflow_edges(lex(text)) == {("a", 1, 0)}
 
 
 def test_dataflow_edges_identity_and_rename():
     text = "int x = source(); sink(x);"
-    assert dataflow_edges(text) == dataflow_edges(text)
+    assert dataflow_edges(lex(text)) == dataflow_edges(lex(text))
     renamed = "int y = source(); sink(y);"
-    assert dataflow_edges(text) != dataflow_edges(renamed)
+    assert dataflow_edges(lex(text)) != dataflow_edges(lex(renamed))
 
 
 def test_dataflow_edges_ignores_member_names():
     text = "int n = obj.count; obj.countolis(n);"
-    edges = dataflow_edges(text)
+    edges = dataflow_edges(lex(text))
     names = {e[0] for e in edges}
     assert names == {"n"}
 
 
 def test_dataflow_edges_unlexable_text_is_empty():
-    assert dataflow_edges("int a = #;") == set()
+    # dataflow_edges reads tokens; a text that does not lex has no edges
+    # in its metric record.
+    assert metric_record("int a = #;").edges == frozenset()

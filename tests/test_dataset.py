@@ -1,6 +1,7 @@
 """Manifest parsing and sample hygiene rules."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,8 @@ from testmend.dataset import (
     read_manifest,
 )
 from testmend.errors import ManifestError
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 CALC_PRE = """\
 class Calc {
@@ -179,6 +182,23 @@ def test_reject_signature_only_focal(tmp_path):
         assert load_manifest(manifest).rejects == [
             ("calc-001", RULE_SIGNATURE_ONLY_FOCAL)
         ]
+
+
+@pytest.mark.parametrize("ground_truth", ["   \n", "// nothing here\n"])
+def test_reject_ground_truth_without_code_tokens(tmp_path, ground_truth):
+    """A ground truth that normalizes to no code tokens cannot be scored;
+    one that does not lex still has tokens (its word split) and is kept."""
+    mount = json.loads((FIXTURES / "manifest.json").read_text())[0]
+    entry = {**mount, "pre_root": str(FIXTURES / mount["pre_root"]),
+             "post_root": str(FIXTURES / mount["post_root"])}
+    del entry["ground_truth_path"]
+    empty = {**entry, "id": "mount-empty", "ground_truth": ground_truth}
+    unlexable = {**entry, "id": "mount-unlexable", "ground_truth": "void t() { # }"}
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps([empty, unlexable]))
+    load = load_manifest(manifest)
+    assert load.rejects == [("mount-empty", "empty-ground-truth")]
+    assert [s.id for s in load.samples] == ["mount-unlexable"]
 
 
 def test_reject_malformed_and_duplicate_entries(tmp_path):

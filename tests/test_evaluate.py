@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from testmend import resolver
+from testmend import evaluate, metrics, resolver
 from testmend.dataset import RepairSample, load_manifest, load_sample
 from testmend.errors import ScorerError
 from testmend.evaluate import (
@@ -19,10 +19,13 @@ from testmend.evaluate import (
     run_sample,
     write_report,
 )
+from testmend.javasrc import lexer
 from testmend.javasrc.ast import parse_java
 from testmend.javasrc.format import canonicalize
 from testmend.provider import LiveProvider, ReplayProvider, prompt_digest
 from testmend.rerank import LexicalScorer
+
+import metrics_oracle
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -227,6 +230,99 @@ def test_run_sample_unchanged_candidate_gets_zero_diff_bleu(fixture_samples, tmp
     assert row.diff_bleu == 0.0  # candidate changes nothing, reference does
     assert row.exact_match is False
     assert 0.0 < row.code_bleu < 1.0
+
+
+def seed_attempts(tmp_path, sample, responses):
+    """Replay ``responses[n]`` as attempt ``n`` of ``sample``'s prompt."""
+    replay = tmp_path / "replay"
+    replay.mkdir(exist_ok=True)
+    digest = prompt_digest(prepare_sample(sample).prompt.messages())
+    for attempt, response in enumerate(responses):
+        (replay / f"{digest}.{attempt}.txt").write_text(response, encoding="utf-8")
+    return ReplayProvider(replay)
+
+
+def test_repair_and_metrics_build_each_text_once(fixture_samples, tmp_path, monkeypatch):
+    """Past the prompt, no text is canonicalized or lexed twice, and the
+    metrics stage reuses the CodeBLEU that selection computed."""
+    sample = fixture_samples[0]
+    prepared = prepare_sample(sample)
+    truth = ground_truth_response(sample, prepared)
+    unchanged = unchanged_test_response(sample, prepared)
+    provider = seed_attempts(tmp_path, sample, [unchanged, truth, truth])
+    serial = evaluate_dataset(
+        [sample, sample], provider=provider, settings=EvalSettings(attempts=3)
+    )
+
+    seen = {"canonicalize": [], "lex": []}
+    scored = []
+    counting = False
+
+    def counted(name, fn):
+        def wrapper(text, *args):
+            if counting:
+                seen[name].append(text)
+            return fn(text, *args)
+
+        return wrapper
+
+    for name, fn in (("canonicalize", canonicalize), ("lex", lexer.lex)):
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("testmend") and getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counted(name, fn))
+    real_prepare, real_code_bleu = prepare_sample, metrics.code_bleu
+
+    def prepare_then_count(*args, **kwargs):
+        nonlocal counting
+        prepared = real_prepare(*args, **kwargs)
+        counting = True
+        return prepared
+
+    def code_bleu_from_run_sample(*args):
+        scored.append(args)
+        return real_code_bleu(*args)
+
+    monkeypatch.setattr(evaluate, "prepare_sample", prepare_then_count)
+    monkeypatch.setattr(metrics, "code_bleu", code_bleu_from_run_sample)
+    row = evaluate.run_sample(sample, provider=provider, settings=EvalSettings(attempts=3))
+    monkeypatch.undo()
+
+    assert row.error is None and row.exact_match is True
+    assert row.selection_reason == "best-code-bleu"
+    assert scored == []  # selection's score is the row's
+    for name, texts in seen.items():
+        repeated = {text for text in texts if texts.count(text) > 1}
+        assert not repeated, f"{name} ran more than once on {sorted(repeated)}"
+    # Attempt 0 returns the obsolete test unchanged, which diff_bleu also
+    # reads; attempts 1 and 2 return the ground truth.  So two texts.
+    assert sorted(seen["canonicalize"]) == sorted({prepared.test_text, sample.ground_truth})
+
+    def report_bytes(report, out_name):
+        paths = write_report(report, tmp_path / out_name)
+        return [paths[key].read_bytes() for key in ("json", "jsonl", "text", "worksheet")]
+
+    parallel = evaluate_dataset(
+        [sample, sample], provider=provider, settings=EvalSettings(attempts=3, jobs=4)
+    )
+    assert report_bytes(serial, "jobs-1") == report_bytes(parallel, "jobs-4")
+
+
+def test_row_scores_the_lowest_of_tied_candidates_like_the_oracle(fixture_samples, tmp_path):
+    """A malformed attempt and two tied ones: the row scores the first of
+    the tied attempts exactly as the text-level metrics do."""
+    sample = fixture_samples[0]
+    prepared = prepare_sample(sample)
+    tied = unchanged_test_response(sample, prepared)
+    malformed = "```java\nvoid broken() {\n```"
+    provider = seed_attempts(tmp_path, sample, [malformed, tied, tied.replace("\n", "\n\n")])
+    row = run_sample(sample, provider=provider)
+    assert row.error is None
+    assert row.selection_reason == "best-code-bleu"
+    assert row.selected_text == prepared.test_text.strip()
+    truth, original = sample.ground_truth, prepared.test_text
+    assert row.code_bleu == metrics_oracle.code_bleu(row.selected_text, truth)
+    assert row.diff_bleu == metrics_oracle.diff_bleu(original, row.selected_text, truth)
+    assert row.exact_match == metrics_oracle.exact_match(row.selected_text, truth)
 
 
 def test_run_sample_without_provider_records_error(fixture_samples):

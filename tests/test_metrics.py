@@ -1,8 +1,14 @@
-"""BLEU family, syntax/dataflow matches, and the composite metrics."""
+"""BLEU family, syntax/dataflow matches, and the composite metrics.
+
+The record-based metrics are also checked against the text-level ones
+of ``metrics_oracle.py`` on generated texts, for equal floats.
+"""
 
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from testmend.errors import EmptyReference
 from testmend.metrics import (
@@ -14,9 +20,17 @@ from testmend.metrics import (
     diff_bleu,
     exact_match,
     exact_match_raw,
+    has_code_tokens,
+    metric_record,
     normalize_method_text,
     weighted_bleu,
 )
+
+import metrics_oracle
+
+
+def records(*texts):
+    return [metric_record(text) for text in texts]
 
 REFERENCE = ["the", "quick", "brown", "fox", "jumps"]
 CANDIDATE = ["the", "quick", "fox", "jumps"]
@@ -66,28 +80,28 @@ def test_weighted_bleu_emphasizes_keywords():
 
 def test_ast_match_identity_and_no_structure():
     text = "void run() { helper(1); }"
-    assert ast_match(text, text) == 1.0
+    assert ast_match(*records(text, text)) == 1.0
     # A reference with no bracket scopes has nothing to miss.
-    assert ast_match("anything at all", "int x = 1;") == 1.0
+    assert ast_match(*records("anything at all", "int x = 1;")) == 1.0
 
 
 def test_ast_match_partial_overlap_fraction():
     ref = "f(a); g(b);"
     cand = "f(a); h(c);"
     # Depth 1 both scopes match structurally; depths 2-3 only (a) does.
-    assert ast_match(cand, ref) == pytest.approx((1.0 + 0.5 + 0.5) / 3)
+    assert ast_match(*records(cand, ref)) == pytest.approx((1.0 + 0.5 + 0.5) / 3)
 
 
 def test_ast_match_unbalanced_candidate_scores_zero():
-    assert ast_match("f(a;", "f(a);") == 0.0
+    assert ast_match(*records("f(a;", "f(a);")) == 0.0
 
 
 def test_dataflow_match_rename_breaks_edges():
     ref = "int a = 1; use(a);"
-    assert dataflow_match(ref, ref) == 1.0
-    assert dataflow_match("int b = 1; use(b);", ref) == 0.0
+    assert dataflow_match(*records(ref, ref)) == 1.0
+    assert dataflow_match(*records("int b = 1; use(b);", ref)) == 0.0
     # No def-use edges in the reference: vacuous pass.
-    assert dataflow_match("whatever", "call(CONSTANT);") == 1.0
+    assert dataflow_match(*records("whatever", "call(CONSTANT);")) == 1.0
 
 
 TEN_LINE_METHOD = """\
@@ -105,22 +119,22 @@ public void testMount() throws Exception {
 
 
 def test_code_bleu_identity_is_one():
-    assert code_bleu(TEN_LINE_METHOD, TEN_LINE_METHOD) == pytest.approx(1.0, abs=1e-9)
+    assert code_bleu(*records(TEN_LINE_METHOD, TEN_LINE_METHOD)) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_code_bleu_renamed_local_lands_between_half_and_one():
     renamed = TEN_LINE_METHOD.replace("options", "opts")
-    score = code_bleu(renamed, TEN_LINE_METHOD)
+    score = code_bleu(*records(renamed, TEN_LINE_METHOD))
     assert 0.5 < score < 1.0
 
 
 def test_code_bleu_empty_reference_raises():
     with pytest.raises(EmptyReference):
-        code_bleu("int x;", "   \n  ")
+        code_bleu(*records("int x;", "   \n  "))
 
 
 def test_code_bleu_degenerate_candidate_scores_low():
-    score = code_bleu("{ { {", TEN_LINE_METHOD)
+    score = code_bleu(*records("{ { {", TEN_LINE_METHOD))
     assert 0.0 <= score < 0.5
 
 
@@ -138,13 +152,13 @@ REPAIRED_REFERENCE = ORIGINAL_TEST.replace(
 
 
 def test_diff_bleu_noop_candidate_scores_zero():
-    assert diff_bleu(ORIGINAL_TEST, ORIGINAL_TEST, REPAIRED_REFERENCE) == 0.0
+    assert diff_bleu(*records(ORIGINAL_TEST, ORIGINAL_TEST, REPAIRED_REFERENCE)) == 0.0
 
 
 def test_diff_bleu_perfect_repair_scores_one():
-    assert diff_bleu(ORIGINAL_TEST, REPAIRED_REFERENCE, REPAIRED_REFERENCE) == 1.0
+    assert diff_bleu(*records(ORIGINAL_TEST, REPAIRED_REFERENCE, REPAIRED_REFERENCE)) == 1.0
     # Nothing changed on either side is also a full score.
-    assert diff_bleu(ORIGINAL_TEST, ORIGINAL_TEST, ORIGINAL_TEST) == 1.0
+    assert diff_bleu(*records(ORIGINAL_TEST, ORIGINAL_TEST, ORIGINAL_TEST)) == 1.0
 
 
 def test_diff_bleu_scores_exactly_the_changed_lines():
@@ -152,7 +166,7 @@ def test_diff_bleu_scores_exactly_the_changed_lines():
         "MountOptions mountOptions = MountOptions.defaults();",
         "MountPOptions mountOptions = MountPOptions.newBuilder();",
     )
-    got = diff_bleu(ORIGINAL_TEST, candidate, REPAIRED_REFERENCE)
+    got = diff_bleu(*records(ORIGINAL_TEST, candidate, REPAIRED_REFERENCE))
     want = bleu(
         code_tokens("MountPOptions mountOptions = MountPOptions.newBuilder();"),
         code_tokens("MountPOptions mountOptions = MountPOptions.getDefaultInstance();"),
@@ -165,14 +179,14 @@ def test_diff_bleu_ignores_unchanged_line_order_and_whitespace():
     lines = REPAIRED_REFERENCE.strip().splitlines()
     # Swap the two unchanged body statements and mangle indentation.
     swapped = "\n".join([lines[0], lines[3], lines[2], "    " + lines[1].strip(), lines[4]])
-    assert diff_bleu(ORIGINAL_TEST, swapped, REPAIRED_REFERENCE) == 1.0
+    assert diff_bleu(*records(ORIGINAL_TEST, swapped, REPAIRED_REFERENCE)) == 1.0
 
 
 def test_exact_match_is_canonical_raw_is_literal():
     spaced = TEN_LINE_METHOD.replace("    ", "\t").replace(
         "assertTrue(mounted);", "assertTrue(mounted); // mounted?"
     )
-    assert exact_match(spaced, TEN_LINE_METHOD)
+    assert exact_match(*records(spaced, TEN_LINE_METHOD))
     assert not exact_match_raw(spaced, TEN_LINE_METHOD)
     assert exact_match_raw(TEN_LINE_METHOD, TEN_LINE_METHOD)
 
@@ -183,3 +197,107 @@ def test_normalize_method_text_strips_and_is_idempotent():
     assert "//" not in normal
     assert all(line == line.strip() and line for line in normal.splitlines())
     assert normalize_method_text(normal) == normal
+
+
+# ----------------------------------------------------------------------
+# records against the text-level oracle
+# ----------------------------------------------------------------------
+
+# Lines of method texts: statements that define and use variables,
+# keyword-heavy lines, lone and mismatched brackets, comments, and
+# lines that do not lex (stray characters, open literals and comments,
+# whitespace the lexer does not skip but str.strip does).
+LINES = [
+    "@Test",
+    "public void testMount() throws Exception {",
+    "void m() {",
+    "}",
+    "int a = 1;",
+    "a += b;",
+    "use(a);",
+    "final int n = a + b;",
+    'String s = "x";',
+    "if (a != null) {",
+    "} else {",
+    "for (String s : list) {",
+    "return a;",
+    "return new Widget(a, b);",
+    "assertTrue(options.hasReadOnly());",
+    "x.y(z).w[0] = n;",
+    "int[] arr = {1, 2};",
+    "this.field = a;",
+    "synchronized (this) { return; }",
+    "while (true) { break; }",
+    "public static final synchronized native void f();",
+    "static final boolean FLAG = false;",
+    "float f = 1.5f; char c = 'c';",
+    "(",
+    ")",
+    "{",
+    "[",
+    "] )",
+    "// only a comment",
+    "/* c */",
+    "int b = #;",
+    '"unterminated',
+    "/* open",
+    " use(a);",
+    "\v",
+]
+
+
+names = st.sampled_from(["a", "b", "opts", "x"])
+# Statements over a few shared names give partial dataflow and subtree
+# matches, where the order of the float additions shows.
+STATEMENTS = st.one_of(
+    st.builds("int {} = {} + 1;".format, names, names),
+    st.builds("{} += {};".format, names, names),
+    st.builds("use({}, {});".format, names, names),
+    st.builds("if ({} > 0) {{ {}.run(); }}".format, names, names),
+    st.builds("for (int {} : {}) {{ sink({}); }}".format, names, names, names),
+)
+
+
+@st.composite
+def method_texts(draw):
+    """An original test, a candidate and a reference over shared lines."""
+    pool = draw(
+        st.lists(st.one_of(st.sampled_from(LINES), STATEMENTS), min_size=1, max_size=8)
+    )
+
+    def side():
+        lines = draw(st.lists(st.sampled_from(pool), max_size=10))
+        indent = draw(st.sampled_from(["", "    ", "\t"]))
+        body = "\n".join(indent + line for line in lines)
+        return draw(st.sampled_from([body, f"void m() {{\n{body}\n}}"]))
+
+    return side(), side(), side()
+
+
+def _same(got, want):
+    """True if both calls give the same value, False if both raise
+    EmptyReference; fails otherwise."""
+    try:
+        expected = want()
+    except EmptyReference:
+        with pytest.raises(EmptyReference):
+            got()
+        return False
+    assert got() == expected
+    return True
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(method_texts())
+def test_record_metrics_equal_the_text_oracle(texts):
+    original, candidate, reference = texts
+    o, c, r = records(original, candidate, reference)
+    scored = _same(
+        lambda: code_bleu(c, r), lambda: metrics_oracle.code_bleu(candidate, reference)
+    )
+    assert has_code_tokens(reference) == scored
+    _same(
+        lambda: diff_bleu(o, c, r),
+        lambda: metrics_oracle.diff_bleu(original, candidate, reference),
+    )
+    assert exact_match(c, r) == metrics_oracle.exact_match(candidate, reference)
