@@ -273,11 +273,6 @@ def code_bleu(candidate: MetricRecord, reference: MetricRecord) -> float:
     )
 
 
-def _changed_tokens(lines: list[str], record: MetricRecord) -> Sequence[str]:
-    text = "\n".join(lines)
-    return record.tokens if text == record.text else code_tokens(text)
-
-
 def diff_bleu(
     original_test: MetricRecord, candidate: MetricRecord, reference: MetricRecord
 ) -> float:
@@ -294,10 +289,10 @@ def diff_bleu(
         return 1.0
     if not cand_changed or not ref_changed:
         return 0.0
-    ref_tokens = _changed_tokens(ref_changed, reference)
+    ref_tokens = code_tokens("\n".join(ref_changed))
     if cand_changed == ref_changed:
         return bleu(ref_tokens, ref_tokens)
-    return bleu(_changed_tokens(cand_changed, candidate), ref_tokens)
+    return bleu(code_tokens("\n".join(cand_changed)), ref_tokens)
 
 
 def exact_match(candidate: MetricRecord, reference: MetricRecord) -> bool:
