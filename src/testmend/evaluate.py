@@ -249,8 +249,14 @@ def run_sample(
                     score.code_bleu = result.code_bleu[result.selected]
                 else:
                     score.code_bleu = metrics.code_bleu(selected, truth)
-                original = metrics.record_in(records, prepared.test_text)
-                score.diff_bleu = metrics.diff_bleu(original, selected, truth)
+                # A candidate that repeats the obsolete test has its record.
+                original = records.get(prepared.test_text)
+                original_text = (
+                    metrics.normalize_method_text(prepared.test_text)
+                    if original is None
+                    else original.text
+                )
+                score.diff_bleu = metrics.diff_bleu(original_text, selected, truth)
                 score.exact_match = metrics.exact_match(selected, truth)
                 score.exact_match_raw = metrics.exact_match_raw(
                     result.selected_text, sample.ground_truth

@@ -273,16 +273,16 @@ def code_bleu(candidate: MetricRecord, reference: MetricRecord) -> float:
     )
 
 
-def diff_bleu(
-    original_test: MetricRecord, candidate: MetricRecord, reference: MetricRecord
-) -> float:
+def diff_bleu(original_test: str, candidate: MetricRecord, reference: MetricRecord) -> float:
     """BLEU restricted to the lines each side changed vs the obsolete test.
 
-    Line membership is judged set-wise on normalized lines.  Both sides
-    unchanged scores 1.0; exactly one side unchanged scores 0.0 (a no-op
-    repair against a real reference change, or vice versa).
+    ``original_test`` is the obsolete test's normalized text
+    (:func:`normalize_method_text`): line membership is judged set-wise
+    on normalized lines, so no record of that test is needed.  Both
+    sides unchanged scores 1.0; exactly one side unchanged scores 0.0 (a
+    no-op repair against a real reference change, or vice versa).
     """
-    original_lines = set(original_test.text.splitlines())
+    original_lines = set(original_test.splitlines())
     cand_changed = [line for line in candidate.text.splitlines() if line not in original_lines]
     ref_changed = [line for line in reference.text.splitlines() if line not in original_lines]
     if not cand_changed and not ref_changed:

@@ -15,10 +15,11 @@ import logging
 import math
 import re
 from dataclasses import dataclass, field
+from typing import Callable
 
 from testmend.errors import EmptyReference, ParseError, ProviderError
 from testmend.javasrc import lexer
-from testmend.javasrc.ast import MethodDecl, parse_java
+from testmend.javasrc.ast import JavaFile, MethodDecl, parse_java
 from testmend.javasrc.format import canonicalize
 from testmend.metrics import MetricRecord, code_bleu, record_in
 from testmend.provider import ChatProvider, Message, render_messages
@@ -203,12 +204,22 @@ def assemble_prompt(
 # ----------------------------------------------------------------------
 
 
-def _first_method_slice(content: str) -> str | None:
-    prefix = "class __Wrapper {\n"
-    wrapped = f"{prefix}{content}\n}}"
+# The lexer's whitespace: trimming it off a member body keeps its tokens.
+_JAVA_SPACE = " \t\r\n\f"
+
+
+def _parse_members(body: str) -> JavaFile | None:
+    """``body`` parsed as the members of a wrapper class, or None if it
+    does not parse."""
     try:
-        java_file = parse_java(wrapped)
+        return parse_java(f"class __Wrapper {{\n{body}\n}}")
     except ParseError:
+        return None
+
+
+def _first_method_slice(content: str, parse: Callable[[str], JavaFile | None]) -> str | None:
+    java_file = parse(content.strip(_JAVA_SPACE))
+    if java_file is None:
         return None
     methods = [
         m
@@ -219,7 +230,7 @@ def _first_method_slice(content: str) -> str | None:
     if not methods:
         return None
     methods.sort(key=lambda m: (m.is_constructor, m.start))
-    return wrapped[methods[0].start : methods[0].end]
+    return java_file.slice(methods[0].start, methods[0].end)
 
 
 _HEADER_PUNCT = frozenset({"(", ")", "[", "]", "<", ">", ",", ".", "...", "@", "&"})
@@ -258,16 +269,20 @@ def _brace_scan(content: str) -> str | None:
     return None
 
 
-def extract_method_text(raw: str) -> str:
+def extract_method_text(
+    raw: str, parse: Callable[[str], JavaFile | None] = _parse_members
+) -> str:
     """The repaired method from a model response.
 
     Preference order: fenced code block, then the first structurally
     parsed method declaration, then a raw brace scan, then the stripped
     response.  The result is always a contiguous substring of ``raw``.
+    ``parse`` parses a member body (see :func:`repair`, which shares one
+    parse per body with :func:`validate_syntax`).
     """
     match = _FENCE_RE.search(raw)
     content = match.group(1) if match else raw
-    parsed = _first_method_slice(content)
+    parsed = _first_method_slice(content, parse)
     if parsed is not None:
         return parsed
     scanned = _brace_scan(content)
@@ -276,17 +291,15 @@ def extract_method_text(raw: str) -> str:
     return content.strip()
 
 
-def validate_syntax(method_text: str) -> bool:
+def validate_syntax(
+    method_text: str, parse: Callable[[str], JavaFile | None] = _parse_members
+) -> bool:
     """True iff the text is exactly one well-formed method declaration."""
     text = method_text.strip()
     if not text:
         return False
-    wrapped = f"class __Wrapper {{\n{text}\n}}"
-    try:
-        java_file = parse_java(wrapped)
-    except ParseError:
-        return False
-    if len(java_file.classes) != 1:
+    java_file = parse(text)
+    if java_file is None or len(java_file.classes) != 1:
         return False
     members = java_file.classes[0].members
     if len(members) != 1 or not isinstance(members[0], MethodDecl):
@@ -407,13 +420,13 @@ def repair(
     With a ground truth the highest-CodeBLEU candidate wins (evaluation
     setting); without one, the syntactically valid candidate closest to
     the original test wins.  Attempts that fail at the provider shrink
-    the candidate pool; an empty pool is fatal for the sample.  A
-    response that repeats is extracted once, and a method text that
-    repeats is syntax-checked and given its metric record once.
+    the candidate pool; an empty pool is fatal for the sample.  Each
+    distinct member body is parsed once: a bare or fenced single-method
+    response is extracted and syntax-checked from one parse, and a
+    method text that repeats is given its metric record once.
     """
     messages = prompt.messages()
-    extract = functools.cache(extract_method_text)
-    check = functools.cache(validate_syntax)
+    parse = functools.cache(_parse_members)
     candidates: list[RepairCandidate] = []
     for attempt in range(attempts):
         try:
@@ -421,13 +434,13 @@ def repair(
         except ProviderError as exc:
             log.warning("repair attempt %d failed: %s", attempt, exc)
             continue
-        method_text = extract(raw)
+        method_text = extract_method_text(raw, parse)
         candidates.append(
             RepairCandidate(
                 attempt=attempt,
                 raw_text=raw,
                 method_text=method_text,
-                syntax_ok=check(method_text),
+                syntax_ok=validate_syntax(method_text, parse),
             )
         )
     if not candidates:

@@ -10,6 +10,7 @@ unified or changed-lines-only.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from difflib import SequenceMatcher
 from pathlib import Path
@@ -36,53 +37,82 @@ class Location:
 
 
 class RepoSnapshot:
-    """Read-only access to the two version trees."""
+    """Read-only access to the two version trees.
+
+    Paths are ``/``-separated and relative to a version's root.  The
+    listing holds the ``.java`` files under the root: symlinks to files
+    are listed, symlinked directories are not descended, and a directory
+    that cannot be listed is skipped.
+    """
 
     def __init__(self, pre_root: str | Path, post_root: str | Path):
-        self.pre_root = Path(pre_root)
-        self.post_root = Path(post_root)
-        for root in (self.pre_root, self.post_root):
-            if not root.is_dir():
+        self._roots = {PRE: str(Path(pre_root)), POST: str(Path(post_root))}
+        for root in self._roots.values():
+            if not os.path.isdir(root):
                 raise InputError(f"snapshot root is not a directory: {root}")
         self._cache: dict[tuple[str, str], str] = {}
 
-    def root(self, version: str) -> Path:
-        if version == PRE:
-            return self.pre_root
-        if version == POST:
-            return self.post_root
-        raise InputError(f"unknown snapshot version {version!r}")
+    def _root(self, version: str) -> str:
+        root = self._roots.get(version)
+        if root is None:
+            raise InputError(f"unknown snapshot version {version!r}")
+        return root
 
-    def path(self, version: str, relpath: str) -> Path:
-        return self.root(version) / relpath
+    def root(self, version: str) -> Path:
+        return Path(self._root(version))
 
     def exists(self, version: str, relpath: str) -> bool:
-        return self.path(version, relpath).is_file()
+        return os.path.isfile(os.path.join(self._root(version), relpath))
 
     def read(self, version: str, relpath: str) -> str:
-        """File content as UTF-8, else ISO-8859-1, with newlines read as LF."""
+        """File content as UTF-8, else ISO-8859-1, with CR LF and CR read
+        as LF (as text mode reads them); cached per file."""
         key = (version, relpath)
-        if key not in self._cache:
-            p = self.path(version, relpath)
-            if not p.is_file():
-                raise InputError(f"no such file in {version} tree: {relpath}")
-            try:  # text mode reads CR LF and CR as LF
-                self._cache[key] = p.read_text(encoding="utf-8")
+        text = self._cache.get(key)
+        if text is None:
+            try:
+                with open(os.path.join(self._root(version), relpath), "rb") as f:
+                    data = f.read()
+            except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
+                raise InputError(f"no such file in {version} tree: {relpath}") from None
+            try:
+                text = data.decode("utf-8")
             except UnicodeDecodeError:  # ISO-8859-1 decodes every byte
-                self._cache[key] = p.read_text(encoding="iso-8859-1")
-        return self._cache[key]
+                text = data.decode("iso-8859-1")
+            if "\r" in text:
+                text = text.replace("\r\n", "\n").replace("\r", "\n")
+            self._cache[key] = text
+        return text
 
     def read_or_empty(self, version: str, relpath: str) -> str:
         return self.read(version, relpath) if self.exists(version, relpath) else ""
 
     def java_files(self, version: str) -> list[str]:
         """Relative paths of all .java files, sorted for determinism."""
-        root = self.root(version)
-        return sorted(
-            str(p.relative_to(root)).replace("\\", "/")
-            for p in root.rglob("*.java")
-            if p.is_file()
-        )
+        found: list[str] = []
+        pending = [(self._root(version), "")]
+        while pending:
+            directory, prefix = pending.pop()
+            try:
+                with os.scandir(directory) as listing:
+                    entries = list(listing)
+            except PermissionError:
+                continue
+            for entry in entries:
+                if entry.is_dir(follow_symlinks=False):
+                    pending.append((entry.path, f"{prefix}{entry.name}/"))
+                elif entry.name.endswith(".java") and _is_file(entry):
+                    found.append(prefix + entry.name)
+        return sorted(found)
+
+
+def _is_file(entry: os.DirEntry) -> bool:
+    """Whether ``entry`` is a file or a symlink to one; a symlink loop is
+    neither (``DirEntry.is_file`` raises on it)."""
+    try:
+        return entry.is_file()
+    except OSError:
+        return False
 
 
 @dataclass(frozen=True)

@@ -390,7 +390,7 @@ def test_metric_sanity():
 
     assert metrics.bleu(tokens, tokens) == pytest.approx(1.0, abs=1e-9)
     original_record, record = metrics.metric_record(original), metrics.metric_record(method)
-    assert metrics.diff_bleu(original_record, original_record, record) == 0.0
+    assert metrics.diff_bleu(original_record.text, original_record, record) == 0.0
     assert metrics.code_bleu(record, record) == pytest.approx(1.0, abs=1e-9)
     hand = metrics.bleu(
         ["the", "quick", "fox", "jumps"], ["the", "quick", "brown", "fox", "jumps"]

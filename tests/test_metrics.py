@@ -149,16 +149,17 @@ REPAIRED_REFERENCE = ORIGINAL_TEST.replace(
     "MountOptions mountOptions = MountOptions.defaults();",
     "MountPOptions mountOptions = MountPOptions.getDefaultInstance();",
 )
+ORIGINAL_LINES = normalize_method_text(ORIGINAL_TEST)
 
 
 def test_diff_bleu_noop_candidate_scores_zero():
-    assert diff_bleu(*records(ORIGINAL_TEST, ORIGINAL_TEST, REPAIRED_REFERENCE)) == 0.0
+    assert diff_bleu(ORIGINAL_LINES, *records(ORIGINAL_TEST, REPAIRED_REFERENCE)) == 0.0
 
 
 def test_diff_bleu_perfect_repair_scores_one():
-    assert diff_bleu(*records(ORIGINAL_TEST, REPAIRED_REFERENCE, REPAIRED_REFERENCE)) == 1.0
+    assert diff_bleu(ORIGINAL_LINES, *records(REPAIRED_REFERENCE, REPAIRED_REFERENCE)) == 1.0
     # Nothing changed on either side is also a full score.
-    assert diff_bleu(*records(ORIGINAL_TEST, ORIGINAL_TEST, ORIGINAL_TEST)) == 1.0
+    assert diff_bleu(ORIGINAL_LINES, *records(ORIGINAL_TEST, ORIGINAL_TEST)) == 1.0
 
 
 def test_diff_bleu_scores_exactly_the_changed_lines():
@@ -166,7 +167,7 @@ def test_diff_bleu_scores_exactly_the_changed_lines():
         "MountOptions mountOptions = MountOptions.defaults();",
         "MountPOptions mountOptions = MountPOptions.newBuilder();",
     )
-    got = diff_bleu(*records(ORIGINAL_TEST, candidate, REPAIRED_REFERENCE))
+    got = diff_bleu(ORIGINAL_LINES, *records(candidate, REPAIRED_REFERENCE))
     want = bleu(
         code_tokens("MountPOptions mountOptions = MountPOptions.newBuilder();"),
         code_tokens("MountPOptions mountOptions = MountPOptions.getDefaultInstance();"),
@@ -179,7 +180,7 @@ def test_diff_bleu_ignores_unchanged_line_order_and_whitespace():
     lines = REPAIRED_REFERENCE.strip().splitlines()
     # Swap the two unchanged body statements and mangle indentation.
     swapped = "\n".join([lines[0], lines[3], lines[2], "    " + lines[1].strip(), lines[4]])
-    assert diff_bleu(*records(ORIGINAL_TEST, swapped, REPAIRED_REFERENCE)) == 1.0
+    assert diff_bleu(ORIGINAL_LINES, *records(swapped, REPAIRED_REFERENCE)) == 1.0
 
 
 def test_exact_match_is_canonical_raw_is_literal():
@@ -291,13 +292,13 @@ def _same(got, want):
 @given(method_texts())
 def test_record_metrics_equal_the_text_oracle(texts):
     original, candidate, reference = texts
-    o, c, r = records(original, candidate, reference)
+    c, r = records(candidate, reference)
     scored = _same(
         lambda: code_bleu(c, r), lambda: metrics_oracle.code_bleu(candidate, reference)
     )
     assert has_code_tokens(reference) == scored
     _same(
-        lambda: diff_bleu(o, c, r),
+        lambda: diff_bleu(normalize_method_text(original), c, r),
         lambda: metrics_oracle.diff_bleu(original, candidate, reference),
     )
     assert exact_match(c, r) == metrics_oracle.exact_match(candidate, reference)

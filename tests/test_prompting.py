@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from testmend import prompting
 from testmend.collectors import ClassCtxGroup, ContextChunk, TROCtxBundle
 from testmend.errors import ProviderError
 from testmend.javasrc.ast import MethodDecl, parse_java
@@ -353,6 +354,26 @@ def test_repair_temperature_and_attempt_count():
     assert all(c["temperature"] == 0.1 for c in provider.calls)
     assert [c["attempt"] for c in provider.calls] == [0, 1, 2]
     assert [c.attempt for c in result.candidates] == [0, 1, 2]
+
+
+@pytest.mark.parametrize(
+    "response",
+    [VALID_REPAIR, VALID_REPAIR + "\n", f"```java\n{VALID_REPAIR}\n```\n"],
+    ids=["bare", "bare-newline", "fenced"],
+)
+def test_repair_parses_a_single_method_response_once(monkeypatch, response):
+    """Extraction and the syntax gate share one parse of the method."""
+    parsed = []
+
+    def counting_parse(text):
+        parsed.append(text)
+        return parse_java(text)
+
+    monkeypatch.setattr(prompting, "parse_java", counting_parse)
+    result = repair(make_prompt(), ScriptedProvider([response] * 3), attempts=3)
+    assert len(parsed) == 1
+    assert [c.method_text for c in result.candidates] == [VALID_REPAIR] * 3
+    assert all(c.syntax_ok for c in result.candidates)
 
 
 def test_identical_candidates_select_first_attempt():

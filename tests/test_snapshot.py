@@ -1,6 +1,8 @@
 """Snapshot access and diff round-trip / rendering tests."""
 
+import os
 import random
+import stat
 
 import pytest
 
@@ -62,6 +64,103 @@ def test_non_utf8_file_reads_as_latin1(tmp_path):
 def test_java_files_sorted(snap):
     assert snap.java_files(PRE) == ["src/A.java", "src/Gone.java"]
     assert snap.java_files(POST) == ["src/A.java", "src/New.java"]
+
+
+def two_roots(tmp_path):
+    pre = tmp_path / "pre"
+    post = tmp_path / "post"
+    pre.mkdir()
+    post.mkdir()
+    return pre, post
+
+
+def test_java_files_listing_contract(tmp_path):
+    pre, post = two_roots(tmp_path)
+    (pre / "a" / "b").mkdir(parents=True)
+    (pre / "a" / "b" / "Deep.java").write_text("class Deep { }\n")
+    (pre / "a" / "Notes.txt").write_text("text\n")
+    (pre / "a" / "Java.java.bak").write_text("class Bak { }\n")
+    (pre / "Top.java").write_text("class Top { }\n")
+    (pre / "Dir.java").mkdir()  # a directory with a .java name
+    (pre / "Dir.java" / "Inner.java").write_text("class Inner { }\n")
+    (pre / ".hidden").mkdir()
+    (pre / ".hidden" / "H.java").write_text("class H { }\n")
+    outside = tmp_path / "outside"
+    outside.mkdir()
+    (outside / "Out.java").write_text("class Out { }\n")
+    (pre / "linked").symlink_to(outside, target_is_directory=True)
+    (pre / "Alias.java").symlink_to(pre / "Top.java")
+    (pre / "Broken.java").symlink_to(pre / "missing.java")
+    (pre / "Loop.java").symlink_to(pre / "Loop.java")
+    s = RepoSnapshot(pre, post)
+    assert s.java_files(PRE) == [
+        ".hidden/H.java",
+        "Alias.java",
+        "Dir.java/Inner.java",
+        "Top.java",
+        "a/b/Deep.java",
+    ]
+    assert s.java_files(POST) == []
+    assert s.read(PRE, "Alias.java") == "class Top { }\n"
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root reads every directory")
+def test_java_files_skips_unreadable_directory(tmp_path):
+    pre, post = two_roots(tmp_path)
+    (pre / "open").mkdir()
+    (pre / "open" / "A.java").write_text("class A { }\n")
+    closed = pre / "closed"
+    closed.mkdir()
+    (closed / "B.java").write_text("class B { }\n")
+    closed.chmod(0)
+    try:
+        assert RepoSnapshot(pre, post).java_files(PRE) == ["open/A.java"]
+    finally:
+        closed.chmod(stat.S_IRWXU)
+
+
+def test_java_files_skips_directory_that_denies_listing(tmp_path, monkeypatch):
+    # The same contract as above for any user: listing the directory
+    # raises PermissionError.
+    pre, post = two_roots(tmp_path)
+    (pre / "open").mkdir()
+    (pre / "open" / "A.java").write_text("class A { }\n")
+    (pre / "closed").mkdir()
+    (pre / "closed" / "B.java").write_text("class B { }\n")
+    scandir = os.scandir
+
+    def denying(path="."):
+        if os.path.basename(os.fspath(path).rstrip("/")) == "closed":
+            raise PermissionError(13, "Permission denied", os.fspath(path))
+        return scandir(path)
+
+    monkeypatch.setattr(os, "scandir", denying)
+    assert RepoSnapshot(pre, post).java_files(PRE) == ["open/A.java"]
+
+
+def test_read_newlines_and_bom(tmp_path):
+    pre, post = two_roots(tmp_path)
+    (pre / "Cr.java").write_bytes(b"class X {\r  int a;\r}\r")
+    (pre / "Mixed.java").write_bytes(b"class X {\r\n  int a;\r\r\n}\n\r")
+    (pre / "Bom.java").write_bytes(b"\xef\xbb\xbfclass X {\r\n}\n")
+    s = RepoSnapshot(pre, post)
+    assert s.read(PRE, "Cr.java") == "class X {\n  int a;\n}\n"
+    assert s.read(PRE, "Mixed.java") == "class X {\n  int a;\n\n}\n\n"
+    assert s.read(PRE, "Bom.java") == "\ufeffclass X {\n}\n"
+
+
+def test_read_directory_or_missing_path_raises(tmp_path):
+    pre, post = two_roots(tmp_path)
+    (pre / "pkg").mkdir()
+    (pre / "A.java").write_text("class A { }\n")
+    s = RepoSnapshot(pre, post)
+    for relpath in ("pkg", "Missing.java", "pkg/Missing.java", "A.java/B.java"):
+        assert not s.exists(PRE, relpath)
+        assert s.read_or_empty(PRE, relpath) == ""
+        with pytest.raises(InputError):
+            s.read(PRE, relpath)
+    with pytest.raises(InputError):
+        s.read("mid", "A.java")
 
 
 def test_missing_root_raises(tmp_path):
