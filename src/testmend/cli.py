@@ -40,7 +40,7 @@ from testmend.provider import (
 )
 from testmend.rerank import LexicalScorer, RemoteScorer, Scorer
 from testmend.resolver import parse_source
-from testmend.signatures import make_focal_change, parse_method, render_kinds
+from testmend.signatures import focal_change, render_kinds
 
 PROG = "testmend"
 
@@ -175,15 +175,11 @@ def _write_json(path: Path, payload: dict) -> Path:
 def cmd_classify(args: argparse.Namespace, config: RunConfig) -> int:
     sample = load_sample(args.manifest, args.sample)
     snapshot = sample.snapshot()
-    pre_file = parse_source(snapshot.read("pre", sample.focal_pre.file))
-    original = parse_method(pre_file, sample.focal_pre)
-    post_file = parse_source(snapshot.read("post", sample.focal_post.file))
-    updated = parse_method(post_file, sample.focal_post)
-    focal = make_focal_change(
-        original,
-        updated,
-        pre_locator=sample.focal_pre,
-        post_locator=sample.focal_post,
+    focal = focal_change(
+        parse_source(snapshot.read("pre", sample.focal_pre.file)),
+        parse_source(snapshot.read("post", sample.focal_post.file)),
+        sample.focal_pre,
+        sample.focal_post,
     )
     kinds = render_kinds(focal.kinds)
     print(kinds)

@@ -5,6 +5,12 @@ assemble the prompt, run the repair attempts, and score the selected
 candidate against the ground truth.  Failures are recorded per sample
 and never abort the run.  Report files are deterministic for a fixed
 configuration: wall-clock timings are written to their own file.
+
+Concurrency is decided here alone.  The static stages (load through
+prompt) read process-wide caches that take no lock, so :func:`run_sample`
+runs :func:`prepare_sample` under one module lock: at ``jobs`` above 1 one
+sample at a time is prepared, while the repair's provider calls and the
+metrics of the other samples overlap.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ import csv
 import json
 import logging
 import shlex
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -43,15 +50,18 @@ from testmend.rerank import (
 )
 from testmend.resolver import make_resolver, parse_source
 from testmend.signatures import (
-    make_focal_change,
+    focal_change,
     method_body_text,
     method_full_text,
-    parse_method,
     render_kinds,
 )
 from testmend.snapshot import unified_diff
 
 log = logging.getLogger(__name__)
+
+# Held around prepare_sample by run_sample: the static stages are
+# single-threaded by contract (see the module docstring).
+_STATIC_STAGES = threading.Lock()
 
 
 @dataclass
@@ -136,7 +146,11 @@ def prepare_sample(
     settings: EvalSettings | None = None,
     timings: dict[str, float] | None = None,
 ) -> PreparedSample:
-    """Run every stage up to (and including) prompt assembly."""
+    """Run every stage up to (and including) prompt assembly.
+
+    Not thread-safe: callers that run samples in threads go through
+    :func:`run_sample`, which serializes this call.
+    """
     settings = settings or EvalSettings()
     scorer = scorer or LexicalScorer()
     timings = timings if timings is not None else {}
@@ -147,15 +161,8 @@ def prepare_sample(
         test_source = snapshot.read("pre", sample.test.file)
     with _stage(timings, "classify"):
         pre_file = parse_source(pre_source)
-        original = parse_method(pre_file, sample.focal_pre)
         post_file = parse_source(post_source)
-        updated = parse_method(post_file, sample.focal_post)
-        focal = make_focal_change(
-            original,
-            updated,
-            pre_locator=sample.focal_pre,
-            post_locator=sample.focal_post,
-        )
+        focal = focal_change(pre_file, post_file, sample.focal_pre, sample.focal_post)
         kinds = render_kinds(focal.kinds)
         focal_pre_text = method_full_text(pre_file, sample.focal_pre)
         focal_post_text = method_full_text(post_file, sample.focal_post)
@@ -217,13 +224,14 @@ def run_sample(
     score = SampleScore(sample_id=sample.id, ground_truth=sample.ground_truth or "")
     timings = score.timings
     try:
-        prepared = prepare_sample(
-            sample,
-            scorer=scorer,
-            provider=provider,
-            settings=settings,
-            timings=timings,
-        )
+        with _STATIC_STAGES:
+            prepared = prepare_sample(
+                sample,
+                scorer=scorer,
+                provider=provider,
+                settings=settings,
+                timings=timings,
+            )
         score.kinds = prepared.kinds
         score.scorer_fallback = prepared.scorer_fallback
         score.prompt_token_count = prepared.prompt.token_count()
@@ -245,10 +253,7 @@ def run_sample(
                 records = result.records
                 selected = metrics.record_in(records, result.selected_text)
                 truth = metrics.record_in(records, sample.ground_truth)
-                if result.code_bleu is not None:
-                    score.code_bleu = result.code_bleu[result.selected]
-                else:
-                    score.code_bleu = metrics.code_bleu(selected, truth)
+                score.code_bleu = result.code_bleu[result.selected]
                 # A candidate that repeats the obsolete test has its record.
                 original = records.get(prepared.test_text)
                 original_text = (

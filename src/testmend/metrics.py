@@ -122,17 +122,6 @@ def bleu(candidate: Sequence[str], reference: Sequence[str]) -> float:
     return _bleu(_ngrams(candidate), _ngrams(reference), len(candidate), len(reference))
 
 
-def weighted_bleu(candidate: Sequence[str], reference: Sequence[str]) -> float:
-    """BLEU-4 whose unigram precision counts language keywords
-    ``KEYWORD_WEIGHT``-fold."""
-    if not reference:
-        raise EmptyReference("weighted bleu reference token sequence is empty")
-    return _bleu(
-        _ngrams(candidate), _ngrams(reference), len(candidate), len(reference),
-        _KEYWORD_WEIGHTS,
-    )
-
-
 # ----------------------------------------------------------------------
 # syntax subtrees
 # ----------------------------------------------------------------------

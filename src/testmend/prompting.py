@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable
 
-from testmend.errors import EmptyReference, ParseError, ProviderError
+from testmend.errors import ParseError, ProviderError
 from testmend.javasrc import lexer
 from testmend.javasrc.ast import JavaFile, MethodDecl, parse_java
 from testmend.javasrc.format import canonicalize
@@ -348,10 +348,11 @@ class RepairCandidate:
 class RepairResult:
     """The candidates and the selected one.
 
-    ``code_bleu`` holds each candidate's score against the ground truth
-    when selection computed them; ``records`` holds the metric record of
-    every text selection read (see :func:`~testmend.metrics.record_in`),
-    so the metrics stage builds none of them again.
+    ``code_bleu`` holds each candidate's score against the ground truth,
+    exactly when a ground truth is given; ``records`` holds the metric
+    record of every text selection read (see
+    :func:`~testmend.metrics.record_in`), so the metrics stage builds none
+    of them again.
     """
 
     candidates: list[RepairCandidate]
@@ -388,13 +389,9 @@ def _select(
 
     if ground_truth is not None:
         truth = record_in(records, ground_truth)
-        try:
-            scores = [code_bleu(record_in(records, c.method_text), truth) for c in candidates]
-        except EmptyReference:
-            scores = None
-        if scores is not None:
-            best = min(range(len(candidates)), key=lambda i: (-scores[i], i))
-            return result(best, "best-code-bleu", scores)
+        scores = [code_bleu(record_in(records, c.method_text), truth) for c in candidates]
+        best = min(range(len(candidates)), key=lambda i: (-scores[i], i))
+        return result(best, "best-code-bleu", scores)
     valid = [i for i, c in enumerate(candidates) if c.syntax_ok]
     if not valid:
         return result(0, "all-invalid")
@@ -418,8 +415,9 @@ def repair(
     """Run the attempt loop and select one repaired method.
 
     With a ground truth the highest-CodeBLEU candidate wins (evaluation
-    setting); without one, the syntactically valid candidate closest to
-    the original test wins.  Attempts that fail at the provider shrink
+    setting; :class:`~testmend.errors.EmptyReference` if the ground truth
+    has no code tokens); without one, the syntactically valid candidate
+    closest to the original test wins.  Attempts that fail at the provider shrink
     the candidate pool; an empty pool is fatal for the sample.  Each
     distinct member body is parsed once: a bare or fenced single-method
     response is extracted and syntax-checked from one parse, and a

@@ -267,31 +267,15 @@ def rerank_bundle(
         result.bundle.class_ctx[type_name] = replace(
             group, chunks=constructors + [s.chunk for s in ranked]
         )
-    usage_ranked = _rank(
-        scorer,
-        (queries.obsolete_stmts,),
-        bundle.usage_ctx,
-        [_usage_sides(c) for c in bundle.usage_ctx],
-        k,
+    # Rankings keep the order class:*, usage, env_focal, env_test.
+    flat_families = (
+        ("usage", "usage_ctx", queries.obsolete_stmts, _usage_sides),
+        ("env_focal", "env_ctx_focal", queries.synbc_analysis, lambda c: [c.text]),
+        ("env_test", "env_ctx_test", queries.obsolete_stmts, lambda c: [c.text]),
     )
-    result.rankings["usage"] = usage_ranked
-    result.bundle.usage_ctx = [s.chunk for s in usage_ranked]
-    env_focal_ranked = _rank(
-        scorer,
-        (queries.synbc_analysis,),
-        bundle.env_ctx_focal,
-        [[c.text] for c in bundle.env_ctx_focal],
-        k,
-    )
-    result.rankings["env_focal"] = env_focal_ranked
-    result.bundle.env_ctx_focal = [s.chunk for s in env_focal_ranked]
-    env_test_ranked = _rank(
-        scorer,
-        (queries.obsolete_stmts,),
-        bundle.env_ctx_test,
-        [[c.text] for c in bundle.env_ctx_test],
-        k,
-    )
-    result.rankings["env_test"] = env_test_ranked
-    result.bundle.env_ctx_test = [s.chunk for s in env_test_ranked]
+    for key, attr, query, sides in flat_families:
+        chunks = getattr(bundle, attr)
+        ranked = _rank(scorer, (query,), chunks, [sides(c) for c in chunks], k)
+        result.rankings[key] = ranked
+        setattr(result.bundle, attr, [s.chunk for s in ranked])
     return result

@@ -38,16 +38,19 @@ since ``canonicalize`` and ``parse_java`` depend on nothing else, so
 byte-identical files are canonicalized and parsed once whichever sample
 or version they belong to.  It is an LRU bounded by the characters of its
 keys (:data:`SOURCE_CACHE_CHARS`), and it caches no failure.  Its
-:class:`~testmend.javasrc.ast.JavaFile` values are shared across samples
-and threads: nothing mutates a ``JavaFile`` once ``parse_java`` returns it.
+:class:`~testmend.javasrc.ast.JavaFile` values are shared across samples:
+nothing mutates a ``JavaFile`` once ``parse_java`` returns it.
 Hygiene and classify read a sample's own sources through it too
 (:func:`parse_source`), so no stage parses a snapshot file's raw text.
+
+This module is single-threaded by contract: the cache takes no lock.
+:func:`testmend.evaluate.run_sample` holds one lock around the static
+stages, so at most one thread uses the cache at a time.
 """
 
 from __future__ import annotations
 
 import logging
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Protocol
@@ -91,59 +94,49 @@ class SourceCache:
     """Canonical texts and parses of Java sources, keyed by the raw text.
 
     An LRU whose keys total at most :data:`SOURCE_CACHE_CHARS` characters;
-    a text longer than that is never stored.  A lookup or insert takes one
-    lock, and canonicalizing and parsing run outside it: two threads that
-    miss on the same text both do the work, and the first value stored
-    wins.  An :class:`~testmend.errors.InputError` from ``canonicalize`` or
+    a text longer than that is never stored.  An
+    :class:`~testmend.errors.InputError` from ``canonicalize`` or
     ``parse_java`` propagates and is not stored, so every caller that asks
     again tries again; a text that canonicalizes but does not parse keeps
-    its canonical form.
+    its canonical form.  Not thread-safe (see the module docstring).
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._entries: OrderedDict[str, tuple[str, JavaFile | None]] = OrderedDict()
         self._chars = 0
 
     def canonical(self, raw: str) -> str:
         """``canonicalize(raw)``, or ``""`` for a blank text."""
-        return self._entry(raw)[0]
+        return self._entry(raw, parse=False)[0]
 
     def parse(self, raw: str) -> JavaFile:
         """``parse_java`` of the text's canonical form."""
-        canonical, java = self._entry(raw)
-        if java is None:
-            canonical, java = self._put(raw, canonical, parse_java(canonical))
+        java = self._entry(raw, parse=True)[1]
         assert java is not None
         return java
 
-    def _entry(self, raw: str) -> tuple[str, JavaFile | None]:
-        with self._lock:
-            entry = self._entries.get(raw)
-            if entry is not None:
-                self._entries.move_to_end(raw)
-                return entry
-        return self._put(raw, canonicalize(raw) if raw.strip() else "", None)
+    def _entry(self, raw: str, parse: bool) -> tuple[str, JavaFile | None]:
+        """The entry of ``raw``, computing and storing what it lacks."""
+        entry = self._entries.get(raw)
+        if entry is None:
+            entry = (canonicalize(raw) if raw.strip() else "", None)
+        if parse and entry[1] is None:
+            self._store(raw, entry)  # kept if the parse fails
+            entry = (entry[0], parse_java(entry[0]))
+        self._store(raw, entry)
+        return entry
 
-    def _put(
-        self, raw: str, canonical: str, java: JavaFile | None
-    ) -> tuple[str, JavaFile | None]:
-        """Store a result unless one is stored already; return the stored one."""
-        with self._lock:
-            entry = self._entries.get(raw)
-            if entry is not None and (entry[1] is not None or java is None):
-                self._entries.move_to_end(raw)
-                return entry
-            if entry is None:
-                if len(raw) > SOURCE_CACHE_CHARS:
-                    return canonical, java
-                self._chars += len(raw)
-            self._entries[raw] = (canonical, java)
-            self._entries.move_to_end(raw)
-            while self._chars > SOURCE_CACHE_CHARS:
-                evicted, _ = self._entries.popitem(last=False)
-                self._chars -= len(evicted)
-            return canonical, java
+    def _store(self, raw: str, entry: tuple[str, JavaFile | None]) -> None:
+        """Store ``raw`` as the most recently used entry, within the bound."""
+        if len(raw) > SOURCE_CACHE_CHARS:
+            return
+        if raw not in self._entries:
+            self._chars += len(raw)
+        self._entries[raw] = entry
+        self._entries.move_to_end(raw)
+        while self._chars > SOURCE_CACHE_CHARS:
+            evicted, _ = self._entries.popitem(last=False)
+            self._chars -= len(evicted)
 
 
 _SOURCES = SourceCache()

@@ -200,6 +200,21 @@ def make_focal_change(
     )
 
 
+def focal_change(
+    pre_file: JavaFile,
+    post_file: JavaFile,
+    pre_locator: MethodLocator,
+    post_locator: MethodLocator,
+) -> FocalChange:
+    """Classify the change between the methods two locators address."""
+    return make_focal_change(
+        parse_method(pre_file, pre_locator),
+        parse_method(post_file, post_locator),
+        pre_locator=pre_locator,
+        post_locator=post_locator,
+    )
+
+
 @dataclass(frozen=True)
 class ObsoleteParam:
     type_text: str

@@ -13,7 +13,7 @@ from testmend.collectors import (
 )
 from testmend.javasrc.ast import parse_java
 from testmend.resolver import BuiltinResolver, CodeIndex
-from testmend.signatures import MethodLocator, make_focal_change, parse_method
+from testmend.signatures import MethodLocator, focal_change
 from testmend.snapshot import POST, PRE, RepoSnapshot
 
 import scanner_oracle
@@ -42,9 +42,8 @@ def focal_for(
     method: str,
 ):
     locator = MethodLocator(path, classes, method)
-    original = parse_method(parse_java(snap.read(PRE, path)), locator)
-    updated = parse_method(parse_java(snap.read(POST, path)), locator)
-    return make_focal_change(original, updated, locator, locator)
+    pre_file, post_file = parse_java(snap.read(PRE, path)), parse_java(snap.read(POST, path))
+    return focal_change(pre_file, post_file, locator, locator)
 
 
 def collector_for(snap: RepoSnapshot) -> ContextCollector:

@@ -1,8 +1,12 @@
 """Dataset evaluation: per-sample pipeline runs, aggregates, report files."""
 
+import dataclasses
 import json
 import shutil
 import sys
+import threading
+import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -350,6 +354,15 @@ def test_run_sample_broken_snapshot_records_error(tmp_path, fixture_samples):
     assert row.code_bleu is None
 
 
+def test_run_sample_reports_a_ground_truth_without_tokens(fixture_samples, tmp_path):
+    # The manifest loaders reject such a sample; only the API reaches it.
+    provider = seed_replay(tmp_path, fixture_samples, unchanged_test_response)
+    sample = dataclasses.replace(fixture_samples[0], ground_truth="// only a comment\n")
+    row = run_sample(sample, provider=provider)
+    assert row.error == "EmptyReference: code_bleu reference has no tokens"
+    assert row.code_bleu is None and row.selection_reason == ""
+
+
 class ExplodingScorer:
     kind = "remote"
 
@@ -460,6 +473,75 @@ def test_samples_sharing_files_report_alike_at_any_jobs(tmp_path, monkeypatch):
     assert parallel == serial
     assert serial[1] == alone
     assert [json.loads(line)["exact_match"] for line in alone.splitlines()] == [True, True]
+
+
+class InFlight:
+    """Counts the calls in flight and the most seen at once."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.active = 0
+        self.most = 0
+        self.overlapped = threading.Event()
+
+    @contextmanager
+    def call(self):
+        with self._lock:
+            self.active += 1
+            self.most = max(self.most, self.active)
+            if self.active > 1:
+                self.overlapped.set()
+        try:
+            yield
+        finally:
+            with self._lock:
+                self.active -= 1
+
+
+class SlowScorer(LexicalScorer):
+    """A lexical scorer whose calls wait as a remote one would."""
+
+    def __init__(self):
+        self.calls = InFlight()
+
+    def score(self, query, documents):
+        with self.calls.call():
+            time.sleep(0.01)  # releases the interpreter lock
+            return super().score(query, documents)
+
+
+class WaitingProvider:
+    """A replay provider whose calls wait (a bounded time) for a second one."""
+
+    kind = "replay"
+
+    def __init__(self, replay):
+        self.replay = replay
+        self.calls = InFlight()
+
+    def complete(self, messages, **kwargs):
+        with self.calls.call():
+            self.calls.overlapped.wait(timeout=5)
+            return self.replay.complete(messages, **kwargs)
+
+
+def test_jobs_prepare_one_sample_at_a_time(fixture_samples, tmp_path):
+    samples = fixture_samples * 2
+    provider = seed_replay(tmp_path, fixture_samples, ground_truth_response)
+    scorer = SlowScorer()
+    report = evaluate_dataset(
+        samples, scorer=scorer, provider=provider, settings=EvalSettings(jobs=4)
+    )
+    assert [r.error for r in report.rows] == [None] * len(samples)
+    assert scorer.calls.most == 1
+
+
+def test_jobs_overlap_provider_calls(fixture_samples, tmp_path):
+    samples = fixture_samples * 2
+    provider = WaitingProvider(seed_replay(tmp_path, fixture_samples, ground_truth_response))
+    report = evaluate_dataset(samples, provider=provider, settings=EvalSettings(jobs=4))
+    assert [r.exact_match for r in report.rows] == [True] * len(samples)
+    assert provider.calls.most >= 2
 
 
 def test_providers_name_their_kind(tmp_path):

@@ -10,7 +10,7 @@ from testmend import lsp
 from testmend.cli import main
 from testmend.dataset import load_manifest
 from testmend.errors import BackendUnavailable
-from testmend.evaluate import EvalSettings, prepare_sample
+from testmend.evaluate import EvalSettings, evaluate_dataset, prepare_sample
 from testmend.javasrc.format import CursorPos
 from testmend.lsp import LspResolver
 from testmend.resolver import CodeIndex, make_resolver
@@ -193,6 +193,17 @@ def test_prepare_sample_leaves_no_server_running(servers):
     for sample in load_manifest(MANIFEST).samples:
         prepare_sample(sample, settings=settings)
     assert len(servers) >= 2
+    assert [proc.poll() is not None for proc in servers] == [True] * len(servers)
+
+
+def test_parallel_eval_leaves_no_server_running(servers):
+    command = shlex.join([sys.executable, SERVER])
+    samples = load_manifest(MANIFEST).samples * 2
+    report = evaluate_dataset(samples, settings=EvalSettings(jobs=4, lsp_command=command))
+    # Without a provider every sample stops after its prompt is assembled.
+    errors = [r.error for r in report.rows]
+    assert errors == ["ProviderError: no chat provider configured"] * len(samples)
+    assert len(servers) >= len(samples)
     assert [proc.poll() is not None for proc in servers] == [True] * len(servers)
 
 

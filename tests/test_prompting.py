@@ -7,7 +7,7 @@ import pytest
 
 from testmend import prompting
 from testmend.collectors import ClassCtxGroup, ContextChunk, TROCtxBundle
-from testmend.errors import ProviderError
+from testmend.errors import EmptyReference, ProviderError
 from testmend.javasrc.ast import MethodDecl, parse_java
 from testmend.javasrc.format import canonicalize
 from testmend.javasrc.lexer import token_texts
@@ -390,6 +390,12 @@ def test_eval_mode_selects_highest_code_bleu():
     result = repair(make_prompt(), provider, ground_truth=VALID_REPAIR)
     assert result.selected == 1
     assert result.selected_text == VALID_REPAIR
+
+
+def test_eval_mode_rejects_a_ground_truth_without_tokens():
+    provider = ScriptedProvider([VALID_REPAIR])
+    with pytest.raises(EmptyReference):
+        repair(make_prompt(), provider, attempts=1, ground_truth="/* no code */")
 
 
 def test_repair_mode_prefers_valid_minimal_edit():

@@ -6,9 +6,9 @@ from typing import get_type_hints
 import pytest
 
 import testmend.resolver as resolver_module
-from testmend.errors import CursorNotOnIdentifier
+from testmend.errors import CursorNotOnIdentifier, ParseError
 from testmend.javasrc.ast import JavaFile
-from testmend.javasrc.format import CursorPos
+from testmend.javasrc.format import CursorPos, canonicalize
 from testmend.resolver import (
     BuiltinResolver,
     CodeIndex,
@@ -191,7 +191,6 @@ def test_references_are_stably_ordered(resolver):
 
 def test_index_canonical_text_is_canonical(resolver):
     text = resolver.index.canonical(PRE, "src/a/Widget.java")
-    from testmend.javasrc.format import canonicalize
     assert canonicalize(text) == text
     assert text == canonicalize(FILES["src/a/Widget.java"])
 
@@ -355,3 +354,13 @@ def test_cache_never_stores_a_text_longer_than_its_bound(monkeypatch, work_count
     assert cache.parse(long).classes[0].name == "Long"
     assert work_counts == {"canonicalize": 2, "parse_java": 2}
     assert list(cache._entries) == [short]  # the long text evicted nothing
+
+
+def test_cache_keeps_the_canonical_form_of_a_text_that_does_not_parse(work_counts):
+    broken = "// cache-keeps-canonical\nclass Broken {\n    void x() {\n"
+    cache = resolver_module.SourceCache()
+    for _ in range(2):
+        with pytest.raises(ParseError):
+            cache.parse(broken)
+    assert cache.canonical(broken) == canonicalize(broken)
+    assert work_counts == {"canonicalize": 1, "parse_java": 2}
