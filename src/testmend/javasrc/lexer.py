@@ -7,6 +7,9 @@ the ``re`` documentation).  Whitespace and comments are matched and
 skipped, so the stream never contains them.  A token's line and column
 come from its offset and the offset of the last newline before it.
 
+Tokens are slot records, not frozen dataclasses, for a cheap constructor
+(see :class:`Token`); nothing mutates a token once :func:`lex` returns it.
+
 Character classes are ``re``'s: a number starts with ``\\d`` (a Unicode
 decimal digit), an identifier with ``[^\\W\\d]`` or ``$`` and continues
 with ``\\w`` or ``$``.  So ``'²'`` and ``'Ⅷ'`` lex as identifiers.
@@ -43,8 +46,18 @@ CHAR = "char"
 OP = "op"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Token:
+    """One lexeme: its kind, verbatim text and 0-based start position.
+
+    A slot record, not a frozen dataclass: a frozen ``__init__`` sets each
+    field through ``object.__setattr__``, which made building tokens most
+    of :func:`lex`'s cost.  Tokens compare and hash by their fields all the
+    same, and are treated as immutable: nothing mutates a token once
+    :func:`lex` returns it, since parses holding them are shared across
+    samples (:class:`testmend.resolver.SourceCache`).
+    """
+
     kind: str
     text: str
     line: int  # 0-based

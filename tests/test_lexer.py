@@ -2,6 +2,7 @@
 
 import pytest
 
+from testmend.dataflow import split_statements
 from testmend.errors import ParseError
 from testmend.javasrc import lexer
 from testmend.javasrc.lexer import lex, token_texts
@@ -116,10 +117,14 @@ def test_error_positions(text, message, line, col):
 
 
 def test_positions_after_multiline_lexemes():
-    toks = lex('s = """\nab\n""" + /* x\n */ t + "a\\\nb" u')
+    # A text block, a block comment, a string and a character literal that
+    # each hold a newline (the last two escaped, ``\`` + LF).
+    toks = lex('s = """\nab\n""" + /* x\n */ t + "a\\\nb" u + \'\\\n\' v')
     assert [(t.text, t.line, t.col) for t in toks[3:]] == [
         ("+", 2, 4), ("t", 3, 4), ("+", 3, 6), ('"a\\\nb"', 3, 8), ("u", 4, 3),
+        ("+", 4, 5), ("'\\\n'", 4, 7), ("v", 5, 2),
     ]
+    assert toks[-2].kind == lexer.CHAR
 
 
 def test_dot_after_number_at_end_of_text():
@@ -138,3 +143,25 @@ def test_character_classes_follow_re():
     assert kinds("½") == [(lexer.IDENT, "½")]
     assert kinds("Ⅷ") == [(lexer.IDENT, "Ⅷ")]
     assert kinds("1.²") == [(lexer.NUMBER, "1"), (lexer.OP, "."), (lexer.IDENT, "²")]
+
+
+def test_tokens_compare_and_hash_by_their_fields():
+    src = "int a = b.size(); // x\nreturn 'c';"
+    first, second = lex(src), lex(src)
+    assert first == second
+    assert [hash(t) for t in first] == [hash(t) for t in second]
+    assert all(a is not b for a, b in zip(first, second))
+    assert len(set(first + second)) == len(first)
+    assert first[0] != lexer.Token(lexer.IDENT, "int", 0, 0, 0)
+
+
+def test_tokens_are_slot_records():
+    tok = lex("a")[0]
+    assert not hasattr(tok, "__dict__")
+    assert repr(tok) == "Token(kind='ident', text='a', line=0, col=0, offset=0)"
+
+
+def test_statements_holding_tokens_stay_hashable():
+    statements = split_statements("{ int a = b.size(); a++; }")
+    assert [s.text for s in statements] == ["int a = b.size();", "a++;"]
+    assert len({*statements, *split_statements("{ int a = b.size(); a++; }")}) == 2

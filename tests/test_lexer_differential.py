@@ -5,7 +5,8 @@ offset)`` or the same ParseError ``(message, line, col)``.  The domain is
 every text free of the code points where ``str.isdigit``/``str.isalpha``
 and ``re``'s ``\\d``/``[^\\W\\d]`` disagree: there the new lexer follows
 ``re`` on purpose (pinned in ``test_lexer.py``).  Texts come from
-``hypothesis`` and from seeded mutations of the fixture sources.
+``hypothesis``, from seeded mutations of the fixture sources and from the
+whole fixture sources, raw and canonical.
 """
 
 import random
@@ -13,15 +14,18 @@ import re
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from testmend.errors import ParseError
 from testmend.javasrc import lexer
+from testmend.javasrc.format import canonicalize
 
 import scanner_oracle
 
 FIXTURES = Path(__file__).parent / "fixtures"
+FIXTURE_FILES = sorted(FIXTURES.rglob("*.java"))
 
 _DIGIT = re.compile(r"\d")
 _LETTER = re.compile(r"[^\W\d_]")
@@ -71,7 +75,7 @@ def test_lexers_agree_on_generated_text(text):
 def mutations(count: int, seed: int):
     """``count`` fragments of the fixture sources, each edited 1-3 times."""
     rng = random.Random(seed)
-    sources = [p.read_text(encoding="utf-8") for p in sorted(FIXTURES.rglob("*.java"))]
+    sources = [p.read_text(encoding="utf-8") for p in FIXTURE_FILES]
     inserts = list(ALPHABET) + PIECES
     for _ in range(count):
         source = rng.choice(sources)
@@ -100,3 +104,24 @@ def test_lexers_agree_on_mutated_fixture_sources():
     assert mismatches[:5] == []
     # Both the token path and the error path were exercised.
     assert 200 < errors < 3800
+
+
+def agree_on_whole_text(text):
+    assert not DIVERGENT & set(text)
+    new = outcome(lexer.lex, text)
+    assert isinstance(new, list) and len(new) > 1
+    assert new == outcome(scanner_oracle.lex, text)
+
+
+@pytest.mark.parametrize("path", FIXTURE_FILES, ids=lambda p: p.relative_to(FIXTURES).as_posix())
+def test_lexers_agree_on_whole_fixture_files(path):
+    # Whole files, raw and canonical: the generated texts stop at 40 pieces
+    # and the mutated fragments at 400 characters.
+    raw = path.read_text(encoding="utf-8")
+    agree_on_whole_text(raw)
+    agree_on_whole_text(canonicalize(raw))
+
+
+def test_lexers_agree_on_all_fixture_files_in_one_text():
+    # One run of over a thousand tokens with their comments and whitespace.
+    agree_on_whole_text("\n".join(p.read_text(encoding="utf-8") for p in FIXTURE_FILES))
