@@ -213,9 +213,9 @@ def _render_type(tokens: list[Token]) -> str:
 
 
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, tokens: list[Token] | None):
         self.text = text
-        self.cur = _Cursor(lexer.lex(text))
+        self.cur = _Cursor(lexer.lex(text) if tokens is None else tokens)
 
     # -- annotations and modifiers -------------------------------------
 
@@ -645,9 +645,14 @@ def _is_name(t: Token | None) -> bool:
     return t is not None and t.kind == IDENT
 
 
-def parse_java(text: str) -> JavaFile:
-    """Parse ``text`` into a :class:`JavaFile`; raises :class:`ParseError`."""
-    return _Parser(text).parse_file()
+def parse_java(text: str, tokens: list[Token] | None = None) -> JavaFile:
+    """Parse ``text`` into a :class:`JavaFile`; raises :class:`ParseError`.
+
+    ``tokens`` are ``lex(text)`` if the caller has them already (as
+    :func:`~testmend.javasrc.format.canonical_tokens` gives them for a
+    canonical text); without them the text is lexed here.
+    """
+    return _Parser(text, tokens).parse_file()
 
 
 def find_method(

@@ -14,12 +14,22 @@ rewritten here.  Guarantees:
 * the transform is idempotent: canonicalize(canonicalize(x)) ==
   canonicalize(x).
 
-Because the token stream is kept, token *i* of ``lex(source)`` is token
-*i* of ``lex(canonicalize(source))``: canonical positions are read off
-the lexed canonical text, and the emitter tracks none.
+:func:`canonical_tokens` makes one pass over the raw text.  It keeps each
+lexeme's kind and text, and the emitter writes the canonical text while
+it builds each canonical :class:`~testmend.javasrc.lexer.Token`: its
+kind, its text and its line, column and offset in the output.  So token
+*i* of ``lex(source)`` is token *i* of the canonical tokens, and a parse
+of the canonical text (:func:`~testmend.javasrc.ast.parse_java`) takes
+those tokens instead of lexing the text again.  That they equal the
+tokens of ``lex(canonicalize(source))``, field by field, is what
+``tests/test_canonical_tokens.py`` checks against the old emit-then-relex
+path, on generated text and on every fixture file and its mutants.  One
+raw text relexes otherwise: one whose last characters are a number
+ending in ``.`` (the lexer joins that ``.`` only at the very end of a
+text, and the canonical text ends with a newline).
+
 ``canonicalize_with_cursor`` maps a position sitting on an identifier in
-the raw text to that identifier's position in the canonical text that
-way.
+the raw text to that identifier's position in the canonical text.
 """
 
 from __future__ import annotations
@@ -30,7 +40,7 @@ from dataclasses import dataclass
 from testmend.errors import CursorNotOnIdentifier, ParseError
 from testmend.javasrc import lexer
 from testmend.javasrc.ast import PRIMITIVE_WORDS
-from testmend.javasrc.lexer import IDENT, KEYWORD, OP, Token
+from testmend.javasrc.lexer import CHAR, IDENT, KEYWORD, KEYWORDS, NUMBER, OP, STRING, Token
 
 INDENT = "    "
 
@@ -42,6 +52,7 @@ _GENERIC_BODY = frozenset(
 _GENERIC_SCAN_LIMIT = 120
 
 _ANGLE = frozenset({"<", ">", ">>", ">>>"})
+_ANGLE_CLOSE = frozenset({">", ">>", ">>>"})
 
 # After a closing block brace these continue the same line.
 _BRACE_GLUE = frozenset({";", ")", ",", ".", "::", "else", "catch", "finally", "while"})
@@ -49,10 +60,24 @@ _BRACE_GLUE = frozenset({";", ")", ",", ".", "::", "else", "catch", "finally", "
 _NO_SPACE_AFTER = frozenset({"(", "[", ".", "@", "::"})
 _NO_SPACE_BEFORE = frozenset({")", "]", ";", ",", ".", "::", "..."})
 
+_CLOSERS = frozenset({")", "]"})
+_UNARY = frozenset({"+", "-", "!", "~", "++", "--"})
+_POSTFIX = frozenset({")", "]", "++", "--"})
+_UNARY_AFTER = frozenset({"return", "case", "assert", "throw", "else"})
+
+# Lexer groups that make a token; every other non-skip group is an error.
+_TOKEN_GROUPS = frozenset({IDENT, NUMBER, STRING, CHAR, OP})
+
 
 @functools.lru_cache(maxsize=4096)
 def _would_merge(a: str, b: str) -> bool:
-    """True if writing ``a`` and ``b`` adjacently would not re-lex as a, b."""
+    """True if writing ``a`` and ``b`` adjacently would not re-lex as a, b.
+
+    Two dots count as merging: they re-lex as two, but a third dot glued
+    after them would make all three one ``...``.
+    """
+    if a == b == ".":
+        return True
     try:
         tokens = lexer.lex(a + b)
     except ParseError:
@@ -68,48 +93,70 @@ class CursorPos:
     col: int
 
 
-def _classify_braces(tokens: list[Token]) -> dict[int, str]:
-    """Map indices of '{'/'}' tokens to 'block' or 'init'."""
-    kinds: dict[int, str] = {}
-    stack: list[tuple[int, str]] = []
-    prev: Token | None = None
+def _scan(source: str) -> tuple[list[str], list[str]]:
+    """The kinds and texts of ``source``'s tokens, without positions.
+
+    A malformed lexeme raises the :class:`ParseError` that ``lex`` raises.
+    """
+    kinds: list[str] = []
+    texts: list[str] = []
+    for m in lexer._MASTER.finditer(source):
+        kind = m.lastgroup
+        if kind == "skip":
+            continue
+        text = m.group()
+        if kind == IDENT:
+            if text in KEYWORDS:
+                kind = KEYWORD
+        elif kind not in _TOKEN_GROUPS:
+            lexer.lex(source)  # raises this lexeme's error, with its line and column
+            raise AssertionError(f"lex accepted a {kind} lexeme")
+        kinds.append(kind)
+        texts.append(text)
+    return kinds, texts
+
+
+def _classify_braces(texts: list[str]) -> list[str | None]:
+    """Each token's brace kind: 'block' or 'init' for '{'/'}', else None."""
+    kinds: list[str | None] = [None] * len(texts)
+    stack: list[str] = []
+    prev: str | None = None
     prev_kind: str | None = None
-    for i, t in enumerate(tokens):
-        if t.text == "{":
+    for i, text in enumerate(texts):
+        if text == "{":
             if prev is None:
                 kind = "block"
-            elif prev.text in ("=", ",", "(", "["):
+            elif prev in ("=", ",", "(", "["):
                 kind = "init"
-            elif prev.text == "]":
+            elif prev == "]":
                 kind = "init"  # new int[] { ... }
-            elif prev.text == "{" and prev_kind == "init":
+            elif prev == "{" and prev_kind == "init":
                 kind = "init"  # nested initializer rows
             else:
                 kind = "block"
             kinds[i] = kind
-            stack.append((i, kind))
-        elif t.text == "}":
-            kind = stack.pop()[1] if stack else "block"
-            kinds[i] = kind
-        prev_kind = kinds[i] if t.text in ("{", "}") else None
-        prev = t
+            stack.append(kind)
+        elif text == "}":
+            kinds[i] = stack.pop() if stack else "block"
+        prev_kind = kinds[i]
+        prev = text
     return kinds
 
 
-def _mark_generic_angles(tokens: list[Token]) -> set[int]:
+def _mark_generic_angles(kinds: list[str], texts: list[str]) -> set[int]:
     """Indices of angle tokens that participate in a type-argument region."""
     marked: set[int] = set()
-    n = len(tokens)
-    for i, t in enumerate(tokens):
-        if t.text != "<" or i in marked:
+    n = len(texts)
+    for i, text in enumerate(texts):
+        if text != "<" or i in marked:
             continue
         depth = 1
         region = [i]
         j = i + 1
         ok = False
         while j < n and j - i <= _GENERIC_SCAN_LIMIT:
-            text = tokens[j].text
-            kind = tokens[j].kind
+            text = texts[j]
+            kind = kinds[j]
             if text in _ANGLE:
                 region.append(j)
                 if text == "<":
@@ -133,139 +180,139 @@ def _mark_generic_angles(tokens: list[Token]) -> set[int]:
     return marked
 
 
-class _Emitter:
-    def __init__(self, tokens: list[Token], brace_kinds: dict[int, str], angles: set[int]):
-        self.tokens = tokens
-        self.brace_kinds = brace_kinds
-        self.angles = angles
-        self.lines: list[str] = []
-        self.parts: list[str] = []
-        self.indent = 0
-        self.paren_depth = 0
-        self.block_paren_stack = [0]
-        self.prev: Token | None = None
-        self.prev_unary = False
-        self.prev_angle_close = False
+def _emit(kinds: list[str], texts: list[str]) -> tuple[str, list[Token]]:
+    """The canonical text of a token stream, and its tokens positioned in it.
 
-    def run(self) -> str:
-        for i, tok in enumerate(self.tokens):
-            self.emit(i, tok)
-        self.flush_line()
-        return "\n".join(self.lines) + ("\n" if self.lines else "")
+    One loop writes each token and decides the space, line break and
+    indent before it; ``offset``, ``line`` and ``line_start`` follow what
+    is written, newlines inside string, text-block and char tokens too.
+    """
+    n = len(texts)
+    braces = _classify_braces(texts)
+    angles = _mark_generic_angles(kinds, texts)
+    parts: list[str] = []
+    write = parts.append
+    tokens: list[Token] = []
+    offset = line = line_start = 0
+    line_open = False  # a token is already on the current line
+    indent = paren_depth = 0
+    block_parens = [0]  # paren depth at each open block
+    prev_kind = prev_text = ""
+    prev_brace: str | None = None
+    prev_unary = prev_angle_close = False
+    for i in range(n):
+        kind = kinds[i]
+        text = texts[i]
+        brace = braces[i]
+        block_open = block_close = False
+        if brace == "block":
+            if text == "{":
+                block_open = True
+            else:
+                block_close = True
+                if line_open:
+                    write("\n")
+                    offset += 1
+                    line += 1
+                    line_start = offset
+                    line_open = False
+                indent -= 1
+                block_parens.pop()
+                if not block_parens:
+                    block_parens = [0]
 
-    def flush_line(self) -> None:
-        if self.parts:
-            self.lines.append("".join(self.parts).rstrip())
-            self.parts = []
-
-    def append(self, text: str) -> None:
-        if not self.parts:
-            self.parts.append(INDENT * max(self.indent, 0))
-        self.parts.append(text)
-
-    def emit(self, i: int, tok: Token) -> None:
-        text = tok.text
-        is_block_open = text == "{" and self.brace_kinds.get(i) == "block"
-        is_block_close = text == "}" and self.brace_kinds.get(i) == "block"
-
-        if is_block_close:
-            self.flush_line()
-            self.indent -= 1
-            if self.block_paren_stack:
-                self.block_paren_stack.pop()
-            if not self.block_paren_stack:
-                self.block_paren_stack = [0]
-
-        if self.parts and self.needs_space(tok, i):
-            self.append(" ")
-
-        self.append(text)
-
-        if text == "(":
-            self.paren_depth += 1
-        elif text == ")":
-            self.paren_depth = max(0, self.paren_depth - 1)
-
-        next_tok = self.tokens[i + 1] if i + 1 < len(self.tokens) else None
-        if is_block_open:
-            self.flush_line()
-            self.indent += 1
-            self.block_paren_stack.append(self.paren_depth)
-        elif is_block_close:
-            if next_tok is None or next_tok.text not in _BRACE_GLUE:
-                self.flush_line()
-        elif text == ";" and self.paren_depth == self.block_paren_stack[-1]:
-            self.flush_line()
-
-        self.prev_unary = self.is_unary(tok)
-        self.prev_angle_close = tok.kind == OP and text in (">", ">>", ">>>") and i in self.angles
-        self.prev = tok
-
-    def is_unary(self, tok: Token) -> bool:
-        if tok.kind != OP or tok.text not in ("+", "-", "!", "~", "++", "--"):
-            return False
-        prev = self.prev
-        if prev is None:
-            return True
-        if prev.kind == OP and prev.text not in (")", "]", "++", "--"):
-            return True
-        if prev.kind == KEYWORD and prev.text in ("return", "case", "assert", "throw", "else"):
-            return True
-        return False
-
-    def needs_space(self, tok: Token, i: int) -> bool:
-        decision = self._space_decision(tok, i)
-        if not decision and self.prev is not None and _would_merge(self.prev.text, tok.text):
+        if not line_open:
+            if indent > 0:
+                pad = INDENT * indent
+                write(pad)
+                offset += len(pad)
+            line_open = True
+        else:
+            if prev_unary or prev_text in _NO_SPACE_AFTER:
+                space = False
+            elif text in _ANGLE and i in angles:
+                space = False
+            elif prev_angle_close and (text == "(" or text == "["):
+                space = False
+            elif prev_text == "<" and i - 1 in angles:
+                space = False
+            elif text in _NO_SPACE_BEFORE:
+                space = False
+            elif text == "(":
+                space = not (
+                    prev_kind == IDENT
+                    or prev_text in _CLOSERS
+                    or (prev_kind == KEYWORD and (prev_text == "this" or prev_text == "super"))
+                )
+            elif text == "[":
+                space = prev_kind == OP and prev_text not in _CLOSERS
+            elif (text == "++" or text == "--") and (prev_kind != OP or prev_text in _CLOSERS):
+                space = False
+            elif brace == "init" and (text == "}" or prev_text == "]"):
+                space = False
+            elif prev_brace == "init" and prev_text == "{":
+                space = False
+            else:
+                space = True
             # Safety veto: never let glued tokens re-lex differently
             # (e.g. '>' '>' must not become the shift operator '>>').
-            return True
-        return decision
+            if space or _would_merge(prev_text, text):
+                write(" ")
+                offset += 1
 
-    def _space_decision(self, tok: Token, i: int) -> bool:
-        prev = self.prev
-        if prev is None:
-            return False
-        text = tok.text
-        if self.prev_unary:
-            return False
-        if prev.text in _NO_SPACE_AFTER:
-            return False
-        if i in self.angles and text in _ANGLE:
-            return False
-        if self.prev_angle_close and text in ("(", "["):
-            return False
-        if prev.text == "<" and (i - 1) in self.angles:
-            return False
-        if text in _NO_SPACE_BEFORE:
-            return False
+        tokens.append(Token(kind, text, line, offset - line_start, offset))
+        write(text)
+        if "\n" in text:
+            line += text.count("\n")
+            line_start = offset + text.rindex("\n") + 1
+        offset += len(text)
+
         if text == "(":
-            if prev.kind == IDENT or prev.text in (")", "]"):
-                return False
-            if prev.kind == KEYWORD and prev.text in ("this", "super"):
-                return False
-            return True
-        if text == "[":
-            return not (prev.is_word() or prev.text in (")", "]"))
-        if text in ("++", "--") and (prev.is_word() or prev.text in (")", "]")):
-            return False
-        if text == "{" and self.brace_kinds.get(i) == "init" and prev.text == "]":
-            return False
-        if prev.text == "{" and self.brace_kinds.get(i - 1) == "init":
-            return False
-        if text == "}" and self.brace_kinds.get(i) == "init":
-            return False
-        return True
+            paren_depth += 1
+        elif text == ")" and paren_depth:
+            paren_depth -= 1
+        if (
+            block_open
+            or (block_close and (i + 1 == n or texts[i + 1] not in _BRACE_GLUE))
+            or (text == ";" and paren_depth == block_parens[-1])
+        ):
+            write("\n")
+            offset += 1
+            line += 1
+            line_start = offset
+            line_open = False
+        if block_open:
+            indent += 1
+            block_parens.append(paren_depth)
+
+        prev_unary = (
+            kind == OP
+            and text in _UNARY
+            and (
+                i == 0
+                or (prev_kind == OP and prev_text not in _POSTFIX)
+                or (prev_kind == KEYWORD and prev_text in _UNARY_AFTER)
+            )
+        )
+        prev_angle_close = text in _ANGLE_CLOSE and i in angles
+        prev_kind, prev_text, prev_brace = kind, text, brace
+    if line_open:
+        write("\n")
+    return "".join(parts), tokens
 
 
-def _emit(tokens: list[Token]) -> str:
-    if not tokens:
-        return ""
-    return _Emitter(tokens, _classify_braces(tokens), _mark_generic_angles(tokens)).run()
+def canonical_tokens(source: str) -> tuple[str, list[Token]]:
+    """The canonical text of ``source`` and its tokens, positioned in that text.
+
+    Raises :class:`ParseError` where :func:`~testmend.javasrc.lexer.lex`
+    would, with the same message, line and column.
+    """
+    return _emit(*_scan(source))
 
 
 def canonicalize(source: str) -> str:
     """Reformat ``source`` into canonical form (see module docstring)."""
-    return _emit(lexer.lex(source))
+    return canonical_tokens(source)[0]
 
 
 def canonicalize_with_cursor(source: str, cursor: CursorPos) -> tuple[str, CursorPos]:
@@ -281,6 +328,6 @@ def canonicalize_with_cursor(source: str, cursor: CursorPos) -> tuple[str, Curso
             break
     else:
         raise CursorNotOnIdentifier(f"no identifier at line {cursor.line}, col {cursor.col}")
-    text = _emit(tokens)
-    target = lexer.lex(text)[index]
+    text, canonical = _emit([t.kind for t in tokens], [t.text for t in tokens])
+    target = canonical[index]
     return text, CursorPos(target.line, target.col)

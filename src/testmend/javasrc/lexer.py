@@ -8,7 +8,7 @@ skipped, so the stream never contains them.  A token's line and column
 come from its offset and the offset of the last newline before it.
 
 Tokens are slot records, not frozen dataclasses, for a cheap constructor
-(see :class:`Token`); nothing mutates a token once :func:`lex` returns it.
+(see :class:`Token`); nothing mutates a token once it is built.
 
 Character classes are ``re``'s: a number starts with ``\\d`` (a Unicode
 decimal digit), an identifier with ``[^\\W\\d]`` or ``$`` and continues
@@ -54,8 +54,9 @@ class Token:
     field through ``object.__setattr__``, which made building tokens most
     of :func:`lex`'s cost.  Tokens compare and hash by their fields all the
     same, and are treated as immutable: nothing mutates a token once
-    :func:`lex` returns it, since parses holding them are shared across
-    samples (:class:`testmend.resolver.SourceCache`).
+    :func:`lex` (or :func:`testmend.javasrc.format.canonical_tokens`)
+    returns it, since parses holding them are shared across samples
+    (:class:`testmend.resolver.SourceCache`).
     """
 
     kind: str

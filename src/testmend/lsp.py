@@ -10,8 +10,8 @@ Like every :class:`~testmend.resolver.Resolver`, :class:`LspResolver`
 takes and returns Locations in canonical coordinates, those of its own
 :class:`~testmend.resolver.CodeIndex`.  It is the one place that maps
 them to the raw file text the server sees and back: ``canonicalize``
-keeps the token stream, so raw token *i* is token *i* of the lexed
-canonical text (``index.canonical``), and the two are paired once per
+keeps the token stream, so raw token *i* is token *i* of the file's
+canonical tokens (``index.tokens``), and the two are paired once per
 file.  A hit that is not on an identifier (say, a word inside a comment)
 has no canonical position and is dropped.
 
@@ -277,7 +277,7 @@ class LspResolver:
         key = (version, path)
         if key not in self._identifiers:
             raw = lexer.lex(self.snapshot.read(version, path))
-            canonical = lexer.lex(self.index.canonical(version, path))
+            canonical = self.index.tokens(version, path)
             self._identifiers[key] = [
                 (tok, CursorPos(at.line, at.col))
                 for tok, at in zip(raw, canonical)

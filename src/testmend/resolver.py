@@ -29,17 +29,18 @@ A language-server backend implementing the same protocol lives in
 :func:`make_resolver` picks it when given a server command line, and the
 builtin backend when the command is empty.
 
-:class:`CodeIndex` owns each file's facts — canonical text, parse and
-PRE→POST diff — and computes each once, as it does each class lookup.
+:class:`CodeIndex` owns each file's facts — canonical text and tokens,
+parse and PRE→POST diff — and computes each once, as it does each class lookup.
 A ``CodeIndex`` lives for one sample, but it reads canonical texts and
 parses through one content cache shared by every sample in the process
 (:class:`SourceCache`).  The cache is keyed by a file's raw text alone,
-since ``canonicalize`` and ``parse_java`` depend on nothing else, so
+since ``canonical_tokens`` and ``parse_java`` depend on nothing else, so
 byte-identical files are canonicalized and parsed once whichever sample
-or version they belong to.  It is an LRU bounded by the characters of its
-keys (:data:`SOURCE_CACHE_CHARS`), and it caches no failure.  Its
+or version they belong to, and each is lexed once: the parse takes the
+tokens the canonicalizer built.  It is an LRU bounded by the characters
+of its keys (:data:`SOURCE_CACHE_CHARS`), and it caches no failure.  Its
 :class:`~testmend.javasrc.ast.JavaFile` values are shared across samples:
-nothing mutates a ``JavaFile``, or the lexer tokens it holds, once
+nothing mutates a ``JavaFile``, or the tokens it holds, once
 ``parse_java`` returns it.
 Hygiene and classify read a sample's own sources through it too
 (:func:`parse_source`), so no stage parses a snapshot file's raw text.
@@ -59,7 +60,7 @@ from typing import Protocol
 from testmend.errors import CursorNotOnIdentifier, InputError
 from testmend.javasrc import lexer
 from testmend.javasrc.ast import ClassDecl, FieldDecl, JavaFile, MethodDecl, parse_java
-from testmend.javasrc.format import CursorPos, canonicalize
+from testmend.javasrc.format import CursorPos, canonical_tokens
 from testmend.snapshot import POST, PRE, DiffText, Location, RepoSnapshot, unified_diff
 
 log = logging.getLogger(__name__)
@@ -87,48 +88,56 @@ class ParsedFile:
 
 
 # At about 35 bytes of heap per cached source character (its canonical
-# text and parse, by tracemalloc over 251 distinct large-repo files), the
-# cache holds at most some 37 MB besides its keys.
+# text, tokens and parse: 34.9 by tracemalloc over 251 distinct large-repo
+# files), the cache holds at most some 37 MB besides its keys.
 SOURCE_CACHE_CHARS = 1 << 20
+
+# A cached source: its canonical text and tokens, and their parse once made.
+_Entry = tuple[str, list[lexer.Token], JavaFile | None]
 
 
 class SourceCache:
-    """Canonical texts and parses of Java sources, keyed by the raw text.
+    """Canonical texts, tokens and parses of Java sources, keyed by the raw text.
 
-    An LRU whose keys total at most :data:`SOURCE_CACHE_CHARS` characters;
-    a text longer than that is never stored.  An
-    :class:`~testmend.errors.InputError` from ``canonicalize`` or
+    Each entry is the ``canonical_tokens`` pair of one raw text and, once
+    asked for, the parse of that text: ``parse_java`` gets the tokens the
+    emitter built, so no canonical text is lexed again.  An LRU whose
+    keys total at most :data:`SOURCE_CACHE_CHARS` characters; a text
+    longer than that is never stored.  An
+    :class:`~testmend.errors.InputError` from ``canonical_tokens`` or
     ``parse_java`` propagates and is not stored, so every caller that asks
     again tries again; a text that canonicalizes but does not parse keeps
     its canonical form.  Not thread-safe (see the module docstring).
     """
 
     def __init__(self) -> None:
-        self._entries: OrderedDict[str, tuple[str, JavaFile | None]] = OrderedDict()
+        self._entries: OrderedDict[str, _Entry] = OrderedDict()
         self._chars = 0
 
-    def canonical(self, raw: str) -> str:
-        """``canonicalize(raw)``, or ``""`` for a blank text."""
-        return self._entry(raw, parse=False)[0]
+    def canonical(self, raw: str) -> tuple[str, list[lexer.Token]]:
+        """``canonical_tokens(raw)``, or ``("", [])`` for a blank text."""
+        text, tokens, _ = self._entry(raw, parse=False)
+        return text, tokens
 
     def parse(self, raw: str) -> JavaFile:
         """``parse_java`` of the text's canonical form."""
-        java = self._entry(raw, parse=True)[1]
+        java = self._entry(raw, parse=True)[2]
         assert java is not None
         return java
 
-    def _entry(self, raw: str, parse: bool) -> tuple[str, JavaFile | None]:
+    def _entry(self, raw: str, parse: bool) -> _Entry:
         """The entry of ``raw``, computing and storing what it lacks."""
         entry = self._entries.get(raw)
         if entry is None:
-            entry = (canonicalize(raw) if raw.strip() else "", None)
-        if parse and entry[1] is None:
+            text, tokens = canonical_tokens(raw) if raw.strip() else ("", [])
+            entry = (text, tokens, None)
+        if parse and entry[2] is None:
             self._store(raw, entry)  # kept if the parse fails
-            entry = (entry[0], parse_java(entry[0]))
+            entry = (entry[0], entry[1], parse_java(entry[0], entry[1]))
         self._store(raw, entry)
         return entry
 
-    def _store(self, raw: str, entry: tuple[str, JavaFile | None]) -> None:
+    def _store(self, raw: str, entry: _Entry) -> None:
         """Store ``raw`` as the most recently used entry, within the bound."""
         if len(raw) > SOURCE_CACHE_CHARS:
             return
@@ -158,7 +167,7 @@ class CodeIndex:
 
     def __init__(self, snapshot: RepoSnapshot):
         self.snapshot = snapshot
-        self._canonical: dict[tuple[str, str], str] = {}
+        self._canonical: dict[tuple[str, str], tuple[str, list[lexer.Token]]] = {}
         self._files: dict[tuple[str, str], ParsedFile | None] = {}
         self._diffs: dict[str, DiffText] = {}
         self._listing: dict[str, list[str]] = {}
@@ -174,6 +183,13 @@ class CodeIndex:
 
         Raises :class:`~testmend.errors.ParseError` if the file does not lex.
         """
+        return self._canonical_form(version, path)[0]
+
+    def tokens(self, version: str, path: str) -> list[lexer.Token]:
+        """The tokens of :meth:`canonical`'s text, positioned in it."""
+        return self._canonical_form(version, path)[1]
+
+    def _canonical_form(self, version: str, path: str) -> tuple[str, list[lexer.Token]]:
         key = (version, path)
         if key not in self._canonical:
             self._canonical[key] = _SOURCES.canonical(self.snapshot.read_or_empty(version, path))

@@ -158,12 +158,18 @@ def test_prepare_sample_parses_each_source_once(tmp_path, monkeypatch):
             source = tmp_path / "once" / "mount" / version / path
             source.write_text(source.read_text() + f"// parsed once: {path}\n")
     manifest = write_manifest(tmp_path, [entry])
-    parsed = []
+    parsed, lexed = [], []
 
-    def counting_parse(text):
+    def counting_parse(text, tokens=None):
         parsed.append(text)
-        return parse_java(text)
+        return parse_java(text, tokens)
 
+    def recording_lex(text):
+        lexed.append(text)
+        return lex(text)
+
+    lex = lexer.lex
+    monkeypatch.setattr(lexer, "lex", recording_lex)
     for name, module in list(sys.modules.items()):
         if name.startswith("testmend") and getattr(module, "parse_java", None) is parse_java:
             monkeypatch.setattr(module, "parse_java", counting_parse)
@@ -173,10 +179,13 @@ def test_prepare_sample_parses_each_source_once(tmp_path, monkeypatch):
     canonical = [canonicalize(text) for text in raw]
     assert not set(raw) & set(parsed)
     assert sorted(text for text in parsed if text in canonical) == sorted(canonical)
+    # The cached parses took the emitter's tokens: no canonical text was lexed.
+    assert not set(canonical) & set(lexed)
 
     parsed.clear()
     prepare_sample(sample)
     assert not set(raw + canonical) & set(parsed)
+    assert not set(canonical) & set(lexed)
 
 
 def test_non_utf8_files_report_like_the_fixture(fixture_samples, tmp_path):

@@ -159,6 +159,15 @@ def test_annotations_and_strings():
     assert 'return "a" + "b";' in out
 
 
+def test_dots_never_glue_into_an_ellipsis():
+    # Two '.' tokens re-lex as two, but a third glued on would make '...'.
+    src = "a. . .b(c..d, e... f)"
+    out = canonicalize(src)
+    assert out == "a. . .b(c. .d, e... f)\n"
+    assert token_texts(out) == token_texts(src)
+    assert canonicalize(out) == out
+
+
 def test_cursor_maps_identifier_occurrence():
     src = "class A { void mount() { helper.mount(a, b); } }\n"
     # Cursor on the *second* occurrence of "mount" (the call).

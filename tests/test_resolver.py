@@ -8,7 +8,8 @@ import pytest
 import testmend.resolver as resolver_module
 from testmend.errors import CursorNotOnIdentifier, ParseError
 from testmend.javasrc.ast import JavaFile
-from testmend.javasrc.format import CursorPos, canonicalize
+from testmend.javasrc import lexer
+from testmend.javasrc.format import CursorPos, canonical_tokens, canonicalize
 from testmend.resolver import (
     BuiltinResolver,
     CodeIndex,
@@ -273,17 +274,34 @@ def write_snapshot(root, files):
 
 @pytest.fixture()
 def work_counts(monkeypatch):
-    """Counts of the canonicalize and parse_java calls the cache makes."""
-    counts = {"canonicalize": 0, "parse_java": 0}
+    """Counts of the canonical_tokens and parse_java calls the cache makes.
+
+    On teardown it also checks that no canonical text the cache made
+    reached ``lex``: a parse takes the tokens the emitter built.
+    """
+    counts = {"canonical_tokens": 0, "parse_java": 0}
+    canonical_texts, lexed = set(), set()
     for name in counts:
         original = getattr(resolver_module, name)
 
-        def counted(text, _name=name, _original=original):
+        def counted(*args, _name=name, _original=original):
             counts[_name] += 1
-            return _original(text)
+            result = _original(*args)
+            if _name == "canonical_tokens":
+                canonical_texts.add(result[0])
+            return result
 
         monkeypatch.setattr(resolver_module, name, counted)
-    return counts
+    lex = lexer.lex
+
+    def recording_lex(text):
+        lexed.add(text)
+        return lex(text)
+
+    monkeypatch.setattr(lexer, "lex", recording_lex)
+    yield counts
+    assert counts["canonical_tokens"] > 0
+    assert not canonical_texts & lexed
 
 
 def test_identical_snapshot_elsewhere_is_neither_canonicalized_nor_parsed(tmp_path, work_counts):
@@ -293,18 +311,18 @@ def test_identical_snapshot_elsewhere_is_neither_canonicalized_nor_parsed(tmp_pa
     }
     first = CodeIndex(write_snapshot(tmp_path / "one", files))
     expected = [(pf.path, pf.java) for pf in first.files_mentioning(POST, "run")]
-    assert work_counts == {"canonicalize": 2, "parse_java": 2}
+    assert work_counts == {"canonical_tokens": 2, "parse_java": 2}
     second = CodeIndex(write_snapshot(tmp_path / "two", files))
     assert [(pf.path, pf.java) for pf in second.files_mentioning(POST, "run")] == expected
     assert second.canonical(POST, "src/a/A.java") == first.canonical(POST, "src/a/A.java")
-    assert work_counts == {"canonicalize": 2, "parse_java": 2}
+    assert work_counts == {"canonical_tokens": 2, "parse_java": 2}
 
 
 def test_pre_and_post_copies_of_an_unchanged_file_share_one_parse(tmp_path, work_counts):
     files = {"src/a/A.java": "// cache-pre-post\npackage a;\nclass A { }\n"}
     index = CodeIndex(write_snapshot(tmp_path, files))
     assert index.file(PRE, "src/a/A.java").java is index.file(POST, "src/a/A.java").java
-    assert work_counts == {"canonicalize": 1, "parse_java": 1}
+    assert work_counts == {"canonical_tokens": 1, "parse_java": 1}
 
 
 def test_unparsable_file_is_parsed_again_by_each_index(tmp_path, caplog, work_counts):
@@ -315,7 +333,7 @@ def test_unparsable_file_is_parsed_again_by_each_index(tmp_path, caplog, work_co
             index = CodeIndex(write_snapshot(tmp_path / str(n), files))
             assert index.file(PRE, "src/a/Broken.java") is None
             assert index.file(PRE, "src/a/Broken.java") is None
-            assert work_counts == {"canonicalize": 1, "parse_java": n}
+            assert work_counts == {"canonical_tokens": 1, "parse_java": n}
             assert len(caplog.messages) == n
             assert caplog.messages[-1].startswith("skipping unparsable file pre:src/a/Broken.java")
 
@@ -352,7 +370,7 @@ def test_cache_never_stores_a_text_longer_than_its_bound(monkeypatch, work_count
     cache = resolver_module.SourceCache()
     cache.parse(short)
     assert cache.parse(long).classes[0].name == "Long"
-    assert work_counts == {"canonicalize": 2, "parse_java": 2}
+    assert work_counts == {"canonical_tokens": 2, "parse_java": 2}
     assert list(cache._entries) == [short]  # the long text evicted nothing
 
 
@@ -362,5 +380,5 @@ def test_cache_keeps_the_canonical_form_of_a_text_that_does_not_parse(work_count
     for _ in range(2):
         with pytest.raises(ParseError):
             cache.parse(broken)
-    assert cache.canonical(broken) == canonicalize(broken)
-    assert work_counts == {"canonicalize": 1, "parse_java": 2}
+    assert cache.canonical(broken) == canonical_tokens(broken)
+    assert work_counts == {"canonical_tokens": 1, "parse_java": 2}
