@@ -23,10 +23,7 @@ of the canonical text (:func:`~testmend.javasrc.ast.parse_java`) takes
 those tokens instead of lexing the text again.  That they equal the
 tokens of ``lex(canonicalize(source))``, field by field, is what
 ``tests/test_canonical_tokens.py`` checks against the old emit-then-relex
-path, on generated text and on every fixture file and its mutants.  One
-raw text relexes otherwise: one whose last characters are a number
-ending in ``.`` (the lexer joins that ``.`` only at the very end of a
-text, and the canonical text ends with a newline).
+path, on generated text and on every fixture file and its mutants.
 
 ``canonicalize_with_cursor`` maps a position sitting on an identifier in
 the raw text to that identifier's position in the canonical text.

@@ -73,18 +73,20 @@ class Token:
         return self.kind in (IDENT, KEYWORD, NUMBER, STRING, CHAR)
 
 
-# A '.' continues a number only before a digit, an f/F/d/D suffix or the
-# end of the text, so "1.5" and "1.f" are one token but "x1.toString" is
-# not.  An exponent sign follows e/E/p/P only in numbers that start with
-# a digit.  Operators are listed longest first.  The ``open_*`` groups
+# A '.' continues a number only before a digit, an f/F/d/D suffix or
+# nothing but whitespace to the end of the text, so "1.5" and "1.f" are
+# one token but "x1.toString" is not, and a final "1." is one token
+# whether or not a newline follows it (the canonical text adds one).
+# An exponent sign follows e/E/p/P only in numbers that start with a
+# digit.  Operators are listed longest first.  The ``open_*`` groups
 # match the start of a lexeme whose end is missing.
 _MASTER = re.compile(
     r'''
       (?P<skip> [ \t\r\n\f]+ | //[^\n]* | /\*.*?\*/ )
     | (?P<string> """.*?""" | "(?!"")(?:[^"\\\n]|\\.)*" )
     | (?P<char> '(?:[^'\\\n]|\\.)*' )
-    | (?P<number> \d(?:[eEpP][+-]|\w|\.(?=[\dfFdD]|\Z))*
-                | \.\d(?:\w|\.(?=[\dfFdD]|\Z))* )
+    | (?P<number> \d(?:[eEpP][+-]|\w|\.(?=[\dfFdD]|[ \t\r\n\f]*\Z))*
+                | \.\d(?:\w|\.(?=[\dfFdD]|[ \t\r\n\f]*\Z))* )
     | (?P<ident> (?:[^\W\d]|\$)[\w$]* )
     | (?P<open_comment> /\* )
     | (?P<open_text_block> """ )

@@ -17,12 +17,17 @@ approximated through imports and packages:
   package).  Method references require an immediately following ``(``;
   declaration name tokens themselves are excluded.
 
-Lookups by name read only the files whose raw text mentions the name
+Lookups by name parse only the files whose raw text mentions the name
 (:meth:`CodeIndex.files_mentioning`); the rest are never canonicalized or
 parsed.  This is safe because the lexer and ``canonicalize`` copy
 identifier text verbatim and decode no ``\\uXXXX`` escapes: a file whose
 raw text lacks the name holds no identifier token, class name or
-reference equal to it.
+reference equal to it.  The first such lookup in a version reads each of
+its files once, with raw system calls, into one byte buffer
+(:meth:`RepoSnapshot.version_text
+<testmend.snapshot.RepoSnapshot.version_text>`) that the index keeps for
+the sample.  Every lookup is then a C-level search of that buffer, which
+holds each file's bytes once; a file is decoded only to be parsed.
 
 A language-server backend implementing the same protocol lives in
 :mod:`testmend.lsp`; it maps between raw and canonical positions itself.
@@ -61,7 +66,15 @@ from testmend.errors import CursorNotOnIdentifier, InputError
 from testmend.javasrc import lexer
 from testmend.javasrc.ast import ClassDecl, FieldDecl, JavaFile, MethodDecl, parse_java
 from testmend.javasrc.format import CursorPos, canonical_tokens
-from testmend.snapshot import POST, PRE, DiffText, Location, RepoSnapshot, unified_diff
+from testmend.snapshot import (
+    POST,
+    PRE,
+    DiffText,
+    Location,
+    RepoSnapshot,
+    VersionText,
+    unified_diff,
+)
 
 log = logging.getLogger(__name__)
 
@@ -171,6 +184,7 @@ class CodeIndex:
         self._files: dict[tuple[str, str], ParsedFile | None] = {}
         self._diffs: dict[str, DiffText] = {}
         self._listing: dict[str, list[str]] = {}
+        self._texts: dict[str, VersionText] = {}
         self._classes: dict[tuple[str, str, str], tuple[ParsedFile, ClassDecl] | None] = {}
 
     def paths(self, version: str) -> list[str]:
@@ -220,16 +234,21 @@ class CodeIndex:
     def files_mentioning(self, version: str, name: str) -> list[ParsedFile]:
         """Parses of the version's files whose raw text contains ``name``, in path order.
 
+        The version's files are searched as one buffer
+        (:class:`~testmend.snapshot.VersionText`), read on the first call.
         A file without the substring is skipped before it is canonicalized
         or parsed.  Such a file holds no token or class named ``name`` (see
         the module docstring), so the files kept are a superset of those
         that can match, in the same order, and every lookup answers as a
         full scan would.
         """
+        joined = self._texts.get(version)
+        if joined is None:
+            joined = self._texts[version] = self.snapshot.version_text(
+                version, self.paths(version)
+            )
         out = []
-        for path in self.paths(version):
-            if name not in self.snapshot.read(version, path):
-                continue
+        for path in joined.containing(name):
             parsed = self.file(version, path)
             if parsed is not None:
                 out.append(parsed)

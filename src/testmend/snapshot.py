@@ -11,6 +11,7 @@ unified or changed-lines-only.
 from __future__ import annotations
 
 import os
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from difflib import SequenceMatcher
 from pathlib import Path
@@ -21,6 +22,8 @@ from testmend.javasrc.format import CursorPos
 PRE = "pre"
 POST = "post"
 VERSIONS = (PRE, POST)
+
+_CHUNK = 1 << 16  # bytes asked of each os.read
 
 
 @dataclass(frozen=True)
@@ -43,6 +46,15 @@ class RepoSnapshot:
     listing holds the ``.java`` files under the root: symlinks to files
     are listed, symlinked directories are not descended, and a directory
     that cannot be listed is skipped.
+
+    A file is read with raw system calls (``os.open``, then ``os.read``
+    until an empty read, then ``os.close``), decoded once and its text
+    cached.  :meth:`version_text` reads every listed file of a version
+    into one byte buffer, each once: afterwards :meth:`read` decodes such
+    a file from the buffer, and a search by name (:class:`VersionText`)
+    decodes none.  The buffer holds each file's bytes once; as ``str``,
+    a text with one character past U+00FF would take two or four bytes
+    for each of its characters.
     """
 
     def __init__(self, pre_root: str | Path, post_root: str | Path):
@@ -51,6 +63,8 @@ class RepoSnapshot:
             if not os.path.isdir(root):
                 raise InputError(f"snapshot root is not a directory: {root}")
         self._cache: dict[tuple[str, str], str] = {}
+        # (version, path) -> the version_text holding the file, and its index.
+        self._joined: dict[tuple[str, str], tuple[VersionText, int]] = {}
 
     def _root(self, version: str) -> str:
         root = self._roots.get(version)
@@ -70,22 +84,53 @@ class RepoSnapshot:
         key = (version, relpath)
         text = self._cache.get(key)
         if text is None:
-            try:
-                with open(os.path.join(self._root(version), relpath), "rb") as f:
-                    data = f.read()
-            except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
-                raise InputError(f"no such file in {version} tree: {relpath}") from None
-            try:
-                text = data.decode("utf-8")
-            except UnicodeDecodeError:  # ISO-8859-1 decodes every byte
-                text = data.decode("iso-8859-1")
-            if "\r" in text:
-                text = text.replace("\r\n", "\n").replace("\r", "\n")
+            joined = self._joined.get(key)
+            if joined is None:
+                data = bytearray()
+                self._read_into(data, version, relpath, os.path.join(self._root(version), relpath))
+                text = _decode(data)
+            else:
+                text = joined[0].text(joined[1])
             self._cache[key] = text
         return text
 
+    def _read_into(self, out: bytearray, version: str, relpath: str, path: str) -> None:
+        """Append the bytes of the file at ``path`` to ``out``.
+
+        Reads until an empty read: on some file systems a short read is not
+        the end of the file.  On Linux, opening a directory succeeds and the
+        first read raises ``IsADirectoryError``.
+        """
+        try:
+            fd = os.open(path, os.O_RDONLY)
+            try:
+                while chunk := os.read(fd, _CHUNK):
+                    out += chunk
+            finally:
+                os.close(fd)
+        except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
+            raise InputError(f"no such file in {version} tree: {relpath}") from None
+
     def read_or_empty(self, version: str, relpath: str) -> str:
         return self.read(version, relpath) if self.exists(version, relpath) else ""
+
+    def version_text(self, version: str, paths: list[str]) -> VersionText:
+        """The files ``paths`` of ``version``, each read from disk once, in one buffer.
+
+        From then on :meth:`read` decodes these files from the buffer.
+        """
+        prefix = os.path.join(self._root(version), "")
+        data = bytearray()
+        starts = []
+        for path in paths:
+            starts.append(len(data))
+            self._read_into(data, version, path, prefix + path)
+            data += b"\0"
+        starts.append(len(data))
+        joined = VersionText(paths, data, starts)
+        for i, path in enumerate(paths):
+            self._joined[(version, path)] = (joined, i)
+        return joined
 
     def java_files(self, version: str) -> list[str]:
         """Relative paths of all .java files, sorted for determinism."""
@@ -104,6 +149,60 @@ class RepoSnapshot:
                 elif entry.name.endswith(".java") and _is_file(entry):
                     found.append(prefix + entry.name)
         return sorted(found)
+
+
+class VersionText:
+    """A version's files in one buffer: each file's bytes, then ``b"\\0"``.
+
+    File *i* is ``data[starts[i] : starts[i + 1] - 1]``.  A name of
+    printable ASCII characters is looked for in the bytes themselves, and
+    the answer is that of the decoded text (:meth:`RepoSnapshot.read`):
+    such a name holds no CR, LF or NUL, so CR folding cannot make or break
+    a match and no match spans two files; and an ASCII byte stands for
+    the same character, and only for it, under UTF-8 and ISO-8859-1.
+    """
+
+    __slots__ = ("paths", "data", "starts")
+
+    def __init__(self, paths: list[str], data: bytearray, starts: list[int]):
+        self.paths = paths
+        self.data = data
+        self.starts = starts
+
+    def text(self, i: int) -> str:
+        """The text of file *i*, decoded as :meth:`RepoSnapshot.read` decodes it."""
+        return _decode(self.data[self.starts[i] : self.starts[i + 1] - 1])
+
+    def containing(self, name: str) -> list[str]:
+        """The paths whose text contains ``name``, in path order.
+
+        One C-level ``find`` per hit: ``bisect`` maps the hit to its file,
+        and the search goes on from the next file's start.  Any other name
+        (one with a non-ASCII character, or a control character that no
+        identifier holds) is looked for in each decoded text.
+        """
+        paths, starts = self.paths, self.starts
+        if not (name.isascii() and name.isprintable()):
+            return [path for i, path in enumerate(paths) if name in self.text(i)]
+        find, needle, end = self.data.find, name.encode("ascii"), len(self.data)
+        out = []
+        at = find(needle)
+        while 0 <= at < end:  # an empty name is found at the end, past every file
+            i = bisect_right(starts, at) - 1
+            out.append(paths[i])
+            at = find(needle, starts[i + 1])
+        return out
+
+
+def _decode(data: bytes | bytearray) -> str:
+    """UTF-8, else ISO-8859-1, with CR LF and CR read as LF (as text mode reads them)."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:  # ISO-8859-1 decodes every byte
+        text = data.decode("iso-8859-1")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def _is_file(entry: os.DirEntry) -> bool:
@@ -215,6 +314,7 @@ __all__ = [
     "CursorPos",
     "Location",
     "RepoSnapshot",
+    "VersionText",
     "Hunk",
     "DiffText",
     "unified_diff",

@@ -1,9 +1,11 @@
 """The character-by-character Java scanner, kept as a differential oracle.
 
 This is the lexer ``testmend.javasrc.lexer.lex`` replaced, unchanged
-apart from this docstring and its imports: it walks the text one
-character at a time, tracks line and column on every step, and can emit
-comments as ``COMMENT`` tokens (``keep_comments=True``).  The tests
+apart from this docstring, its imports and one rule that follows the
+master pattern: a ``.`` joins a number before nothing but whitespace to
+the end of the text (it joined only at the very end).  It walks the text
+one character at a time, tracks line and column on every step, and can
+emit comments as ``COMMENT`` tokens (``keep_comments=True``).  The tests
 compare the master-pattern lexer against it token for token.
 """
 
@@ -153,7 +155,11 @@ def lex(text: str, keep_comments: bool = False) -> list[Token]:
                 ch = s.peek()
                 if ch and (ch.isalnum() or ch == "_"):
                     s.advance()
-                elif ch == "." and (s.peek(1).isdigit() or _is_exponentish(s.peek(1))):
+                elif ch == "." and (
+                    s.peek(1).isdigit()
+                    or _is_exponentish(s.peek(1))
+                    or not text[s.i + 1 :].strip(" \t\r\n\f")
+                ):
                     s.advance()
                 elif ch and ch in "+-" and s.peek(-1) in "eEpP" and text[start].isdigit():
                     s.advance()
@@ -188,4 +194,4 @@ def lex(text: str, keep_comments: bool = False) -> list[Token]:
 def _is_exponentish(c: str) -> bool:
     # After a '.', continue the number only for digit-like continuations
     # (e.g. "1.5", "1.e3" is rare but legal); never swallow ".foo".
-    return c in "fFdD"
+    return c != "" and c in "fFdD"

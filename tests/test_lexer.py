@@ -128,11 +128,14 @@ def test_positions_after_multiline_lexemes():
 
 
 def test_dot_after_number_at_end_of_text():
-    # A '.' joins a number before a digit, an f/F/d/D suffix or the end of
-    # the text; the formatter's re-lex check relies on the last case.
+    # A '.' joins a number before a digit, an f/F/d/D suffix or only
+    # whitespace to the end of the text; the last case keeps "1." one token
+    # when the canonical text adds its final newline.
     assert token_texts("1.") == ["1."]
     assert token_texts("1.;") == ["1", ".", ";"]
     assert token_texts("1.f") == ["1.f"]
+    assert token_texts("1. \n\t") == ["1."]
+    assert token_texts("1. // c") == ["1", "."]
 
 
 def test_character_classes_follow_re():

@@ -3,10 +3,15 @@
 import os
 import random
 import stat
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from testmend.errors import InputError
+from testmend.resolver import CodeIndex
 from testmend.snapshot import POST, PRE, RepoSnapshot, unified_diff
 
 from diff_oracle import apply_diff
@@ -161,6 +166,130 @@ def test_read_directory_or_missing_path_raises(tmp_path):
             s.read(PRE, relpath)
     with pytest.raises(InputError):
         s.read("mid", "A.java")
+
+
+# ----------------------------------------------------------------------
+# raw reads leave no file descriptor open
+#
+# A raw fd that is never closed raises no ResourceWarning, so these tests
+# count the process's open descriptors instead.
+# ----------------------------------------------------------------------
+
+FD_DIR = "/proc/self/fd"
+needs_fd_dir = pytest.mark.skipif(not os.path.isdir(FD_DIR), reason=f"no {FD_DIR}")
+
+
+def open_fds() -> int:
+    return len(os.listdir(FD_DIR))
+
+
+@needs_fd_dir
+def test_reads_close_their_descriptors(tmp_path):
+    pre, post = two_roots(tmp_path)
+    (pre / "pkg").mkdir()
+    (pre / "A.java").write_text("class A { }\n")
+    big = "class Big {\n" + "    int field;\n" * 10_000 + "}\n"  # several 64 KiB chunks
+    (pre / "Big.java").write_text(big)
+    s = RepoSnapshot(pre, post)
+    before = open_fds()
+    assert s.read(PRE, "A.java") == "class A { }\n"
+    assert s.read(PRE, "Big.java") == big
+    assert len(big) > 2 * 65536
+    assert open_fds() == before
+    for relpath in ("pkg", "Missing.java", "A.java/B.java"):
+        with pytest.raises(InputError):
+            s.read(PRE, relpath)
+        assert open_fds() == before, relpath
+
+
+@needs_fd_dir
+def test_version_load_closes_its_descriptors(tmp_path):
+    pre, post = two_roots(tmp_path)
+    for i in range(40):
+        (post / f"C{i}.java").write_text(f"class C{i} {{ void run() {{ }} }}\n")
+    index = CodeIndex(RepoSnapshot(pre, post))
+    before = open_fds()
+    assert len(index.files_mentioning(POST, "run")) == 40
+    assert open_fds() == before
+
+
+# ----------------------------------------------------------------------
+# searching a version as one buffer
+# ----------------------------------------------------------------------
+
+
+def version_of(tmp_path, files: dict[str, bytes]) -> tuple[RepoSnapshot, list[str]]:
+    """A snapshot whose POST tree holds ``files`` (name -> bytes), and its listing."""
+    pre, post = two_roots(tmp_path)
+    for name, data in files.items():
+        (post / name).write_bytes(data)
+    s = RepoSnapshot(pre, post)
+    return s, s.java_files(POST)
+
+
+def containing(s: RepoSnapshot, paths: list[str], name: str) -> list[str]:
+    return s.version_text(POST, paths).containing(name)
+
+
+def test_search_never_joins_two_files(tmp_path):
+    s, paths = version_of(tmp_path, {"A.java": b"class A { int foo", "B.java": b"Bar; }"})
+    assert containing(s, paths, "foo") == ["A.java"]
+    assert containing(s, paths, "Bar") == ["B.java"]
+    assert containing(s, paths, "fooBar") == []
+
+
+def test_search_edges_of_files(tmp_path):
+    files = {
+        "A.java": b"",
+        "B.java": b"Name x Name",  # the name at the first and the last character
+        "C.java": b"",
+        "D.java": b"x\0Name\0y",  # a NUL of the file's own
+        "E.java": b"Name Name Name",  # several hits, one file
+        "F.java": b"",
+    }
+    s, paths = version_of(tmp_path, files)
+    assert containing(s, paths, "Name") == ["B.java", "D.java", "E.java"]
+    assert containing(s, paths, "y") == ["D.java"]
+    assert containing(s, paths, "") == paths
+    assert containing(s, paths, "x\0Name") == ["D.java"]
+    assert containing(s, paths, "Name\0") == ["D.java"]
+    # What read() gives for a file of the buffer is what the disk gives.
+    fresh = RepoSnapshot(s.root(PRE), s.root(POST))
+    assert [s.read(POST, p) for p in paths] == [fresh.read(POST, p) for p in paths]
+
+
+def test_search_sees_decoded_folded_text(tmp_path):
+    files = {
+        "Crlf.java": b"int a;\r\nint b;\rint c;\n",
+        "Latin.java": b"// Ren\xe9\r\nclass Latin { }",
+        "Utf8.java": "// Ren\u00e9\nclass Utf8 { }".encode("utf-8"),
+    }
+    s, paths = version_of(tmp_path, files)
+    assert containing(s, paths, "Ren\u00e9") == ["Latin.java", "Utf8.java"]
+    assert containing(s, paths, "Ren\u00e9\nclass") == ["Latin.java", "Utf8.java"]
+    assert containing(s, paths, "a;\nint b;\nint c") == ["Crlf.java"]
+    assert containing(s, paths, "\r") == []
+    assert containing(s, paths, "class") == ["Latin.java", "Utf8.java"]
+    assert containing(s, paths, "\u00c3") == []  # no UTF-8 byte read as ISO-8859-1
+    assert s.read(POST, "Latin.java") == "// Ren\u00e9\nclass Latin { }"
+
+
+PIECES = [b"a", b"b", b"ab", b" ", b"\0", b"\r", b"\n", b"\r\n", b"\xe9", b"\xff",
+          "\u00e9".encode("utf-8"), "\u2014".encode("utf-8")]
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    st.lists(st.lists(st.sampled_from(PIECES), max_size=12).map(b"".join), max_size=5),
+    st.text(alphabet="ab \0\r\n\u00e9\u00ff\u2014", max_size=4),
+)
+def test_search_equals_a_scan_of_each_text(datas, name):
+    with tempfile.TemporaryDirectory() as tmp:
+        s, paths = version_of(Path(tmp), {f"F{i}.java": data for i, data in enumerate(datas)})
+        expected = [p for p in s.java_files(POST) if name in s.read(POST, p)]
+        joined = RepoSnapshot(s.root(PRE), s.root(POST))
+        assert containing(joined, paths, name) == expected
+        assert [joined.read(POST, p) for p in paths] == [s.read(POST, p) for p in paths]
 
 
 def test_missing_root_raises(tmp_path):
