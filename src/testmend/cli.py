@@ -151,7 +151,9 @@ def build_provider(config: RunConfig, *, required: bool = False) -> ChatProvider
 
 
 def sanitize_id(sample_id: str) -> str:
-    return re.sub(r"[^\w.-]", "_", sample_id)
+    """A directory name for ``sample_id``; never ``""``, ``.`` or ``..``."""
+    safe = re.sub(r"[^\w.-]", "_", sample_id)
+    return "_" * max(1, len(safe)) if safe in ("", ".", "..") else safe
 
 
 def _sample_dir(config: RunConfig, sample_id: str) -> Path:

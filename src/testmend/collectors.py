@@ -29,7 +29,8 @@ Every Location here — what the resolver takes and returns, and each
 chunk's ``origin`` — is in canonical coordinates, whatever the resolver
 backend.  Every file fact (canonical text, parse, PRE→POST diff) comes
 from the resolver's :class:`~testmend.resolver.CodeIndex`
-(``resolver.index``), which computes it once.
+(``resolver.index``), which computes it once; the collector reaches the
+sample's files only through that index (``index.snapshot``).
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from testmend.signatures import (
     find_located,
     type_identifiers,
 )
-from testmend.snapshot import POST, PRE, Hunk, Location, RepoSnapshot
+from testmend.snapshot import POST, PRE, Hunk, Location
 
 log = logging.getLogger(__name__)
 
@@ -127,8 +128,7 @@ def _changed_lines(hunk: Hunk) -> list[str]:
 
 
 class ContextCollector:
-    def __init__(self, snapshot: RepoSnapshot, resolver: Resolver):
-        self.snapshot = snapshot
+    def __init__(self, resolver: Resolver):
         self.resolver = resolver
         self.index = resolver.index
 
@@ -370,7 +370,7 @@ class ContextCollector:
 
     def _env_files(self, anchor_file: str, warnings: list[str]) -> list[str]:
         """The anchor file plus its class's parent files (post tree)."""
-        version = POST if self.snapshot.exists(POST, anchor_file) else PRE
+        version = POST if self.index.snapshot.exists(POST, anchor_file) else PRE
         parsed = self.index.file(version, anchor_file)
         if parsed is None or not parsed.java.classes:
             return [anchor_file]
@@ -490,7 +490,6 @@ def _hunk_overlaps(
 def construct_bundle(
     focal: FocalChange,
     test_locator: MethodLocator,
-    snapshot: RepoSnapshot,
     resolver: Resolver,
 ) -> TROCtxBundle:
-    return ContextCollector(snapshot, resolver).collect_bundle(focal, test_locator)
+    return ContextCollector(resolver).collect_bundle(focal, test_locator)

@@ -172,7 +172,7 @@ def prepare_sample(
     with _stage(timings, "collect"):
         resolver = make_resolver(snapshot, split_lsp_command(settings))
         try:
-            bundle = construct_bundle(focal, sample.test, snapshot, resolver)
+            bundle = construct_bundle(focal, sample.test, resolver)
         finally:
             resolver.close()
     with _stage(timings, "queries"):

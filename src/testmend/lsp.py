@@ -18,14 +18,22 @@ has no canonical position and is dropped.
 Failure policy: each request gets a timeout (default 30 s) and a single
 retry; a second failure — or a dead server process — raises
 :class:`~testmend.errors.BackendUnavailable`.
+
+A resolver belongs to one sample and is used from one thread, so each
+client has one request in flight at a time.  The client's reader thread
+answers the server's own requests (``workspace/configuration`` and the
+like) and hands responses to the waiting request, which drops the late
+answer to an attempt that timed out.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import queue
 import subprocess
 import threading
+import time
 from pathlib import Path
 from urllib.parse import unquote, urlparse
 from urllib.request import pathname2url
@@ -51,7 +59,16 @@ def uri_to_path(uri: str) -> Path:
 
 
 class JsonRpcClient:
-    """Minimal JSON-RPC 2.0 client over a subprocess's stdio."""
+    """Minimal JSON-RPC 2.0 client over a subprocess's stdio.
+
+    One request is in flight at a time: its caller is the one thread that
+    sends requests.  The reader thread answers each server-to-client
+    request itself (with a null result, under the write lock), drops
+    notifications, and puts every response on one queue, then ``None`` at
+    the end of the server's output.  :meth:`request` takes responses off
+    the queue until its own arrives, dropping any other: that is the late
+    answer to an attempt that timed out.
+    """
 
     def __init__(self, command: tuple[str, ...], cwd: Path, timeout: float = 30.0):
         self.timeout = timeout
@@ -66,10 +83,8 @@ class JsonRpcClient:
         except OSError as exc:
             raise BackendUnavailable(f"cannot start language server {command!r}: {exc}")
         self._next_id = 1
-        self._lock = threading.Lock()
         self._write_lock = threading.Lock()
-        self._responses: dict[int, dict] = {}
-        self._events: dict[int, threading.Event] = {}
+        self._responses: queue.SimpleQueue[dict | None] = queue.SimpleQueue()
         self._dead = False
         self._reader = threading.Thread(target=self._read_loop, daemon=True)
         self._reader.start()
@@ -110,40 +125,25 @@ class JsonRpcClient:
 
     def _read_loop(self) -> None:
         try:
-            while True:
-                message = self._read_message()
-                if message is None:
-                    break
-                self._dispatch(message)
+            while (message := self._read_message()) is not None:
+                if not isinstance(message, dict):
+                    continue  # not a JSON-RPC message
+                if "method" not in message:
+                    self._responses.put(message)
+                elif "id" in message:
+                    # Server-to-client request: answer with a null result so
+                    # the server does not stall (workspace/configuration etc.).
+                    try:
+                        self._send(
+                            {"jsonrpc": JSONRPC_VERSION, "id": message["id"], "result": None}
+                        )
+                    except BackendUnavailable:
+                        pass
+                # Notifications (diagnostics, logs) are ignored.
         except Exception as exc:  # noqa: BLE001 — reader must never crash silently
             log.debug("lsp reader stopped: %s", exc)
         self._dead = True
-        with self._lock:
-            for event in self._events.values():
-                event.set()
-
-    def _dispatch(self, message: dict) -> None:
-        if "id" in message and "method" in message:
-            # Server-to-client request: answer with a null result so the
-            # server does not stall (workspace/configuration etc.).
-            try:
-                self._send(
-                    {"jsonrpc": JSONRPC_VERSION, "id": message["id"], "result": None}
-                )
-            except BackendUnavailable:
-                pass
-            return
-        if "id" in message:
-            try:
-                msg_id = int(message["id"])
-            except (TypeError, ValueError):
-                return
-            with self._lock:
-                self._responses[msg_id] = message
-                event = self._events.get(msg_id)
-            if event is not None:
-                event.set()
-        # Notifications (diagnostics, logs) are ignored.
+        self._responses.put(None)
 
     # -- calls -----------------------------------------------------------
 
@@ -152,14 +152,11 @@ class JsonRpcClient:
 
     def request(self, method: str, params: dict) -> object:
         last_error: str = "no attempt made"
-        for attempt in range(2):
+        for _ in range(2):
             if self._dead:
                 raise BackendUnavailable("language server process exited")
-            with self._lock:
-                msg_id = self._next_id
-                self._next_id += 1
-                event = threading.Event()
-                self._events[msg_id] = event
+            msg_id = self._next_id
+            self._next_id += 1
             self._send(
                 {
                     "jsonrpc": JSONRPC_VERSION,
@@ -168,25 +165,31 @@ class JsonRpcClient:
                     "params": params,
                 }
             )
-            if event.wait(self.timeout):
-                with self._lock:
-                    self._events.pop(msg_id, None)
-                    response = self._responses.pop(msg_id, None)
-                if response is None:
-                    last_error = "server closed the connection"
-                elif "error" in response:
-                    error = response["error"]
-                    raise BackendUnavailable(
-                        f"{method} failed: {error.get('message', error)}"
-                    )
-                else:
-                    return response.get("result")
-            else:
-                with self._lock:
-                    self._events.pop(msg_id, None)
+            try:
+                response = self._response(msg_id, time.monotonic() + self.timeout)
+            except queue.Empty:
                 last_error = f"timed out after {self.timeout}s"
                 log.warning("lsp request %s %s; retrying", method, last_error)
+                continue
+            if response is None:
+                last_error = "server closed the connection"
+            elif "error" in response:
+                error = response["error"]
+                raise BackendUnavailable(f"{method} failed: {error.get('message', error)}")
+            else:
+                return response.get("result")
         raise BackendUnavailable(f"{method}: {last_error}")
+
+    def _response(self, msg_id: int, deadline: float) -> dict | None:
+        """The response to ``msg_id``, or None at the end of the server's output.
+
+        Drops any other response: the late answer to an attempt that timed
+        out.  Raises :class:`queue.Empty` at ``deadline``.
+        """
+        while True:
+            response = self._responses.get(timeout=max(0.0, deadline - time.monotonic()))
+            if response is None or response.get("id") == msg_id:
+                return response
 
     def close(self) -> None:
         try:
@@ -209,66 +212,41 @@ class JsonRpcClient:
                     pipe.close()
 
 
-class LspSession:
-    """An initialized server for one workspace root."""
-
-    def __init__(self, command: tuple[str, ...], root: Path, timeout: float):
-        self.root = root
-        self.client = JsonRpcClient(command, cwd=root, timeout=timeout)
-        try:
-            self.client.request(
-                "initialize",
-                {
-                    "processId": None,
-                    "rootUri": path_to_uri(root),
-                    "capabilities": {},
-                },
-            )
-        except BackendUnavailable:
-            self.client.close()  # no session holds the server: end it here
-            raise
-        self.client.notify("initialized", {})
-        self._opened: set[str] = set()
-
-    def ensure_open(self, relpath: str, text: str) -> None:
-        if relpath in self._opened:
-            return
-        self.client.notify(
-            "textDocument/didOpen",
-            {
-                "textDocument": {
-                    "uri": path_to_uri(self.root / relpath),
-                    "languageId": "java",
-                    "version": 1,
-                    "text": text,
-                }
-            },
-        )
-        self._opened.add(relpath)
-
-    def close(self) -> None:
-        self.client.close()
-
-
 class LspResolver:
-    """Resolver backed by a language server per snapshot version."""
+    """Resolver backed by a language server per snapshot version.
+
+    Each version's server is started and initialized on first use; the
+    resolver keeps one client and one set of opened paths per version.
+    """
 
     def __init__(self, snapshot: RepoSnapshot, command: tuple[str, ...], timeout: float = 30.0):
         if not command:
             raise BackendUnavailable("no language-server command configured")
-        self.snapshot = snapshot
         self.index = CodeIndex(snapshot)
         self.command = tuple(command)
         self.timeout = timeout
-        self._sessions: dict[str, LspSession] = {}
+        self._clients: dict[str, JsonRpcClient] = {}
+        self._opened: dict[str, set[str]] = {}
         self._identifiers: dict[tuple[str, str], list[tuple[lexer.Token, CursorPos]]] = {}
 
-    def _session(self, version: str) -> LspSession:
-        if version not in self._sessions:
-            self._sessions[version] = LspSession(
-                self.command, self.snapshot.root(version), self.timeout
-            )
-        return self._sessions[version]
+    def _client(self, version: str) -> JsonRpcClient:
+        """The initialized server of ``version``, started on first use."""
+        client = self._clients.get(version)
+        if client is None:
+            root = self.index.snapshot.root(version)
+            client = JsonRpcClient(self.command, cwd=root, timeout=self.timeout)
+            try:
+                client.request(
+                    "initialize",
+                    {"processId": None, "rootUri": path_to_uri(root), "capabilities": {}},
+                )
+                client.notify("initialized", {})
+            except BackendUnavailable:
+                client.close()  # no resolver holds the server: end it here
+                raise
+            self._clients[version] = client
+            self._opened[version] = set()
+        return client
 
     def _identifier_tokens(
         self, version: str, path: str
@@ -276,7 +254,7 @@ class LspResolver:
         """A file's raw identifier tokens, each with its canonical start."""
         key = (version, path)
         if key not in self._identifiers:
-            raw = lexer.lex(self.snapshot.read(version, path))
+            raw = lexer.lex(self.index.snapshot.read(version, path))
             canonical = self.index.tokens(version, path)
             self._identifiers[key] = [
                 (tok, CursorPos(at.line, at.col))
@@ -285,21 +263,27 @@ class LspResolver:
             ]
         return self._identifiers[key]
 
-    def _text_document_position(self, location: Location) -> dict:
-        session = self._session(location.version)
-        session.ensure_open(location.file, self.snapshot.read(location.version, location.file))
+    def _request(self, method: str, location: Location, **params: object) -> list[Location]:
+        """Ask the version's server ``method`` at ``location``, opening its file first."""
+        version, file = location.version, location.file
+        client = self._client(version)
+        uri = path_to_uri(self.index.snapshot.root(version) / file)
+        if file not in self._opened[version]:
+            text = self.index.snapshot.read(version, file)
+            client.notify(
+                "textDocument/didOpen",
+                {"textDocument": {"uri": uri, "languageId": "java", "version": 1, "text": text}},
+            )
+            self._opened[version].add(file)
         cursor = location.start
-        for tok, pos in self._identifier_tokens(location.version, location.file):
+        for tok, pos in self._identifier_tokens(version, file):
             if pos.line == cursor.line and pos.col <= cursor.col < pos.col + len(tok.text):
                 break
         else:
             raise CursorNotOnIdentifier(f"no identifier at {location.describe()}")
-        return {
-            "textDocument": {
-                "uri": path_to_uri(self.snapshot.root(location.version) / location.file)
-            },
-            "position": {"line": tok.line, "character": tok.col + cursor.col - pos.col},
-        }
+        position = {"line": tok.line, "character": tok.col + cursor.col - pos.col}
+        result = client.request(method, {"textDocument": {"uri": uri}, "position": position, **params})
+        return self._normalize(version, result)
 
     def _to_location(self, version: str, raw: dict) -> Location | None:
         uri = raw.get("uri") or raw.get("targetUri")
@@ -308,7 +292,7 @@ class LspResolver:
             return None
         path = uri_to_path(uri)
         try:
-            rel = path.resolve().relative_to(self.snapshot.root(version).resolve())
+            rel = path.resolve().relative_to(self.index.snapshot.root(version).resolve())
         except ValueError:
             return None  # outside the workspace (library code)
         file = str(rel).replace("\\", "/")
@@ -320,18 +304,12 @@ class LspResolver:
         return None  # not on an identifier: no canonical position
 
     def goto_definition(self, location: Location) -> list[Location]:
-        result = self._session(location.version).client.request(
-            "textDocument/definition", self._text_document_position(location)
-        )
-        return self._normalize(location.version, result)
+        return self._request("textDocument/definition", location)
 
     def find_references(self, location: Location) -> list[Location]:
-        params = self._text_document_position(location)
-        params["context"] = {"includeDeclaration": False}
-        result = self._session(location.version).client.request(
-            "textDocument/references", params
+        return self._request(
+            "textDocument/references", location, context={"includeDeclaration": False}
         )
-        return self._normalize(location.version, result)
 
     def _normalize(self, version: str, result: object) -> list[Location]:
         if result is None:
@@ -347,6 +325,7 @@ class LspResolver:
         return out
 
     def close(self) -> None:
-        for session in self._sessions.values():
-            session.close()
-        self._sessions.clear()
+        for client in self._clients.values():
+            client.close()
+        self._clients.clear()
+        self._opened.clear()

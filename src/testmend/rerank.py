@@ -134,6 +134,8 @@ class RemoteScorer:
             values = [float(s) for s in scores]
         except (TypeError, ValueError) as exc:
             raise ScorerError(f"remote scorer returned non-numeric score: {exc}") from exc
+        if not all(map(math.isfinite, values)):  # json reads NaN and Infinity
+            raise ScorerError(f"remote scorer returned non-finite score: {values}")
         return _min_max(values)
 
     def close(self) -> None:

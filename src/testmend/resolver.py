@@ -25,19 +25,20 @@ raw text lacks the name holds no identifier token, class name or
 reference equal to it.  The first such lookup in a version reads each of
 its files once, with raw system calls, into one byte buffer
 (:meth:`RepoSnapshot.version_text
-<testmend.snapshot.RepoSnapshot.version_text>`) that the index keeps for
-the sample.  Every lookup is then a C-level search of that buffer, which
-holds each file's bytes once; a file is decoded only to be parsed.
+<testmend.snapshot.RepoSnapshot.version_text>`) that the snapshot keeps,
+so every index over that snapshot searches the same buffer.  Every lookup
+is then a C-level search of that buffer, which holds each file's bytes
+once; a file is decoded only to be parsed.
 
 A language-server backend implementing the same protocol lives in
 :mod:`testmend.lsp`; it maps between raw and canonical positions itself.
 :func:`make_resolver` picks it when given a server command line, and the
 builtin backend when the command is empty.
 
-:class:`CodeIndex` owns each file's facts — canonical text and tokens,
-parse and PRE→POST diff — and computes each once, as it does each class lookup.
-A ``CodeIndex`` lives for one sample, but it reads canonical texts and
-parses through one content cache shared by every sample in the process
+:class:`CodeIndex` owns each file's parse and PRE→POST diff, and
+computes each once, as it does each class lookup.  A ``CodeIndex`` lives
+for one sample, but it reads canonical texts, tokens and parses through
+one content cache shared by every sample in the process
 (:class:`SourceCache`).  The cache is keyed by a file's raw text alone,
 since ``canonical_tokens`` and ``parse_java`` depend on nothing else, so
 byte-identical files are canonicalized and parsed once whichever sample
@@ -66,15 +67,7 @@ from testmend.errors import CursorNotOnIdentifier, InputError
 from testmend.javasrc import lexer
 from testmend.javasrc.ast import ClassDecl, FieldDecl, JavaFile, MethodDecl, parse_java
 from testmend.javasrc.format import CursorPos, canonical_tokens
-from testmend.snapshot import (
-    POST,
-    PRE,
-    DiffText,
-    Location,
-    RepoSnapshot,
-    VersionText,
-    unified_diff,
-)
+from testmend.snapshot import POST, PRE, DiffText, Location, RepoSnapshot, unified_diff
 
 log = logging.getLogger(__name__)
 
@@ -175,39 +168,26 @@ class CodeIndex:
     """Lazily computed canonical texts, parses and diffs of a snapshot's files.
 
     One index serves one sample; canonical texts and parses come through
-    the process-wide :class:`SourceCache`.
+    the process-wide :class:`SourceCache`, and the raw texts and version
+    buffers through the snapshot.
     """
 
     def __init__(self, snapshot: RepoSnapshot):
         self.snapshot = snapshot
-        self._canonical: dict[tuple[str, str], tuple[str, list[lexer.Token]]] = {}
         self._files: dict[tuple[str, str], ParsedFile | None] = {}
         self._diffs: dict[str, DiffText] = {}
-        self._listing: dict[str, list[str]] = {}
-        self._texts: dict[str, VersionText] = {}
         self._classes: dict[tuple[str, str, str], tuple[ParsedFile, ClassDecl] | None] = {}
-
-    def paths(self, version: str) -> list[str]:
-        if version not in self._listing:
-            self._listing[version] = self.snapshot.java_files(version)
-        return self._listing[version]
 
     def canonical(self, version: str, path: str) -> str:
         """Canonical text of a file; ``""`` if it is missing or blank.
 
         Raises :class:`~testmend.errors.ParseError` if the file does not lex.
         """
-        return self._canonical_form(version, path)[0]
+        return _SOURCES.canonical(self.snapshot.read_or_empty(version, path))[0]
 
     def tokens(self, version: str, path: str) -> list[lexer.Token]:
         """The tokens of :meth:`canonical`'s text, positioned in it."""
-        return self._canonical_form(version, path)[1]
-
-    def _canonical_form(self, version: str, path: str) -> tuple[str, list[lexer.Token]]:
-        key = (version, path)
-        if key not in self._canonical:
-            self._canonical[key] = _SOURCES.canonical(self.snapshot.read_or_empty(version, path))
-        return self._canonical[key]
+        return _SOURCES.canonical(self.snapshot.read_or_empty(version, path))[1]
 
     def diff(self, path: str) -> DiffText:
         """The canonical PRE→POST diff of a file."""
@@ -235,20 +215,15 @@ class CodeIndex:
         """Parses of the version's files whose raw text contains ``name``, in path order.
 
         The version's files are searched as one buffer
-        (:class:`~testmend.snapshot.VersionText`), read on the first call.
+        (:meth:`~testmend.snapshot.RepoSnapshot.version_text`).
         A file without the substring is skipped before it is canonicalized
         or parsed.  Such a file holds no token or class named ``name`` (see
         the module docstring), so the files kept are a superset of those
         that can match, in the same order, and every lookup answers as a
         full scan would.
         """
-        joined = self._texts.get(version)
-        if joined is None:
-            joined = self._texts[version] = self.snapshot.version_text(
-                version, self.paths(version)
-            )
         out = []
-        for path in joined.containing(name):
+        for path in self.snapshot.version_text(version).containing(name):
             parsed = self.file(version, path)
             if parsed is not None:
                 out.append(parsed)
@@ -347,7 +322,6 @@ class BuiltinResolver:
     """Index-based resolver over canonicalized snapshot files."""
 
     def __init__(self, snapshot: RepoSnapshot):
-        self.snapshot = snapshot
         self.index = CodeIndex(snapshot)
 
     def close(self) -> None:  # symmetry with the LSP backend

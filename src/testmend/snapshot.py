@@ -11,7 +11,7 @@ unified or changed-lines-only.
 from __future__ import annotations
 
 import os
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from difflib import SequenceMatcher
 from pathlib import Path
@@ -49,12 +49,13 @@ class RepoSnapshot:
 
     A file is read with raw system calls (``os.open``, then ``os.read``
     until an empty read, then ``os.close``), decoded once and its text
-    cached.  :meth:`version_text` reads every listed file of a version
-    into one byte buffer, each once: afterwards :meth:`read` decodes such
-    a file from the buffer, and a search by name (:class:`VersionText`)
-    decodes none.  The buffer holds each file's bytes once; as ``str``,
-    a text with one character past U+00FF would take two or four bytes
-    for each of its characters.
+    cached.  The snapshot owns each version's buffer: the first
+    :meth:`version_text` of a version lists it and reads every listed file
+    into one byte buffer, each once, and keeps it for every later caller.
+    From then on :meth:`read` decodes such a file from the buffer, and a
+    search by name (:class:`VersionText`) decodes none.  The buffer holds
+    each file's bytes once; as ``str``, a text with one character past
+    U+00FF would take two or four bytes for each of its characters.
     """
 
     def __init__(self, pre_root: str | Path, post_root: str | Path):
@@ -63,8 +64,7 @@ class RepoSnapshot:
             if not os.path.isdir(root):
                 raise InputError(f"snapshot root is not a directory: {root}")
         self._cache: dict[tuple[str, str], str] = {}
-        # (version, path) -> the version_text holding the file, and its index.
-        self._joined: dict[tuple[str, str], tuple[VersionText, int]] = {}
+        self._versions: dict[str, VersionText] = {}
 
     def _root(self, version: str) -> str:
         root = self._roots.get(version)
@@ -84,13 +84,12 @@ class RepoSnapshot:
         key = (version, relpath)
         text = self._cache.get(key)
         if text is None:
-            joined = self._joined.get(key)
-            if joined is None:
+            joined = self._versions.get(version)
+            text = joined.read(relpath) if joined is not None else None
+            if text is None:
                 data = bytearray()
                 self._read_into(data, version, relpath, os.path.join(self._root(version), relpath))
                 text = _decode(data)
-            else:
-                text = joined[0].text(joined[1])
             self._cache[key] = text
         return text
 
@@ -114,22 +113,24 @@ class RepoSnapshot:
     def read_or_empty(self, version: str, relpath: str) -> str:
         return self.read(version, relpath) if self.exists(version, relpath) else ""
 
-    def version_text(self, version: str, paths: list[str]) -> VersionText:
-        """The files ``paths`` of ``version``, each read from disk once, in one buffer.
+    def version_text(self, version: str) -> VersionText:
+        """The listed files of ``version``, each read from disk once, in one buffer.
 
-        From then on :meth:`read` decodes these files from the buffer.
+        Built on the first call and kept; from then on :meth:`read` decodes
+        these files from the buffer.
         """
-        prefix = os.path.join(self._root(version), "")
-        data = bytearray()
-        starts = []
-        for path in paths:
+        joined = self._versions.get(version)
+        if joined is None:
+            paths = self.java_files(version)
+            prefix = os.path.join(self._root(version), "")
+            data = bytearray()
+            starts = []
+            for path in paths:
+                starts.append(len(data))
+                self._read_into(data, version, path, prefix + path)
+                data += b"\0"
             starts.append(len(data))
-            self._read_into(data, version, path, prefix + path)
-            data += b"\0"
-        starts.append(len(data))
-        joined = VersionText(paths, data, starts)
-        for i, path in enumerate(paths):
-            self._joined[(version, path)] = (joined, i)
+            joined = self._versions[version] = VersionText(paths, data, starts)
         return joined
 
     def java_files(self, version: str) -> list[str]:
@@ -154,7 +155,8 @@ class RepoSnapshot:
 class VersionText:
     """A version's files in one buffer: each file's bytes, then ``b"\\0"``.
 
-    File *i* is ``data[starts[i] : starts[i + 1] - 1]``.  A name of
+    ``paths`` is the sorted listing, so a bisect finds a file's index *i*,
+    and file *i* is ``data[starts[i] : starts[i + 1] - 1]``.  A name of
     printable ASCII characters is looked for in the bytes themselves, and
     the answer is that of the decoded text (:meth:`RepoSnapshot.read`):
     such a name holds no CR, LF or NUL, so CR folding cannot make or break
@@ -172,6 +174,11 @@ class VersionText:
     def text(self, i: int) -> str:
         """The text of file *i*, decoded as :meth:`RepoSnapshot.read` decodes it."""
         return _decode(self.data[self.starts[i] : self.starts[i + 1] - 1])
+
+    def read(self, path: str) -> str | None:
+        """The text of ``path``; None if the listing lacks it."""
+        i = bisect_left(self.paths, path)
+        return self.text(i) if self.paths[i : i + 1] == [path] else None
 
     def containing(self, name: str) -> list[str]:
         """The paths whose text contains ``name``, in path order.

@@ -11,6 +11,10 @@ Environment knobs used by tests:
 
 * ``FAKE_LSP_STALL=first-definition`` — swallow the first definition
   request (forces a client retry);
+* ``FAKE_LSP_STALL=late-first-definition`` — hold the first definition
+  request and answer it, wrongly (with ``Gadget``'s declaration), just
+  before the answer to the next one: a late answer that reaches the
+  client after its timeout, while it waits for its retry;
 * ``FAKE_LSP_STALL=always`` — swallow every definition request;
 * ``FAKE_LSP_STALL=initialize`` — swallow the initialize request;
 * ``FAKE_LSP_LINKS=1`` — answer definitions as LocationLink objects.
@@ -27,6 +31,7 @@ DOCS = {}
 STALL = os.environ.get("FAKE_LSP_STALL", "")
 LINKS = os.environ.get("FAKE_LSP_LINKS", "") == "1"
 definition_calls = 0
+late_definition = None  # the id of a definition request held back
 
 
 def read_message(stdin):
@@ -130,7 +135,7 @@ def resolve_position(params):
 
 
 def main():
-    global definition_calls
+    global definition_calls, late_definition
     stdin = sys.stdin.buffer
     while True:
         message = read_message(stdin)
@@ -159,6 +164,13 @@ def main():
             definition_calls += 1
             if STALL == "always" or (STALL == "first-definition" and definition_calls == 1):
                 continue  # never answer: the client must retry / give up
+            if STALL == "late-first-definition" and definition_calls == 1:
+                late_definition = msg_id
+                continue  # answered before the next definition
+            if late_definition is not None:
+                send({"jsonrpc": "2.0", "id": late_definition,
+                      "result": find_definitions("Gadget")})
+                late_definition = None
             name = resolve_position(message["params"])
             send({"jsonrpc": "2.0", "id": msg_id,
                   "result": find_definitions(name) if name else None})

@@ -18,7 +18,7 @@ from testmend.snapshot import Location
 
 def iter_files(index: CodeIndex, version: str) -> list[ParsedFile]:
     out = []
-    for path in index.paths(version):
+    for path in index.snapshot.java_files(version):
         parsed = index.file(version, path)
         if parsed is not None:
             out.append(parsed)

@@ -228,7 +228,7 @@ def _usage_chunk_for(root, kind):
         method="testCalc", params=(),
     )
     resolver = make_resolver(snapshot)
-    bundle = construct_bundle(focal, test_loc, snapshot, resolver)
+    bundle = construct_bundle(focal, test_loc, resolver)
     return focal, bundle
 
 

@@ -414,6 +414,23 @@ def test_sanitize_id_makes_safe_directory_names():
     assert sanitize_id("a/b:c d") == "a_b_c_d"
     assert sanitize_id("mount-param") == "mount-param"
     assert sanitize_id("v1.2_ok") == "v1.2_ok"
+    assert [sanitize_id(i) for i in ("", ".", "..", "...", "../x")] == [
+        "_", "_", "__", "...", ".._x"
+    ]
+
+
+@pytest.mark.parametrize("sample_id", ["", ".", "..", "../x", "a/../../x"])
+def test_sample_ids_stay_inside_out(tmp_path, capsys, sample_id):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps([{**mount_entry(), "id": sample_id}]))
+    work = tmp_path / "work"
+    out = work / "out"
+    assert run_cli(
+        "classify", "--manifest", str(manifest), "--sample", sample_id, "--out", str(out)
+    ) == 0
+    written = [p for p in work.rglob("*") if p.is_file()]
+    assert [p.name for p in written] == ["kinds.json"]
+    assert written[0].parent.parent == out
 
 
 # ----------------------------------------------------------------------

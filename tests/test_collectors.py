@@ -47,7 +47,7 @@ def focal_for(
 
 
 def collector_for(snap: RepoSnapshot) -> ContextCollector:
-    return ContextCollector(snap, BuiltinResolver(snap))
+    return ContextCollector(BuiltinResolver(snap))
 
 
 # ----------------------------------------------------------------------
@@ -686,7 +686,7 @@ def test_env_ctx_changed_lines_have_diff_markers(mini):
 
 def test_bundle_gathers_all_families(mini):
     snap, _, focal, test_loc = mini
-    bundle = construct_bundle(focal, test_loc, snap, BuiltinResolver(snap))
+    bundle = construct_bundle(focal, test_loc, BuiltinResolver(snap))
     assert list(bundle.class_ctx) == ["MountPOptions"]
     assert len(bundle.usage_ctx) == 1
     assert len(bundle.env_ctx_focal) == 2
@@ -707,7 +707,7 @@ def test_bundle_skips_class_ctx_for_norm_only_change(tmp_path):
     focal = focal_for(snap, "app/S.java", ("S",), "f")
     assert not focal.is_param and not focal.is_ret and focal.kinds
     test_loc = MethodLocator("app/C.java", ("C",), "go")
-    bundle = construct_bundle(focal, test_loc, snap, BuiltinResolver(snap))
+    bundle = construct_bundle(focal, test_loc, BuiltinResolver(snap))
     assert bundle.class_ctx == {}
 
 
@@ -729,14 +729,14 @@ def test_bundle_keeps_one_copy_of_each_warning(tmp_path):
     )
     focal = focal_for(snap, "app/S.java", ("S",), "go")
     test_loc = MethodLocator("app/T.java", ("T",), "testGo")
-    bundle = construct_bundle(focal, test_loc, snap, BuiltinResolver(snap))
+    bundle = construct_bundle(focal, test_loc, BuiltinResolver(snap))
     assert list(bundle.class_ctx) == ["S"]
     assert bundle.warnings == ["parent class Ext of S is outside the snapshot"]
 
 
 def test_bundle_chunks_lex_cleanly(mini):
     snap, _, focal, test_loc = mini
-    bundle = construct_bundle(focal, test_loc, snap, BuiltinResolver(snap))
+    bundle = construct_bundle(focal, test_loc, BuiltinResolver(snap))
     for chunk in all_chunks(bundle):
         for line in chunk.text.splitlines():
             body = line[2:] if line[:2] in ("- ", "+ ") else line

@@ -131,7 +131,7 @@ def test_filtered_lookups_equal_full_scans(snapshot):
                 assert [key(h) for h in index.classes_named(version, name)] == [
                     key(h) for h in index_oracle.classes_named(full, version, name)
                 ]
-                for path in [*full.paths(version), "src/Absent.java"]:
+                for path in [*full.snapshot.java_files(version), "src/Absent.java"]:
                     assert key(index.resolve_class(version, path, name)) == key(
                         index_oracle.resolve_class(full, version, path, name)
                     )

@@ -164,6 +164,23 @@ def test_timeout_then_retry_succeeds(repo, monkeypatch):
         resolver.close()
 
 
+def test_late_answer_to_a_timed_out_attempt_is_dropped(repo, monkeypatch, servers, caplog):
+    monkeypatch.setenv("FAKE_LSP_STALL", "late-first-definition")
+    resolver = LspResolver(repo, (sys.executable, SERVER), timeout=1.5)
+    try:
+        usage = gadget_usage_location(repo, resolver)
+        # The server answers the first attempt with Gadget, after the
+        # client's timeout and just before its answer to the retry.
+        assert [d.file for d in resolver.goto_definition(usage)] == ["src/Widget.java"]
+        assert [d.file for d in resolver.goto_definition(usage)] == ["src/Widget.java"]
+        assert [r.file for r in resolver.find_references(usage)] == ["src/Gadget.java"]
+    finally:
+        resolver.close()
+    assert caplog.text.count("textDocument/definition timed out") == 1
+    assert len(servers) == 1
+    assert servers[0].poll() is not None
+
+
 def test_persistent_timeout_raises_backend_unavailable(repo, monkeypatch):
     monkeypatch.setenv("FAKE_LSP_STALL", "always")
     resolver = LspResolver(repo, (sys.executable, SERVER), timeout=0.5)

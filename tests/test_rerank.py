@@ -244,6 +244,11 @@ def test_remote_scorer_rejects_malformed_payloads(score_double):
     score_double["script"] = [(200, {"scores": ["high"]})]
     with pytest.raises(ScorerError):
         scorer.score("q", ["a"])
+    inf, nan = float("inf"), float("nan")  # sent as Infinity and NaN
+    for scores in ([inf, 2.0, 1.0], [-inf, 2.0, 1.0], [nan, 2.0, 1.0], [1.0, nan, 1.0]):
+        score_double["script"] = [(200, {"scores": scores})]
+        with pytest.raises(ScorerError, match="non-finite"):
+            scorer.score("q", ["a", "b", "c"])
 
 
 def test_remote_scorer_raises_on_http_failure(score_double):

@@ -197,7 +197,7 @@ def test_index_canonical_text_is_canonical(resolver):
 
 
 def test_make_resolver_builtin(resolver):
-    snap = resolver.snapshot
+    snap = resolver.index.snapshot
     r = make_resolver(snap)
     assert isinstance(r, BuiltinResolver)
 

@@ -213,6 +213,28 @@ def test_version_load_closes_its_descriptors(tmp_path):
     assert open_fds() == before
 
 
+def test_indexes_of_one_snapshot_read_each_file_once(tmp_path, monkeypatch):
+    pre, post = two_roots(tmp_path)
+    for i in range(3):
+        (post / f"C{i}.java").write_text(f"class C{i} {{ void run() {{ }} }}\n")
+    snap = RepoSnapshot(pre, post)
+    opened = []
+    os_open = os.open
+
+    def counted(path, *args, **kwargs):
+        opened.append(os.path.basename(path))
+        return os_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", counted)
+    for index in (CodeIndex(snap), CodeIndex(snap)):
+        assert [p.path for p in index.files_mentioning(POST, "run")] == [
+            "C0.java", "C1.java", "C2.java"
+        ]
+        assert [p.path for p in index.files_mentioning(POST, "C1")] == ["C1.java"]
+        assert "C2" in index.canonical(POST, "C2.java")
+    assert sorted(opened) == ["C0.java", "C1.java", "C2.java"]
+
+
 # ----------------------------------------------------------------------
 # searching a version as one buffer
 # ----------------------------------------------------------------------
@@ -227,15 +249,15 @@ def version_of(tmp_path, files: dict[str, bytes]) -> tuple[RepoSnapshot, list[st
     return s, s.java_files(POST)
 
 
-def containing(s: RepoSnapshot, paths: list[str], name: str) -> list[str]:
-    return s.version_text(POST, paths).containing(name)
+def containing(s: RepoSnapshot, name: str) -> list[str]:
+    return s.version_text(POST).containing(name)
 
 
 def test_search_never_joins_two_files(tmp_path):
-    s, paths = version_of(tmp_path, {"A.java": b"class A { int foo", "B.java": b"Bar; }"})
-    assert containing(s, paths, "foo") == ["A.java"]
-    assert containing(s, paths, "Bar") == ["B.java"]
-    assert containing(s, paths, "fooBar") == []
+    s, _ = version_of(tmp_path, {"A.java": b"class A { int foo", "B.java": b"Bar; }"})
+    assert containing(s, "foo") == ["A.java"]
+    assert containing(s, "Bar") == ["B.java"]
+    assert containing(s, "fooBar") == []
 
 
 def test_search_edges_of_files(tmp_path):
@@ -248,11 +270,11 @@ def test_search_edges_of_files(tmp_path):
         "F.java": b"",
     }
     s, paths = version_of(tmp_path, files)
-    assert containing(s, paths, "Name") == ["B.java", "D.java", "E.java"]
-    assert containing(s, paths, "y") == ["D.java"]
-    assert containing(s, paths, "") == paths
-    assert containing(s, paths, "x\0Name") == ["D.java"]
-    assert containing(s, paths, "Name\0") == ["D.java"]
+    assert containing(s, "Name") == ["B.java", "D.java", "E.java"]
+    assert containing(s, "y") == ["D.java"]
+    assert containing(s, "") == paths
+    assert containing(s, "x\0Name") == ["D.java"]
+    assert containing(s, "Name\0") == ["D.java"]
     # What read() gives for a file of the buffer is what the disk gives.
     fresh = RepoSnapshot(s.root(PRE), s.root(POST))
     assert [s.read(POST, p) for p in paths] == [fresh.read(POST, p) for p in paths]
@@ -264,13 +286,13 @@ def test_search_sees_decoded_folded_text(tmp_path):
         "Latin.java": b"// Ren\xe9\r\nclass Latin { }",
         "Utf8.java": "// Ren\u00e9\nclass Utf8 { }".encode("utf-8"),
     }
-    s, paths = version_of(tmp_path, files)
-    assert containing(s, paths, "Ren\u00e9") == ["Latin.java", "Utf8.java"]
-    assert containing(s, paths, "Ren\u00e9\nclass") == ["Latin.java", "Utf8.java"]
-    assert containing(s, paths, "a;\nint b;\nint c") == ["Crlf.java"]
-    assert containing(s, paths, "\r") == []
-    assert containing(s, paths, "class") == ["Latin.java", "Utf8.java"]
-    assert containing(s, paths, "\u00c3") == []  # no UTF-8 byte read as ISO-8859-1
+    s, _ = version_of(tmp_path, files)
+    assert containing(s, "Ren\u00e9") == ["Latin.java", "Utf8.java"]
+    assert containing(s, "Ren\u00e9\nclass") == ["Latin.java", "Utf8.java"]
+    assert containing(s, "a;\nint b;\nint c") == ["Crlf.java"]
+    assert containing(s, "\r") == []
+    assert containing(s, "class") == ["Latin.java", "Utf8.java"]
+    assert containing(s, "\u00c3") == []  # no UTF-8 byte read as ISO-8859-1
     assert s.read(POST, "Latin.java") == "// Ren\u00e9\nclass Latin { }"
 
 
@@ -288,7 +310,7 @@ def test_search_equals_a_scan_of_each_text(datas, name):
         s, paths = version_of(Path(tmp), {f"F{i}.java": data for i, data in enumerate(datas)})
         expected = [p for p in s.java_files(POST) if name in s.read(POST, p)]
         joined = RepoSnapshot(s.root(PRE), s.root(POST))
-        assert containing(joined, paths, name) == expected
+        assert containing(joined, name) == expected
         assert [joined.read(POST, p) for p in paths] == [s.read(POST, p) for p in paths]
 
 
