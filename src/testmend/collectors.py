@@ -114,7 +114,7 @@ class TROCtxBundle:
 
 
 def cap_chunk_text(text: str) -> str:
-    lines = text.splitlines()
+    lines = lexer.split_lines(text)
     if len(lines) <= CHUNK_LINE_CAP:
         return text
     return "\n".join(lines[:CHUNK_LINE_CAP] + [TRUNCATION_MARKER])

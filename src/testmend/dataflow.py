@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from testmend.javasrc import lexer
-from testmend.javasrc.format import canonicalize
+from testmend.javasrc.format import canonical_tokens
 from testmend.javasrc.lexer import IDENT, KEYWORD, Token
 
 PRIMITIVES = frozenset(
@@ -40,26 +39,28 @@ def split_statements(body_text: str) -> list[Statement]:
 
     ``body_text`` may be a raw or canonical fragment, with or without the
     surrounding braces; it is canonicalized here.  Control-flow headers
-    and braces are not statements.
+    and braces are not statements.  A statement is a canonical line and
+    its tokens; a literal that holds a line break (a text block) keeps
+    the tokens up to the end of its last line in its statement.
     """
     text = body_text.strip()
     if text.startswith("{") and text.endswith("}"):
         text = text[1:-1]
-    canonical = canonicalize(text)
+    canonical, tokens = canonical_tokens(text)
+    lines: list[list[Token]] = []
+    end_line = -1  # the line the previous token ends on
+    for tok in tokens:
+        if tok.line > end_line:
+            lines.append([])
+        lines[-1].append(tok)
+        end_line = tok.line + tok.text.count("\n")
     statements: list[Statement] = []
-    for line_index, raw_line in enumerate(canonical.splitlines()):
-        line = raw_line.strip()
-        if not line.endswith(";"):
-            continue
-        if line.startswith(("package ", "import ")):
+    for line in lines:
+        line_text = canonical[line[0].offset : line[-1].end_offset]
+        if line[-1].text != ";" or line_text.startswith(("package ", "import ")):
             continue
         statements.append(
-            Statement(
-                index=len(statements),
-                line=line_index,
-                text=line,
-                tokens=tuple(lexer.lex(line)),
-            )
+            Statement(index=len(statements), line=line[0].line, text=line_text, tokens=tuple(line))
         )
     return statements
 

@@ -7,7 +7,13 @@ attempting to parse statements or expressions.  Bodies and initializers
 are skipped with balanced-delimiter scanning.
 
 Spans are character offsets into the text handed to :func:`parse_java`;
-callers slice the same text to recover declaration snippets.
+callers slice the same text to recover declaration snippets.  What a
+span guarantees is what ``tests/test_decl_spans.py`` checks against the
+token stream alone, on fixture files, their mutants and generated class
+bodies: every class, method and field span lies inside its enclosing
+class body and overlaps no sibling; it starts at its first annotation,
+modifier or keyword/type token and ends at a balanced ``}`` or ``;``;
+and the classes are those a brace-depth scan finds.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from dataclasses import dataclass, field
 
 from testmend.errors import ParseError
 from testmend.javasrc import lexer
-from testmend.javasrc.lexer import IDENT, KEYWORD, OP, Token
+from testmend.javasrc.lexer import IDENT, KEYWORD, Token
 
 MODIFIER_WORDS = frozenset(
     "public private protected static final abstract native synchronized "
@@ -125,74 +131,6 @@ class JavaFile:
         return None
 
 
-class _Cursor:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def eof(self) -> bool:
-        return self.pos >= len(self.tokens)
-
-    def peek(self, ahead: int = 0) -> Token | None:
-        j = self.pos + ahead
-        return self.tokens[j] if 0 <= j < len(self.tokens) else None
-
-    def at(self, text: str, ahead: int = 0) -> bool:
-        t = self.peek(ahead)
-        return t is not None and t.text == text
-
-    def next(self) -> Token:
-        t = self.peek()
-        if t is None:
-            raise ParseError("unexpected end of source")
-        self.pos += 1
-        return t
-
-    def expect(self, text: str) -> Token:
-        t = self.peek()
-        if t is None or t.text != text:
-            found = t.text if t else "end of source"
-            line = t.line if t else None
-            col = t.col if t else None
-            raise ParseError(f"expected {text!r}, found {found!r}", line, col)
-        return self.next()
-
-    def skip_balanced(self, open_text: str, close_text: str) -> Token:
-        """Consume from the current ``open_text`` token through its match."""
-        opener = self.expect(open_text)
-        depth = 1
-        while depth:
-            t = self.peek()
-            if t is None:
-                raise ParseError(
-                    f"unbalanced {open_text!r}", opener.line, opener.col
-                )
-            self.pos += 1
-            if t.text == open_text:
-                depth += 1
-            elif t.text == close_text:
-                depth -= 1
-        return self.tokens[self.pos - 1]
-
-    def skip_generics(self) -> None:
-        """Consume a balanced ``<...>`` region, honoring shift tokens."""
-        opener = self.expect("<")
-        depth = 1
-        while depth > 0:
-            t = self.peek()
-            if t is None:
-                raise ParseError("unbalanced '<'", opener.line, opener.col)
-            self.pos += 1
-            if t.text == "<":
-                depth += 1
-            elif t.text == ">":
-                depth -= 1
-            elif t.text == ">>":
-                depth -= 2
-            elif t.text == ">>>":
-                depth -= 3
-
-
 def _render_type(tokens: list[Token]) -> str:
     """Join type tokens into a normalized single-space-free rendering."""
     parts: list[str] = []
@@ -213,80 +151,148 @@ def _render_type(tokens: list[Token]) -> str:
 
 
 class _Parser:
+    """One recursive-descent pass over ``tokens``; ``pos`` is the next token."""
+
     def __init__(self, text: str, tokens: list[Token] | None):
         self.text = text
-        self.cur = _Cursor(lexer.lex(text) if tokens is None else tokens)
+        self.tokens = lexer.lex(text) if tokens is None else tokens
+        self.pos = 0
 
-    # -- annotations and modifiers -------------------------------------
+    # -- token cursor ---------------------------------------------------
 
-    def parse_annotations_and_modifiers(self) -> tuple[list[str], set[str], int | None]:
+    def peek(self, ahead: int = 0) -> Token | None:
+        j = self.pos + ahead
+        return self.tokens[j] if j < len(self.tokens) else None
+
+    def at(self, text: str, ahead: int = 0) -> bool:
+        t = self.peek(ahead)
+        return t is not None and t.text == text
+
+    def next(self) -> Token:
+        t = self.peek()
+        if t is None:
+            raise ParseError("unexpected end of source")
+        self.pos += 1
+        return t
+
+    def expect(self, text: str) -> Token:
+        t = self.peek()
+        if t is None or t.text != text:
+            found = t.text if t else "end of source"
+            line = t.line if t else None
+            col = t.col if t else None
+            raise ParseError(f"expected {text!r}, found {found!r}", line, col)
+        self.pos += 1
+        return t
+
+    def skip_balanced(self, open_text: str, close_text: str) -> Token:
+        """Consume from the current ``open_text`` token through its match."""
+        opener = self.expect(open_text)
+        depth = 1
+        while depth:
+            t = self.peek()
+            if t is None:
+                raise ParseError(f"unbalanced {open_text!r}", opener.line, opener.col)
+            self.pos += 1
+            if t.text == open_text:
+                depth += 1
+            elif t.text == close_text:
+                depth -= 1
+        return t
+
+    def skip_generics(self) -> None:
+        """Consume a balanced ``<...>`` region, honoring shift tokens."""
+        opener = self.expect("<")
+        depth = 1
+        while depth > 0:
+            t = self.peek()
+            if t is None:
+                raise ParseError("unbalanced '<'", opener.line, opener.col)
+            self.pos += 1
+            if t.text == "<":
+                depth += 1
+            elif t.text == ">":
+                depth -= 1
+            elif t.text == ">>":
+                depth -= 2
+            elif t.text == ">>>":
+                depth -= 3
+
+    def skip_dims(self) -> str:
+        """Consume ``[]`` pairs and return them as text."""
+        dims = ""
+        while self.at("[") and self.at("]", 1):
+            self.pos += 2
+            dims += "[]"
+        return dims
+
+    def _skip_to_semicolon(self) -> None:
+        while (t := self.peek()) is not None:
+            self.pos += 1
+            if t.text == ";":
+                return
+
+    # -- annotations, modifiers and types -------------------------------
+
+    def parse_annotations_and_modifiers(self) -> tuple[list[str], set[str]]:
         annotations: list[str] = []
         modifiers: set[str] = set()
-        first_offset: int | None = None
-        while True:
-            t = self.cur.peek()
-            if t is None:
-                break
-            if t.text == "@" and not self.cur.at("interface", 1):
-                if first_offset is None:
-                    first_offset = t.offset
-                self.cur.next()
-                name = self.cur.next().text
-                while self.cur.at(".") and _is_name(self.cur.peek(1)):
-                    self.cur.next()
-                    name += "." + self.cur.next().text
-                if self.cur.at("("):
-                    self.cur.skip_balanced("(", ")")
+        while (t := self.peek()) is not None:
+            if t.text == "@" and not self.at("interface", 1):
+                self.pos += 1
+                name = self.next().text
+                while self.at(".") and _is_name(self.peek(1)):
+                    name += "." + self.tokens[self.pos + 1].text
+                    self.pos += 2
+                if self.at("("):
+                    self.skip_balanced("(", ")")
                 annotations.append(name)
-            elif t.kind == KEYWORD and t.text in MODIFIER_WORDS:
+            elif (t.kind == KEYWORD and t.text in MODIFIER_WORDS) or (
+                t.kind == IDENT and t.text == "sealed"
+            ):
                 # "default" starts interface default methods but is also a
                 # switch label; at member level it is always a modifier.
-                if first_offset is None:
-                    first_offset = t.offset
-                self.cur.next()
-                modifiers.add(t.text)
-            elif t.kind == IDENT and t.text == "sealed":
-                if first_offset is None:
-                    first_offset = t.offset
-                self.cur.next()
+                self.pos += 1
                 modifiers.add(t.text)
             else:
                 break
-        return annotations, modifiers, first_offset
-
-    # -- types ----------------------------------------------------------
+        return annotations, modifiers
 
     def parse_type(self) -> str:
         tokens: list[Token] = []
-        t = self.cur.peek()
+        t = self.peek()
         if t is None:
             raise ParseError("expected a type, found end of source")
         if t.text == "@":  # type annotation, e.g. @Nullable String
             self.parse_annotations_and_modifiers()
-            t = self.cur.peek()
+            t = self.peek()
             if t is None:
                 raise ParseError("expected a type after annotation")
         if t.kind == KEYWORD and t.text in PRIMITIVE_WORDS:
-            tokens.append(self.cur.next())
-        elif t.kind == IDENT or (t.kind == KEYWORD and t.text == "var"):
-            tokens.append(self.cur.next())
+            tokens.append(self.next())
+        elif t.kind == IDENT:
+            tokens.append(self.next())
             while True:
-                if self.cur.at("<"):
-                    start = self.cur.pos
-                    self.cur.skip_generics()
-                    tokens.extend(self.cur.tokens[start : self.cur.pos])
-                    continue
-                if self.cur.at(".") and _is_name(self.cur.peek(1)):
-                    tokens.append(self.cur.next())
-                    tokens.append(self.cur.next())
-                    continue
-                break
+                if self.at("<"):
+                    start = self.pos
+                    self.skip_generics()
+                    tokens.extend(self.tokens[start : self.pos])
+                elif self.at(".") and _is_name(self.peek(1)):
+                    tokens.extend(self.tokens[self.pos : self.pos + 2])
+                    self.pos += 2
+                else:
+                    break
         else:
             raise ParseError(f"expected a type, found {t.text!r}", t.line, t.col)
-        while self.cur.at("[") and self.cur.at("]", 1):
-            tokens.append(self.cur.next())
-            tokens.append(self.cur.next())
-        return _render_type(tokens)
+        return _render_type(tokens) + self.skip_dims()
+
+    def parse_type_list(self) -> list[str]:
+        """Comma-separated types, as after ``implements`` or ``throws``."""
+        types = [self.parse_type()]
+        while self.at(","):
+            self.pos += 1
+            types.append(self.parse_type())
+        return types
 
     # -- compilation unit -----------------------------------------------
 
@@ -295,30 +301,27 @@ class _Parser:
         imports: dict[str, str] = {}
         wildcards: list[str] = []
         classes: list[ClassDecl] = []
-        while not self.cur.eof():
-            t = self.cur.peek()
-            assert t is not None
+        while (t := self.peek()) is not None:
             if t.text == "package":
-                self.cur.next()
+                self.pos += 1
                 package = self._qualified_name()
                 self._skip_to_semicolon()
             elif t.text == "import":
-                self.cur.next()
-                if self.cur.at("static"):
-                    self.cur.next()
+                self.pos += 1
+                if self.at("static"):
+                    self.pos += 1
                 name = self._qualified_name()
-                if self.cur.at("*"):
-                    self.cur.next()
+                if self.at("*"):
+                    self.pos += 1
                     wildcards.append(name.rstrip("."))
                 else:
                     imports.setdefault(name.rsplit(".", 1)[-1], name)
                 self._skip_to_semicolon()
-            elif t.text == ";":
-                self.cur.next()
             else:
-                decl = self._try_type_decl(enclosing=[])
+                mark = self.pos
+                decl = self._type_decl(t.offset, *self.parse_annotations_and_modifiers(), [])
                 if decl is None:
-                    self.cur.next()  # lenient: skip stray token
+                    self.pos = mark + 1  # lenient: skip a stray token, such as ';'
                 else:
                     classes.append(decl)
         return JavaFile(
@@ -327,56 +330,41 @@ class _Parser:
             imports=imports,
             wildcard_imports=wildcards,
             classes=classes,
-            tokens=self.cur.tokens,
+            tokens=self.tokens,
         )
 
     def _qualified_name(self) -> str:
         parts = []
-        while _is_name(self.cur.peek()):
-            parts.append(self.cur.next().text)
-            if self.cur.at(".") and (_is_name(self.cur.peek(1)) or self.cur.at("*", 1)):
-                self.cur.next()
-                if self.cur.at("*"):
+        while _is_name(self.peek()):
+            parts.append(self.next().text)
+            if self.at(".") and (_is_name(self.peek(1)) or self.at("*", 1)):
+                self.pos += 1
+                if self.at("*"):
                     parts.append("")
                     break
             else:
                 break
         return ".".join(parts).rstrip(".")
 
-    def _skip_to_semicolon(self) -> None:
-        while not self.cur.eof() and not self.cur.at(";"):
-            self.cur.next()
-        if self.cur.at(";"):
-            self.cur.next()
-
     # -- type declarations ----------------------------------------------
 
-    def _try_type_decl(self, enclosing: list[str]) -> ClassDecl | None:
-        mark = self.cur.pos
-        annotations, modifiers, first_offset = self.parse_annotations_and_modifiers()
-        t = self.cur.peek()
-        is_record = (
-            t is not None
-            and t.kind == IDENT
-            and t.text == "record"
-            and _is_name(self.cur.peek(1))
-        )
-        at_interface = t is not None and t.text == "@" and self.cur.at("interface", 1)
-        if t is None or (
-            not (t.kind == KEYWORD and t.text in _TYPE_KEYWORDS)
-            and not is_record
-            and not at_interface
-        ):
-            self.cur.pos = mark
+    def _type_decl(
+        self, start: int, annotations: list[str], modifiers: set[str], enclosing: list[str]
+    ) -> ClassDecl | None:
+        """The type declaration at the cursor, its annotations and modifiers
+        already parsed from ``start``; None, consuming nothing, if no type
+        keyword is next."""
+        t = self.peek()
+        if t is None:
             return None
-        kw_tok = t
+        at_interface = t.text == "@" and self.at("interface", 1)
+        is_record = t.kind == IDENT and t.text == "record" and _is_name(self.peek(1))
+        if not (at_interface or is_record or (t.kind == KEYWORD and t.text in _TYPE_KEYWORDS)):
+            return None
         if at_interface:
-            self.cur.next()
-            keyword = self.cur.next().text  # 'interface'
-        else:
-            keyword = self.cur.next().text
-        name_tok = self.cur.next()
-        start = first_offset if first_offset is not None else kw_tok.offset
+            self.pos += 1
+        keyword = self.next().text
+        name_tok = self.next()
         decl = ClassDecl(
             name=name_tok.text,
             keyword="@interface" if at_interface else keyword,
@@ -386,122 +374,100 @@ class _Parser:
             implements=[],
             start=start,
             name_token=name_tok,
-            enclosing=list(enclosing),
+            enclosing=enclosing,
         )
-        if self.cur.at("<"):
-            self.cur.skip_generics()
-        if is_record and self.cur.at("("):
-            self.cur.skip_balanced("(", ")")
-        if self.cur.at("extends"):
-            self.cur.next()
-            first = self.parse_type()
+        if self.at("<"):
+            self.skip_generics()
+        if is_record and self.at("("):
+            self.skip_balanced("(", ")")
+        if self.at("extends"):
+            self.pos += 1
             if keyword == "interface":
-                decl.implements.append(first)
-                while self.cur.at(","):
-                    self.cur.next()
-                    decl.implements.append(self.parse_type())
+                decl.implements.extend(self.parse_type_list())
             else:
-                decl.extends = first
-        if self.cur.at("implements"):
-            self.cur.next()
-            decl.implements.append(self.parse_type())
-            while self.cur.at(","):
-                self.cur.next()
-                decl.implements.append(self.parse_type())
-        while self.cur.peek() is not None and self.cur.peek().text in (
-            "permits",
-        ):  # sealed classes: skip the permits list
-            self.cur.next()
-            self.parse_type()
-            while self.cur.at(","):
-                self.cur.next()
-                self.parse_type()
-        open_brace = self.cur.expect("{")
+                decl.extends = self.parse_type()
+        if self.at("implements"):
+            self.pos += 1
+            decl.implements.extend(self.parse_type_list())
+        while self.at("permits"):  # sealed classes: skip the permits list
+            self.pos += 1
+            self.parse_type_list()
+        self.expect("{")
         if keyword == "enum":
             self._parse_enum_constants()
         self._parse_members(decl)
-        close = self.cur.expect("}")
-        decl.end = close.end_offset
-        assert open_brace is not None
+        decl.end = self.expect("}").end_offset
         return decl
 
     def _parse_enum_constants(self) -> None:
         while True:
-            t = self.cur.peek()
+            t = self.peek()
             if t is None or t.text in ("}", ";"):
                 break
             if t.text == "@":
                 self.parse_annotations_and_modifiers()
                 continue
             if t.kind in (IDENT, KEYWORD):
-                self.cur.next()
-                if self.cur.at("("):
-                    self.cur.skip_balanced("(", ")")
-                if self.cur.at("{"):
-                    self.cur.skip_balanced("{", "}")
-            if self.cur.at(","):
-                self.cur.next()
+                self.pos += 1
+                if self.at("("):
+                    self.skip_balanced("(", ")")
+                if self.at("{"):
+                    self.skip_balanced("{", "}")
+            if self.at(","):
+                self.pos += 1
             else:
                 break
-        if self.cur.at(";"):
-            self.cur.next()
+        if self.at(";"):
+            self.pos += 1
 
     # -- members ---------------------------------------------------------
 
     def _parse_members(self, decl: ClassDecl) -> None:
         while True:
-            t = self.cur.peek()
+            t = self.peek()
             if t is None:
                 raise ParseError(f"unterminated body of {decl.name}")
             if t.text == "}":
                 return
             if t.text == ";":
-                self.cur.next()
+                self.pos += 1
                 continue
-            if t.text == "{":  # instance initializer
-                self.cur.skip_balanced("{", "}")
-                continue
-            if t.text == "static" and self.cur.at("{", 1):  # static initializer
-                self.cur.next()
-                self.cur.skip_balanced("{", "}")
-                continue
-            member = self._parse_member(decl)
+            member = self._parse_member(decl, t.offset)
             if member is not None:
                 decl.members.append(member)
 
-    def _parse_member(self, decl: ClassDecl) -> object | None:
-        nested = self._try_type_decl([*decl.enclosing, decl.name])
+    def _parse_member(self, decl: ClassDecl, start: int) -> object | None:
+        annotations, modifiers = self.parse_annotations_and_modifiers()
+        nested = self._type_decl(
+            start, annotations, modifiers, [*decl.enclosing, decl.name]
+        )
         if nested is not None:
             return nested
-        annotations, modifiers, first_offset = self.parse_annotations_and_modifiers()
-        t = self.cur.peek()
+        t = self.peek()
         if t is None:
             raise ParseError(f"unterminated body of {decl.name}")
-        start = first_offset if first_offset is not None else t.offset
         if t.text == "<":  # generic method type parameters
-            self.cur.skip_generics()
-            t = self.cur.peek()
+            self.skip_generics()
+            t = self.peek()
             if t is None:
                 raise ParseError("dangling type parameters")
         # Constructor: bare class name followed by '('.
-        if t.kind == IDENT and t.text == decl.name and self.cur.at("(", 1):
-            name_tok = self.cur.next()
+        if t.kind == IDENT and t.text == decl.name and self.at("(", 1):
+            self.pos += 1
             return self._finish_method(
-                name_tok, "", modifiers, annotations, start, is_constructor=True
+                t, "", modifiers, annotations, start, is_constructor=True
             )
-        if t.text == "{":  # initializer after modifiers (e.g. static handled above)
-            self.cur.skip_balanced("{", "}")
+        if t.text == "{":  # an initializer, static or not
+            self.skip_balanced("{", "}")
             return None
         type_text = self.parse_type()
-        name_tok = self.cur.peek()
+        name_tok = self.peek()
         if name_tok is None:
             raise ParseError("unexpected end of member declaration")
+        self.pos += 1
         if not _is_name(name_tok):
-            # Lenient recovery: skip one token and move on.
-            self.cur.next()
-            return None
-        self.cur.next()
-        if self.cur.at("("):
+            return None  # lenient recovery: skip one token and move on
+        if self.at("("):
             return self._finish_method(
                 name_tok, type_text, modifiers, annotations, start, is_constructor=False
             )
@@ -517,29 +483,20 @@ class _Parser:
         is_constructor: bool,
     ) -> MethodDecl:
         params = self._parse_parameters()
-        while self.cur.at("[") and self.cur.at("]", 1):  # archaic int foo()[]
-            self.cur.next()
-            self.cur.next()
+        self.skip_dims()  # archaic int foo()[]
         throws: list[str] = []
-        if self.cur.at("throws"):
-            self.cur.next()
-            throws.append(self.parse_type())
-            while self.cur.at(","):
-                self.cur.next()
-                throws.append(self.parse_type())
+        if self.at("throws"):
+            self.pos += 1
+            throws = self.parse_type_list()
         body_start = body_end = None
-        if self.cur.at("{"):
-            open_tok = self.cur.peek()
-            close_tok = self.cur.skip_balanced("{", "}")
-            body_start = open_tok.offset
-            body_end = close_tok.end_offset
-            end = body_end
-        elif self.cur.at("default"):  # annotation member default value
+        if self.at("{"):
+            body_start = self.tokens[self.pos].offset
+            body_end = end = self.skip_balanced("{", "}").end_offset
+        elif self.at("default"):  # annotation member default value
             self._skip_to_semicolon()
-            end = self.cur.tokens[self.cur.pos - 1].end_offset
+            end = self.tokens[self.pos - 1].end_offset
         else:
-            semi = self.cur.expect(";")
-            end = semi.end_offset
+            end = self.expect(";").end_offset
         return MethodDecl(
             name=name_tok.text,
             modifiers=modifiers,
@@ -556,35 +513,31 @@ class _Parser:
         )
 
     def _parse_parameters(self) -> list[Parameter]:
-        self.cur.expect("(")
+        self.expect("(")
         params: list[Parameter] = []
-        if self.cur.at(")"):
-            self.cur.next()
+        if self.at(")"):
+            self.pos += 1
             return params
         while True:
-            while self.cur.at("@"):
+            while self.at("@"):
                 self.parse_annotations_and_modifiers()
-            if self.cur.at("final"):
-                self.cur.next()
+            if self.at("final"):
+                self.pos += 1
             type_text = self.parse_type()
-            if self.cur.at("..."):
-                self.cur.next()
+            if self.at("..."):
+                self.pos += 1
                 type_text += "..."
-            name_t = self.cur.peek()
+            name_t = self.peek()
             if name_t is not None and (_is_name(name_t) or name_t.text == "this"):
-                self.cur.next()
+                self.pos += 1
                 name = name_t.text
             else:
                 name = ""
-            while self.cur.at("[") and self.cur.at("]", 1):
-                self.cur.next()
-                self.cur.next()
-                type_text += "[]"
-            params.append(Parameter(type_text=type_text, name=name))
-            if self.cur.at(","):
-                self.cur.next()
+            params.append(Parameter(type_text=type_text + self.skip_dims(), name=name))
+            if self.at(","):
+                self.pos += 1
                 continue
-            self.cur.expect(")")
+            self.expect(")")
             return params
 
     def _finish_field(
@@ -596,40 +549,34 @@ class _Parser:
         start: int,
     ) -> FieldDecl:
         names = [name_tok.text]
-        suffix = ""
-        while self.cur.at("[") and self.cur.at("]", 1):
-            self.cur.next()
-            self.cur.next()
-            suffix += "[]"
+        type_text += self.skip_dims()
         self._skip_field_tail()
-        while self.cur.at(","):
-            self.cur.next()
-            extra = self.cur.peek()
+        while self.at(","):
+            self.pos += 1
+            extra = self.peek()
             if extra is not None and _is_name(extra):
-                names.append(self.cur.next().text)
-            while self.cur.at("[") and self.cur.at("]", 1):
-                self.cur.next()
-                self.cur.next()
+                self.pos += 1
+                names.append(extra.text)
+            self.skip_dims()
             self._skip_field_tail()
-        semi = self.cur.expect(";")
         return FieldDecl(
             names=names,
-            type_text=type_text + suffix,
+            type_text=type_text,
             modifiers=modifiers,
             annotations=annotations,
             start=start,
-            end=semi.end_offset,
+            end=self.expect(";").end_offset,
             name_token=name_tok,
         )
 
     def _skip_field_tail(self) -> None:
         """Skip an optional initializer up to a top-level ',' or ';'."""
-        if not self.cur.at("="):
+        if not self.at("="):
             return
-        self.cur.next()
+        self.pos += 1
         depth = 0
         while True:
-            t = self.cur.peek()
+            t = self.peek()
             if t is None:
                 raise ParseError("unterminated field initializer")
             if depth == 0 and t.text in (",", ";"):
@@ -638,7 +585,7 @@ class _Parser:
                 depth += 1
             elif t.text in (")", "]", "}"):
                 depth -= 1
-            self.cur.next()
+            self.pos += 1
 
 
 def _is_name(t: Token | None) -> bool:

@@ -14,13 +14,14 @@ rewritten here.  Guarantees:
 * the transform is idempotent: canonicalize(canonicalize(x)) ==
   canonicalize(x).
 
-:func:`canonical_tokens` makes one pass over the raw text.  It keeps each
-lexeme's kind and text, and the emitter writes the canonical text while
-it builds each canonical :class:`~testmend.javasrc.lexer.Token`: its
-kind, its text and its line, column and offset in the output.  So token
-*i* of ``lex(source)`` is token *i* of the canonical tokens, and a parse
-of the canonical text (:func:`~testmend.javasrc.ast.parse_java`) takes
-those tokens instead of lexing the text again.  That they equal the
+:func:`canonical_tokens` makes one pass over the raw text: the lexer's
+:func:`~testmend.javasrc.lexer.scan` gives each lexeme's kind and text,
+and the emitter writes the canonical text while it builds each canonical
+:class:`~testmend.javasrc.lexer.Token`: its kind, its text and its line,
+column and offset in the output.  So token *i* of ``lex(source)`` is
+token *i* of the canonical tokens, and a parse of the canonical text
+(:func:`~testmend.javasrc.ast.parse_java`) takes those tokens instead of
+lexing the text again.  That they equal the
 tokens of ``lex(canonicalize(source))``, field by field, is what
 ``tests/test_canonical_tokens.py`` checks against the old emit-then-relex
 path, on generated text and on every fixture file and its mutants.
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 from testmend.errors import CursorNotOnIdentifier, ParseError
 from testmend.javasrc import lexer
 from testmend.javasrc.ast import PRIMITIVE_WORDS
-from testmend.javasrc.lexer import CHAR, IDENT, KEYWORD, KEYWORDS, NUMBER, OP, STRING, Token
+from testmend.javasrc.lexer import IDENT, KEYWORD, OP, Token
 
 INDENT = "    "
 
@@ -62,10 +63,6 @@ _UNARY = frozenset({"+", "-", "!", "~", "++", "--"})
 _POSTFIX = frozenset({")", "]", "++", "--"})
 _UNARY_AFTER = frozenset({"return", "case", "assert", "throw", "else"})
 
-# Lexer groups that make a token; every other non-skip group is an error.
-_TOKEN_GROUPS = frozenset({IDENT, NUMBER, STRING, CHAR, OP})
-
-
 @functools.lru_cache(maxsize=4096)
 def _would_merge(a: str, b: str) -> bool:
     """True if writing ``a`` and ``b`` adjacently would not re-lex as a, b.
@@ -88,29 +85,6 @@ class CursorPos:
 
     line: int
     col: int
-
-
-def _scan(source: str) -> tuple[list[str], list[str]]:
-    """The kinds and texts of ``source``'s tokens, without positions.
-
-    A malformed lexeme raises the :class:`ParseError` that ``lex`` raises.
-    """
-    kinds: list[str] = []
-    texts: list[str] = []
-    for m in lexer._MASTER.finditer(source):
-        kind = m.lastgroup
-        if kind == "skip":
-            continue
-        text = m.group()
-        if kind == IDENT:
-            if text in KEYWORDS:
-                kind = KEYWORD
-        elif kind not in _TOKEN_GROUPS:
-            lexer.lex(source)  # raises this lexeme's error, with its line and column
-            raise AssertionError(f"lex accepted a {kind} lexeme")
-        kinds.append(kind)
-        texts.append(text)
-    return kinds, texts
 
 
 def _classify_braces(texts: list[str]) -> list[str | None]:
@@ -304,7 +278,7 @@ def canonical_tokens(source: str) -> tuple[str, list[Token]]:
     Raises :class:`ParseError` where :func:`~testmend.javasrc.lexer.lex`
     would, with the same message, line and column.
     """
-    return _emit(*_scan(source))
+    return _emit(*lexer.scan(source))
 
 
 def canonicalize(source: str) -> str:

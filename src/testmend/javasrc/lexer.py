@@ -7,6 +7,11 @@ the ``re`` documentation).  Whitespace and comments are matched and
 skipped, so the stream never contains them.  A token's line and column
 come from its offset and the offset of the last newline before it.
 
+The module owns the master pattern: :func:`scan` makes the same pass
+and yields only each token's kind and text, for the canonicalizer
+(:func:`testmend.javasrc.format.canonical_tokens`), which places the
+tokens in the text it writes.
+
 Tokens are slot records, not frozen dataclasses, for a cheap constructor
 (see :class:`Token`); nothing mutates a token once it is built.
 
@@ -99,13 +104,24 @@ _MASTER = re.compile(
     re.DOTALL | re.VERBOSE,
 )
 
-# Error group -> (message, columns from the lexeme start to the report).
+# Error group -> (message, columns from the lexeme start to the report);
+# an unexpected character's message names it.
 _ERRORS = {
     "open_comment": ("unterminated block comment", 2),
     "open_text_block": ("unterminated text block", 3),
     "open_string": ("unterminated string literal", 0),
     "open_char": ("unterminated character literal", 0),
+    "unexpected": ("", 0),
 }
+
+
+def _lexeme_error(m: re.Match[str]) -> ParseError:
+    """The error for the malformed lexeme ``m``, at its line and column."""
+    text, start = m.string, m.start()
+    message, shift = _ERRORS[m.lastgroup]
+    line = text.count("\n", 0, start)
+    col = start - text.rfind("\n", 0, start) - 1 + shift
+    return ParseError(message or f"unexpected character {m.group()!r}", line, col)
 
 
 def lex(text: str) -> list[Token]:
@@ -115,10 +131,7 @@ def lex(text: str) -> list[Token]:
     for m in _MASTER.finditer(text):
         kind, value, start = m.lastgroup, m.group(), m.start()
         if kind in _ERRORS:
-            message, shift = _ERRORS[kind]
-            raise ParseError(message, line, start - line_start + shift)
-        if kind == "unexpected":
-            raise ParseError(f"unexpected character {value!r}", line, start - line_start)
+            raise _lexeme_error(m)
         if kind != "skip":
             if kind == IDENT and value in KEYWORDS:
                 kind = KEYWORD
@@ -127,6 +140,42 @@ def lex(text: str) -> list[Token]:
             line += value.count("\n")
             line_start = start + value.rindex("\n") + 1
     return tokens
+
+
+def scan(text: str) -> tuple[list[str], list[str]]:
+    """The kinds and texts of ``text``'s tokens, without positions.
+
+    One pass, as :func:`lex` makes, for a caller that places the tokens
+    itself (:func:`testmend.javasrc.format.canonical_tokens`); raises the
+    :class:`ParseError` that :func:`lex` raises.
+    """
+    kinds: list[str] = []
+    texts: list[str] = []
+    for m in _MASTER.finditer(text):
+        kind = m.lastgroup
+        if kind == "skip":
+            continue
+        if kind in _ERRORS:
+            raise _lexeme_error(m)
+        value = m.group()
+        if kind == IDENT and value in KEYWORDS:
+            kind = KEYWORD
+        kinds.append(kind)
+        texts.append(value)
+    return kinds, texts
+
+
+def split_lines(text: str) -> list[str]:
+    """``text`` split at ``\\n`` only, the one break a token's ``line`` counts.
+
+    Equals ``text.splitlines()`` for text whose only break is ``\\n``;
+    unlike it, a U+0085, U+2028, ``\\x0b`` or ``\\x0c`` inside a literal
+    breaks no line.
+    """
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
 
 
 def token_texts(text: str) -> list[str]:

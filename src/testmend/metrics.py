@@ -44,7 +44,7 @@ def normalize_method_text(text: str) -> str:
         canonical = canonicalize(text)
     except ParseError:
         canonical = text
-    return "\n".join(line.strip() for line in canonical.splitlines() if line.strip())
+    return "\n".join(line.strip() for line in lexer.split_lines(canonical) if line.strip())
 
 
 def has_code_tokens(text: str) -> bool:
@@ -271,9 +271,9 @@ def diff_bleu(original_test: str, candidate: MetricRecord, reference: MetricReco
     sides unchanged scores 1.0; exactly one side unchanged scores 0.0 (a
     no-op repair against a real reference change, or vice versa).
     """
-    original_lines = set(original_test.splitlines())
-    cand_changed = [line for line in candidate.text.splitlines() if line not in original_lines]
-    ref_changed = [line for line in reference.text.splitlines() if line not in original_lines]
+    original_lines = set(lexer.split_lines(original_test))
+    cand_changed = [line for line in lexer.split_lines(candidate.text) if line not in original_lines]
+    ref_changed = [line for line in lexer.split_lines(reference.text) if line not in original_lines]
     if not cand_changed and not ref_changed:
         return 1.0
     if not cand_changed or not ref_changed:

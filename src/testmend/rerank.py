@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING, Protocol, Sequence
 
 from testmend.collectors import ClassCtxGroup, ContextChunk, TROCtxBundle
 from testmend.errors import ScorerError
+from testmend.javasrc.lexer import split_lines
 from testmend.queries import QuerySet
 
 if TYPE_CHECKING:
@@ -134,8 +135,10 @@ class RemoteScorer:
             values = [float(s) for s in scores]
         except (TypeError, ValueError) as exc:
             raise ScorerError(f"remote scorer returned non-numeric score: {exc}") from exc
-        if not all(map(math.isfinite, values)):  # json reads NaN and Infinity
-            raise ScorerError(f"remote scorer returned non-finite score: {values}")
+        # json reads NaN and Infinity; a span past the float range would
+        # make every min-max score NaN.
+        if not (all(map(math.isfinite, values)) and math.isfinite(max(values) - min(values))):
+            raise ScorerError(f"remote scorer returned non-finite score or score span: {values}")
         return _min_max(values)
 
     def close(self) -> None:
@@ -232,7 +235,7 @@ def _usage_sides(chunk: ContextChunk) -> list[str]:
     """The deleted-side and added-side texts of a usage diff chunk."""
     deleted: list[str] = []
     added: list[str] = []
-    for line in chunk.text.splitlines():
+    for line in split_lines(chunk.text):
         if line.startswith("- "):
             deleted.append(line[2:])
         elif line.startswith("+ "):

@@ -18,6 +18,7 @@ from pathlib import Path
 
 from testmend.errors import InputError
 from testmend.javasrc.format import CursorPos
+from testmend.javasrc.lexer import split_lines
 
 PRE = "pre"
 POST = "post"
@@ -298,8 +299,8 @@ class DiffText:
 
 def unified_diff(a: str, b: str) -> DiffText:
     """Line diff of two texts (SequenceMatcher alignment, autojunk off)."""
-    a_lines = tuple(a.splitlines())
-    b_lines = tuple(b.splitlines())
+    a_lines = tuple(split_lines(a))
+    b_lines = tuple(split_lines(b))
     matcher = SequenceMatcher(a=a_lines, b=b_lines, autojunk=False)
     hunks = [
         Hunk(

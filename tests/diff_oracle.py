@@ -17,7 +17,9 @@ class PatchConflict(Exception):
 
 def apply_diff(a: str, diff: DiffText, trailing_newline: bool) -> str:
     """Apply ``diff`` to ``a``; end the result with a newline if asked."""
-    a_lines = a.splitlines()
+    a_lines = a.split("\n")  # lines break at "\n" only, as tokens count them
+    if not a_lines[-1]:
+        a_lines.pop()
     out: list[str] = []
     cursor = 0
     for hunk in diff.hunks:

@@ -50,7 +50,7 @@ def normalize_method_text(text: str) -> str:
         canonical = canonicalize(text)
     except ParseError:
         canonical = text
-    return "\n".join(line.strip() for line in canonical.splitlines() if line.strip())
+    return "\n".join(line.strip() for line in canonical.split("\n") if line.strip())
 
 
 # ----------------------------------------------------------------------
@@ -224,10 +224,16 @@ def code_bleu(candidate: str, reference: str) -> float:
     )
 
 
+def _lines(normalized: str) -> list[str]:
+    """The lines of a normalized text, which breaks lines at "\\n" only
+    and never ends with one."""
+    return normalized.split("\n") if normalized else []
+
+
 def _changed_lines(text: str, original_lines: set[str]) -> list[str]:
     return [
         line
-        for line in normalize_method_text(text).splitlines()
+        for line in _lines(normalize_method_text(text))
         if line not in original_lines
     ]
 
@@ -239,7 +245,7 @@ def diff_bleu(original_test: str, candidate: str, reference: str) -> float:
     Both sides unchanged scores 1.0; exactly one side unchanged scores
     0.0 (a no-op repair against a real reference change, or vice versa).
     """
-    original_lines = set(normalize_method_text(original_test).splitlines())
+    original_lines = set(_lines(normalize_method_text(original_test)))
     cand_changed = _changed_lines(candidate, original_lines)
     ref_changed = _changed_lines(reference, original_lines)
     if not cand_changed and not ref_changed:

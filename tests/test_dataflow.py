@@ -39,6 +39,21 @@ def test_split_statements_accepts_unbraced_fragment():
     assert [s.text for s in stmts] == ["int a = 1;", "int b = a + 1;"]
 
 
+def test_split_statements_keeps_a_text_block_in_its_statement():
+    stmts = split_statements('{\n String s = """\n    foo;\n    """;\n  run(s);\n}')
+    assert [s.text for s in stmts] == ['String s = """\n    foo;\n    """;', "run(s);"]
+    assert [t.text for t in stmts[0].tokens] == ["String", "s", "=", '"""\n    foo;\n    """', ";"]
+    assert [s.line for s in stmts] == [0, 3]
+
+
+def test_split_statements_breaks_no_line_inside_a_string():
+    # U+0085 is what a cp1252 "…" (byte 0x85) reads as under the
+    # ISO-8859-1 fallback; str.splitlines() breaks lines at it.
+    stmts = split_statements('{ String s = "a\x85b"; run(s); }')
+    assert [s.text for s in stmts] == ['String s = "a\x85b";', "run(s);"]
+    assert [s.line for s in stmts] == [0, 1]
+
+
 def test_member_accesses_first_link_only():
     stmts = split_statements("x = opts.toBuilder().setReadOnly(true).build();")
     accesses = member_accesses(stmts[0], {"opts"})

@@ -158,6 +158,12 @@ def test_tokens_compare_and_hash_by_their_fields():
     assert first[0] != lexer.Token(lexer.IDENT, "int", 0, 0, 0)
 
 
+def test_split_lines_breaks_only_at_newline():
+    for text in ("", "\n", "a", "a\n", "a\n\nb", "a\n\n", "\n\na"):
+        assert lexer.split_lines(text) == text.splitlines()
+    assert lexer.split_lines("a\x85b\u2028c\x0bd\x0ce\r\n") == ["a\x85b\u2028c\x0bd\x0ce\r"]
+
+
 def test_tokens_are_slot_records():
     tok = lex("a")[0]
     assert not hasattr(tok, "__dict__")

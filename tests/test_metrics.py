@@ -191,6 +191,14 @@ def test_exact_match_is_canonical_raw_is_literal():
     assert exact_match_raw(TEN_LINE_METHOD, TEN_LINE_METHOD)
 
 
+def test_normalize_method_text_breaks_no_line_inside_a_literal():
+    text = 'void f() {\n    String s = "a\u2028b";\n    use(s);\n}'
+    record = metric_record(text)
+    assert record.text.split("\n")[1] == 'String s = "a\u2028b";'
+    assert '"a\u2028b"' in record.tokens
+    assert record.edges == {("s", 0, 0)}
+
+
 def test_normalize_method_text_strips_and_is_idempotent():
     messy = "void f() {\n   int x = 1; // note\n\n}\n"
     normal = normalize_method_text(messy)

@@ -245,7 +245,8 @@ def test_remote_scorer_rejects_malformed_payloads(score_double):
     with pytest.raises(ScorerError):
         scorer.score("q", ["a"])
     inf, nan = float("inf"), float("nan")  # sent as Infinity and NaN
-    for scores in ([inf, 2.0, 1.0], [-inf, 2.0, 1.0], [nan, 2.0, 1.0], [1.0, nan, 1.0]):
+    overflow = [1e308, -1e308, 0.0]  # finite scores whose span is not
+    for scores in ([inf, 2.0, 1.0], [-inf, 2.0, 1.0], [nan, 2.0, 1.0], [1.0, nan, 1.0], overflow):
         score_double["script"] = [(200, {"scores": scores})]
         with pytest.raises(ScorerError, match="non-finite"):
             scorer.score("q", ["a", "b", "c"])

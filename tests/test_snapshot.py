@@ -66,6 +66,21 @@ def test_non_utf8_file_reads_as_latin1(tmp_path):
     assert s.read(POST, "X.java") == utf8
 
 
+def test_diff_lines_are_token_lines_past_a_latin1_0x85(tmp_path):
+    # Byte 0x85 (a cp1252 "\u2026") is not UTF-8, so the file reads as
+    # ISO-8859-1 and the literal holds U+0085, where str.splitlines()
+    # would break a line that the lexer does not.
+    source = b'class A {\n    String s = "Loading\x85";\n    void f() {\n        g(1);\n    }\n}\n'
+    for version, text in (("pre", source), ("post", source.replace(b"g(1)", b"g(2)"))):
+        (tmp_path / version).mkdir()
+        (tmp_path / version / "A.java").write_bytes(text)
+    index = CodeIndex(RepoSnapshot(tmp_path / "pre", tmp_path / "post"))
+    [hunk] = index.diff("A.java").hunks
+    [two] = [t for t in index.tokens(POST, "A.java") if t.text == "2"]
+    assert hunk.added == ("        g(2);",)
+    assert hunk.post_start == two.line == 3
+
+
 def test_java_files_sorted(snap):
     assert snap.java_files(PRE) == ["src/A.java", "src/Gone.java"]
     assert snap.java_files(POST) == ["src/A.java", "src/New.java"]
@@ -353,6 +368,14 @@ def test_unified_merges_nearby_hunks():
     b = "a\nB\nc\nd\nE\nf\n"
     rendered = unified_diff(a, b).unified(context=3)
     assert rendered.count("@@") == 2  # one merged group, header has two @@
+
+
+def test_diff_breaks_lines_only_at_newline():
+    a = "x = \"a\x85b\u2028c\x0cd\x0be\";\nkeep\n"
+    diff = unified_diff(a, a.replace("keep", "kept"))
+    assert diff.a_lines == ('x = "a\x85b\u2028c\x0cd\x0be";', "keep")
+    assert [(h.pre_start, h.deleted, h.added) for h in diff.hunks] == [(1, ("keep",), ("kept",))]
+    assert apply_diff(a, diff, True) == a.replace("keep", "kept")
 
 
 def test_round_trip_explicit():
