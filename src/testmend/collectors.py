@@ -246,32 +246,25 @@ class ContextCollector:
                     text = pf.java.slice(member.start, member.body_start).rstrip() + ";"
                 else:
                     text = pf.java.slice(member.start, member.end).strip()
-                text = " ".join(text.split("\n"))
-                chunks.append(
-                    ContextChunk(
-                        text=cap_chunk_text(text),
-                        group_label=label,
-                        origin=pf.token_location(member.name_token),
-                        signature_form=text,
-                        is_constructor=member.is_constructor,
-                    )
-                )
             elif isinstance(member, FieldDecl):
-                if "private" in member.modifiers:
-                    field_lombok = bool(
-                        set(member.annotations) & LOMBOK_ACCESSOR_ANNOTATIONS
-                    )
-                    if not (class_lombok or field_lombok):
-                        continue
-                text = " ".join(pf.java.slice(member.start, member.end).split("\n"))
-                chunks.append(
-                    ContextChunk(
-                        text=cap_chunk_text(text),
-                        group_label=label,
-                        origin=pf.token_location(member.name_token),
-                        signature_form=text,
-                    )
+                if "private" in member.modifiers and not (
+                    class_lombok or set(member.annotations) & LOMBOK_ACCESSOR_ANNOTATIONS
+                ):
+                    continue
+                text = pf.java.slice(member.start, member.end)
+            else:
+                continue
+            # One line, so the chunk line cap cannot cut it.
+            text = " ".join(text.split("\n"))
+            chunks.append(
+                ContextChunk(
+                    text=text,
+                    group_label=label,
+                    origin=pf.token_location(member.name_token),
+                    signature_form=text,
+                    is_constructor=isinstance(member, MethodDecl) and member.is_constructor,
                 )
+            )
         return chunks
 
     # ------------------------------------------------------------------

@@ -14,6 +14,16 @@ bodies: every class, method and field span lies inside its enclosing
 class body and overlaps no sibling; it starts at its first annotation,
 modifier or keyword/type token and ends at a balanced ``}`` or ``;``;
 and the classes are those a brace-depth scan finds.
+
+Recovery, where the text is not valid Java: at the top level a token
+that starts no type declaration is skipped, and a ``package`` or
+``import`` ends where its dotted name does (a missing ``;`` loses no
+class).  In a class body, a member whose type no name follows is
+dropped, with the token after the type unless that is a ``}``, which
+closes the body.  A field initializer ends at a ``;``, or a ``,`` that a
+declarator (a name, then ``=``, ``,``, ``;`` or ``[``) follows, outside
+brackets; an annotation member's ``default`` value runs to the next
+``;``.  Anything else that does not fit raises :class:`ParseError`.
 """
 
 from __future__ import annotations
@@ -305,7 +315,6 @@ class _Parser:
             if t.text == "package":
                 self.pos += 1
                 package = self._qualified_name()
-                self._skip_to_semicolon()
             elif t.text == "import":
                 self.pos += 1
                 if self.at("static"):
@@ -316,7 +325,6 @@ class _Parser:
                     wildcards.append(name.rstrip("."))
                 else:
                     imports.setdefault(name.rsplit(".", 1)[-1], name)
-                self._skip_to_semicolon()
             else:
                 mark = self.pos
                 decl = self._type_decl(t.offset, *self.parse_annotations_and_modifiers(), [])
@@ -464,9 +472,11 @@ class _Parser:
         name_tok = self.peek()
         if name_tok is None:
             raise ParseError("unexpected end of member declaration")
-        self.pos += 1
         if not _is_name(name_tok):
-            return None  # lenient recovery: skip one token and move on
+            if name_tok.text != "}":  # lenient: skip it, but leave '}' to close the body
+                self.pos += 1
+            return None
+        self.pos += 1
         if self.at("("):
             return self._finish_method(
                 name_tok, type_text, modifiers, annotations, start, is_constructor=False
@@ -570,7 +580,9 @@ class _Parser:
         )
 
     def _skip_field_tail(self) -> None:
-        """Skip an optional initializer up to a top-level ',' or ';'."""
+        """Skip an optional initializer up to a top-level ';', or a
+        top-level ',' that a declarator follows (not the ',' of
+        ``new HashMap<A, B>()``)."""
         if not self.at("="):
             return
         self.pos += 1
@@ -579,13 +591,17 @@ class _Parser:
             t = self.peek()
             if t is None:
                 raise ParseError("unterminated field initializer")
-            if depth == 0 and t.text in (",", ";"):
+            if depth == 0 and (t.text == ";" or (t.text == "," and self._declarator_next())):
                 return
             if t.text in ("(", "[", "{"):
                 depth += 1
             elif t.text in (")", "]", "}"):
                 depth -= 1
             self.pos += 1
+
+    def _declarator_next(self) -> bool:
+        """Whether a name, then '=', ',', ';' or '[', follows the cursor."""
+        return _is_name(self.peek(1)) and any(self.at(s, 2) for s in ("=", ",", ";", "["))
 
 
 def _is_name(t: Token | None) -> bool:

@@ -3,16 +3,16 @@
 The prompt presents, in order: the expert role, the task, the
 canonicalized obsolete test, a unified diff of the focal method, and the
 retained context groups each under its own labelled section.  An empty
-context bundle yields exactly the naive baseline prompt.  ``repair``
-issues independent completion attempts, extracts one method per
-response, syntax-checks it, and selects a winner.
+context bundle yields exactly the naive baseline prompt; over the token
+cap, context chunks are dropped in the order :func:`assemble_prompt`
+gives.  ``repair`` issues independent completion attempts, extracts one
+method per response, syntax-checks it, and selects a winner.
 """
 
 from __future__ import annotations
 
 import functools
 import logging
-import math
 import re
 from dataclasses import dataclass, field
 from typing import Callable
@@ -66,8 +66,6 @@ class PromptSection:
 
 @dataclass(frozen=True)
 class RepairPrompt:
-    system_text: str
-    task_text: str
     original_test_text: str
     focal_diff_text: str
     context_sections: tuple[PromptSection, ...] = ()
@@ -75,7 +73,7 @@ class RepairPrompt:
 
     def user_text(self) -> str:
         parts = [
-            self.task_text,
+            TASK_TEXT,
             "## Original test method",
             f"```java\n{self.original_test_text}\n```",
             "## Focal method change",
@@ -89,7 +87,7 @@ class RepairPrompt:
 
     def messages(self) -> list[Message]:
         return [
-            {"role": "system", "content": self.system_text},
+            {"role": "system", "content": SYSTEM_TEXT},
             {"role": "user", "content": self.user_text()},
         ]
 
@@ -109,15 +107,6 @@ def focal_diff_text(focal: FocalChange, diff: DiffText) -> str:
     )
 
 
-@dataclass
-class _TrimEntry:
-    family_rank: int  # lower rank is trimmed first on ties
-    family_pos: int
-    section_index: int
-    text: str
-    score: float
-
-
 def assemble_prompt(
     focal: FocalChange,
     test_text: str,
@@ -128,72 +117,52 @@ def assemble_prompt(
 ) -> RepairPrompt:
     """The repair prompt over the retained context of ``ranked``.
 
-    Over ``token_cap`` tokens, chunks are dropped lowest rerank score
-    first (a chunk rerank did not score counts 0); constructors stay.
+    Over ``token_cap`` tokens, chunks are dropped one at a time until the
+    prompt fits: lowest rerank score first (a chunk rerank did not score
+    counts 0); on equal scores the test's environment first, then the
+    focal method's environment, usage and class members (the earlier
+    class group first); within a section the later chunk first.
+    Constructors are never dropped.
     """
-    scores = {
-        id(scored.chunk): scored.score
-        for family in ranked.rankings.values()
-        for scored in family
-    }
+    scores = {id(s.chunk): s.score for ranking in ranked.rankings.values() for s in ranking}
     troctx = ranked.bundle
-    sections: list[tuple[str, str, list[str]]] = []
-    entries: list[_TrimEntry] = []
-
-    def add_section(label, description, chunks, family_rank):
-        if not chunks:
-            return
-        index = len(sections)
-        sections.append((label, description, [c.text for c in chunks]))
-        for pos, c in enumerate(chunks):
-            score = math.inf if c.is_constructor else scores.get(id(c), 0.0)
-            entries.append(_TrimEntry(family_rank, pos, index, c.text, score))
-
-    for type_name, group in troctx.class_ctx.items():
-        add_section(
-            f"Defined in class {type_name}", CLASS_SECTION_DESC, group.chunks, 3
-        )
-    add_section(
-        USAGE_SECTION[0],
-        USAGE_SECTION[1].format(name=focal.updated.name),
-        troctx.usage_ctx,
-        2,
+    # (label, description, chunks, family rank); a lower rank is trimmed
+    # first on equal scores.
+    families = [
+        *(
+            (f"Defined in class {type_name}", CLASS_SECTION_DESC, group.chunks, 3)
+            for type_name, group in troctx.class_ctx.items()
+        ),
+        (USAGE_SECTION[0], USAGE_SECTION[1].format(name=focal.updated.name), troctx.usage_ctx, 2),
+        (*ENV_FOCAL_SECTION, troctx.env_ctx_focal, 1),
+        (*ENV_TEST_SECTION, troctx.env_ctx_test, 0),
+    ]
+    texts = [[c.text for c in chunks] for _, _, chunks, _ in families]
+    victims = sorted(
+        (scores.get(id(c), 0.0), rank, -pos, index, c.text)
+        for index, (_, _, chunks, rank) in enumerate(families)
+        for pos, c in enumerate(chunks)
+        if not c.is_constructor
     )
-    add_section(*ENV_FOCAL_SECTION, troctx.env_ctx_focal, 1)
-    add_section(*ENV_TEST_SECTION, troctx.env_ctx_test, 0)
     original_test_text = canonicalize(test_text)
     diff_text = focal_diff_text(focal, focal_diff)
 
     def build(trimmed: int) -> RepairPrompt:
-        return RepairPrompt(
-            system_text=SYSTEM_TEXT,
-            task_text=TASK_TEXT,
-            original_test_text=original_test_text,
-            focal_diff_text=diff_text,
-            context_sections=tuple(
-                PromptSection(label, desc, tuple(texts))
-                for label, desc, texts in sections
-                if texts
-            ),
-            trimmed_chunks=trimmed,
+        sections = tuple(
+            PromptSection(label, desc, tuple(kept))
+            for (label, desc, _, _), kept in zip(families, texts)
+            if kept
         )
+        return RepairPrompt(original_test_text, diff_text, sections, trimmed)
 
-    trimmed = 0
-    prompt = build(trimmed)
-    while prompt.token_count() > token_cap:
-        removable = [e for e in entries if e.score != math.inf]
-        if not removable:
+    prompt = build(0)
+    for trimmed, (score, _, _, index, text) in enumerate(victims, start=1):
+        if prompt.token_count() <= token_cap:
             break
-        victim = min(removable, key=lambda e: (e.score, e.family_rank, -e.family_pos))
-        entries.remove(victim)
-        sections[victim.section_index][2].remove(victim.text)
-        trimmed += 1
-        label = sections[victim.section_index][0]
+        texts[index].remove(text)
         log.info(
             "prompt over %d tokens; dropped a chunk from %r (score %.3f)",
-            token_cap,
-            label,
-            victim.score,
+            token_cap, families[index][0], score,
         )
         prompt = build(trimmed)
     return prompt

@@ -30,8 +30,6 @@ from testmend.evaluate import prepare_sample, run_sample
 from testmend.javasrc.ast import parse_java
 from testmend.javasrc.format import canonicalize
 from testmend.prompting import (
-    SYSTEM_TEXT,
-    TASK_TEXT,
     RepairPrompt,
     assemble_prompt,
     focal_diff_text,
@@ -552,8 +550,6 @@ def test_empty_bundle_prompt_equals_plain_baseline():
     )
     # The plain baseline: role, task, test and focal diff, nothing else.
     baseline = RepairPrompt(
-        system_text=SYSTEM_TEXT,
-        task_text=TASK_TEXT,
         original_test_text=canonicalize(test_text),
         focal_diff_text=focal_diff_text(focal, focal_diff),
     )

@@ -182,13 +182,49 @@ def test_initializers_and_field_expressions():
             private Map<String, Integer> idx = new HashMap<>(Map.of("a", 1));
             int[] nums = {1, 2, 3};
             String s = cond ? "a" : "b", t = "c";
+            int a = f(x, y), b, c[] = {1, 2}, d = a < b, e;
             void after() { }
         }
     """)
     cls = jf.classes[0]
     fields = [m for m in cls.members if isinstance(m, FieldDecl)]
-    assert [f.names for f in fields] == [["idx"], ["nums"], ["s", "t"]]
+    assert [f.names for f in fields] == [["idx"], ["nums"], ["s", "t"], ["a", "b", "c", "d", "e"]]
     assert [m.name for m in cls.methods()] == ["after"]
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        "Map<A, B> m = new HashMap<A, B>();",
+        "Pair<A, B> p = new Pair<A, B>(a, b);",
+        "static final Map<String, List<Integer>> M = new HashMap<String, List<Integer>>();",
+        "Object o = flag ? Map.<A, B>of() : null;",
+    ],
+)
+def test_comma_between_type_arguments_does_not_end_an_initializer(field):
+    source = f"class A {{ {field} int g() {{ return 1; }} }}"
+    jf = parse_java(source)
+    decl, method = jf.classes[0].members
+    assert isinstance(decl, FieldDecl) and len(decl.names) == 1
+    assert jf.slice(decl.start, decl.end) == field
+    assert method.name == "g"
+
+
+def test_import_without_semicolon_keeps_the_next_class():
+    jf = parse_java("package p\nimport a.B\nimport static c.D.*\nclass X { int f = 1; void g() { } }")
+    assert (jf.package, jf.imports, jf.wildcard_imports) == ("p", {"B": "a.B"}, ["c.D"])
+    assert [c.name for c in jf.classes] == ["X"]
+    assert [m.name for m in jf.classes[0].methods()] == ["g"]
+
+
+def test_member_recovery_leaves_a_closing_brace():
+    # A '}' where a member name should be closes the body; the tokens
+    # after it are skipped at the top level.
+    source = "class U { private Master } mMaster; void restore() { } }\nclass V { }"
+    jf = parse_java(source)
+    assert [c.name for c in jf.classes] == ["U", "V"]
+    assert jf.slice(jf.classes[0].start, jf.classes[0].end) == "class U { private Master }"
+    assert jf.classes[0].members == []
 
 
 def test_unbalanced_source_raises():

@@ -186,20 +186,24 @@ def scan_classes(toks):
     body it opens, or None for any other brace.  A declaration counts only
     where every open brace is a class body, and inside a class body only
     where no initializer or annotation default (``= ...`` or
-    ``) default ...``, up to a ``,`` or ``;`` outside its brackets) is
-    open.  At the top level a ``package`` or ``import`` runs to the next
-    ``;``, and any other token that starts no declaration is skipped.
+    ``) default ...``, up to a ``;`` outside its brackets, or a ``,``
+    outside them that a declarator follows) is open.  At the top level a
+    ``package`` or ``import`` runs as far as its dotted name (see
+    :func:`_header_end`), and any other token that starts no declaration
+    is skipped.
     """
     found = []
     stack = []
     pending = None  # a declared class whose body brace comes next
     parens = 0  # open parentheses and brackets in a class body
     value_depth = None  # bracket depth inside an open initializer
-    in_header = False  # inside a package or import declaration
+    header_end = 0  # the index after the last package or import declaration
     for i, t in enumerate(toks):
         text = t.text
-        if not stack and (in_header or text in ("package", "import")):
-            in_header = text != ";"
+        if i < header_end:
+            continue
+        if not stack and text in ("package", "import"):
+            header_end = _header_end(toks, i)
         elif text == "{":
             if parens or value_depth is not None:
                 stack.append(None)
@@ -216,7 +220,7 @@ def scan_classes(toks):
                 value_depth += 1
             elif text in (")", "]"):
                 value_depth -= 1
-            elif text in (",", ";") and value_depth == 0:
+            elif value_depth == 0 and (text == ";" or (text == "," and _declarator_follows(toks, i))):
                 value_depth = None
         elif text in ("(", "["):
             parens += 1
@@ -239,6 +243,29 @@ def scan_classes(toks):
             pending = ".".join([stack[-1], name]) if stack else name
             found.append((pending, keyword, toks[i + 1].offset))
     return found
+
+
+def _header_end(toks, i):
+    """The index after the ``package`` or ``import`` at ``toks[i]``: an
+    import's ``static``, the names of the dotted name (an import's may
+    end in ``.*``), then a ``;`` only if one is next."""
+    static = toks[i].text == "import" and i + 1 < len(toks) and toks[i + 1].text == "static"
+    j = i + 1 + static
+    while j < len(toks) and toks[j].kind == IDENT:
+        j += 1
+        if j + 1 < len(toks) and toks[j].text == "." and toks[j + 1].kind == IDENT:
+            j += 1
+        elif j + 1 < len(toks) and toks[j].text == "." and toks[j + 1].text == "*":
+            j += 2
+            break
+        else:
+            break
+    return j + 1 if j < len(toks) and toks[j].text == ";" else j
+
+
+def _declarator_follows(toks, i):
+    """Whether a name, then ``=``, ``,``, ``;`` or ``[``, follows ``toks[i]``."""
+    return i + 2 < len(toks) and toks[i + 1].kind == IDENT and toks[i + 2].text in ("=", ",", ";", "[")
 
 
 def check(text):
@@ -264,13 +291,17 @@ def test_seed_7_mutant_spans_hold():
     for path in FIXTURE_FILES:
         for mutant in mutants(path.read_text(encoding="utf-8"), 300, rng):
             parsed += check(mutant) is not None
-    assert parsed == 300 * len(FIXTURE_FILES) - 2678
+    assert parsed == 300 * len(FIXTURE_FILES) - 2641
 
 
 # Class bodies built from PIECES: method bodies may hold any piece but a
-# brace, and initializers any piece that does not nest or end them.
+# brace, and initializers any piece that does not nest or end them.  A
+# ',' then a name (a piece in VALUE_NAMES) and '=' starts the next
+# declarator; no initializer holds ', name ,', after which the tokens
+# are no declarator.
 BODY_PIECES = [p for p in PIECES if p not in ("{", "}")]
-VALUE_PIECES = [p for p in PIECES if p not in ("{", "}", "(", ")", "[", "]", ";", ",")]
+VALUE_PIECES = [p for p in PIECES if p not in ("{", "}", "(", ")", "[", "]", ";")]
+VALUE_NAMES = ("A", "List", "x")
 ANNOTATIONS = ["@Override", "@a.B", "@C()", "@D(x = {1, 2})", "@E(\"}\")"]
 TYPES = ["int", "A", "List<A>", "Map<A, List<? extends A>>", "int[]", "a.B", "A<A>[]"]
 NAMES = ["x", "run", "value", "record", "sealed"]
@@ -286,6 +317,20 @@ def prefix(draw):
 @st.composite
 def pieces(draw, alphabet):
     return " ".join(draw(st.lists(st.sampled_from(alphabet), max_size=12)))
+
+
+def _comma_name_comma(v):
+    return any(a == c == "," and b in VALUE_NAMES for a, b, c in zip(v, v[1:], v[2:]))
+
+
+@st.composite
+def initializer(draw):
+    value = draw(
+        st.lists(st.sampled_from(VALUE_PIECES), max_size=12).filter(
+            lambda v: not _comma_name_comma([p for p in v if p.strip() and p[:2] not in ("//", "/*")])
+        )
+    )
+    return " ".join(value)
 
 
 @st.composite
@@ -311,7 +356,7 @@ def member(draw, owner, depth):
     kind = draw(st.sampled_from(["field", "method", "constructor", "initializer", "empty", "type"]))
     if kind == "field":
         names = draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=2))
-        values = [draw(st.sampled_from(["", " = " + draw(pieces(VALUE_PIECES))])) for _ in names]
+        values = [draw(st.sampled_from(["", " = " + draw(initializer())])) for _ in names]
         declarators = ", ".join(n + v for n, v in zip(names, values))
         return f"{head}{draw(st.sampled_from(TYPES))} {declarators};"
     if kind in ("method", "constructor"):

@@ -4,6 +4,8 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from testmend import prompting
 from testmend.collectors import ClassCtxGroup, ContextChunk, TROCtxBundle
@@ -12,8 +14,6 @@ from testmend.javasrc.ast import MethodDecl, parse_java
 from testmend.javasrc.format import canonicalize
 from testmend.javasrc.lexer import token_texts
 from testmend.prompting import (
-    SYSTEM_TEXT,
-    TASK_TEXT,
     RepairPrompt,
     assemble_prompt,
     extract_method_text,
@@ -26,6 +26,8 @@ from testmend.provider import prompt_digest
 from testmend.rerank import RerankResult, ScoredChunk
 from testmend.signatures import MethodSignature, make_focal_change
 from testmend.snapshot import unified_diff
+
+import prompt_oracle
 
 ORI_SIG = MethodSignature(
     name="mount",
@@ -153,8 +155,6 @@ def test_empty_bundle_prompt_equals_naive_baseline():
     )
     # The naive baseline: role, task, test and focal diff, nothing else.
     naive = RepairPrompt(
-        system_text=SYSTEM_TEXT,
-        task_text=TASK_TEXT,
         original_test_text=canonicalize(TEST_BODY),
         focal_diff_text=focal_diff_text(FOCAL, FOCAL_DIFF),
     )
@@ -245,6 +245,53 @@ def test_token_cap_never_trims_constructors():
     assert labels == ["Defined in class MountPOptions"]
     assert trimmed.context_sections[0].chunk_texts == ("public MountPOptions();",)
     assert trimmed.trimmed_chunks == 4
+
+
+# Few distinct texts and scores, so that duplicate texts and tied scores
+# occur; None leaves a chunk unscored.
+CHUNK_TEXTS = ["a", "b c", "- x(1);\n+ x(2);", "d e f g"]
+SCORES = [None, 0.0, 0.25, 1.0]
+
+
+@st.composite
+def ranked_bundles(draw):
+    """A RerankResult over 0-2 class groups (constructors among their
+    chunks) and 0-4 chunks per family, each scored from SCORES; the
+    rankings are empty or hold every scored chunk."""
+    rankings = {}
+
+    def family(name, ctor=False):
+        chunks = []
+        for _ in range(draw(st.integers(0, 4))):
+            c = chunk(draw(st.sampled_from(CHUNK_TEXTS)), ctor=ctor and draw(st.booleans()))
+            chunks.append(c)
+            score = draw(st.sampled_from(SCORES))
+            if score is not None:
+                rankings.setdefault(name, []).append(ScoredChunk(c, score, "q"))
+        return chunks
+
+    bundle = TROCtxBundle(
+        class_ctx={
+            name: ClassCtxGroup(name, "param", family(f"class:{name}", ctor=True), [name])
+            for name in ["A", "B"][: draw(st.integers(0, 2))]
+        },
+        usage_ctx=family("usage"),
+        env_ctx_focal=family("env_focal"),
+        env_ctx_test=family("env_test"),
+    )
+    return RerankResult(bundle, rankings if draw(st.booleans()) else {})
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(ranked_bundles(), st.data())
+def test_trimming_matches_the_per_drop_oracle(ranked, data):
+    full = assemble_prompt(FOCAL, TEST_BODY, ranked, NO_DIFF)
+    cap = data.draw(st.integers(0, full.token_count() + 2))
+    got = assemble_prompt(FOCAL, TEST_BODY, ranked, NO_DIFF, token_cap=cap)
+    want = prompt_oracle.assemble_prompt(FOCAL, TEST_BODY, ranked, NO_DIFF, token_cap=cap)
+    assert got == want
+    assert got.render() == want.render()
+    assert got.trimmed_chunks == want.trimmed_chunks
 
 
 # ----------------------------------------------------------------------
