@@ -14,21 +14,24 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import get_type_hints
+from typing import NamedTuple, get_type_hints
 
 from testmend.dataset import load_manifest, load_sample
 from testmend.errors import InfrastructureError, InputError
 from testmend.evaluate import (
-    EvalSettings,
     evaluate_dataset,
     prepare_sample,
     render_table,
     split_lsp_command,
     write_report,
 )
-from testmend.prompting import repair
+from testmend.prompting import (
+    DEFAULT_ATTEMPTS,
+    DEFAULT_TEMPERATURE,
+    DEFAULT_TOKEN_CAP,
+    repair,
+)
 from testmend.provider import (
     ENDPOINT_VAR,
     KEY_VAR,
@@ -38,21 +41,29 @@ from testmend.provider import (
     ReplayProvider,
     prompt_digest,
 )
-from testmend.rerank import LexicalScorer, RemoteScorer, Scorer
+from testmend.rerank import DEFAULT_K, LexicalScorer, RemoteScorer, Scorer
 from testmend.resolver import parse_source
 from testmend.signatures import focal_change, render_kinds
 
 PROG = "testmend"
 
 
-@dataclass
-class RunConfig(EvalSettings):
+class RunConfig(NamedTuple):
     """Merged run settings; field names double as config-file keys.
 
-    A non-empty ``scorer_endpoint`` selects the remote scorer; an empty one,
-    the default, selects the lexical scorer.
+    The fields of :class:`~testmend.evaluate.EvalSettings` come first, with
+    its defaults, so a config passes as the settings of an eval; the run's
+    own follow.  A non-empty ``scorer_endpoint`` selects the remote scorer;
+    an empty one, the default, selects the lexical scorer.
     """
 
+    k: int = DEFAULT_K
+    attempts: int = DEFAULT_ATTEMPTS
+    temperature: float = DEFAULT_TEMPERATURE
+    token_cap: int = DEFAULT_TOKEN_CAP
+    jobs: int = 1
+    llm_queries: bool = False
+    lsp_command: str = ""
     scorer_endpoint: str = ""
     provider: str = ""  # "" (none) | "live" | "replay"
     replay_dir: str = ""
@@ -70,8 +81,7 @@ def _load_config_file(path: str) -> dict:
         raise InputError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise InputError(f"config file {path} must hold a JSON object")
-    known = {f.name for f in fields(RunConfig)}
-    unknown = sorted(set(raw) - known)
+    unknown = sorted(set(raw) - set(RunConfig._fields))
     if unknown:
         raise InputError(f"config file {path}: unknown keys {', '.join(unknown)}")
     return raw
@@ -96,17 +106,17 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Defaults, overridden by environment, config file, then flags."""
     config = RunConfig()
     if os.environ.get(ENDPOINT_VAR):
-        config = replace(config, llm_endpoint=os.environ[ENDPOINT_VAR])
+        config = config._replace(llm_endpoint=os.environ[ENDPOINT_VAR])
     if os.environ.get(MODEL_VAR):
-        config = replace(config, llm_model=os.environ[MODEL_VAR])
+        config = config._replace(llm_model=os.environ[MODEL_VAR])
     if getattr(args, "config", None):
         types = get_type_hints(RunConfig)
         for key, value in _load_config_file(args.config).items():
-            config = replace(config, **{key: _coerce(key, value, types[key])})
-    for field in fields(RunConfig):
-        flag_value = getattr(args, field.name, None)
+            config = config._replace(**{key: _coerce(key, value, types[key])})
+    for name in RunConfig._fields:
+        flag_value = getattr(args, name, None)
         if flag_value is not None:
-            config = replace(config, **{field.name: flag_value})
+            config = config._replace(**{name: flag_value})
     for key, minimum in _MINIMUMS.items():
         value = getattr(config, key)
         if value < minimum:

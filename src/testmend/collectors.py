@@ -36,7 +36,7 @@ sample's files only through that index (``index.snapshot``).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from testmend.errors import CursorNotOnIdentifier, InputError, LocatorNotFound
 from testmend.javasrc import lexer
@@ -61,8 +61,7 @@ PARENT_DEPTH_CAP = 5
 LOMBOK_ACCESSOR_ANNOTATIONS = frozenset({"Data", "Getter", "Setter"})
 
 
-@dataclass
-class ContextChunk:
+class ContextChunk(NamedTuple):
     text: str
     group_label: str
     origin: Location | None = None
@@ -79,21 +78,31 @@ class ContextChunk:
         }
 
 
-@dataclass
-class ClassCtxGroup:
+class ClassCtxGroup(NamedTuple):
     type_name: str
     role: str  # "param" | "return" | "both"
-    chunks: list[ContextChunk] = field(default_factory=list)
-    defining_classes: list[str] = field(default_factory=list)
+    chunks: list[ContextChunk]
+    defining_classes: list[str]
 
 
-@dataclass
 class TROCtxBundle:
-    class_ctx: dict[str, ClassCtxGroup] = field(default_factory=dict)
-    usage_ctx: list[ContextChunk] = field(default_factory=list)
-    env_ctx_focal: list[ContextChunk] = field(default_factory=list)
-    env_ctx_test: list[ContextChunk] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
+    """The collected context: the collector and the reranker fill it in."""
+
+    __slots__ = ("class_ctx", "usage_ctx", "env_ctx_focal", "env_ctx_test", "warnings")
+
+    def __init__(
+        self,
+        class_ctx: dict[str, ClassCtxGroup] | None = None,
+        usage_ctx: list[ContextChunk] | None = None,
+        env_ctx_focal: list[ContextChunk] | None = None,
+        env_ctx_test: list[ContextChunk] | None = None,
+        warnings: list[str] | None = None,
+    ):
+        self.class_ctx = {} if class_ctx is None else class_ctx
+        self.usage_ctx = [] if usage_ctx is None else usage_ctx
+        self.env_ctx_focal = [] if env_ctx_focal is None else env_ctx_focal
+        self.env_ctx_test = [] if env_ctx_test is None else env_ctx_test
+        self.warnings = [] if warnings is None else warnings
 
     def as_dict(self) -> dict:
         return {
@@ -179,7 +188,7 @@ class ContextCollector:
             if t.kind == lexer.IDENT and post_method.start <= t.offset < post_method.header_end
         ]
         for type_name, role in roles.items():
-            group = ClassCtxGroup(type_name=type_name, role=role)
+            group = ClassCtxGroup(type_name, role, [], [])
             groups[type_name] = group
             definition = self._resolve_type(type_name, parsed, header_tokens)
             if definition is None:

@@ -16,7 +16,7 @@ checking, no aliasing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from testmend.javasrc.format import canonical_tokens
 from testmend.javasrc.lexer import IDENT, KEYWORD, Token
@@ -26,8 +26,7 @@ PRIMITIVES = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class Statement:
+class Statement(NamedTuple):
     index: int  # position among *simple* statements
     line: int  # line index in the canonical body
     text: str  # stripped canonical line, e.g. "int a = b.size();"
@@ -65,8 +64,7 @@ def split_statements(body_text: str) -> list[Statement]:
     return statements
 
 
-@dataclass(frozen=True)
-class MemberAccess:
+class MemberAccess(NamedTuple):
     receiver: str
     member: str
     is_call: bool

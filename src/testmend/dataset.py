@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from testmend.errors import InputError, ManifestError
 from testmend.javasrc.lexer import token_texts
@@ -38,8 +38,7 @@ RULE_MISSING_SNAPSHOT = "missing-snapshot"
 RULE_EMPTY_GROUND_TRUTH = "empty-ground-truth"
 
 
-@dataclass(frozen=True)
-class RepairSample:
+class RepairSample(NamedTuple):
     id: str
     pre_root: str
     post_root: str
@@ -54,10 +53,9 @@ class RepairSample:
         return RepoSnapshot(self.pre_root, self.post_root)
 
 
-@dataclass
-class ManifestLoad:
-    samples: list[RepairSample] = field(default_factory=list)
-    rejects: list[tuple[str, str]] = field(default_factory=list)  # (id, rule)
+class ManifestLoad(NamedTuple):
+    samples: list[RepairSample]
+    rejects: list[tuple[str, str]]  # (id, rule)
 
 
 def read_manifest(path: str | Path) -> list[dict]:
@@ -185,7 +183,7 @@ def load_manifest(path: str | Path) -> ManifestLoad:
     """Samples that pass hygiene, plus (id, rule) pairs for the rest."""
     p = Path(path)
     entries = read_manifest(p)
-    load = ManifestLoad()
+    load = ManifestLoad([], [])
     seen: set[str] = set()
     for entry in entries:
         entry_id = entry["id"]

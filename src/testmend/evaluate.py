@@ -23,8 +23,8 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import NamedTuple
 
 from testmend import metrics
 from testmend.collectors import TROCtxBundle, construct_bundle
@@ -64,34 +64,60 @@ log = logging.getLogger(__name__)
 _STATIC_STAGES = threading.Lock()
 
 
-@dataclass
 class SampleScore:
-    sample_id: str
-    code_bleu: float | None = None
-    diff_bleu: float | None = None
-    exact_match: bool | None = None
-    exact_match_raw: bool | None = None
-    syntax_ok: bool = False
-    prompt_token_count: int = 0
-    selection_reason: str = ""
-    selected_text: str = ""
-    ground_truth: str = ""
-    kinds: str = ""
-    scorer_fallback: bool = False
-    error: str | None = None
-    timings: dict[str, float] = field(default_factory=dict)
+    """One report row, filled in stage by stage as the sample runs.
+
+    ``ROW`` names the fields of :meth:`as_dict`, in report order;
+    ``timings`` holds each stage's seconds and stays out of the row.
+    """
+
+    ROW = (
+        "sample_id", "code_bleu", "diff_bleu", "exact_match", "exact_match_raw",
+        "syntax_ok", "prompt_token_count", "selection_reason", "selected_text",
+        "ground_truth", "kinds", "scorer_fallback", "error",
+    )
+    __slots__ = (*ROW, "timings")
+
+    def __init__(
+        self,
+        sample_id: str,
+        code_bleu: float | None = None,
+        diff_bleu: float | None = None,
+        exact_match: bool | None = None,
+        exact_match_raw: bool | None = None,
+        syntax_ok: bool = False,
+        prompt_token_count: int = 0,
+        selection_reason: str = "",
+        selected_text: str = "",
+        ground_truth: str = "",
+        kinds: str = "",
+        scorer_fallback: bool = False,
+        error: str | None = None,
+    ):
+        self.sample_id = sample_id
+        self.code_bleu = code_bleu
+        self.diff_bleu = diff_bleu
+        self.exact_match = exact_match
+        self.exact_match_raw = exact_match_raw
+        self.syntax_ok = syntax_ok
+        self.prompt_token_count = prompt_token_count
+        self.selection_reason = selection_reason
+        self.selected_text = selected_text
+        self.ground_truth = ground_truth
+        self.kinds = kinds
+        self.scorer_fallback = scorer_fallback
+        self.error = error
+        self.timings: dict[str, float] = {}
 
     def as_dict(self) -> dict:
-        row = {f.name: getattr(self, f.name) for f in fields(self)}
-        del row["timings"]
+        row = {name: getattr(self, name) for name in self.ROW}
         for name in ("code_bleu", "diff_bleu"):
             if row[name] is not None:
                 row[name] = round(row[name], 6)
         return row
 
 
-@dataclass
-class EvalSettings:
+class EvalSettings(NamedTuple):
     """Pipeline settings; field names double as config-file keys.
 
     A non-blank ``lsp_command`` selects the language-server resolver; a
@@ -124,8 +150,7 @@ def _stage(timings: dict[str, float], name: str):
         timings[name] = timings.get(name, 0.0) + time.perf_counter() - start
 
 
-@dataclass
-class PreparedSample:
+class PreparedSample(NamedTuple):
     """Everything the pipeline produces for one sample short of the repair."""
 
     sample: RepairSample
@@ -272,8 +297,7 @@ def run_sample(
     return score
 
 
-@dataclass
-class EvaluationReport:
+class EvaluationReport(NamedTuple):
     rows: list[SampleScore]
     config: dict
 

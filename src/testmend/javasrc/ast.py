@@ -4,7 +4,9 @@ The parser recovers the structure the toolkit actually needs — packages,
 imports, type declarations, and per-type member declarations (fields,
 methods, constructors, nested types) with exact source spans — without
 attempting to parse statements or expressions.  Bodies and initializers
-are skipped with balanced-delimiter scanning.
+are skipped with balanced-delimiter scanning.  A record's compact
+canonical constructor (``R { ... }``) is a constructor without
+parameters.
 
 Spans are character offsets into the text handed to :func:`parse_java`;
 callers slice the same text to recover declaration snippets.  What a
@@ -28,7 +30,7 @@ brackets; an annotation member's ``default`` value runs to the next
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from testmend.errors import ParseError
 from testmend.javasrc import lexer
@@ -44,14 +46,12 @@ PRIMITIVE_WORDS = frozenset("boolean byte char short int long float double void"
 _TYPE_KEYWORDS = frozenset({"class", "interface", "enum"})
 
 
-@dataclass
-class Parameter:
+class Parameter(NamedTuple):
     type_text: str
     name: str
 
 
-@dataclass
-class FieldDecl:
+class FieldDecl(NamedTuple):
     names: list[str]
     type_text: str
     modifiers: set[str]
@@ -61,8 +61,7 @@ class FieldDecl:
     name_token: Token
 
 
-@dataclass
-class MethodDecl:
+class MethodDecl(NamedTuple):
     name: str
     modifiers: set[str]
     annotations: list[str]
@@ -84,19 +83,18 @@ class MethodDecl:
         return [p.type_text for p in self.parameters]
 
 
-@dataclass
-class ClassDecl:
+class ClassDecl(NamedTuple):
     name: str
-    keyword: str  # class | interface | enum | record
+    keyword: str  # class | interface | enum | record | @interface
     modifiers: set[str]
     annotations: list[str]
     extends: str | None
     implements: list[str]
-    members: list[object] = field(default_factory=list)
-    start: int = 0
-    end: int = 0
-    name_token: Token | None = None
-    enclosing: list[str] = field(default_factory=list)
+    members: list[object]
+    start: int
+    end: int
+    name_token: Token
+    enclosing: list[str]
 
     @property
     def qualified_name(self) -> str:
@@ -109,8 +107,7 @@ class ClassDecl:
         return [m for m in self.members if isinstance(m, ClassDecl)]
 
 
-@dataclass
-class JavaFile:
+class JavaFile(NamedTuple):
     text: str
     package: str
     imports: dict[str, str]  # simple name -> fully qualified name
@@ -175,8 +172,8 @@ class _Parser:
         return self.tokens[j] if j < len(self.tokens) else None
 
     def at(self, text: str, ahead: int = 0) -> bool:
-        t = self.peek(ahead)
-        return t is not None and t.text == text
+        j = self.pos + ahead
+        return j < len(self.tokens) and self.tokens[j].text == text
 
     def next(self) -> Token:
         t = self.peek()
@@ -199,16 +196,17 @@ class _Parser:
         """Consume from the current ``open_text`` token through its match."""
         opener = self.expect(open_text)
         depth = 1
-        while depth:
-            t = self.peek()
-            if t is None:
-                raise ParseError(f"unbalanced {open_text!r}", opener.line, opener.col)
-            self.pos += 1
-            if t.text == open_text:
+        tokens = self.tokens
+        for j in range(self.pos, len(tokens)):
+            text = tokens[j].text
+            if text == open_text:
                 depth += 1
-            elif t.text == close_text:
+            elif text == close_text:
                 depth -= 1
-        return t
+                if not depth:
+                    self.pos = j + 1
+                    return tokens[j]
+        raise ParseError(f"unbalanced {open_text!r}", opener.line, opener.col)
 
     def skip_generics(self) -> None:
         """Consume a balanced ``<...>`` region, honoring shift tokens."""
@@ -373,39 +371,41 @@ class _Parser:
             self.pos += 1
         keyword = self.next().text
         name_tok = self.next()
-        decl = ClassDecl(
-            name=name_tok.text,
-            keyword="@interface" if at_interface else keyword,
-            modifiers=modifiers,
-            annotations=annotations,
-            extends=None,
-            implements=[],
-            start=start,
-            name_token=name_tok,
-            enclosing=enclosing,
-        )
         if self.at("<"):
             self.skip_generics()
         if is_record and self.at("("):
             self.skip_balanced("(", ")")
+        extends = None
+        implements: list[str] = []
         if self.at("extends"):
             self.pos += 1
             if keyword == "interface":
-                decl.implements.extend(self.parse_type_list())
+                implements.extend(self.parse_type_list())
             else:
-                decl.extends = self.parse_type()
+                extends = self.parse_type()
         if self.at("implements"):
             self.pos += 1
-            decl.implements.extend(self.parse_type_list())
+            implements.extend(self.parse_type_list())
         while self.at("permits"):  # sealed classes: skip the permits list
             self.pos += 1
             self.parse_type_list()
         self.expect("{")
         if keyword == "enum":
             self._parse_enum_constants()
-        self._parse_members(decl)
-        decl.end = self.expect("}").end_offset
-        return decl
+        members = self._parse_members([*enclosing, name_tok.text], is_record)
+        return ClassDecl(
+            name=name_tok.text,
+            keyword="@interface" if at_interface else keyword,
+            modifiers=modifiers,
+            annotations=annotations,
+            extends=extends,
+            implements=implements,
+            members=members,
+            start=start,
+            end=self.expect("}").end_offset,
+            name_token=name_tok,
+            enclosing=enclosing,
+        )
 
     def _parse_enum_constants(self) -> None:
         while True:
@@ -430,37 +430,42 @@ class _Parser:
 
     # -- members ---------------------------------------------------------
 
-    def _parse_members(self, decl: ClassDecl) -> None:
+    def _parse_members(self, path: list[str], is_record: bool) -> list[object]:
+        """The members of a class body, up to its closing ``}``; ``path`` is
+        the class's nesting path, its own name last."""
+        members: list[object] = []
         while True:
             t = self.peek()
             if t is None:
-                raise ParseError(f"unterminated body of {decl.name}")
+                raise ParseError(f"unterminated body of {path[-1]}")
             if t.text == "}":
-                return
+                return members
             if t.text == ";":
                 self.pos += 1
                 continue
-            member = self._parse_member(decl, t.offset)
+            member = self._parse_member(path, is_record, t.offset)
             if member is not None:
-                decl.members.append(member)
+                members.append(member)
 
-    def _parse_member(self, decl: ClassDecl, start: int) -> object | None:
+    def _parse_member(self, path: list[str], is_record: bool, start: int) -> object | None:
         annotations, modifiers = self.parse_annotations_and_modifiers()
-        nested = self._type_decl(
-            start, annotations, modifiers, [*decl.enclosing, decl.name]
-        )
+        nested = self._type_decl(start, annotations, modifiers, path)
         if nested is not None:
             return nested
+        name = path[-1]
         t = self.peek()
         if t is None:
-            raise ParseError(f"unterminated body of {decl.name}")
+            raise ParseError(f"unterminated body of {name}")
         if t.text == "<":  # generic method type parameters
             self.skip_generics()
             t = self.peek()
             if t is None:
                 raise ParseError("dangling type parameters")
-        # Constructor: bare class name followed by '('.
-        if t.kind == IDENT and t.text == decl.name and self.at("(", 1):
+        # Constructor: bare class name followed by '(', or in a record by
+        # '{' (a compact canonical constructor, without parameters).
+        if t.kind == IDENT and t.text == name and (
+            self.at("(", 1) or (is_record and self.at("{", 1))
+        ):
             self.pos += 1
             return self._finish_method(
                 t, "", modifiers, annotations, start, is_constructor=True
@@ -492,7 +497,7 @@ class _Parser:
         start: int,
         is_constructor: bool,
     ) -> MethodDecl:
-        params = self._parse_parameters()
+        params = self._parse_parameters() if self.at("(") else []
         self.skip_dims()  # archaic int foo()[]
         throws: list[str] = []
         if self.at("throws"):

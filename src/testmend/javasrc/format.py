@@ -33,7 +33,7 @@ the raw text to that identifier's position in the canonical text.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from testmend.errors import CursorNotOnIdentifier, ParseError
 from testmend.javasrc import lexer
@@ -79,8 +79,7 @@ def _would_merge(a: str, b: str) -> bool:
     return [t.text for t in tokens] != [a, b]
 
 
-@dataclass(frozen=True)
-class CursorPos:
+class CursorPos(NamedTuple):
     """A 0-based (line, column) position within some text."""
 
     line: int
@@ -164,6 +163,7 @@ def _emit(kinds: list[str], texts: list[str]) -> tuple[str, list[Token]]:
     parts: list[str] = []
     write = parts.append
     tokens: list[Token] = []
+    new = tuple.__new__  # a Token from its fields, without Token()'s Python-level __new__
     offset = line = line_start = 0
     line_open = False  # a token is already on the current line
     indent = paren_depth = 0
@@ -231,7 +231,7 @@ def _emit(kinds: list[str], texts: list[str]) -> tuple[str, list[Token]]:
                 write(" ")
                 offset += 1
 
-        tokens.append(Token(kind, text, line, offset - line_start, offset))
+        tokens.append(new(Token, (kind, text, line, offset - line_start, offset)))
         write(text)
         if "\n" in text:
             line += text.count("\n")

@@ -12,8 +12,8 @@ and yields only each token's kind and text, for the canonicalizer
 (:func:`testmend.javasrc.format.canonical_tokens`), which places the
 tokens in the text it writes.
 
-Tokens are slot records, not frozen dataclasses, for a cheap constructor
-(see :class:`Token`); nothing mutates a token once it is built.
+Tokens are named tuples (see :class:`Token`): immutable, and built
+without code generated at import.
 
 Character classes are ``re``'s: a number starts with ``\\d`` (a Unicode
 decimal digit), an identifier with ``[^\\W\\d]`` or ``$`` and continues
@@ -28,7 +28,7 @@ with, raise :class:`~testmend.errors.ParseError`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from testmend.errors import ParseError
 
@@ -51,17 +51,14 @@ CHAR = "char"
 OP = "op"
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Token:
+class Token(NamedTuple):
     """One lexeme: its kind, verbatim text and 0-based start position.
 
-    A slot record, not a frozen dataclass: a frozen ``__init__`` sets each
-    field through ``object.__setattr__``, which made building tokens most
-    of :func:`lex`'s cost.  Tokens compare and hash by their fields all the
-    same, and are treated as immutable: nothing mutates a token once
-    :func:`lex` (or :func:`testmend.javasrc.format.canonical_tokens`)
-    returns it, since parses holding them are shared across samples
-    (:class:`testmend.resolver.SourceCache`).
+    A named tuple: it compares and hashes by its fields, and assigning to
+    a field raises :class:`AttributeError`, so the tokens of a parse that
+    :class:`testmend.resolver.SourceCache` shares across samples cannot
+    be changed by any of them.  Its class is built without the generated
+    methods a dataclass compiles at import.
     """
 
     kind: str
@@ -127,6 +124,7 @@ def _lexeme_error(m: re.Match[str]) -> ParseError:
 def lex(text: str) -> list[Token]:
     """Tokenize ``text``; raises :class:`ParseError` on malformed lexemes."""
     tokens: list[Token] = []
+    new = tuple.__new__  # a Token from its fields, without Token()'s Python-level __new__
     line = line_start = 0
     for m in _MASTER.finditer(text):
         kind, value, start = m.lastgroup, m.group(), m.start()
@@ -135,7 +133,7 @@ def lex(text: str) -> list[Token]:
         if kind != "skip":
             if kind == IDENT and value in KEYWORDS:
                 kind = KEYWORD
-            tokens.append(Token(kind, value, line, start - line_start, start))
+            tokens.append(new(Token, (kind, value, line, start - line_start, start)))
         if "\n" in value:
             line += value.count("\n")
             line_start = start + value.rindex("\n") + 1

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from testmend.dataflow import dataflow_edges
 from testmend.errors import EmptyReference, ParseError
@@ -127,19 +126,18 @@ def bleu(candidate: Sequence[str], reference: Sequence[str]) -> float:
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class _BracketNode:
+class _BracketNode(NamedTuple):
     label: str  # opening bracket, or "" for the root
-    children: list = field(default_factory=list)  # _BracketNode | str
+    children: list  # _BracketNode | str
 
 
 def _bracket_tree(tokens: Sequence[str]) -> _BracketNode | None:
     """Nest the token stream by bracket scopes; None if unbalanced."""
-    root = _BracketNode("")
+    root = _BracketNode("", [])
     stack = [root]
     for text in tokens:
         if text in _BRACKETS:
-            node = _BracketNode(text)
+            node = _BracketNode(text, [])
             stack[-1].children.append(node)
             stack.append(node)
         elif text in _BRACKETS.values():
@@ -176,8 +174,7 @@ def _subtree_signatures(root: _BracketNode, depth: int) -> Counter:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MetricRecord:
+class MetricRecord(NamedTuple):
     """Everything the metrics read of one method text.
 
     ``tokens`` are the code tokens of ``text`` (its word split if it does

@@ -14,8 +14,7 @@ from __future__ import annotations
 import functools
 import logging
 import re
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from testmend.errors import ParseError, ProviderError
 from testmend.javasrc import lexer
@@ -57,15 +56,13 @@ CLASS_SECTION_DESC = "Declarations available on the updated signature types."
 _FENCE_RE = re.compile(r"```(?:java)?[ \t]*\r?\n(.*?)```", re.DOTALL | re.IGNORECASE)
 
 
-@dataclass(frozen=True)
-class PromptSection:
+class PromptSection(NamedTuple):
     label: str
     description: str
     chunk_texts: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class RepairPrompt:
+class RepairPrompt(NamedTuple):
     original_test_text: str
     focal_diff_text: str
     context_sections: tuple[PromptSection, ...] = ()
@@ -137,9 +134,10 @@ def assemble_prompt(
         (*ENV_FOCAL_SECTION, troctx.env_ctx_focal, 1),
         (*ENV_TEST_SECTION, troctx.env_ctx_test, 0),
     ]
-    texts = [[c.text for c in chunks] for _, _, chunks, _ in families]
+    # Each family's chunk texts; a dropped chunk's text becomes None.
+    texts: list[list[str | None]] = [[c.text for c in chunks] for _, _, chunks, _ in families]
     victims = sorted(
-        (scores.get(id(c), 0.0), rank, -pos, index, c.text)
+        (scores.get(id(c), 0.0), rank, -pos, index)
         for index, (_, _, chunks, rank) in enumerate(families)
         for pos, c in enumerate(chunks)
         if not c.is_constructor
@@ -148,18 +146,18 @@ def assemble_prompt(
     diff_text = focal_diff_text(focal, focal_diff)
 
     def build(trimmed: int) -> RepairPrompt:
-        sections = tuple(
-            PromptSection(label, desc, tuple(kept))
-            for (label, desc, _, _), kept in zip(families, texts)
-            if kept
-        )
-        return RepairPrompt(original_test_text, diff_text, sections, trimmed)
+        sections = []
+        for (label, desc, _, _), family_texts in zip(families, texts):
+            kept = tuple(t for t in family_texts if t is not None)
+            if kept:
+                sections.append(PromptSection(label, desc, kept))
+        return RepairPrompt(original_test_text, diff_text, tuple(sections), trimmed)
 
     prompt = build(0)
-    for trimmed, (score, _, _, index, text) in enumerate(victims, start=1):
+    for trimmed, (score, _, neg_pos, index) in enumerate(victims, start=1):
         if prompt.token_count() <= token_cap:
             break
-        texts[index].remove(text)
+        texts[index][-neg_pos] = None
         log.info(
             "prompt over %d tokens; dropped a chunk from %r (score %.3f)",
             token_cap, families[index][0], score,
@@ -297,8 +295,7 @@ def token_edit_distance(a: list[str], b: list[str]) -> int:
     return previous[-1]
 
 
-@dataclass
-class RepairCandidate:
+class RepairCandidate(NamedTuple):
     attempt: int
     raw_text: str
     method_text: str
@@ -313,8 +310,7 @@ class RepairCandidate:
         }
 
 
-@dataclass
-class RepairResult:
+class RepairResult(NamedTuple):
     """The candidates and the selected one.
 
     ``code_bleu`` holds each candidate's score against the ground truth,
@@ -327,8 +323,8 @@ class RepairResult:
     candidates: list[RepairCandidate]
     selected: int
     selection_reason: str
-    code_bleu: list[float] | None = None
-    records: dict[str, MetricRecord] = field(default_factory=dict, repr=False)
+    code_bleu: list[float] | None
+    records: dict[str, MetricRecord]
 
     @property
     def selected_text(self) -> str:

@@ -17,9 +17,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
-from importlib import resources
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from testmend.dataflow import (
     Statement,
@@ -61,8 +59,7 @@ _STEP2_TEXT = (
 )
 
 
-@dataclass(frozen=True)
-class QuerySet:
+class QuerySet(NamedTuple):
     param_op_queries: tuple[str, ...]
     ret_op_queries: tuple[str, ...]
     synbc_analysis: str
@@ -276,6 +273,11 @@ def fallback_obsolete_stmts(focal: FocalChange, test_body: str) -> str:
 
 
 def load_fewshot_exemplars() -> list[dict]:
+    # Imported here, as only statement queries through the provider read
+    # the exemplars: importlib.resources loads tempfile, shutil, zipfile
+    # and, on Python 3.12, inspect, which every run would pay at start-up.
+    from importlib import resources
+
     exemplars = []
     package_dir = resources.files("testmend") / "fewshot"
     for name in FEWSHOT_FILES:

@@ -14,8 +14,7 @@ import logging
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Protocol, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Protocol, Sequence
 
 from testmend.collectors import ClassCtxGroup, ContextChunk, TROCtxBundle
 from testmend.errors import ScorerError
@@ -157,8 +156,7 @@ def _min_max(values: list[float]) -> list[float]:
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class ScoredChunk:
+class ScoredChunk(NamedTuple):
     chunk: ContextChunk
     score: float
     query_used: str
@@ -173,10 +171,9 @@ class ScoredChunk:
         }
 
 
-@dataclass
-class RerankResult:
+class RerankResult(NamedTuple):
     bundle: TROCtxBundle
-    rankings: dict[str, list[ScoredChunk]] = field(default_factory=dict)
+    rankings: dict[str, list[ScoredChunk]]
 
     def as_dict(self) -> dict:
         return {
@@ -255,9 +252,7 @@ def rerank_bundle(
     k: int = DEFAULT_K,
 ) -> RerankResult:
     scorer = scorer or LexicalScorer()
-    result = RerankResult(
-        bundle=TROCtxBundle(warnings=list(bundle.warnings)), rankings={}
-    )
+    result = RerankResult(TROCtxBundle(warnings=list(bundle.warnings)), {})
     for type_name, group in bundle.class_ctx.items():
         constructors = [c for c in group.chunks if c.is_constructor]
         others = [c for c in group.chunks if not c.is_constructor]
@@ -269,8 +264,8 @@ def rerank_bundle(
             k,
         )
         result.rankings[f"class:{type_name}"] = ranked
-        result.bundle.class_ctx[type_name] = replace(
-            group, chunks=constructors + [s.chunk for s in ranked]
+        result.bundle.class_ctx[type_name] = group._replace(
+            chunks=constructors + [s.chunk for s in ranked]
         )
     # Rankings keep the order class:*, usage, env_focal, env_test.
     flat_families = (

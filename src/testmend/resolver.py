@@ -60,8 +60,7 @@ from __future__ import annotations
 
 import logging
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Protocol
+from typing import NamedTuple, Protocol
 
 from testmend.errors import CursorNotOnIdentifier, InputError
 from testmend.javasrc import lexer
@@ -72,8 +71,7 @@ from testmend.snapshot import POST, PRE, DiffText, Location, RepoSnapshot, unifi
 log = logging.getLogger(__name__)
 
 
-@dataclass
-class ParsedFile:
+class ParsedFile(NamedTuple):
     version: str
     path: str
     java: JavaFile
@@ -286,7 +284,6 @@ class CodeIndex:
 
 
 def _class_location(parsed: ParsedFile, cls: ClassDecl) -> Location:
-    assert cls.name_token is not None
     return parsed.token_location(cls.name_token)
 
 
@@ -384,7 +381,7 @@ class BuiltinResolver:
     ) -> tuple[str, ClassDecl | None]:
         """Identify what declaration the token names (and its owner class)."""
         for cls in parsed.java.all_classes():
-            if cls.name_token is not None and cls.name_token.offset == tok.offset:
+            if cls.name_token.offset == tok.offset:
                 return "class", cls
             for member in cls.members:
                 if isinstance(member, MethodDecl) and member.name_token.offset == tok.offset:
@@ -419,7 +416,7 @@ def _declaration_name_tokens(parsed: ParsedFile, name: str) -> list[lexer.Token]
     """Name tokens of the classes, methods and fields called ``name``."""
     out: list[lexer.Token] = []
     for cls in parsed.java.all_classes():
-        if cls.name == name and cls.name_token is not None:
+        if cls.name == name:
             out.append(cls.name_token)
         for member in cls.members:
             if isinstance(member, MethodDecl) and member.name == name:

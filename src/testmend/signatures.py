@@ -16,7 +16,7 @@ An empty set means the signatures are identical.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from testmend.errors import LocatorNotFound, ParseError
 from testmend.javasrc import lexer
@@ -45,8 +45,7 @@ def render_kinds(kinds: frozenset[SynBCKind]) -> str:
     return "+".join(parts) if parts else "none"
 
 
-@dataclass(frozen=True)
-class MethodSignature:
+class MethodSignature(NamedTuple):
     name: str
     param_types: tuple[str, ...]
     return_type: str
@@ -69,8 +68,7 @@ class MethodSignature:
         return f"{head}{ret}{self.name}({params}){tail}"
 
 
-@dataclass(frozen=True)
-class MethodLocator:
+class MethodLocator(NamedTuple):
     """Addresses one method declaration inside one file.
 
     ``classes`` is the nesting path of declaring types (outermost first);
@@ -89,8 +87,7 @@ class MethodLocator:
         return f"{self.file}:{path}.{self.method}{sig}"
 
 
-@dataclass(frozen=True)
-class FocalChange:
+class FocalChange(NamedTuple):
     """The focal method before and after the breaking change."""
 
     original: MethodSignature
@@ -215,8 +212,7 @@ def focal_change(
     )
 
 
-@dataclass(frozen=True)
-class ObsoleteParam:
+class ObsoleteParam(NamedTuple):
     type_text: str
     name: str
     position: int  # index in the original parameter list

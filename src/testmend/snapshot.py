@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from difflib import SequenceMatcher
 from pathlib import Path
+from typing import NamedTuple
 
 from testmend.errors import InputError
 from testmend.javasrc.format import CursorPos
@@ -27,8 +27,7 @@ VERSIONS = (PRE, POST)
 _CHUNK = 1 << 16  # bytes asked of each os.read
 
 
-@dataclass(frozen=True)
-class Location:
+class Location(NamedTuple):
     """A range inside one file of one snapshot version."""
 
     version: str
@@ -222,8 +221,7 @@ def _is_file(entry: os.DirEntry) -> bool:
         return False
 
 
-@dataclass(frozen=True)
-class Hunk:
+class Hunk(NamedTuple):
     """One contiguous change: ``deleted`` lines at ``pre_start`` in the
     old text are replaced by ``added`` lines at ``post_start`` in the
     new text (0-based line indexes; either side may be empty)."""
@@ -245,8 +243,7 @@ class Hunk:
         return [f"- {line}" for line in self.deleted] + [f"+ {line}" for line in self.added]
 
 
-@dataclass(frozen=True)
-class DiffText:
+class DiffText(NamedTuple):
     """A structured line diff between two texts."""
 
     a_lines: tuple[str, ...]

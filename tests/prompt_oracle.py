@@ -4,9 +4,11 @@ This is how :func:`testmend.prompting.assemble_prompt` trimmed before it
 sorted its victims once: one ``_TrimEntry`` per chunk, a constructor
 scored ``math.inf``, and after every dropped chunk a rescan of the
 remaining entries with ``min``.  It is unchanged apart from this
-docstring, its imports, its log line and the two constant fields
-``RepairPrompt`` no longer has.  ``tests/test_prompting.py`` checks that
-both give equal prompts over generated bundles.
+docstring, its imports, its log line, the two constant fields
+``RepairPrompt`` no longer has, and how it drops a victim: by its
+position in its section, where it once removed the first chunk with the
+victim's text.  ``tests/test_prompting.py`` checks that both give equal
+prompts over generated bundles.
 """
 
 from __future__ import annotations
@@ -85,9 +87,9 @@ def assemble_prompt(
             original_test_text=original_test_text,
             focal_diff_text=diff_text,
             context_sections=tuple(
-                PromptSection(label, desc, tuple(texts))
+                PromptSection(label, desc, kept)
                 for label, desc, texts in sections
-                if texts
+                if (kept := tuple(t for t in texts if t is not None))
             ),
             trimmed_chunks=trimmed,
         )
@@ -100,7 +102,7 @@ def assemble_prompt(
             break
         victim = min(removable, key=lambda e: (e.score, e.family_rank, -e.family_pos))
         entries.remove(victim)
-        sections[victim.section_index][2].remove(victim.text)
+        sections[victim.section_index][2][victim.family_pos] = None
         trimmed += 1
         prompt = build(trimmed)
     return prompt

@@ -413,7 +413,10 @@ def _random_bundle(rng):
     for g in range(rng.randrange(0, 3)):
         name = f"Type{g}"
         group = ClassCtxGroup(
-            type_name=name, role=rng.choice(["param", "return", "both"])
+            type_name=name,
+            role=rng.choice(["param", "return", "both"]),
+            chunks=[],
+            defining_classes=[],
         )
         for c in range(rng.randrange(0, 8)):
             text = " ".join(rng.sample(_WORDS, rng.randrange(1, 5))) + f" m{c}();"
@@ -546,7 +549,7 @@ def test_empty_bundle_prompt_equals_plain_baseline():
 
     focal_diff = unified_diff(canonicalize(pre_text), canonicalize(post_text))
     assembled = assemble_prompt(
-        focal, test_text, RerankResult(TROCtxBundle()), focal_diff
+        focal, test_text, RerankResult(TROCtxBundle(), {}), focal_diff
     )
     # The plain baseline: role, task, test and focal diff, nothing else.
     baseline = RepairPrompt(

@@ -210,6 +210,26 @@ def test_comma_between_type_arguments_does_not_end_an_initializer(field):
     assert method.name == "g"
 
 
+@pytest.mark.parametrize(
+    "source, members",
+    [
+        ("record R(int a) { R { } int f() { return 1; } }", [("R", "R { }"), ("f", "int f() { return 1; }")]),
+        (
+            "record R(int a) { R { if (a < 0) throw new X(); } int f() { return 1; } }",
+            [("R", "R { if (a < 0) throw new X(); }"), ("f", "int f() { return 1; }")],
+        ),
+        ("record R(int a) { public R { } }", [("R", "public R { }")]),
+    ],
+)
+def test_compact_canonical_constructor_of_a_record(source, members):
+    jf = parse_java(source)
+    record = jf.classes[0]
+    assert jf.slice(record.start, record.end) == source
+    assert [(m.name, jf.slice(m.start, m.end)) for m in record.members] == members
+    compact = record.members[0]
+    assert compact.is_constructor and compact.parameters == [] and compact.body_end == compact.end
+
+
 def test_import_without_semicolon_keeps_the_next_class():
     jf = parse_java("package p\nimport a.B\nimport static c.D.*\nclass X { int f = 1; void g() { } }")
     assert (jf.package, jf.imports, jf.wildcard_imports) == ("p", {"B": "a.B"}, ["c.D"])

@@ -5,11 +5,13 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from typing import get_type_hints
 
 import pytest
 
 from testmend import dataset
-from testmend.cli import build_parser, main, resolve_config, sanitize_id
+from testmend.cli import RunConfig, build_parser, main, resolve_config, sanitize_id
+from testmend.evaluate import EvalSettings
 from testmend.provider import ENDPOINT_VAR, KEY_VAR, MODEL_VAR
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -311,9 +313,34 @@ def test_importing_the_cli_does_not_load_requests():
     assert proc.stdout.strip() == "False"
 
 
+def test_importing_the_cli_builds_no_dataclasses():
+    # Records are named tuples and slotted classes, so the import compiles
+    # no generated methods and loads neither dataclasses nor the inspect
+    # module it imports; -S keeps a site hook from importing them first.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import testmend.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(src)], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"
+
+
 # ----------------------------------------------------------------------
 # configuration precedence and validation
 # ----------------------------------------------------------------------
+
+
+def test_run_config_leads_with_the_eval_settings():
+    # A config passes as the settings of an eval: the same fields, types
+    # and defaults first.
+    n = len(EvalSettings._fields)
+    assert RunConfig._fields[:n] == EvalSettings._fields
+    assert tuple(RunConfig())[:n] == tuple(EvalSettings())
+    run_types, eval_types = get_type_hints(RunConfig), get_type_hints(EvalSettings)
+    assert all(run_types[name] is eval_types[name] for name in EvalSettings._fields)
 
 
 def test_config_precedence_flags_over_file_over_env(tmp_path, monkeypatch):

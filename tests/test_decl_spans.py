@@ -174,7 +174,9 @@ class Oracle:
         return i
 
     def check_reparse(self, cls, method):
-        wrapped = f"class {cls.name} {{\n{self.text[method.start : method.end]}\n}}\n"
+        # A compact constructor (``R { ... }``) is one only inside a record.
+        head = f"record {cls.name}()" if cls.keyword == "record" else f"class {cls.name}"
+        wrapped = f"{head} {{\n{self.text[method.start : method.end]}\n}}\n"
         signature = parse_method(parse_java(wrapped), MethodLocator("oracle", (cls.name,), method.name))
         assert (signature.name, list(signature.param_types)) == (method.name, method.param_types())
 
@@ -294,13 +296,14 @@ def test_seed_7_mutant_spans_hold():
     assert parsed == 300 * len(FIXTURE_FILES) - 2641
 
 
-# Class bodies built from PIECES: method bodies may hold any piece but a
-# brace, and initializers any piece that does not nest or end them.  A
-# ',' then a name (a piece in VALUE_NAMES) and '=' starts the next
-# declarator; no initializer holds ', name ,', after which the tokens
-# are no declarator.
-BODY_PIECES = [p for p in PIECES if p not in ("{", "}")]
-VALUE_PIECES = [p for p in PIECES if p not in ("{", "}", "(", ")", "[", "]", ";")]
+# Class bodies built from PIECES and generic invocations, whose type
+# arguments hold a ',': method bodies may hold any piece but a brace, and
+# initializers any piece that does not nest or end them.  A ',' then a
+# name (a piece in VALUE_NAMES) and '=' starts the next declarator; no
+# initializer holds ', name ,', after which the tokens are no declarator.
+GENERIC_CALLS = ["new T<A, B>(x)", "X.<A, B>m()"]
+BODY_PIECES = [p for p in PIECES if p not in ("{", "}")] + GENERIC_CALLS
+VALUE_PIECES = [p for p in PIECES if p not in ("{", "}", "(", ")", "[", "]", ";")] + GENERIC_CALLS
 VALUE_NAMES = ("A", "List", "x")
 ANNOTATIONS = ["@Override", "@a.B", "@C()", "@D(x = {1, 2})", "@E(\"}\")"]
 TYPES = ["int", "A", "List<A>", "Map<A, List<? extends A>>", "int[]", "a.B", "A<A>[]"]
@@ -351,9 +354,10 @@ def parameters(draw):
 
 
 @st.composite
-def member(draw, owner, depth):
+def member(draw, owner, keyword, depth):
     head = draw(prefix())
-    kind = draw(st.sampled_from(["field", "method", "constructor", "initializer", "empty", "type"]))
+    kinds = ["field", "method", "constructor", "initializer", "empty", "type"]
+    kind = draw(st.sampled_from(kinds + ["compact"] if keyword == "record" else kinds))
     if kind == "field":
         names = draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=2))
         values = [draw(st.sampled_from(["", " = " + draw(initializer())])) for _ in names]
@@ -365,6 +369,8 @@ def member(draw, owner, depth):
         throws = draw(st.sampled_from(["", " throws E", " throws E, a.F"]))
         body = draw(st.sampled_from([";", "{ " + draw(pieces(BODY_PIECES)) + " }"]))
         return f"{head}{generics}{result}({draw(parameters())}){throws} {body}"
+    if kind == "compact":  # a record's compact canonical constructor
+        return f"{head}{owner} {{ {draw(pieces(BODY_PIECES))} }}"
     if kind == "initializer":
         return draw(st.sampled_from(["", "static "])) + "{ " + draw(pieces(BODY_PIECES)) + " }"
     if kind == "empty" or depth >= 2:
@@ -384,7 +390,7 @@ def type_decl(draw, depth=0):
         "@interface": "",
     }[keyword]
     header = draw(st.sampled_from(["", header]))
-    members = draw(st.lists(member(name, depth), max_size=5))
+    members = draw(st.lists(member(name, keyword, depth), max_size=5))
     constants = "A, B(1), C { void f() { } };\n" if keyword == "enum" else ""
     return f"{keyword} {name}{header} {{\n{constants}" + "\n".join(members) + "\n}"
 

@@ -1,6 +1,5 @@
 """Dataset evaluation: per-sample pipeline runs, aggregates, report files."""
 
-import dataclasses
 import json
 import shutil
 import sys
@@ -366,7 +365,7 @@ def test_run_sample_broken_snapshot_records_error(tmp_path, fixture_samples):
 def test_run_sample_reports_a_ground_truth_without_tokens(fixture_samples, tmp_path):
     # The manifest loaders reject such a sample; only the API reaches it.
     provider = seed_replay(tmp_path, fixture_samples, unchanged_test_response)
-    sample = dataclasses.replace(fixture_samples[0], ground_truth="// only a comment\n")
+    sample = fixture_samples[0]._replace(ground_truth="// only a comment\n")
     row = run_sample(sample, provider=provider)
     assert row.error == "EmptyReference: code_bleu reference has no tokens"
     assert row.code_bleu is None and row.selection_reason == ""

@@ -124,7 +124,7 @@ class ScriptedProvider:
 
 def test_prompt_section_order_and_verbatim_chunks():
     bundle = sample_bundle()
-    prompt = assemble_prompt(FOCAL, TEST_BODY, RerankResult(bundle), FOCAL_DIFF)
+    prompt = assemble_prompt(FOCAL, TEST_BODY, RerankResult(bundle, {}), FOCAL_DIFF)
     text = prompt.user_text()
     order = [
         text.index("## Original test method"),
@@ -145,13 +145,13 @@ def test_prompt_without_bodies_falls_back_to_signature_diff():
     rendered = focal_diff_text(FOCAL, NO_DIFF)
     assert rendered.splitlines()[0].startswith("- ")
     assert "MountOptions" in rendered and "MountPOptions" in rendered
-    prompt = assemble_prompt(FOCAL, TEST_BODY, RerankResult(TROCtxBundle()), NO_DIFF)
+    prompt = assemble_prompt(FOCAL, TEST_BODY, RerankResult(TROCtxBundle(), {}), NO_DIFF)
     assert prompt.focal_diff_text == rendered
 
 
 def test_empty_bundle_prompt_equals_naive_baseline():
     with_empty = assemble_prompt(
-        FOCAL, TEST_BODY, RerankResult(TROCtxBundle()), FOCAL_DIFF
+        FOCAL, TEST_BODY, RerankResult(TROCtxBundle(), {}), FOCAL_DIFF
     )
     # The naive baseline: role, task, test and focal diff, nothing else.
     naive = RepairPrompt(
@@ -164,8 +164,8 @@ def test_empty_bundle_prompt_equals_naive_baseline():
 
 
 def test_prompt_rendering_is_deterministic_and_digest_aligned():
-    one = assemble_prompt(FOCAL, TEST_BODY, RerankResult(sample_bundle()), NO_DIFF)
-    two = assemble_prompt(FOCAL, TEST_BODY, RerankResult(sample_bundle()), NO_DIFF)
+    one = assemble_prompt(FOCAL, TEST_BODY, RerankResult(sample_bundle(), {}), NO_DIFF)
+    two = assemble_prompt(FOCAL, TEST_BODY, RerankResult(sample_bundle(), {}), NO_DIFF)
     assert one.render() == two.render()
     digest = hashlib.sha256(one.render().encode()).hexdigest()
     assert digest == prompt_digest(one.messages())
@@ -179,8 +179,8 @@ def test_adding_a_chunk_only_appends_within_its_group():
     base = sample_bundle()
     grown = sample_bundle()
     grown.usage_ctx.append(chunk("- extra(old);\n+ extra(new);"))
-    base_lines = user_lines(RerankResult(base))
-    grown_lines = user_lines(RerankResult(grown))
+    base_lines = user_lines(RerankResult(base, {}))
+    grown_lines = user_lines(RerankResult(grown, {}))
     it = iter(grown_lines)
     assert all(line in it for line in base_lines)  # ordered subsequence
 
@@ -188,10 +188,10 @@ def test_adding_a_chunk_only_appends_within_its_group():
 def test_token_cap_trims_env_test_first_by_default():
     bundle = sample_bundle()
     bundle.env_ctx_test.append(chunk("- more(old);\n+ more(new);"))
-    full = assemble_prompt(FOCAL, TEST_BODY, RerankResult(bundle), NO_DIFF)
+    full = assemble_prompt(FOCAL, TEST_BODY, RerankResult(bundle, {}), NO_DIFF)
     cap = full.token_count() - 1
     trimmed = assemble_prompt(
-        FOCAL, TEST_BODY, RerankResult(bundle), NO_DIFF, token_cap=cap
+        FOCAL, TEST_BODY, RerankResult(bundle, {}), NO_DIFF, token_cap=cap
     )
     assert trimmed.trimmed_chunks == 1
     env_test = [s for s in trimmed.context_sections
@@ -236,10 +236,23 @@ def test_token_cap_trims_a_chunk_rerank_did_not_score_first():
     assert len(trimmed.context_sections) == len(full.context_sections)
 
 
+def test_token_cap_drops_the_chosen_chunk_of_repeated_texts():
+    # Two chunks share a text: the lower-scored one, last in the section,
+    # goes, not the first with that text.
+    env_test = [chunk("x y"), chunk("b"), chunk("x y")]
+    bundle = TROCtxBundle(env_ctx_test=env_test)
+    rankings = {"env_test": [ScoredChunk(c, s, "q") for c, s in zip(env_test, (0.9, 0.8, 0.1))]}
+    ranked = RerankResult(bundle, rankings)
+    cap = assemble_prompt(FOCAL, TEST_BODY, ranked, NO_DIFF).token_count() - 1
+    trimmed = assemble_prompt(FOCAL, TEST_BODY, ranked, NO_DIFF, token_cap=cap)
+    assert trimmed.trimmed_chunks == 1
+    assert trimmed.context_sections[-1].chunk_texts == ("x y", "b")
+
+
 def test_token_cap_never_trims_constructors():
     bundle = sample_bundle()
     trimmed = assemble_prompt(
-        FOCAL, TEST_BODY, RerankResult(bundle), NO_DIFF, token_cap=0
+        FOCAL, TEST_BODY, RerankResult(bundle, {}), NO_DIFF, token_cap=0
     )
     labels = [s.label for s in trimmed.context_sections]
     assert labels == ["Defined in class MountPOptions"]
@@ -391,7 +404,7 @@ def test_validate_syntax_agrees_with_independent_full_file_parse():
 
 
 def make_prompt():
-    return assemble_prompt(FOCAL, TEST_BODY, RerankResult(TROCtxBundle()), FOCAL_DIFF)
+    return assemble_prompt(FOCAL, TEST_BODY, RerankResult(TROCtxBundle(), {}), FOCAL_DIFF)
 
 
 def test_repair_temperature_and_attempt_count():

@@ -7,7 +7,7 @@ import pytest
 
 import testmend.resolver as resolver_module
 from testmend.errors import CursorNotOnIdentifier, ParseError
-from testmend.javasrc.ast import JavaFile
+from testmend.javasrc.ast import FieldDecl, JavaFile
 from testmend.javasrc import lexer
 from testmend.javasrc.format import CursorPos, canonical_tokens, canonicalize
 from testmend.resolver import (
@@ -214,6 +214,32 @@ def test_code_index_resolve_class(resolver):
 
 def test_parsed_file_type_hints_resolve():
     assert get_type_hints(ParsedFile)["java"] is JavaFile
+
+
+def test_records_shared_through_the_source_cache_reject_assignment(resolver):
+    # One parse of a text serves every sample that reads it, so no caller
+    # may change a token, a location or a parse record in place.
+    cache = resolver_module.SourceCache()
+    java = cache.parse(FILES["src/a/Widget.java"])
+    assert cache.parse(FILES["src/a/Widget.java"]) is java
+    widget = java.classes[0]
+    rate, spin = widget.members[:2]
+    assert isinstance(rate, FieldDecl) and spin.name == "spin"
+    parsed = resolver.index.file(PRE, "src/a/Widget.java")
+    location = parsed.token_location(spin.name_token)
+    for record, name in [
+        (java.tokens[0], "text"),
+        (location, "file"),
+        (location.start, "line"),
+        (parsed, "java"),
+        (java, "tokens"),
+        (widget, "members"),
+        (rate, "names"),
+        (spin, "body_start"),
+        (spin.parameters[0], "name"),
+    ]:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
 
 
 def test_explicit_import_shadows_wildcard_import(tmp_path):
