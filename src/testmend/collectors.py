@@ -36,6 +36,7 @@ sample's files only through that index (``index.snapshot``).
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left
 from typing import NamedTuple
 
 from testmend.errors import CursorNotOnIdentifier, InputError, LocatorNotFound
@@ -182,11 +183,12 @@ class ContextCollector:
         if not roles:
             return groups, warnings
         parsed, post_method = self._locate(focal.post_locator)
-        header_tokens = [
-            t
-            for t in parsed.java.tokens
-            if t.kind == lexer.IDENT and post_method.start <= t.offset < post_method.header_end
-        ]
+        tokens = parsed.java.tokens
+        header = range(
+            bisect_left(tokens.offsets, post_method.start),
+            bisect_left(tokens.offsets, post_method.header_end),
+        )
+        header_tokens = [tokens.token(i) for i in header if tokens.kinds[i] == lexer.IDENT]
         for type_name, role in roles.items():
             group = ClassCtxGroup(type_name, role, [], [])
             groups[type_name] = group

@@ -8,6 +8,12 @@ are skipped with balanced-delimiter scanning.  A record's compact
 canonical constructor (``R { ... }``) is a constructor without
 parameters.
 
+The parser reads a :class:`~testmend.javasrc.lexer.TokenArrays` by
+index (the canonicalizer's, or ``lex``'s when it is given none) and
+builds a :class:`~testmend.javasrc.lexer.Token` only for each
+declaration's ``name_token``; skipping a balanced body is a C-level
+search of the token texts.
+
 Spans are character offsets into the text handed to :func:`parse_java`;
 callers slice the same text to recover declaration snippets.  What a
 span guarantees is what ``tests/test_decl_spans.py`` checks against the
@@ -20,12 +26,15 @@ and the classes are those a brace-depth scan finds.
 Recovery, where the text is not valid Java: at the top level a token
 that starts no type declaration is skipped, and a ``package`` or
 ``import`` ends where its dotted name does (a missing ``;`` loses no
-class).  In a class body, a member whose type no name follows is
-dropped, with the token after the type unless that is a ``}``, which
-closes the body.  A field initializer ends at a ``;``, or a ``,`` that a
-declarator (a name, then ``=``, ``,``, ``;`` or ``[``) follows, outside
-brackets; an annotation member's ``default`` value runs to the next
-``;``.  Anything else that does not fit raises :class:`ParseError`.
+class), unless a ``.`` that neither a name nor ``*`` follows ends the
+name: then it is broken, and skipped through its next ``;``.  In a
+class body, a member whose type no name follows is dropped, with the
+token after the type unless that is a ``}``, which closes the body.  An
+``@interface`` ends an enum's constants.  A field initializer ends at a
+``;``, or a ``,`` that a declarator (a name, then ``=``, ``,``, ``;`` or
+``[``) follows, outside brackets; an annotation member's ``default``
+value runs to the next ``;``.  Anything else that does not fit raises
+:class:`ParseError`.
 """
 
 from __future__ import annotations
@@ -34,7 +43,7 @@ from typing import NamedTuple
 
 from testmend.errors import ParseError
 from testmend.javasrc import lexer
-from testmend.javasrc.lexer import IDENT, KEYWORD, Token
+from testmend.javasrc.lexer import IDENT, KEYWORD, WORD_KINDS, Token, TokenArrays
 
 MODIFIER_WORDS = frozenset(
     "public private protected static final abstract native synchronized "
@@ -113,7 +122,7 @@ class JavaFile(NamedTuple):
     imports: dict[str, str]  # simple name -> fully qualified name
     wildcard_imports: list[str]  # imported package prefixes
     classes: list[ClassDecl]
-    tokens: list[Token]
+    tokens: TokenArrays
 
     def slice(self, start: int, end: int) -> str:
         return self.text[start:end]
@@ -138,161 +147,182 @@ class JavaFile(NamedTuple):
         return None
 
 
-def _render_type(tokens: list[Token]) -> str:
-    """Join type tokens into a normalized single-space-free rendering."""
-    parts: list[str] = []
-    prev: Token | None = None
-    for t in tokens:
-        if prev is not None:
-            prev_wordish = prev.is_word() or prev.text == "?"
-            cur_wordish = t.is_word() or t.text == "?"
-            if prev.text == ",":
-                parts.append(" ")
-            elif prev_wordish and cur_wordish:
-                parts.append(" ")
-            elif prev.text == "&" or t.text == "&":
-                parts.append(" ")
-        parts.append(t.text)
-        prev = t
+def _render_type(kinds: tuple[str, ...], texts: tuple[str, ...], lo: int, hi: int) -> str:
+    """Join the type tokens ``lo`` to ``hi`` into a normalized rendering:
+    a space after ``,``, around ``&`` and between two words, none elsewhere."""
+    parts = [texts[lo]]
+    for j in range(lo + 1, hi):
+        prev, text = texts[j - 1], texts[j]
+        if prev == "," or prev == "&" or text == "&":
+            parts.append(" ")
+        elif (kinds[j - 1] in WORD_KINDS or prev == "?") and (kinds[j] in WORD_KINDS or text == "?"):
+            parts.append(" ")
+        parts.append(text)
     return "".join(parts)
 
 
-class _Parser:
-    """One recursive-descent pass over ``tokens``; ``pos`` is the next token."""
+# Past the last token the parser reads these, so a lookahead of up to two
+# tokens needs no bounds check; no token has an empty kind or text.
+_PAST_END = ("", "", "")
 
-    def __init__(self, text: str, tokens: list[Token] | None):
+
+class _Parser:
+    """One recursive-descent pass over a token stream read by index.
+
+    ``kinds`` and ``texts`` are the stream's arrays with :data:`_PAST_END`
+    appended, ``n`` its length and ``pos`` the index of the next token.
+    """
+
+    def __init__(self, text: str, tokens: TokenArrays):
         self.text = text
-        self.tokens = lexer.lex(text) if tokens is None else tokens
+        self.tokens = tokens
+        self.kinds = tokens.kinds + _PAST_END
+        self.texts = tokens.texts + _PAST_END
+        self.offsets = tokens.offsets
+        self.n = len(tokens.texts)
         self.pos = 0
 
     # -- token cursor ---------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> Token | None:
-        j = self.pos + ahead
-        return self.tokens[j] if j < len(self.tokens) else None
-
     def at(self, text: str, ahead: int = 0) -> bool:
-        j = self.pos + ahead
-        return j < len(self.tokens) and self.tokens[j].text == text
+        return self.texts[self.pos + ahead] == text
 
-    def next(self) -> Token:
-        t = self.peek()
-        if t is None:
-            raise ParseError("unexpected end of source")
-        self.pos += 1
-        return t
+    def error(self, message: str, j: int) -> ParseError:
+        """``message`` at token ``j``, or without a position past the end."""
+        if j < self.n:
+            return ParseError(message, self.tokens.lines[j], self.tokens.cols[j])
+        return ParseError(message)
 
-    def expect(self, text: str) -> Token:
-        t = self.peek()
-        if t is None or t.text != text:
-            found = t.text if t else "end of source"
-            line = t.line if t else None
-            col = t.col if t else None
-            raise ParseError(f"expected {text!r}, found {found!r}", line, col)
-        self.pos += 1
-        return t
+    def end_offset(self, j: int) -> int:
+        return self.offsets[j] + len(self.texts[j])
 
-    def skip_balanced(self, open_text: str, close_text: str) -> Token:
-        """Consume from the current ``open_text`` token through its match."""
+    def expect(self, text: str) -> int:
+        """Consume the token ``text`` at the cursor; its index."""
+        j = self.pos
+        found = self.texts[j]
+        if found != text:
+            raise self.error(f"expected {text!r}, found {found or 'end of source'!r}", j)
+        self.pos = j + 1
+        return j
+
+    def skip_balanced(self, open_text: str, close_text: str) -> int:
+        """Consume from the current ``open_text`` token through its match;
+        the index of the match.  Each step finds the next ``close_text``
+        and counts the ``open_text`` tokens before it, by C-level search."""
         opener = self.expect(open_text)
+        texts = self.texts
         depth = 1
-        tokens = self.tokens
-        for j in range(self.pos, len(tokens)):
-            text = tokens[j].text
-            if text == open_text:
-                depth += 1
-            elif text == close_text:
-                depth -= 1
-                if not depth:
-                    self.pos = j + 1
-                    return tokens[j]
-        raise ParseError(f"unbalanced {open_text!r}", opener.line, opener.col)
+        j = self.pos
+        while True:
+            try:
+                close = texts.index(close_text, j, self.n)
+            except ValueError:
+                raise self.error(f"unbalanced {open_text!r}", opener) from None
+            depth += texts[j:close].count(open_text) - 1
+            if not depth:
+                self.pos = close + 1
+                return close
+            j = close + 1
 
     def skip_generics(self) -> None:
         """Consume a balanced ``<...>`` region, honoring shift tokens."""
         opener = self.expect("<")
+        texts = self.texts
         depth = 1
+        j = self.pos
         while depth > 0:
-            t = self.peek()
-            if t is None:
-                raise ParseError("unbalanced '<'", opener.line, opener.col)
-            self.pos += 1
-            if t.text == "<":
+            if j >= self.n:
+                raise self.error("unbalanced '<'", opener)
+            text = texts[j]
+            j += 1
+            if text == "<":
                 depth += 1
-            elif t.text == ">":
+            elif text == ">":
                 depth -= 1
-            elif t.text == ">>":
+            elif text == ">>":
                 depth -= 2
-            elif t.text == ">>>":
+            elif text == ">>>":
                 depth -= 3
+        self.pos = j
 
     def skip_dims(self) -> str:
         """Consume ``[]`` pairs and return them as text."""
+        texts = self.texts
+        j = self.pos
         dims = ""
-        while self.at("[") and self.at("]", 1):
-            self.pos += 2
+        while texts[j] == "[" and texts[j + 1] == "]":
+            j += 2
             dims += "[]"
+        self.pos = j
         return dims
 
     def _skip_to_semicolon(self) -> None:
-        while (t := self.peek()) is not None:
-            self.pos += 1
-            if t.text == ";":
-                return
+        """Consume through the next ``;``, or to the end."""
+        try:
+            self.pos = self.texts.index(";", self.pos, self.n) + 1
+        except ValueError:
+            self.pos = self.n
 
     # -- annotations, modifiers and types -------------------------------
 
     def parse_annotations_and_modifiers(self) -> tuple[list[str], set[str]]:
         annotations: list[str] = []
         modifiers: set[str] = set()
-        while (t := self.peek()) is not None:
-            if t.text == "@" and not self.at("interface", 1):
-                self.pos += 1
-                name = self.next().text
-                while self.at(".") and _is_name(self.peek(1)):
-                    name += "." + self.tokens[self.pos + 1].text
-                    self.pos += 2
-                if self.at("("):
+        kinds, texts = self.kinds, self.texts
+        while True:
+            j = self.pos
+            text = texts[j]
+            if text == "@" and texts[j + 1] != "interface":
+                if j + 1 >= self.n:
+                    raise ParseError("unexpected end of source")
+                name = texts[j + 1]
+                j += 2
+                while texts[j] == "." and kinds[j + 1] == IDENT:
+                    name += "." + texts[j + 1]
+                    j += 2
+                self.pos = j
+                if texts[j] == "(":
                     self.skip_balanced("(", ")")
                 annotations.append(name)
-            elif (t.kind == KEYWORD and t.text in MODIFIER_WORDS) or (
-                t.kind == IDENT and t.text == "sealed"
+            elif (kinds[j] == KEYWORD and text in MODIFIER_WORDS) or (
+                kinds[j] == IDENT and text == "sealed"
             ):
                 # "default" starts interface default methods but is also a
                 # switch label; at member level it is always a modifier.
-                self.pos += 1
-                modifiers.add(t.text)
+                self.pos = j + 1
+                modifiers.add(text)
             else:
-                break
-        return annotations, modifiers
+                return annotations, modifiers
 
     def parse_type(self) -> str:
-        tokens: list[Token] = []
-        t = self.peek()
-        if t is None:
+        kinds, texts = self.kinds, self.texts
+        j = self.pos
+        if j >= self.n:
             raise ParseError("expected a type, found end of source")
-        if t.text == "@":  # type annotation, e.g. @Nullable String
+        if texts[j] == "@":  # type annotation, e.g. @Nullable String
             self.parse_annotations_and_modifiers()
-            t = self.peek()
-            if t is None:
+            j = self.pos
+            if j >= self.n:
                 raise ParseError("expected a type after annotation")
-        if t.kind == KEYWORD and t.text in PRIMITIVE_WORDS:
-            tokens.append(self.next())
-        elif t.kind == IDENT:
-            tokens.append(self.next())
+        first = j
+        if kinds[j] == KEYWORD and texts[j] in PRIMITIVE_WORDS:
+            j += 1
+        elif kinds[j] == IDENT:
+            j += 1
             while True:
-                if self.at("<"):
-                    start = self.pos
+                if texts[j] == "<":
+                    self.pos = j
                     self.skip_generics()
-                    tokens.extend(self.tokens[start : self.pos])
-                elif self.at(".") and _is_name(self.peek(1)):
-                    tokens.extend(self.tokens[self.pos : self.pos + 2])
-                    self.pos += 2
+                    j = self.pos
+                elif texts[j] == "." and kinds[j + 1] == IDENT:
+                    j += 2
                 else:
                     break
         else:
-            raise ParseError(f"expected a type, found {t.text!r}", t.line, t.col)
-        return _render_type(tokens) + self.skip_dims()
+            raise self.error(f"expected a type, found {texts[j]!r}", j)
+        self.pos = j
+        rendered = texts[first] if j == first + 1 else _render_type(kinds, texts, first, j)
+        return rendered + self.skip_dims()
 
     def parse_type_list(self) -> list[str]:
         """Comma-separated types, as after ``implements`` or ``throws``."""
@@ -309,23 +339,27 @@ class _Parser:
         imports: dict[str, str] = {}
         wildcards: list[str] = []
         classes: list[ClassDecl] = []
-        while (t := self.peek()) is not None:
-            if t.text == "package":
+        texts = self.texts
+        while self.pos < self.n:
+            text = texts[self.pos]
+            if text == "package" or text == "import":
                 self.pos += 1
-                package = self._qualified_name()
-            elif t.text == "import":
-                self.pos += 1
-                if self.at("static"):
+                if text == "import" and texts[self.pos] == "static":
                     self.pos += 1
                 name = self._qualified_name()
-                if self.at("*"):
+                if text == "package":
+                    package = name
+                elif texts[self.pos] == "*":
                     self.pos += 1
-                    wildcards.append(name.rstrip("."))
+                    wildcards.append(name)
                 else:
                     imports.setdefault(name.rsplit(".", 1)[-1], name)
+                if name and texts[self.pos] == ".":  # broken: a '.' ends the name
+                    self._skip_to_semicolon()
             else:
                 mark = self.pos
-                decl = self._type_decl(t.offset, *self.parse_annotations_and_modifiers(), [])
+                start = self.offsets[mark]
+                decl = self._type_decl(start, *self.parse_annotations_and_modifiers(), [])
                 if decl is None:
                     self.pos = mark + 1  # lenient: skip a stray token, such as ';'
                 else:
@@ -340,17 +374,24 @@ class _Parser:
         )
 
     def _qualified_name(self) -> str:
+        """The dotted name at the cursor; a ``.*`` ending it is left at its
+        ``*``, and a '.' that neither a name nor ``*`` follows at its '.'."""
+        kinds, texts = self.kinds, self.texts
+        j = self.pos
         parts = []
-        while _is_name(self.peek()):
-            parts.append(self.next().text)
-            if self.at(".") and (_is_name(self.peek(1)) or self.at("*", 1)):
-                self.pos += 1
-                if self.at("*"):
-                    parts.append("")
-                    break
-            else:
+        while kinds[j] == IDENT:
+            parts.append(texts[j])
+            j += 1
+            if texts[j] != ".":
                 break
-        return ".".join(parts).rstrip(".")
+            if texts[j + 1] == "*":
+                j += 1
+                break
+            if kinds[j + 1] != IDENT:
+                break
+            j += 1
+        self.pos = j
+        return ".".join(parts)
 
     # -- type declarations ----------------------------------------------
 
@@ -360,17 +401,20 @@ class _Parser:
         """The type declaration at the cursor, its annotations and modifiers
         already parsed from ``start``; None, consuming nothing, if no type
         keyword is next."""
-        t = self.peek()
-        if t is None:
-            return None
-        at_interface = t.text == "@" and self.at("interface", 1)
-        is_record = t.kind == IDENT and t.text == "record" and _is_name(self.peek(1))
-        if not (at_interface or is_record or (t.kind == KEYWORD and t.text in _TYPE_KEYWORDS)):
+        kinds, texts = self.kinds, self.texts
+        j = self.pos
+        text = texts[j]
+        at_interface = text == "@" and texts[j + 1] == "interface"
+        is_record = kinds[j] == IDENT and text == "record" and kinds[j + 1] == IDENT
+        if not (at_interface or is_record or (kinds[j] == KEYWORD and text in _TYPE_KEYWORDS)):
             return None
         if at_interface:
-            self.pos += 1
-        keyword = self.next().text
-        name_tok = self.next()
+            j += 1
+        keyword = texts[j]
+        name = j + 1
+        if name >= self.n:
+            raise ParseError("unexpected end of source")
+        self.pos = name + 1
         if self.at("<"):
             self.skip_generics()
         if is_record and self.at("("):
@@ -392,9 +436,9 @@ class _Parser:
         self.expect("{")
         if keyword == "enum":
             self._parse_enum_constants()
-        members = self._parse_members([*enclosing, name_tok.text], is_record)
+        members = self._parse_members([*enclosing, texts[name]], is_record)
         return ClassDecl(
-            name=name_tok.text,
+            name=texts[name],
             keyword="@interface" if at_interface else keyword,
             modifiers=modifiers,
             annotations=annotations,
@@ -402,21 +446,23 @@ class _Parser:
             implements=implements,
             members=members,
             start=start,
-            end=self.expect("}").end_offset,
-            name_token=name_tok,
+            end=self.end_offset(self.expect("}")),
+            name_token=self.tokens.token(name),
             enclosing=enclosing,
         )
 
     def _parse_enum_constants(self) -> None:
+        kinds, texts = self.kinds, self.texts
         while True:
-            t = self.peek()
-            if t is None or t.text in ("}", ";"):
+            j = self.pos
+            text = texts[j]
+            if j >= self.n or text == "}" or text == ";":
                 break
-            if t.text == "@":
+            if text == "@" and texts[j + 1] != "interface":
                 self.parse_annotations_and_modifiers()
                 continue
-            if t.kind in (IDENT, KEYWORD):
-                self.pos += 1
+            if kinds[j] == IDENT or kinds[j] == KEYWORD:
+                self.pos = j + 1
                 if self.at("("):
                     self.skip_balanced("(", ")")
                 if self.at("{"):
@@ -434,16 +480,18 @@ class _Parser:
         """The members of a class body, up to its closing ``}``; ``path`` is
         the class's nesting path, its own name last."""
         members: list[object] = []
+        texts = self.texts
         while True:
-            t = self.peek()
-            if t is None:
+            j = self.pos
+            if j >= self.n:
                 raise ParseError(f"unterminated body of {path[-1]}")
-            if t.text == "}":
+            text = texts[j]
+            if text == "}":
                 return members
-            if t.text == ";":
-                self.pos += 1
+            if text == ";":
+                self.pos = j + 1
                 continue
-            member = self._parse_member(path, is_record, t.offset)
+            member = self._parse_member(path, is_record, self.offsets[j])
             if member is not None:
                 members.append(member)
 
@@ -452,51 +500,51 @@ class _Parser:
         nested = self._type_decl(start, annotations, modifiers, path)
         if nested is not None:
             return nested
+        kinds, texts = self.kinds, self.texts
         name = path[-1]
-        t = self.peek()
-        if t is None:
+        j = self.pos
+        if j >= self.n:
             raise ParseError(f"unterminated body of {name}")
-        if t.text == "<":  # generic method type parameters
+        if texts[j] == "<":  # generic method type parameters
             self.skip_generics()
-            t = self.peek()
-            if t is None:
+            j = self.pos
+            if j >= self.n:
                 raise ParseError("dangling type parameters")
         # Constructor: bare class name followed by '(', or in a record by
         # '{' (a compact canonical constructor, without parameters).
-        if t.kind == IDENT and t.text == name and (
-            self.at("(", 1) or (is_record and self.at("{", 1))
+        if kinds[j] == IDENT and texts[j] == name and (
+            texts[j + 1] == "(" or (is_record and texts[j + 1] == "{")
         ):
-            self.pos += 1
-            return self._finish_method(
-                t, "", modifiers, annotations, start, is_constructor=True
-            )
-        if t.text == "{":  # an initializer, static or not
+            self.pos = j + 1
+            return self._finish_method(j, "", modifiers, annotations, start, is_constructor=True)
+        if texts[j] == "{":  # an initializer, static or not
             self.skip_balanced("{", "}")
             return None
         type_text = self.parse_type()
-        name_tok = self.peek()
-        if name_tok is None:
+        j = self.pos
+        if j >= self.n:
             raise ParseError("unexpected end of member declaration")
-        if not _is_name(name_tok):
-            if name_tok.text != "}":  # lenient: skip it, but leave '}' to close the body
-                self.pos += 1
+        if kinds[j] != IDENT:
+            if texts[j] != "}":  # lenient: skip it, but leave '}' to close the body
+                self.pos = j + 1
             return None
-        self.pos += 1
-        if self.at("("):
+        self.pos = j + 1
+        if texts[j + 1] == "(":
             return self._finish_method(
-                name_tok, type_text, modifiers, annotations, start, is_constructor=False
+                j, type_text, modifiers, annotations, start, is_constructor=False
             )
-        return self._finish_field(name_tok, type_text, modifiers, annotations, start)
+        return self._finish_field(j, type_text, modifiers, annotations, start)
 
     def _finish_method(
         self,
-        name_tok: Token,
+        name: int,
         return_type: str,
         modifiers: set[str],
         annotations: list[str],
         start: int,
         is_constructor: bool,
     ) -> MethodDecl:
+        """The method whose name is token ``name``, the cursor after it."""
         params = self._parse_parameters() if self.at("(") else []
         self.skip_dims()  # archaic int foo()[]
         throws: list[str] = []
@@ -505,15 +553,15 @@ class _Parser:
             throws = self.parse_type_list()
         body_start = body_end = None
         if self.at("{"):
-            body_start = self.tokens[self.pos].offset
-            body_end = end = self.skip_balanced("{", "}").end_offset
+            body_start = self.offsets[self.pos]
+            body_end = end = self.end_offset(self.skip_balanced("{", "}"))
         elif self.at("default"):  # annotation member default value
             self._skip_to_semicolon()
-            end = self.tokens[self.pos - 1].end_offset
+            end = self.end_offset(self.pos - 1)
         else:
-            end = self.expect(";").end_offset
+            end = self.end_offset(self.expect(";"))
         return MethodDecl(
-            name=name_tok.text,
+            name=self.texts[name],
             modifiers=modifiers,
             annotations=annotations,
             return_type=return_type,
@@ -522,7 +570,7 @@ class _Parser:
             is_constructor=is_constructor,
             start=start,
             end=end,
-            name_token=name_tok,
+            name_token=self.tokens.token(name),
             body_start=body_start,
             body_end=body_end,
         )
@@ -533,8 +581,9 @@ class _Parser:
         if self.at(")"):
             self.pos += 1
             return params
+        kinds, texts = self.kinds, self.texts
         while True:
-            while self.at("@"):
+            while self.at("@") and not self.at("interface", 1):
                 self.parse_annotations_and_modifiers()
             if self.at("final"):
                 self.pos += 1
@@ -542,10 +591,10 @@ class _Parser:
             if self.at("..."):
                 self.pos += 1
                 type_text += "..."
-            name_t = self.peek()
-            if name_t is not None and (_is_name(name_t) or name_t.text == "this"):
-                self.pos += 1
-                name = name_t.text
+            j = self.pos
+            if kinds[j] == IDENT or texts[j] == "this":
+                self.pos = j + 1
+                name = texts[j]
             else:
                 name = ""
             params.append(Parameter(type_text=type_text + self.skip_dims(), name=name))
@@ -557,21 +606,22 @@ class _Parser:
 
     def _finish_field(
         self,
-        name_tok: Token,
+        name: int,
         type_text: str,
         modifiers: set[str],
         annotations: list[str],
         start: int,
     ) -> FieldDecl:
-        names = [name_tok.text]
+        """The field whose first name is token ``name``, the cursor after it."""
+        kinds, texts = self.kinds, self.texts
+        names = [texts[name]]
         type_text += self.skip_dims()
         self._skip_field_tail()
         while self.at(","):
             self.pos += 1
-            extra = self.peek()
-            if extra is not None and _is_name(extra):
+            if kinds[self.pos] == IDENT:
+                names.append(texts[self.pos])
                 self.pos += 1
-                names.append(extra.text)
             self.skip_dims()
             self._skip_field_tail()
         return FieldDecl(
@@ -580,46 +630,42 @@ class _Parser:
             modifiers=modifiers,
             annotations=annotations,
             start=start,
-            end=self.expect(";").end_offset,
-            name_token=name_tok,
+            end=self.end_offset(self.expect(";")),
+            name_token=self.tokens.token(name),
         )
 
     def _skip_field_tail(self) -> None:
         """Skip an optional initializer up to a top-level ';', or a
-        top-level ',' that a declarator follows (not the ',' of
-        ``new HashMap<A, B>()``)."""
+        top-level ',' that a declarator (a name, then '=', ',', ';' or
+        '[') follows: not the ',' of ``new HashMap<A, B>()``."""
         if not self.at("="):
             return
-        self.pos += 1
+        kinds, texts = self.kinds, self.texts
         depth = 0
-        while True:
-            t = self.peek()
-            if t is None:
-                raise ParseError("unterminated field initializer")
-            if depth == 0 and (t.text == ";" or (t.text == "," and self._declarator_next())):
+        for j in range(self.pos + 1, self.n):
+            text = texts[j]
+            if depth == 0 and (
+                text == ";"
+                or (text == "," and kinds[j + 1] == IDENT and texts[j + 2] in ("=", ",", ";", "["))
+            ):
+                self.pos = j
                 return
-            if t.text in ("(", "[", "{"):
+            if text in ("(", "[", "{"):
                 depth += 1
-            elif t.text in (")", "]", "}"):
+            elif text in (")", "]", "}"):
                 depth -= 1
-            self.pos += 1
-
-    def _declarator_next(self) -> bool:
-        """Whether a name, then '=', ',', ';' or '[', follows the cursor."""
-        return _is_name(self.peek(1)) and any(self.at(s, 2) for s in ("=", ",", ";", "["))
+        raise ParseError("unterminated field initializer")
 
 
-def _is_name(t: Token | None) -> bool:
-    return t is not None and t.kind == IDENT
-
-
-def parse_java(text: str, tokens: list[Token] | None = None) -> JavaFile:
+def parse_java(text: str, tokens: TokenArrays | None = None) -> JavaFile:
     """Parse ``text`` into a :class:`JavaFile`; raises :class:`ParseError`.
 
-    ``tokens`` are ``lex(text)`` if the caller has them already (as
-    :func:`~testmend.javasrc.format.canonical_tokens` gives them for a
-    canonical text); without them the text is lexed here.
+    ``tokens`` are the arrays of ``lex(text)`` if the caller has them
+    already (as :func:`~testmend.javasrc.format.canonical_arrays` gives
+    them for a canonical text); without them the text is lexed here.
     """
+    if tokens is None:
+        tokens = TokenArrays.of(lexer.lex(text))
     return _Parser(text, tokens).parse_file()
 
 

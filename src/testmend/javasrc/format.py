@@ -14,15 +14,18 @@ rewritten here.  Guarantees:
 * the transform is idempotent: canonicalize(canonicalize(x)) ==
   canonicalize(x).
 
-:func:`canonical_tokens` makes one pass over the raw text: the lexer's
+:func:`canonical_arrays` makes one pass over the raw text: the lexer's
 :func:`~testmend.javasrc.lexer.scan` gives each lexeme's kind and text,
-and the emitter writes the canonical text while it builds each canonical
-:class:`~testmend.javasrc.lexer.Token`: its kind, its text and its line,
-column and offset in the output.  So token *i* of ``lex(source)`` is
-token *i* of the canonical tokens, and a parse of the canonical text
-(:func:`~testmend.javasrc.ast.parse_java`) takes those tokens instead of
-lexing the text again.  That they equal the
-tokens of ``lex(canonicalize(source))``, field by field, is what
+and the emitter writes the canonical text while it records each token's
+line, column and offset in the output.  It returns them as
+:class:`~testmend.javasrc.lexer.TokenArrays` and builds no
+:class:`~testmend.javasrc.lexer.Token`; that is what the source cache and
+the parser read.  :func:`canonical_tokens` builds the tokens from the same
+arrays, for the short method texts of dataflow, queries and metrics.
+Token *i* of ``lex(source)`` is token *i* of the canonical tokens, and a
+parse of the canonical text (:func:`~testmend.javasrc.ast.parse_java`)
+takes those arrays instead of lexing the text again.  That they equal
+the tokens of ``lex(canonicalize(source))``, field by field, is what
 ``tests/test_canonical_tokens.py`` checks against the old emit-then-relex
 path, on generated text and on every fixture file and its mutants.
 
@@ -38,7 +41,7 @@ from typing import NamedTuple
 from testmend.errors import CursorNotOnIdentifier, ParseError
 from testmend.javasrc import lexer
 from testmend.javasrc.ast import PRIMITIVE_WORDS
-from testmend.javasrc.lexer import IDENT, KEYWORD, OP, Token
+from testmend.javasrc.lexer import IDENT, KEYWORD, OP, Token, TokenArrays
 
 INDENT = "    "
 
@@ -150,20 +153,24 @@ def _mark_generic_angles(kinds: list[str], texts: list[str]) -> set[int]:
     return marked
 
 
-def _emit(kinds: list[str], texts: list[str]) -> tuple[str, list[Token]]:
+def _emit(kinds: list[str], texts: list[str]) -> tuple[str, TokenArrays]:
     """The canonical text of a token stream, and its tokens positioned in it.
 
     One loop writes each token and decides the space, line break and
     indent before it; ``offset``, ``line`` and ``line_start`` follow what
     is written, newlines inside string, text-block and char tokens too.
+    Each token's line, column and offset go to three lists, so no
+    :class:`~testmend.javasrc.lexer.Token` is built.
     """
     n = len(texts)
     braces = _classify_braces(texts)
     angles = _mark_generic_angles(kinds, texts)
     parts: list[str] = []
     write = parts.append
-    tokens: list[Token] = []
-    new = tuple.__new__  # a Token from its fields, without Token()'s Python-level __new__
+    lines: list[int] = []
+    cols: list[int] = []
+    offsets: list[int] = []
+    add_line, add_col, add_offset = lines.append, cols.append, offsets.append
     offset = line = line_start = 0
     line_open = False  # a token is already on the current line
     indent = paren_depth = 0
@@ -231,7 +238,9 @@ def _emit(kinds: list[str], texts: list[str]) -> tuple[str, list[Token]]:
                 write(" ")
                 offset += 1
 
-        tokens.append(new(Token, (kind, text, line, offset - line_start, offset)))
+        add_line(line)
+        add_col(offset - line_start)
+        add_offset(offset)
         write(text)
         if "\n" in text:
             line += text.count("\n")
@@ -269,10 +278,11 @@ def _emit(kinds: list[str], texts: list[str]) -> tuple[str, list[Token]]:
         prev_kind, prev_text, prev_brace = kind, text, brace
     if line_open:
         write("\n")
-    return "".join(parts), tokens
+    arrays = TokenArrays(tuple(kinds), tuple(texts), tuple(lines), tuple(cols), tuple(offsets))
+    return "".join(parts), arrays
 
 
-def canonical_tokens(source: str) -> tuple[str, list[Token]]:
+def canonical_arrays(source: str) -> tuple[str, TokenArrays]:
     """The canonical text of ``source`` and its tokens, positioned in that text.
 
     Raises :class:`ParseError` where :func:`~testmend.javasrc.lexer.lex`
@@ -281,9 +291,15 @@ def canonical_tokens(source: str) -> tuple[str, list[Token]]:
     return _emit(*lexer.scan(source))
 
 
+def canonical_tokens(source: str) -> tuple[str, list[Token]]:
+    """:func:`canonical_arrays` with each token built, for short texts."""
+    text, arrays = canonical_arrays(source)
+    return text, arrays.as_list()
+
+
 def canonicalize(source: str) -> str:
     """Reformat ``source`` into canonical form (see module docstring)."""
-    return canonical_tokens(source)[0]
+    return canonical_arrays(source)[0]
 
 
 def canonicalize_with_cursor(source: str, cursor: CursorPos) -> tuple[str, CursorPos]:
@@ -300,5 +316,4 @@ def canonicalize_with_cursor(source: str, cursor: CursorPos) -> tuple[str, Curso
     else:
         raise CursorNotOnIdentifier(f"no identifier at line {cursor.line}, col {cursor.col}")
     text, canonical = _emit([t.kind for t in tokens], [t.text for t in tokens])
-    target = canonical[index]
-    return text, CursorPos(target.line, target.col)
+    return text, CursorPos(canonical.lines[index], canonical.cols[index])

@@ -256,9 +256,10 @@ class LspResolver:
         if key not in self._identifiers:
             raw = lexer.lex(self.index.snapshot.read(version, path))
             canonical = self.index.tokens(version, path)
+            lines, cols = canonical.lines, canonical.cols
             self._identifiers[key] = [
-                (tok, CursorPos(at.line, at.col))
-                for tok, at in zip(raw, canonical)
+                (tok, CursorPos(lines[i], cols[i]))
+                for i, tok in enumerate(raw)
                 if tok.kind == lexer.IDENT
             ]
         return self._identifiers[key]

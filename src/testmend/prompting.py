@@ -273,8 +273,12 @@ def validate_syntax(
         return False
     # The method must span every token of the text: all tokens but the
     # wrapper's three before it and its closing brace.
-    inner = java_file.tokens[3:-1]
-    return members[0].start == inner[0].offset and members[0].end == inner[-1].end_offset
+    tokens = java_file.tokens
+    last = len(tokens.offsets) - 2
+    return (
+        members[0].start == tokens.offsets[3]
+        and members[0].end == tokens.offsets[last] + len(tokens.texts[last])
+    )
 
 
 def token_edit_distance(a: list[str], b: list[str]) -> int:

@@ -40,14 +40,17 @@ computes each once, as it does each class lookup.  A ``CodeIndex`` lives
 for one sample, but it reads canonical texts, tokens and parses through
 one content cache shared by every sample in the process
 (:class:`SourceCache`).  The cache is keyed by a file's raw text alone,
-since ``canonical_tokens`` and ``parse_java`` depend on nothing else, so
+since ``canonical_arrays`` and ``parse_java`` depend on nothing else, so
 byte-identical files are canonicalized and parsed once whichever sample
-or version they belong to, and each is lexed once: the parse takes the
-tokens the canonicalizer built.  It is an LRU bounded by the characters
-of its keys (:data:`SOURCE_CACHE_CHARS`), and it caches no failure.  Its
-:class:`~testmend.javasrc.ast.JavaFile` values are shared across samples:
-nothing mutates a ``JavaFile``, or the tokens it holds, once
-``parse_java`` returns it.
+or version they belong to, and each is lexed once: the parse reads the
+token arrays the canonicalizer wrote.  It is an LRU bounded by the
+characters of its keys (:data:`SOURCE_CACHE_CHARS`), and it caches no
+failure.  Its :class:`~testmend.javasrc.ast.JavaFile` values are shared
+across samples: nothing mutates a ``JavaFile`` once ``parse_java``
+returns it, and its token arrays are tuples.  A
+:class:`~testmend.javasrc.lexer.Token` is built only for a token that
+leaves the index: a declaration's name, the token at a cursor, a
+reference.
 Hygiene and classify read a sample's own sources through it too
 (:func:`parse_source`), so no stage parses a snapshot file's raw text.
 
@@ -59,13 +62,14 @@ stages, so at most one thread uses the cache at a time.
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from typing import NamedTuple, Protocol
 
 from testmend.errors import CursorNotOnIdentifier, InputError
 from testmend.javasrc import lexer
 from testmend.javasrc.ast import ClassDecl, FieldDecl, JavaFile, MethodDecl, parse_java
-from testmend.javasrc.format import CursorPos, canonical_tokens
+from testmend.javasrc.format import CursorPos, canonical_arrays
 from testmend.snapshot import POST, PRE, DiffText, Location, RepoSnapshot, unified_diff
 
 log = logging.getLogger(__name__)
@@ -77,9 +81,14 @@ class ParsedFile(NamedTuple):
     java: JavaFile
 
     def token_at(self, pos: CursorPos) -> lexer.Token | None:
-        for tok in self.java.tokens:
-            if tok.line == pos.line and tok.col <= pos.col < tok.col + len(tok.text):
-                return tok
+        """The token that covers ``pos``, found by bisection: lines grow
+        along the stream, and columns within a line."""
+        tokens = self.java.tokens
+        lo = bisect_left(tokens.lines, pos.line)
+        hi = bisect_right(tokens.lines, pos.line, lo)
+        i = bisect_right(tokens.cols, pos.col, lo, hi) - 1
+        if i >= lo and pos.col < tokens.cols[i] + len(tokens.texts[i]):
+            return tokens.token(i)
         return None
 
     def token_location(self, tok: lexer.Token) -> Location:
@@ -91,24 +100,30 @@ class ParsedFile(NamedTuple):
         )
 
 
-# At about 35 bytes of heap per cached source character (its canonical
-# text, tokens and parse: 34.9 by tracemalloc over 251 distinct large-repo
-# files), the cache holds at most some 37 MB besides its keys.
+# At about 27 bytes of heap per cached source character (its canonical
+# text, token arrays and parse: 27.2 by tracemalloc over the 255 distinct
+# files of one large-repo sample's two versions), the cache holds at most
+# some 29 MB besides its keys.
 SOURCE_CACHE_CHARS = 1 << 20
 
 # A cached source: its canonical text and tokens, and their parse once made.
-_Entry = tuple[str, list[lexer.Token], JavaFile | None]
+_Entry = tuple[str, lexer.TokenArrays, JavaFile | None]
+
+_NO_TOKENS = lexer.TokenArrays.of([])
 
 
 class SourceCache:
     """Canonical texts, tokens and parses of Java sources, keyed by the raw text.
 
-    Each entry is the ``canonical_tokens`` pair of one raw text and, once
-    asked for, the parse of that text: ``parse_java`` gets the tokens the
-    emitter built, so no canonical text is lexed again.  An LRU whose
-    keys total at most :data:`SOURCE_CACHE_CHARS` characters; a text
-    longer than that is never stored.  An
-    :class:`~testmend.errors.InputError` from ``canonical_tokens`` or
+    Each entry is the ``canonical_arrays`` pair of one raw text (its
+    tokens as :class:`~testmend.javasrc.lexer.TokenArrays`, so the cache
+    holds no :class:`~testmend.javasrc.lexer.Token` per token) and, once
+    asked for, the parse of that text: ``parse_java`` reads the arrays the
+    emitter wrote, so no canonical text is lexed again, and the parse's
+    ``tokens`` are those same arrays.  An LRU whose keys total at most
+    :data:`SOURCE_CACHE_CHARS` characters; a text longer than that is
+    never stored.  An
+    :class:`~testmend.errors.InputError` from ``canonical_arrays`` or
     ``parse_java`` propagates and is not stored, so every caller that asks
     again tries again; a text that canonicalizes but does not parse keeps
     its canonical form.  Not thread-safe (see the module docstring).
@@ -118,8 +133,8 @@ class SourceCache:
         self._entries: OrderedDict[str, _Entry] = OrderedDict()
         self._chars = 0
 
-    def canonical(self, raw: str) -> tuple[str, list[lexer.Token]]:
-        """``canonical_tokens(raw)``, or ``("", [])`` for a blank text."""
+    def canonical(self, raw: str) -> tuple[str, lexer.TokenArrays]:
+        """``canonical_arrays(raw)``, or ``""`` and no tokens for a blank text."""
         text, tokens, _ = self._entry(raw, parse=False)
         return text, tokens
 
@@ -133,7 +148,7 @@ class SourceCache:
         """The entry of ``raw``, computing and storing what it lacks."""
         entry = self._entries.get(raw)
         if entry is None:
-            text, tokens = canonical_tokens(raw) if raw.strip() else ("", [])
+            text, tokens = canonical_arrays(raw) if raw.strip() else ("", _NO_TOKENS)
             entry = (text, tokens, None)
         if parse and entry[2] is None:
             self._store(raw, entry)  # kept if the parse fails
@@ -183,8 +198,8 @@ class CodeIndex:
         """
         return _SOURCES.canonical(self.snapshot.read_or_empty(version, path))[0]
 
-    def tokens(self, version: str, path: str) -> list[lexer.Token]:
-        """The tokens of :meth:`canonical`'s text, positioned in it."""
+    def tokens(self, version: str, path: str) -> lexer.TokenArrays:
+        """The token arrays of :meth:`canonical`'s text, positioned in it."""
         return _SOURCES.canonical(self.snapshot.read_or_empty(version, path))[1]
 
     def diff(self, path: str) -> DiffText:
@@ -360,19 +375,20 @@ class BuiltinResolver:
         for candidate in self.index.files_mentioning(version, name):
             if not self._visible_from(candidate, parsed, owner):
                 continue
-            decl_tokens = {t.offset for t in _declaration_name_tokens(candidate, name)}
+            decl_offsets = {t.offset for t in _declaration_name_tokens(candidate, name)}
             tokens = candidate.java.tokens
-            for i, t in enumerate(tokens):
-                if t.kind != lexer.IDENT or t.text != name:
+            kinds, texts, offsets = tokens.kinds, tokens.texts, tokens.offsets
+            i = -1
+            for _ in range(texts.count(name)):
+                i = texts.index(name, i + 1)
+                if kinds[i] != lexer.IDENT or offsets[i] in decl_offsets:
                     continue
-                if t.offset in decl_tokens:
-                    continue
-                followed_by_call = i + 1 < len(tokens) and tokens[i + 1].text == "("
+                followed_by_call = i + 1 < len(texts) and texts[i + 1] == "("
                 if decl_kind == "method" and not followed_by_call:
                     continue
                 if decl_kind == "field" and followed_by_call:
                     continue
-                out.append(candidate.token_location(t))
+                out.append(candidate.token_location(tokens.token(i)))
         out.sort(key=lambda loc: (loc.file, loc.start.line, loc.start.col))
         return out
 
@@ -389,9 +405,9 @@ class BuiltinResolver:
                 if isinstance(member, FieldDecl) and member.name_token.offset == tok.offset:
                     return "field", cls
         # Not a declaration site: guess the kind from local context.
-        idx = parsed.java.tokens.index(tok)
-        next_tok = parsed.java.tokens[idx + 1] if idx + 1 < len(parsed.java.tokens) else None
-        kind = "method" if next_tok is not None and next_tok.text == "(" else "field"
+        texts = parsed.java.tokens.texts
+        after = bisect_right(parsed.java.tokens.offsets, tok.offset)
+        kind = "method" if after < len(texts) and texts[after] == "(" else "field"
         return kind, None
 
     def _visible_from(

@@ -85,12 +85,12 @@ def find_references(resolver: BuiltinResolver, location: Location) -> list[Locat
             continue
         decl_tokens = {t.offset for t in _declaration_name_tokens(candidate, name)}
         tokens = candidate.java.tokens
-        for i, t in enumerate(tokens):
+        for i, t in enumerate(tokens.as_list()):
             if t.kind != lexer.IDENT or t.text != name:
                 continue
             if t.offset in decl_tokens:
                 continue
-            followed_by_call = i + 1 < len(tokens) and tokens[i + 1].text == "("
+            followed_by_call = i + 1 < len(tokens.texts) and tokens.texts[i + 1] == "("
             if decl_kind == "method" and not followed_by_call:
                 continue
             if decl_kind == "field" and followed_by_call:

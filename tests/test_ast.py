@@ -1,5 +1,7 @@
 """Structural parser tests: declarations, spans, nesting, recovery."""
 
+import signal
+
 import pytest
 
 from testmend.errors import ParseError
@@ -235,6 +237,48 @@ def test_import_without_semicolon_keeps_the_next_class():
     assert (jf.package, jf.imports, jf.wildcard_imports) == ("p", {"B": "a.B"}, ["c.D"])
     assert [c.name for c in jf.classes] == ["X"]
     assert [m.name for m in jf.classes[0].methods()] == ["g"]
+
+
+@pytest.mark.parametrize(
+    "source, package",
+    [
+        # A '.' that no name or '*' follows breaks the name: the rest of
+        # the declaration up to its ';' is skipped, so a keyword after the
+        # '.' starts nothing.
+        ("package p;\nimport java.package util.Map;\nclass A { }", "p"),
+        ("import java.class util.List;\nclass A { }", ""),
+        # A name that ends on an identifier still ends there.
+        ("import a.B\nclass A { int f = 1; }", ""),
+    ],
+)
+def test_a_header_name_ending_in_a_dot_is_skipped_to_its_semicolon(source, package):
+    jf = parse_java(source)
+    assert jf.package == package
+    assert [c.name for c in jf.classes] == ["A"]
+
+
+def parse_within(source, seconds=5):
+    """``parse_java(source)``, raising TimeoutError after ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"parse_java did not return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        return parse_java(source)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_an_annotation_type_where_an_annotation_may_stand_ends_no_loop():
+    # '@interface' starts no annotation: it ends an enum's constants, and
+    # a parameter list cannot hold it (both looped forever).
+    jf = parse_within("enum E { A, @interface X { } }")
+    assert [(c.name, c.keyword) for c in jf.all_classes()] == [("E", "enum"), ("X", "@interface")]
+    with pytest.raises(ParseError, match="expected a type, found '@'"):
+        parse_within("class A { void f(@interface x) { } }")
 
 
 def test_member_recovery_leaves_a_closing_brace():

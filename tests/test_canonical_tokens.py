@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from testmend.errors import ParseError
 from testmend.javasrc.ast import parse_java
-from testmend.javasrc.format import canonical_tokens, canonicalize
+from testmend.javasrc.format import canonical_arrays, canonical_tokens, canonicalize
 from testmend.javasrc.lexer import lex
 
 import format_oracle
@@ -99,7 +99,7 @@ def test_canonical_tokens_match_on_fixture_files_and_their_mutants(path):
     source = path.read_text(encoding="utf-8")
     text, tokens = check(source)
     assert len(tokens) > 1
-    assert parse_java(text, canonical_tokens(source)[1]) == parse_java(text)
+    assert parse_java(text, canonical_arrays(source)[1]) == parse_java(text)
     rng = random.Random(path.name)
     for mutant in mutants(source, 30, rng):
         check(mutant)
@@ -117,7 +117,7 @@ def test_fixture_mutants_canonicalize_and_parse_or_raise_only_parse_error():
     for path in FIXTURE_FILES:
         for mutant in mutants(path.read_text(encoding="utf-8"), 300, rng):
             try:
-                parse_java(*canonical_tokens(mutant))
+                parse_java(*canonical_arrays(mutant))
             except ParseError:
                 outcomes["ParseError"] += 1
             else:

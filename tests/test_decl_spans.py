@@ -250,7 +250,9 @@ def scan_classes(toks):
 def _header_end(toks, i):
     """The index after the ``package`` or ``import`` at ``toks[i]``: an
     import's ``static``, the names of the dotted name (an import's may
-    end in ``.*``), then a ``;`` only if one is next."""
+    end in ``.*``), then a ``;`` only if one is next.  A name that ends
+    in a '.' that neither a name nor ``*`` follows is broken, and runs
+    through the next ``;`` (or to the end)."""
     static = toks[i].text == "import" and i + 1 < len(toks) and toks[i + 1].text == "static"
     j = i + 1 + static
     while j < len(toks) and toks[j].kind == IDENT:
@@ -260,6 +262,9 @@ def _header_end(toks, i):
         elif j + 1 < len(toks) and toks[j].text == "." and toks[j + 1].text == "*":
             j += 2
             break
+        elif j < len(toks) and toks[j].text == ".":
+            semicolons = [k for k in range(j, len(toks)) if toks[k].text == ";"]
+            return semicolons[0] + 1 if semicolons else len(toks)
         else:
             break
     return j + 1 if j < len(toks) and toks[j].text == ";" else j

@@ -140,7 +140,7 @@ def test_filtered_lookups_equal_full_scans(snapshot):
                     index_oracle.class_by_fqn(full, version, fqn)
                 )
             for parsed in index_oracle.iter_files(full, version):
-                for tok in parsed.java.tokens:
+                for tok in parsed.java.tokens.as_list():
                     if tok.kind == lexer.IDENT and tok.text in NAMES:
                         location = parsed.token_location(tok)
                         assert resolver.find_references(location) == (

@@ -9,7 +9,7 @@ import testmend.resolver as resolver_module
 from testmend.errors import CursorNotOnIdentifier, ParseError
 from testmend.javasrc.ast import FieldDecl, JavaFile
 from testmend.javasrc import lexer
-from testmend.javasrc.format import CursorPos, canonical_tokens, canonicalize
+from testmend.javasrc.format import CursorPos, canonical_arrays, canonicalize
 from testmend.resolver import (
     BuiltinResolver,
     CodeIndex,
@@ -175,6 +175,17 @@ def test_field_references_exclude_calls_and_declaration(resolver):
     ]
 
 
+def test_references_from_a_use_site_take_their_kind_from_the_next_token(resolver):
+    # Not a declaration: a name before '(' is a method, any other a field,
+    # and with no owner known every file that mentions the name is searched.
+    call = loc_of(resolver, PRE, "src/a/Gadget.java", "spin")
+    assert [r.file for r in resolver.find_references(call)] == [
+        "src/a/Gadget.java", "src/a/Widget.java", "src/c/NoImport.java", "src/c/Uses.java"
+    ]
+    use = loc_of(resolver, PRE, "src/a/Gadget.java", "rate")
+    assert [r.file for r in resolver.find_references(use)] == ["src/a/Gadget.java"]
+
+
 def test_static_method_references(resolver):
     decl = loc_of(resolver, PRE, "src/b/Remote.java", "ping", occurrence=0)
     refs = resolver.find_references(decl)
@@ -216,6 +227,23 @@ def test_parsed_file_type_hints_resolve():
     assert get_type_hints(ParsedFile)["java"] is JavaFile
 
 
+def test_token_at_finds_the_token_a_scan_of_every_token_finds():
+    # Bisection over lines, then columns, against the linear scan it
+    # replaced, at every column of every line and one past each line's
+    # end; a text block spans lines, so a line can start inside a token.
+    java = resolver_module.parse_source(
+        'class T {\n  String s = """\n    a\n    """ + t(1);\n  int[] u = {1, 2};\n}\n'
+    )
+    parsed = ParsedFile(PRE, "T.java", java)
+    tokens = java.tokens.as_list()
+    lines = java.text.split("\n")
+    for line, text in enumerate(lines):
+        for col in range(len(text) + 2):
+            scanned = [t for t in tokens if t.line == line and t.col <= col < t.col + len(t.text)]
+            assert parsed.token_at(CursorPos(line, col)) == (scanned[0] if scanned else None)
+    assert parsed.token_at(CursorPos(len(lines), 0)) is None
+
+
 def test_records_shared_through_the_source_cache_reject_assignment(resolver):
     # One parse of a text serves every sample that reads it, so no caller
     # may change a token, a location or a parse record in place.
@@ -227,8 +255,16 @@ def test_records_shared_through_the_source_cache_reject_assignment(resolver):
     assert isinstance(rate, FieldDecl) and spin.name == "spin"
     parsed = resolver.index.file(PRE, "src/a/Widget.java")
     location = parsed.token_location(spin.name_token)
+    # The parse holds the very token arrays the cache keeps, all tuples.
+    arrays = cache.canonical(FILES["src/a/Widget.java"])[1]
+    assert java.tokens is arrays
+    assert all(type(array) is tuple for array in arrays)
     for record, name in [
-        (java.tokens[0], "text"),
+        (java.tokens.token(0), "text"),
+        (spin.name_token, "offset"),
+        (arrays, "kinds"),
+        (arrays, "texts"),
+        (arrays, "offsets"),
         (location, "file"),
         (location.start, "line"),
         (parsed, "java"),
@@ -300,12 +336,12 @@ def write_snapshot(root, files):
 
 @pytest.fixture()
 def work_counts(monkeypatch):
-    """Counts of the canonical_tokens and parse_java calls the cache makes.
+    """Counts of the canonical_arrays and parse_java calls the cache makes.
 
     On teardown it also checks that no canonical text the cache made
     reached ``lex``: a parse takes the tokens the emitter built.
     """
-    counts = {"canonical_tokens": 0, "parse_java": 0}
+    counts = {"canonical_arrays": 0, "parse_java": 0}
     canonical_texts, lexed = set(), set()
     for name in counts:
         original = getattr(resolver_module, name)
@@ -313,7 +349,7 @@ def work_counts(monkeypatch):
         def counted(*args, _name=name, _original=original):
             counts[_name] += 1
             result = _original(*args)
-            if _name == "canonical_tokens":
+            if _name == "canonical_arrays":
                 canonical_texts.add(result[0])
             return result
 
@@ -326,7 +362,7 @@ def work_counts(monkeypatch):
 
     monkeypatch.setattr(lexer, "lex", recording_lex)
     yield counts
-    assert counts["canonical_tokens"] > 0
+    assert counts["canonical_arrays"] > 0
     assert not canonical_texts & lexed
 
 
@@ -337,18 +373,18 @@ def test_identical_snapshot_elsewhere_is_neither_canonicalized_nor_parsed(tmp_pa
     }
     first = CodeIndex(write_snapshot(tmp_path / "one", files))
     expected = [(pf.path, pf.java) for pf in first.files_mentioning(POST, "run")]
-    assert work_counts == {"canonical_tokens": 2, "parse_java": 2}
+    assert work_counts == {"canonical_arrays": 2, "parse_java": 2}
     second = CodeIndex(write_snapshot(tmp_path / "two", files))
     assert [(pf.path, pf.java) for pf in second.files_mentioning(POST, "run")] == expected
     assert second.canonical(POST, "src/a/A.java") == first.canonical(POST, "src/a/A.java")
-    assert work_counts == {"canonical_tokens": 2, "parse_java": 2}
+    assert work_counts == {"canonical_arrays": 2, "parse_java": 2}
 
 
 def test_pre_and_post_copies_of_an_unchanged_file_share_one_parse(tmp_path, work_counts):
     files = {"src/a/A.java": "// cache-pre-post\npackage a;\nclass A { }\n"}
     index = CodeIndex(write_snapshot(tmp_path, files))
     assert index.file(PRE, "src/a/A.java").java is index.file(POST, "src/a/A.java").java
-    assert work_counts == {"canonical_tokens": 1, "parse_java": 1}
+    assert work_counts == {"canonical_arrays": 1, "parse_java": 1}
 
 
 def test_unparsable_file_is_parsed_again_by_each_index(tmp_path, caplog, work_counts):
@@ -359,7 +395,7 @@ def test_unparsable_file_is_parsed_again_by_each_index(tmp_path, caplog, work_co
             index = CodeIndex(write_snapshot(tmp_path / str(n), files))
             assert index.file(PRE, "src/a/Broken.java") is None
             assert index.file(PRE, "src/a/Broken.java") is None
-            assert work_counts == {"canonical_tokens": 1, "parse_java": n}
+            assert work_counts == {"canonical_arrays": 1, "parse_java": n}
             assert len(caplog.messages) == n
             assert caplog.messages[-1].startswith("skipping unparsable file pre:src/a/Broken.java")
 
@@ -396,7 +432,7 @@ def test_cache_never_stores_a_text_longer_than_its_bound(monkeypatch, work_count
     cache = resolver_module.SourceCache()
     cache.parse(short)
     assert cache.parse(long).classes[0].name == "Long"
-    assert work_counts == {"canonical_tokens": 2, "parse_java": 2}
+    assert work_counts == {"canonical_arrays": 2, "parse_java": 2}
     assert list(cache._entries) == [short]  # the long text evicted nothing
 
 
@@ -406,5 +442,5 @@ def test_cache_keeps_the_canonical_form_of_a_text_that_does_not_parse(work_count
     for _ in range(2):
         with pytest.raises(ParseError):
             cache.parse(broken)
-    assert cache.canonical(broken) == canonical_tokens(broken)
-    assert work_counts == {"canonical_tokens": 1, "parse_java": 2}
+    assert cache.canonical(broken) == canonical_arrays(broken)
+    assert work_counts == {"canonical_arrays": 1, "parse_java": 2}

@@ -76,7 +76,7 @@ def test_diff_lines_are_token_lines_past_a_latin1_0x85(tmp_path):
         (tmp_path / version / "A.java").write_bytes(text)
     index = CodeIndex(RepoSnapshot(tmp_path / "pre", tmp_path / "post"))
     [hunk] = index.diff("A.java").hunks
-    [two] = [t for t in index.tokens(POST, "A.java") if t.text == "2"]
+    [two] = [t for t in index.tokens(POST, "A.java").as_list() if t.text == "2"]
     assert hunk.added == ("        g(2);",)
     assert hunk.post_start == two.line == 3
 
