@@ -11,15 +11,18 @@ comments gone.  Three consumers:
 * the composite similarity metric needs per-variable def-use edges.
 
 The analysis is intra-method, flow-insensitive and name-based — no type
-checking, no aliasing.
+checking, no aliasing.  It reads token kinds and texts by index: a
+:class:`Statement` holds slices of its body's canonical arrays
+(:func:`~testmend.javasrc.format.canonical_arrays`), and
+:func:`dataflow_edges` takes a stream's kinds and texts.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
-from testmend.javasrc.format import canonical_tokens
-from testmend.javasrc.lexer import IDENT, KEYWORD, Token
+from testmend.javasrc.format import canonical_arrays
+from testmend.javasrc.lexer import IDENT, KEYWORD
 
 PRIMITIVES = frozenset(
     "boolean byte char short int long float double var".split()
@@ -30,7 +33,8 @@ class Statement(NamedTuple):
     index: int  # position among *simple* statements
     line: int  # line index in the canonical body
     text: str  # stripped canonical line, e.g. "int a = b.size();"
-    tokens: tuple[Token, ...]
+    kinds: tuple[str, ...]  # its tokens' kinds and texts, sliced from
+    texts: tuple[str, ...]  # the canonical arrays of the whole body
 
 
 def split_statements(body_text: str) -> list[Statement]:
@@ -45,21 +49,21 @@ def split_statements(body_text: str) -> list[Statement]:
     text = body_text.strip()
     if text.startswith("{") and text.endswith("}"):
         text = text[1:-1]
-    canonical, tokens = canonical_tokens(text)
-    lines: list[list[Token]] = []
+    canonical, (kinds, texts, lines, _, offsets) = canonical_arrays(text)
+    firsts: list[int] = []  # the index of each line's first token
     end_line = -1  # the line the previous token ends on
-    for tok in tokens:
-        if tok.line > end_line:
-            lines.append([])
-        lines[-1].append(tok)
-        end_line = tok.line + tok.text.count("\n")
+    for i, token_text in enumerate(texts):
+        if lines[i] > end_line:
+            firsts.append(i)
+        end_line = lines[i] + token_text.count("\n")
     statements: list[Statement] = []
-    for line in lines:
-        line_text = canonical[line[0].offset : line[-1].end_offset]
-        if line[-1].text != ";" or line_text.startswith(("package ", "import ")):
+    for lo, hi in zip(firsts, [*firsts[1:], len(texts)]):
+        last = texts[hi - 1]
+        line_text = canonical[offsets[lo] : offsets[hi - 1] + len(last)]
+        if last != ";" or line_text.startswith(("package ", "import ")):
             continue
         statements.append(
-            Statement(index=len(statements), line=line[0].line, text=line_text, tokens=tuple(line))
+            Statement(len(statements), lines[lo], line_text, kinds[lo:hi], texts[lo:hi])
         )
     return statements
 
@@ -68,8 +72,6 @@ class MemberAccess(NamedTuple):
     receiver: str
     member: str
     is_call: bool
-    statement_index: int
-    token_index: int
 
     def render(self, static: bool = False) -> str:
         """Query text form: ``m()`` / ``f`` or ``Type.m()`` / ``Type.f``."""
@@ -86,25 +88,17 @@ def member_accesses(statement: Statement, receivers: set[str]) -> list[MemberAcc
     the receiver of the second link is an expression, not the variable.
     """
     out: list[MemberAccess] = []
-    toks = statement.tokens
-    for i, tok in enumerate(toks):
-        if tok.kind != IDENT or tok.text not in receivers:
+    kinds, texts = statement.kinds, statement.texts
+    n = len(texts)
+    for i, text in enumerate(texts):
+        if kinds[i] != IDENT or text not in receivers:
             continue
-        if i + 2 >= len(toks) or toks[i + 1].text != "." or toks[i + 2].kind != IDENT:
+        if i + 2 >= n or texts[i + 1] != "." or kinds[i + 2] != IDENT:
             continue
-        if i > 0 and toks[i - 1].text == ".":
+        if i > 0 and texts[i - 1] == ".":
             continue  # not the head of the chain
-        member = toks[i + 2].text
-        is_call = i + 3 < len(toks) and toks[i + 3].text == "("
-        out.append(
-            MemberAccess(
-                receiver=tok.text,
-                member=member,
-                is_call=is_call,
-                statement_index=statement.index,
-                token_index=i,
-            )
-        )
+        is_call = i + 3 < n and texts[i + 3] == "("
+        out.append(MemberAccess(receiver=text, member=texts[i + 2], is_call=is_call))
     return out
 
 
@@ -114,59 +108,55 @@ def declared_type(statement: Statement, name: str) -> str | None:
     ``MountOptions opts = ...`` -> ``MountOptions``;
     ``Map<String, X> m = ...`` -> ``Map``; plain assignments yield None.
     """
-    toks = statement.tokens
-    for i, tok in enumerate(toks):
-        if tok.kind != IDENT or tok.text != name or i == 0:
+    kinds, texts = statement.kinds, statement.texts
+    for i, text in enumerate(texts):
+        if kinds[i] != IDENT or text != name or i == 0:
             continue
-        nxt = toks[i + 1].text if i + 1 < len(toks) else ""
+        nxt = texts[i + 1] if i + 1 < len(texts) else ""
         if nxt not in ("=", ";", ":") :
             continue
-        if not _looks_like_type(toks[i - 1]):
+        if not _looks_like_type(kinds[i - 1], texts[i - 1]):
             continue
-        for candidate in toks[:i]:
-            if candidate.kind == IDENT:
-                return candidate.text
-            if candidate.kind == KEYWORD and candidate.text in PRIMITIVES:
-                return candidate.text
+        for j in range(i):
+            if kinds[j] == IDENT or (kinds[j] == KEYWORD and texts[j] in PRIMITIVES):
+                return texts[j]
         return None
     return None
 
 
-def _looks_like_type(tok: Token) -> bool:
-    if tok.kind == IDENT:
+def _looks_like_type(kind: str, text: str) -> bool:
+    if kind == IDENT:
         return True
-    if tok.kind == KEYWORD and tok.text in PRIMITIVES:
+    if kind == KEYWORD and text in PRIMITIVES:
         return True
-    return tok.text in (">", ">>", ">>>", "]")
+    return text in (">", ">>", ">>>", "]")
 
 
 # -- def-use edges for the similarity metric ----------------------------
 
 
-def dataflow_edges(tokens: list[Token]) -> set[tuple[str, int, int]]:
-    """Def-use edges ``(var, def_ordinal, use_ordinal)`` of a token stream.
+def dataflow_edges(kinds: Sequence[str], texts: Sequence[str]) -> set[tuple[str, int, int]]:
+    """Def-use edges ``(var, def_ordinal, use_ordinal)`` of a token stream,
+    given as its kinds and texts.
 
     A variable is any identifier that is defined in the stream (declared,
     assigned, or bound in an enhanced-for).  Each later occurrence is a
     use and links to the latest definition's ordinal.
     """
     defined: set[str] = set()
-    for i, tok in enumerate(tokens):
-        if tok.kind != IDENT:
-            continue
-        if _is_def_site(tokens, i):
-            defined.add(tok.text)
+    for i, kind in enumerate(kinds):
+        if kind == IDENT and _is_def_site(kinds, texts, i):
+            defined.add(texts[i])
     edges: set[tuple[str, int, int]] = set()
     def_count: dict[str, int] = {}
     use_count: dict[str, int] = {}
-    for i, tok in enumerate(tokens):
-        if tok.kind != IDENT or tok.text not in defined:
+    for i, name in enumerate(texts):
+        if kinds[i] != IDENT or name not in defined:
             continue
-        name = tok.text
-        if i > 0 and tokens[i - 1].text == ".":
+        if i > 0 and texts[i - 1] == ".":
             continue  # member name, not the variable
-        if _is_def_site(tokens, i):
-            if _is_compound_def(tokens, i) and name in def_count:
+        if _is_def_site(kinds, texts, i):
+            if _is_compound_def(texts, i) and name in def_count:
                 edges.add((name, def_count[name] - 1, use_count.get(name, 0)))
                 use_count[name] = use_count.get(name, 0) + 1
             def_count[name] = def_count.get(name, 0) + 1
@@ -176,21 +166,21 @@ def dataflow_edges(tokens: list[Token]) -> set[tuple[str, int, int]]:
     return edges
 
 
-def _is_def_site(tokens: list[Token], i: int) -> bool:
-    prev = tokens[i - 1] if i > 0 else None
-    if prev is not None and prev.text == ".":
+def _is_def_site(kinds: Sequence[str], texts: Sequence[str], i: int) -> bool:
+    prev = texts[i - 1] if i > 0 else None
+    if prev == ".":
         return False  # member access, not a variable binding
-    nxt = tokens[i + 1].text if i + 1 < len(tokens) else ""
+    nxt = texts[i + 1] if i + 1 < len(texts) else ""
     if nxt == "=":
         return True
     if nxt.endswith("=") and nxt not in ("==", "<=", ">=", "!="):
         return True  # compound assignment
-    if nxt in (";", ":", ",", ")") and prev is not None and _looks_like_type(prev):
+    if nxt in (";", ":", ",", ")") and prev is not None and _looks_like_type(kinds[i - 1], prev):
         # declaration without initializer / enhanced-for binding / parameter
         return True
     return False
 
 
-def _is_compound_def(tokens: list[Token], i: int) -> bool:
-    nxt = tokens[i + 1].text if i + 1 < len(tokens) else ""
+def _is_compound_def(texts: Sequence[str], i: int) -> bool:
+    nxt = texts[i + 1] if i + 1 < len(texts) else ""
     return nxt.endswith("=") and nxt not in ("=", "==", "<=", ">=", "!=")

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from testmend.errors import InputError, ManifestError
-from testmend.javasrc.lexer import token_texts
+from testmend.javasrc.lexer import lex
 from testmend.metrics import has_code_tokens
 from testmend.resolver import parse_source
 from testmend.signatures import MethodLocator, method_body_text, method_full_text
@@ -162,7 +162,7 @@ def validate_sample(sample: RepairSample) -> str | None:
         return RULE_SIGNATURE_ONLY_FOCAL
     if not pre_body.strip("{} \t\n") or not post_body.strip("{} \t\n"):
         return RULE_SIGNATURE_ONLY_FOCAL
-    if sample.focal_pre.method not in token_texts(test_text):
+    if sample.focal_pre.method not in lex(test_text).texts:
         return RULE_FOCAL_NOT_USED
     if sample.ground_truth is not None and not has_code_tokens(sample.ground_truth):
         return RULE_EMPTY_GROUND_TRUTH

@@ -9,10 +9,11 @@ canonical constructor (``R { ... }``) is a constructor without
 parameters.
 
 The parser reads a :class:`~testmend.javasrc.lexer.TokenArrays` by
-index (the canonicalizer's, or ``lex``'s when it is given none) and
-builds a :class:`~testmend.javasrc.lexer.Token` only for each
+index (the canonicalizer's, or the one ``lex`` returns when it is given
+none) and builds a :class:`~testmend.javasrc.lexer.Token` only for each
 declaration's ``name_token``; skipping a balanced body is a C-level
-search of the token texts.
+search of the token texts.  The three tokens ``non`` ``-`` ``sealed``
+are read as the one modifier ``non-sealed``.
 
 Spans are character offsets into the text handed to :func:`parse_java`;
 callers slice the same text to recover declaration snippets.  What a
@@ -291,6 +292,10 @@ class _Parser:
                 # switch label; at member level it is always a modifier.
                 self.pos = j + 1
                 modifiers.add(text)
+            elif text == "non" and texts[j + 1] == "-" and texts[j + 2] == "sealed":
+                # The lexer reads "non-sealed" as three tokens.
+                self.pos = j + 3
+                modifiers.add("non-sealed")
             else:
                 return annotations, modifiers
 
@@ -665,7 +670,7 @@ def parse_java(text: str, tokens: TokenArrays | None = None) -> JavaFile:
     them for a canonical text); without them the text is lexed here.
     """
     if tokens is None:
-        tokens = TokenArrays.of(lexer.lex(text))
+        tokens = lexer.lex(text)
     return _Parser(text, tokens).parse_file()
 
 

@@ -19,10 +19,9 @@ rewritten here.  Guarantees:
 and the emitter writes the canonical text while it records each token's
 line, column and offset in the output.  It returns them as
 :class:`~testmend.javasrc.lexer.TokenArrays` and builds no
-:class:`~testmend.javasrc.lexer.Token`; that is what the source cache and
-the parser read.  :func:`canonical_tokens` builds the tokens from the same
-arrays, for the short method texts of dataflow, queries and metrics.
-Token *i* of ``lex(source)`` is token *i* of the canonical tokens, and a
+:class:`~testmend.javasrc.lexer.Token`; that is what the source cache,
+the parser and the statement splitter of :mod:`testmend.dataflow` read.
+Token *i* of ``lex(source)`` is token *i* of the canonical arrays, and a
 parse of the canonical text (:func:`~testmend.javasrc.ast.parse_java`)
 takes those arrays instead of lexing the text again.  That they equal
 the tokens of ``lex(canonicalize(source))``, field by field, is what
@@ -36,12 +35,12 @@ the raw text to that identifier's position in the canonical text.
 from __future__ import annotations
 
 import functools
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from testmend.errors import CursorNotOnIdentifier, ParseError
 from testmend.javasrc import lexer
 from testmend.javasrc.ast import PRIMITIVE_WORDS
-from testmend.javasrc.lexer import IDENT, KEYWORD, OP, Token, TokenArrays
+from testmend.javasrc.lexer import IDENT, KEYWORD, OP, TokenArrays
 
 INDENT = "    "
 
@@ -76,10 +75,9 @@ def _would_merge(a: str, b: str) -> bool:
     if a == b == ".":
         return True
     try:
-        tokens = lexer.lex(a + b)
+        return lexer.scan(a + b)[1] != [a, b]
     except ParseError:
         return True
-    return [t.text for t in tokens] != [a, b]
 
 
 class CursorPos(NamedTuple):
@@ -89,7 +87,7 @@ class CursorPos(NamedTuple):
     col: int
 
 
-def _classify_braces(texts: list[str]) -> list[str | None]:
+def _classify_braces(texts: Sequence[str]) -> list[str | None]:
     """Each token's brace kind: 'block' or 'init' for '{'/'}', else None."""
     kinds: list[str | None] = [None] * len(texts)
     stack: list[str] = []
@@ -116,7 +114,7 @@ def _classify_braces(texts: list[str]) -> list[str | None]:
     return kinds
 
 
-def _mark_generic_angles(kinds: list[str], texts: list[str]) -> set[int]:
+def _mark_generic_angles(kinds: Sequence[str], texts: Sequence[str]) -> set[int]:
     """Indices of angle tokens that participate in a type-argument region."""
     marked: set[int] = set()
     n = len(texts)
@@ -153,7 +151,7 @@ def _mark_generic_angles(kinds: list[str], texts: list[str]) -> set[int]:
     return marked
 
 
-def _emit(kinds: list[str], texts: list[str]) -> tuple[str, TokenArrays]:
+def _emit(kinds: Sequence[str], texts: Sequence[str]) -> tuple[str, TokenArrays]:
     """The canonical text of a token stream, and its tokens positioned in it.
 
     One loop writes each token and decides the space, line break and
@@ -291,12 +289,6 @@ def canonical_arrays(source: str) -> tuple[str, TokenArrays]:
     return _emit(*lexer.scan(source))
 
 
-def canonical_tokens(source: str) -> tuple[str, list[Token]]:
-    """:func:`canonical_arrays` with each token built, for short texts."""
-    text, arrays = canonical_arrays(source)
-    return text, arrays.as_list()
-
-
 def canonicalize(source: str) -> str:
     """Reformat ``source`` into canonical form (see module docstring)."""
     return canonical_arrays(source)[0]
@@ -309,11 +301,12 @@ def canonicalize_with_cursor(source: str, cursor: CursorPos) -> tuple[str, Curso
     :class:`CursorNotOnIdentifier` otherwise).  The returned position is
     the start of the same token in the canonical text.
     """
-    tokens = lexer.lex(source)
-    for index, t in enumerate(tokens):
-        if t.kind == IDENT and t.line == cursor.line and t.col <= cursor.col < t.col + len(t.text):
+    kinds, texts, lines, cols, _ = lexer.lex(source)
+    for index, kind in enumerate(kinds):
+        col = cols[index]
+        if kind == IDENT and lines[index] == cursor.line and col <= cursor.col < col + len(texts[index]):
             break
     else:
         raise CursorNotOnIdentifier(f"no identifier at line {cursor.line}, col {cursor.col}")
-    text, canonical = _emit([t.kind for t in tokens], [t.text for t in tokens])
+    text, canonical = _emit(kinds, texts)
     return text, CursorPos(canonical.lines[index], canonical.cols[index])

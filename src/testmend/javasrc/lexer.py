@@ -10,14 +10,15 @@ come from its offset and the offset of the last newline before it.
 The module owns the master pattern: :func:`scan` makes the same pass
 and yields only each token's kind and text, for the canonicalizer
 (:func:`testmend.javasrc.format.canonical_arrays`), which places the
-tokens in the text it writes.  Each match of the pattern is one lexeme
+tokens in the text it writes, and for its check that two tokens written
+adjacently re-lex as two.  Each match of the pattern is one lexeme
 together with the whitespace and comments before it, so the loop runs
 once per token.
 
-Tokens are named tuples (see :class:`Token`): immutable, and built
-without code generated at import.  :class:`TokenArrays` holds a token
-stream as parallel tuples instead, for the canonicalizer and the parser,
-which then build no ``Token`` per token.
+A token stream has one shape, :class:`TokenArrays`, five parallel tuples
+that every reader indexes; a :class:`Token` is built only by
+:meth:`TokenArrays.token`.  ``len(lex(t))`` is always 5 and ``lex(t)``
+always true: count or test ``lex(t).texts``.
 
 Character classes are ``re``'s: a number starts with ``\\d`` (a Unicode
 decimal digit), an identifier with ``[^\\W\\d]`` or ``$`` and continues
@@ -71,13 +72,6 @@ class Token(NamedTuple):
     col: int  # 0-based
     offset: int  # absolute character offset
 
-    @property
-    def end_offset(self) -> int:
-        return self.offset + len(self.text)
-
-    def is_word(self) -> bool:
-        return self.kind in WORD_KINDS
-
 
 WORD_KINDS = frozenset({IDENT, KEYWORD, NUMBER, STRING, CHAR})
 
@@ -86,10 +80,9 @@ class TokenArrays(NamedTuple):
     """A token stream as five parallel tuples, one entry per token.
 
     Token *i* is ``Token(kinds[i], texts[i], lines[i], cols[i],
-    offsets[i])``, but no :class:`Token` exists until :meth:`token` or
-    :meth:`as_list` builds it: the canonicalizer writes these arrays, the
-    parser reads them by index, and a ``Token`` is built only where one
-    leaves :mod:`testmend.javasrc` (a declaration's name, a reference).
+    offsets[i])``, but no :class:`Token` exists until :meth:`token` builds
+    it: :func:`lex` and the canonicalizer write these arrays, and every
+    reader indexes them.
     Offsets grow strictly, and so do lines and, within a line, columns.
     Tuples inside a named tuple, so the streams that
     :class:`testmend.resolver.SourceCache` shares cannot be changed.
@@ -101,20 +94,10 @@ class TokenArrays(NamedTuple):
     cols: tuple[int, ...]
     offsets: tuple[int, ...]
 
-    @classmethod
-    def of(cls, tokens: list[Token]) -> TokenArrays:
-        """The arrays of a token list, such as :func:`lex` returns."""
-        return cls(*zip(*tokens)) if tokens else cls((), (), (), (), ())
-
     def token(self, i: int) -> Token:
         """Token ``i``, built."""
         fields = (self.kinds[i], self.texts[i], self.lines[i], self.cols[i], self.offsets[i])
         return tuple.__new__(Token, fields)
-
-    def as_list(self) -> list[Token]:
-        """Every token, built."""
-        new = tuple.__new__
-        return [new(Token, fields) for fields in zip(*self)]
 
 
 # A '.' continues a number only before a digit, an f/F/d/D suffix or
@@ -173,10 +156,15 @@ def _lexeme_error(m: re.Match[str]) -> ParseError:
     return ParseError(message or f"unexpected character {m[kind]!r}", line, col)
 
 
-def lex(text: str) -> list[Token]:
+def lex(text: str) -> TokenArrays:
     """Tokenize ``text``; raises :class:`ParseError` on malformed lexemes."""
-    tokens: list[Token] = []
-    new = tuple.__new__  # a Token from its fields, without Token()'s Python-level __new__
+    kinds: list[str] = []
+    texts: list[str] = []
+    lines: list[int] = []
+    cols: list[int] = []
+    offsets: list[int] = []
+    add_kind, add_text, add_line = kinds.append, texts.append, lines.append
+    add_col, add_offset = cols.append, offsets.append
     line = line_start = 0
     for m in _MASTER.finditer(text):
         kind = m.lastgroup
@@ -191,19 +179,23 @@ def lex(text: str) -> list[Token]:
         value = m[kind]
         if kind == IDENT and value in KEYWORDS:
             kind = KEYWORD
-        tokens.append(new(Token, (kind, value, line, start - line_start, start)))
+        add_kind(kind)
+        add_text(value)
+        add_line(line)
+        add_col(start - line_start)
+        add_offset(start)
         if "\n" in value:
             line += value.count("\n")
             line_start = start + value.rindex("\n") + 1
-    return tokens
+    return TokenArrays(tuple(kinds), tuple(texts), tuple(lines), tuple(cols), tuple(offsets))
 
 
 def scan(text: str) -> tuple[list[str], list[str]]:
     """The kinds and texts of ``text``'s tokens, without positions.
 
     One pass, as :func:`lex` makes, for a caller that places the tokens
-    itself (:func:`testmend.javasrc.format.canonical_arrays`); raises the
-    :class:`ParseError` that :func:`lex` raises.
+    itself (:func:`testmend.javasrc.format.canonical_arrays`) or needs no
+    positions; raises the :class:`ParseError` that :func:`lex` raises.
     """
     kinds: list[str] = []
     texts: list[str] = []
@@ -232,8 +224,3 @@ def split_lines(text: str) -> list[str]:
     if not lines[-1]:
         lines.pop()
     return lines
-
-
-def token_texts(text: str) -> list[str]:
-    """Comment-free token texts of ``text`` — the canonical token stream."""
-    return [t.text for t in lex(text)]

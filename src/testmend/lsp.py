@@ -227,7 +227,7 @@ class LspResolver:
         self.timeout = timeout
         self._clients: dict[str, JsonRpcClient] = {}
         self._opened: dict[str, set[str]] = {}
-        self._identifiers: dict[tuple[str, str], list[tuple[lexer.Token, CursorPos]]] = {}
+        self._identifiers: dict[tuple[str, str], list[tuple[CursorPos, str, CursorPos]]] = {}
 
     def _client(self, version: str) -> JsonRpcClient:
         """The initialized server of ``version``, started on first use."""
@@ -250,17 +250,17 @@ class LspResolver:
 
     def _identifier_tokens(
         self, version: str, path: str
-    ) -> list[tuple[lexer.Token, CursorPos]]:
-        """A file's raw identifier tokens, each with its canonical start."""
+    ) -> list[tuple[CursorPos, str, CursorPos]]:
+        """A file's identifiers: the raw start, text and canonical start of each."""
         key = (version, path)
         if key not in self._identifiers:
             raw = lexer.lex(self.index.snapshot.read(version, path))
             canonical = self.index.tokens(version, path)
             lines, cols = canonical.lines, canonical.cols
             self._identifiers[key] = [
-                (tok, CursorPos(lines[i], cols[i]))
-                for i, tok in enumerate(raw)
-                if tok.kind == lexer.IDENT
+                (CursorPos(raw.lines[i], raw.cols[i]), raw.texts[i], CursorPos(lines[i], cols[i]))
+                for i, kind in enumerate(raw.kinds)
+                if kind == lexer.IDENT
             ]
         return self._identifiers[key]
 
@@ -277,12 +277,12 @@ class LspResolver:
             )
             self._opened[version].add(file)
         cursor = location.start
-        for tok, pos in self._identifier_tokens(version, file):
-            if pos.line == cursor.line and pos.col <= cursor.col < pos.col + len(tok.text):
+        for raw_pos, text, pos in self._identifier_tokens(version, file):
+            if pos.line == cursor.line and pos.col <= cursor.col < pos.col + len(text):
                 break
         else:
             raise CursorNotOnIdentifier(f"no identifier at {location.describe()}")
-        position = {"line": tok.line, "character": tok.col + cursor.col - pos.col}
+        position = {"line": raw_pos.line, "character": raw_pos.col + cursor.col - pos.col}
         result = client.request(method, {"textDocument": {"uri": uri}, "position": position, **params})
         return self._normalize(version, result)
 
@@ -298,9 +298,9 @@ class LspResolver:
             return None  # outside the workspace (library code)
         file = str(rel).replace("\\", "/")
         line, col = range_["start"]["line"], range_["start"]["character"]
-        for tok, pos in self._identifier_tokens(version, file):
-            if tok.line == line and tok.col <= col < tok.col + len(tok.text):
-                end = CursorPos(pos.line, pos.col + len(tok.text))
+        for raw_pos, text, pos in self._identifier_tokens(version, file):
+            if raw_pos.line == line and raw_pos.col <= col < raw_pos.col + len(text):
+                end = CursorPos(pos.line, pos.col + len(text))
                 return Location(version=version, file=file, start=pos, end=end)
         return None  # not on an identifier: no canonical position
 

@@ -29,10 +29,10 @@ _BRACKETS = {"(": ")", "{": "}", "[": "]"}
 _AST_DEPTHS = (1, 2, 3)
 
 
-def code_tokens(text: str) -> list[str]:
+def code_tokens(text: str) -> Sequence[str]:
     """Code-aware token texts; malformed text degrades to a word split."""
     try:
-        return lexer.token_texts(text)
+        return lexer.lex(text).texts
     except ParseError:
         return text.split()
 
@@ -54,7 +54,7 @@ def has_code_tokens(text: str) -> bool:
     tokens exactly when it has tokens: one lex decides.
     """
     try:
-        return bool(lexer.lex(text))
+        return bool(lexer.lex(text).texts)
     except ParseError:
         return bool(code_tokens(normalize_method_text(text)))
 
@@ -195,13 +195,12 @@ def metric_record(text: str) -> MetricRecord:
     """The record of ``text``: one canonicalization and one lex."""
     normalized = normalize_method_text(text)
     try:
-        lexed = lexer.lex(normalized)
+        kinds, tokens, *_ = lexer.lex(normalized)
     except ParseError:
         tokens = tuple(normalized.split())
         edges: frozenset = frozenset()
     else:
-        tokens = tuple(t.text for t in lexed)
-        edges = frozenset(dataflow_edges(lexed))
+        edges = frozenset(dataflow_edges(kinds, tokens))
     root = _bracket_tree(tokens)
     subtrees = (
         None if root is None else tuple(_subtree_signatures(root, d) for d in _AST_DEPTHS)

@@ -207,13 +207,13 @@ def _refine_head(content: str, head: int, open_idx: int) -> int:
     """Walk back from the opening brace over plausible header tokens so
     surrounding prose is not swept into the extracted declaration."""
     try:
-        tokens = lexer.lex(content[head:open_idx])
+        kinds, texts, _, _, offsets = lexer.lex(content[head:open_idx])
     except ParseError:
         return head
     start = None
-    for tok in reversed(tokens):
-        if tok.is_word() or tok.text in _HEADER_PUNCT:
-            start = tok.offset
+    for i in range(len(texts) - 1, -1, -1):
+        if kinds[i] in lexer.WORD_KINDS or texts[i] in _HEADER_PUNCT:
+            start = offsets[i]
         else:
             break
     return head + start if start is not None else head

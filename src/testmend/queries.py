@@ -75,57 +75,59 @@ def simple_type_name(type_text: str) -> str:
     base = type_text.split("<", 1)[0]
     last = ""
     try:
-        for tok in lexer.lex(base):
-            if tok.is_word():
-                last = tok.text
+        kinds, texts, *_ = lexer.lex(base)
+        for kind, text in zip(kinds, texts):
+            if kind in lexer.WORD_KINDS:
+                last = text
     except ParseError:  # unlexable type text: fall back to a crude split
         last = base.replace("[", ".").replace("]", ".").split(".")[-1].strip()
     return last
+
+
+def _find_identifier(stmt: Statement, name: str, start: int = 0, call: bool = False) -> int | None:
+    """Index of the first identifier ``name`` in ``stmt`` from token
+    ``start``, and followed by ``(`` if ``call``; None if there is none."""
+    kinds, texts = stmt.kinds, stmt.texts
+    for i in range(start, len(texts)):
+        if kinds[i] == lexer.IDENT and texts[i] == name:
+            if not call or (i + 1 < len(texts) and texts[i + 1] == "("):
+                return i
+    return None
 
 
 def find_focal_invocation(
     statements: Sequence[Statement], focal_name: str
 ) -> Statement | None:
     """First statement that calls ``focal_name``."""
-    for stmt in statements:
-        toks = stmt.tokens
-        for i, tok in enumerate(toks):
-            if (
-                tok.kind == lexer.IDENT
-                and tok.text == focal_name
-                and i + 1 < len(toks)
-                and toks[i + 1].text == "("
-            ):
-                return stmt
-    return None
+    calls = (s for s in statements if _find_identifier(s, focal_name, call=True) is not None)
+    return next(calls, None)
 
 
-def _invocation_arguments(stmt: Statement, focal_name: str) -> list[list[lexer.Token]]:
-    """Top-level argument token groups of the focal call in ``stmt``."""
-    toks = stmt.tokens
-    for i, tok in enumerate(toks):
-        if not (tok.kind == lexer.IDENT and tok.text == focal_name):
-            continue
-        if i + 1 >= len(toks) or toks[i + 1].text != "(":
-            continue
-        args: list[list[lexer.Token]] = [[]]
-        depth = 0
-        for t in toks[i + 1 :]:
-            if t.text in "([{":
-                depth += 1
-                if depth == 1:
-                    continue
-            elif t.text in ")]}":
-                depth -= 1
-                if depth == 0:
-                    break
-            if depth >= 1:
-                if t.text == "," and depth == 1:
-                    args.append([])
-                else:
-                    args[-1].append(t)
-        return args if any(args) else []
-    return []
+def _invocation_arguments(stmt: Statement, focal_name: str) -> list[list[int]]:
+    """Top-level argument token groups of the focal call in ``stmt``, as
+    indices of its tokens."""
+    call = _find_identifier(stmt, focal_name, call=True)
+    if call is None:
+        return []
+    texts = stmt.texts
+    args: list[list[int]] = [[]]
+    depth = 0
+    for j in range(call + 1, len(texts)):
+        text = texts[j]
+        if text in "([{":
+            depth += 1
+            if depth == 1:
+                continue
+        elif text in ")]}":
+            depth -= 1
+            if depth == 0:
+                break
+        if depth >= 1:
+            if text == "," and depth == 1:
+                args.append([])
+            else:
+                args[-1].append(j)
+    return args if any(args) else []
 
 
 def _add(queries: list[str], text: str) -> None:
@@ -134,12 +136,12 @@ def _add(queries: list[str], text: str) -> None:
 
 
 def build_operation_queries(
-    focal: FocalChange, test_body: str
+    focal: FocalChange, statements: Sequence[Statement]
 ) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Algorithm: synthesized setters + backward/forward def-use walks."""
+    """Algorithm: synthesized setters + backward/forward def-use walks over
+    the test body's ``statements``."""
     if not (focal.is_param or focal.is_ret):
         return (), ()
-    statements = split_statements(test_body)
     invocation = find_focal_invocation(statements, focal.original.name)
     if invocation is None:
         raise FocalInvocationNotFound(
@@ -162,8 +164,8 @@ def build_operation_queries(
                 receivers.add(type_name)
             if param.position < len(args):
                 arg = args[param.position]
-                if len(arg) == 1 and arg[0].kind == lexer.IDENT:
-                    var = arg[0].text
+                if len(arg) == 1 and invocation.kinds[arg[0]] == lexer.IDENT:
+                    var = invocation.texts[arg[0]]
                     receivers.add(var)
                     for stmt in statements[: invocation.index + 1]:
                         declared = declared_type(stmt, var)
@@ -184,26 +186,22 @@ def build_operation_queries(
 
 def _return_binding(stmt: Statement, focal_name: str) -> str | None:
     """Variable the focal call's return value is assigned to, if any."""
-    toks = stmt.tokens
+    kinds, texts = stmt.kinds, stmt.texts
     depth = 0
     eq_index: int | None = None
-    for i, tok in enumerate(toks):
-        if tok.text in "([{":
+    for i, text in enumerate(texts):
+        if text in "([{":
             depth += 1
-        elif tok.text in ")]}":
+        elif text in ")]}":
             depth -= 1
-        elif depth == 0 and tok.kind == lexer.OP and tok.text == "=":
+        elif depth == 0 and kinds[i] == lexer.OP and text == "=":
             eq_index = i
             break
-    if eq_index is None:
+    if eq_index is None or _find_identifier(stmt, focal_name, eq_index + 1) is None:
         return None
-    if not any(
-        t.kind == lexer.IDENT and t.text == focal_name for t in toks[eq_index + 1 :]
-    ):
-        return None
-    for tok in reversed(toks[:eq_index]):
-        if tok.kind == lexer.IDENT:
-            return tok.text
+    for i in range(eq_index - 1, -1, -1):
+        if kinds[i] == lexer.IDENT:
+            return texts[i]
     return None
 
 
@@ -249,8 +247,7 @@ def fallback_synbc_analysis(focal: FocalChange) -> str:
     return " ".join(sentences)
 
 
-def fallback_obsolete_stmts(focal: FocalChange, test_body: str) -> str:
-    statements = split_statements(test_body)
+def fallback_obsolete_stmts(focal: FocalChange, statements: Sequence[Statement]) -> str:
     if not statements:
         return focal.original.render()
     interest: set[str] = {focal.original.name}
@@ -260,7 +257,7 @@ def fallback_obsolete_stmts(focal: FocalChange, test_body: str) -> str:
     matched = [
         s
         for s in statements
-        if any(t.kind == lexer.IDENT and t.text in interest for t in s.tokens)
+        if any(k == lexer.IDENT and t in interest for k, t in zip(s.kinds, s.texts))
     ]
     if not matched:
         matched = list(statements)
@@ -313,12 +310,14 @@ def _statement_query_messages(diff_text: str, test_body: str) -> list[Message]:
 def build_statement_queries(
     focal_diff: DiffText,
     test_body: str,
+    statements: Sequence[Statement],
     provider: ChatProvider | None,
     focal: FocalChange,
 ) -> tuple[str, str]:
-    """(SynBC analysis, obsolete statements) via provider or fallback."""
+    """(SynBC analysis, obsolete statements) via provider or fallback;
+    ``statements`` are those of ``test_body``."""
     analysis = fallback_synbc_analysis(focal)
-    stmts = fallback_obsolete_stmts(focal, test_body)
+    stmts = fallback_obsolete_stmts(focal, statements)
     if provider is None:
         return analysis, stmts
     try:
@@ -342,8 +341,9 @@ def build_query_set(
     test_body: str,
     provider: ChatProvider | None = None,
 ) -> QuerySet:
-    param_q, ret_q = build_operation_queries(focal, test_body)
-    analysis, stmts = build_statement_queries(focal_diff, test_body, provider, focal)
+    statements = split_statements(test_body)
+    param_q, ret_q = build_operation_queries(focal, statements)
+    analysis, stmts = build_statement_queries(focal_diff, test_body, statements, provider, focal)
     return QuerySet(
         param_op_queries=param_q,
         ret_op_queries=ret_q,

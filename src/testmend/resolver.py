@@ -48,7 +48,8 @@ characters of its keys (:data:`SOURCE_CACHE_CHARS`), and it caches no
 failure.  Its :class:`~testmend.javasrc.ast.JavaFile` values are shared
 across samples: nothing mutates a ``JavaFile`` once ``parse_java``
 returns it, and its token arrays are tuples.  A
-:class:`~testmend.javasrc.lexer.Token` is built only for a token that
+:class:`~testmend.javasrc.lexer.Token` is built, by
+:meth:`~testmend.javasrc.lexer.TokenArrays.token`, only for a token that
 leaves the index: a declaration's name, the token at a cursor, a
 reference.
 Hygiene and classify read a sample's own sources through it too
@@ -109,7 +110,7 @@ SOURCE_CACHE_CHARS = 1 << 20
 # A cached source: its canonical text and tokens, and their parse once made.
 _Entry = tuple[str, lexer.TokenArrays, JavaFile | None]
 
-_NO_TOKENS = lexer.TokenArrays.of([])
+_NO_TOKENS = lexer.TokenArrays((), (), (), (), ())
 
 
 class SourceCache:

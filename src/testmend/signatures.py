@@ -109,12 +109,12 @@ def type_identifiers(type_text: str) -> list[str]:
     """Identifier tokens of a type text, in order, deduplicated."""
     seen: list[str] = []
     try:
-        tokens = lexer.lex(type_text)
+        kinds, texts, *_ = lexer.lex(type_text)
     except ParseError:
         return seen
-    for tok in tokens:
-        if tok.kind == lexer.IDENT and tok.text not in seen:
-            seen.append(tok.text)
+    for kind, text in zip(kinds, texts):
+        if kind == lexer.IDENT and text not in seen:
+            seen.append(text)
     return seen
 
 

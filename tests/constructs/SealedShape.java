@@ -1,6 +1,6 @@
 package constructs.sealed;
 
-/** Sealed and final classes and a sealed interface (JLS 8.1.1.2, 9.1.1.4). */
+/** Sealed, non-sealed and final classes and sealed interfaces (JLS 8.1.1.2, 9.1.1.4). */
 public sealed interface SealedShape permits Circle, Polygon {
     double area();
 }
@@ -27,8 +27,12 @@ final class Square extends Polygon {
     public double area() { return 1.0; }
 }
 
-final class Triangle extends Polygon {
+non-sealed class Triangle extends Polygon {
     int sides() { return 3; }
 
     public double area() { return 0.5; }
+
+    sealed interface Corner permits Acute { }
+
+    non-sealed static class Acute implements Corner { }
 }

@@ -1,8 +1,10 @@
 """The emit-then-relex canonicalizer, kept as a differential oracle.
 
-This is the path ``testmend.javasrc.format.canonical_tokens`` replaced,
-unchanged apart from this docstring, its imports and :func:`canonical_tokens`
-at the end: it lexes the raw text into positioned tokens, writes the
+This is the path ``testmend.javasrc.format.canonical_arrays`` replaced,
+unchanged apart from this docstring, its imports, :func:`canonical_tokens`
+at the end, and the call shapes of the lexer that now returns token
+arrays (each token is built from them, and a word is a token whose kind is
+in ``WORD_KINDS``): it lexes the raw text into positioned tokens, writes the
 canonical text from them with a per-token method-call emitter, and reads
 canonical positions off a second lex of that text.  Its spacing rules
 share the formatter's constants and merge veto (``_would_merge``).
@@ -22,7 +24,7 @@ from testmend.javasrc.format import (
     INDENT,
     _would_merge,
 )
-from testmend.javasrc.lexer import IDENT, KEYWORD, OP, Token
+from testmend.javasrc.lexer import IDENT, KEYWORD, OP, WORD_KINDS, Token
 
 
 def _classify_braces(tokens: list[Token]) -> dict[int, str]:
@@ -202,8 +204,8 @@ class _Emitter:
                 return False
             return True
         if text == "[":
-            return not (prev.is_word() or prev.text in (")", "]"))
-        if text in ("++", "--") and (prev.is_word() or prev.text in (")", "]")):
+            return not (prev.kind in WORD_KINDS or prev.text in (")", "]"))
+        if text in ("++", "--") and (prev.kind in WORD_KINDS or prev.text in (")", "]")):
             return False
         if text == "{" and self.brace_kinds.get(i) == "init" and prev.text == "]":
             return False
@@ -221,7 +223,7 @@ def _emit(tokens: list[Token]) -> str:
 
 
 def canonicalize(source: str) -> str:
-    return _emit(lexer.lex(source))
+    return _emit([Token(*fields) for fields in zip(*lexer.lex(source))])
 
 
 def canonical_tokens(source: str) -> tuple[str, list[Token]]:

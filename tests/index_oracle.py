@@ -85,7 +85,8 @@ def find_references(resolver: BuiltinResolver, location: Location) -> list[Locat
             continue
         decl_tokens = {t.offset for t in _declaration_name_tokens(candidate, name)}
         tokens = candidate.java.tokens
-        for i, t in enumerate(tokens.as_list()):
+        for i in range(len(tokens.texts)):
+            t = tokens.token(i)
             if t.kind != lexer.IDENT or t.text != name:
                 continue
             if t.offset in decl_tokens:

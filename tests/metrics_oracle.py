@@ -25,10 +25,10 @@ from testmend.javasrc.format import canonicalize
 def dataflow_edges(text: str) -> set[tuple[str, int, int]]:
     """Def-use edges of a code text; a text that does not lex has none."""
     try:
-        tokens = lexer.lex(text)
+        kinds, texts, *_ = lexer.lex(text)
     except ParseError:
         return set()
-    return dataflow.dataflow_edges(tokens)
+    return dataflow.dataflow_edges(kinds, texts)
 
 
 KEYWORD_WEIGHT = 5.0
@@ -39,7 +39,7 @@ _AST_DEPTHS = (1, 2, 3)
 def code_tokens(text: str) -> list[str]:
     """Code-aware token texts; malformed text degrades to a word split."""
     try:
-        return lexer.token_texts(text)
+        return list(lexer.lex(text).texts)
     except ParseError:
         return text.split()
 

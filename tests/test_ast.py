@@ -6,6 +6,7 @@ import pytest
 
 from testmend.errors import ParseError
 from testmend.javasrc.ast import FieldDecl, find_method, parse_java
+from testmend.javasrc.format import canonicalize
 
 SAMPLE = """\
 package alluxio.master.file;
@@ -289,6 +290,18 @@ def test_member_recovery_leaves_a_closing_brace():
     assert [c.name for c in jf.classes] == ["U", "V"]
     assert jf.slice(jf.classes[0].start, jf.classes[0].end) == "class U { private Master }"
     assert jf.classes[0].members == []
+
+
+def test_non_sealed_is_one_modifier_at_the_top_level_and_in_a_class_body():
+    # The lexer reads "non-sealed" as the three tokens non, -, sealed, and
+    # the canonical text spaces them apart.
+    source = "non-sealed class Leaf extends Node {\n    non-sealed static class Inner extends Node { }\n}\n"
+    for text in (source, canonicalize(source)):
+        [leaf] = parse_java(text).classes
+        [inner] = leaf.members
+        assert (leaf.name, leaf.modifiers, leaf.extends) == ("Leaf", {"non-sealed"}, "Node")
+        assert (inner.name, inner.modifiers) == ("Inner", {"non-sealed", "static"})
+        assert text[leaf.start :].startswith("non") and text[inner.start :].startswith("non")
 
 
 def test_unbalanced_source_raises():

@@ -1,6 +1,6 @@
 """One-pass canonical tokens against the emit-then-relex path they replaced.
 
-``canonical_tokens(src)`` must give the text of the old path
+``canonical_arrays(src)`` must give the text of the old path
 (``format_oracle``) and, field by field, the tokens ``lex`` finds in that
 text; its kinds and texts must be those of ``lex(src)``; and on malformed
 input it must raise the ParseError ``lex(src)`` raises.  Texts come from
@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 
 from testmend.errors import ParseError
 from testmend.javasrc.ast import parse_java
-from testmend.javasrc.format import canonical_arrays, canonical_tokens, canonicalize
-from testmend.javasrc.lexer import lex
+from testmend.javasrc.format import canonical_arrays, canonicalize
+from testmend.javasrc.lexer import TokenArrays, lex
 
 import format_oracle
 
@@ -53,15 +53,15 @@ def outcome(tokenize, text):
         result = tokenize(text)
     except ParseError as exc:
         return ("error", exc.args[0], exc.line, exc.col)
-    if isinstance(result, list):
-        return [(t.kind, t.text, t.line, t.col, t.offset) for t in result]
+    if isinstance(result, TokenArrays):
+        return list(zip(*result))
     text, tokens = result
-    return text, [(t.kind, t.text, t.line, t.col, t.offset) for t in tokens]
+    return text, list(zip(*tokens))
 
 
 def check(src):
     """The three claims of the module docstring on one text."""
-    got = outcome(canonical_tokens, src)
+    got = outcome(canonical_arrays, src)
     raw = outcome(lex, src)
     if isinstance(raw, tuple):  # malformed: the same error, positioned alike
         assert got == raw == outcome(format_oracle.canonical_tokens, src)
@@ -85,13 +85,13 @@ def test_canonical_tokens_match_on_generated_wild_text(src):
 
 def mutants(source: str, count: int, rng: random.Random):
     """``count`` copies of ``source``, each with one token deleted or inserted."""
-    tokens = lex(source)
+    _, texts, _, _, offsets = lex(source)
     for _ in range(count):
-        at = rng.choice(tokens)
+        at = rng.choice(range(len(texts)))
         if rng.random() < 0.5:
-            yield source[: at.offset] + source[at.end_offset :]
+            yield source[: offsets[at]] + source[offsets[at] + len(texts[at]) :]
         else:
-            yield source[: at.offset] + rng.choice(tokens).text + " " + source[at.offset :]
+            yield source[: offsets[at]] + rng.choice(texts) + " " + source[offsets[at] :]
 
 
 @pytest.mark.parametrize("path", FIXTURE_FILES, ids=lambda p: p.relative_to(FIXTURES).as_posix())
@@ -139,18 +139,18 @@ def test_malformed_text_raises_what_lex_raises(src):
 def test_newlines_inside_literals_move_the_tokens_after_them():
     src = "class A { String s = \"a\\\nb\"; char c = '\\\n'; String t = \"\"\"\n  x\n  \"\"\"; int d; }"
     check(src)
-    text, tokens = canonical_tokens(src)
-    d = tokens[-3]
-    assert (d.text, text[d.offset : d.end_offset]) == ("d", "d")
+    text, tokens = canonical_arrays(src)
+    d = tokens.token(len(tokens.texts) - 3)
+    assert (d.text, text[d.offset : d.offset + len(d.text)]) == ("d", "d")
     assert text.splitlines()[d.line][d.col :].startswith("d;")
     assert (d.line, d.col) == (8, 8)
 
 
 def test_a_number_ending_in_a_dot_at_the_end_of_the_text_keeps_its_token():
-    text, tokens = canonical_tokens("x = 1.")
+    text, tokens = canonical_arrays("x = 1.")
     assert text == canonicalize("x = 1.") == "x = 1.\n"
-    assert [t.text for t in tokens] == ["x", "=", "1."]
-    assert [t.text for t in lex(text)] == ["x", "=", "1."]
+    assert list(tokens.texts) == ["x", "=", "1."]
+    assert list(lex(text).texts) == ["x", "=", "1."]
     for src in ("x = 1.", "x = 1.\n", "x = 1. // c", "x = 1.;"):
         assert canonicalize(canonicalize(src)) == canonicalize(src)
         check(src)

@@ -27,8 +27,8 @@ def dump(java_file):
     """The declarations of a parse, as ``expected.json`` writes them."""
 
     def span(decl):
-        tokens = lex(java_file.slice(decl.start, decl.end))
-        return [tokens[0].text, tokens[-1].text]
+        texts = lex(java_file.slice(decl.start, decl.end)).texts
+        return [texts[0], texts[-1]]
 
     def member(decl):
         if isinstance(decl, ClassDecl):

@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 from testmend.errors import ParseError
 from testmend.javasrc.ast import ClassDecl, MethodDecl, parse_java
 from testmend.javasrc.format import canonicalize
-from testmend.javasrc.lexer import IDENT, KEYWORD, lex
+from testmend.javasrc.lexer import IDENT, KEYWORD, Token, lex
 from testmend.signatures import MethodLocator, parse_method
 
 from test_canonical_tokens import FIXTURE_FILES, FIXTURES, PIECES, mutants
@@ -82,6 +82,11 @@ def _after_type(toks, i):
     return prev.kind == IDENT and prev.text not in MODIFIERS and _ends_annotation(toks, i - 1) is None
 
 
+def _end(tok):
+    """The offset just past ``tok``."""
+    return tok.offset + len(tok.text)
+
+
 def _nests(toks):
     """Whether the brackets of ``toks`` nest."""
     stack = []
@@ -96,9 +101,9 @@ def _nests(toks):
 class Oracle:
     def __init__(self, text):
         self.text = text
-        self.toks = lex(text)
+        self.toks = [Token(*fields) for fields in zip(*lex(text))]
         self.at_start = {t.offset: i for i, t in enumerate(self.toks)}
-        self.at_end = {t.end_offset: i for i, t in enumerate(self.toks)}
+        self.at_end = {_end(t): i for i, t in enumerate(self.toks)}
         # Where brackets do not nest, the parser's recovery may skip a
         # brace inside a span; only bounds, order and overlap are checked.
         self.nests = _nests(self.toks)
@@ -137,9 +142,9 @@ class Oracle:
                 assert depth >= 0, t
             assert depth == 0, decl
         if isinstance(decl, ClassDecl):
-            body = self.body_open(decl) if self.nests else self.at_end[decl.name_token.end_offset]
+            body = self.body_open(decl) if self.nests else self.at_end[_end(decl.name_token)]
             assert not self.nests or _match(toks, body) == last
-            self.check_siblings(decl.members, toks[body].end_offset, toks[last].offset)
+            self.check_siblings(decl.members, _end(toks[body]), toks[last].offset)
             for method in decl.methods():
                 self.check_reparse(decl, method)
         elif isinstance(decl, MethodDecl) and decl.body_start is not None:

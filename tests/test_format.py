@@ -6,12 +6,14 @@ of generated ones, with an independent statement-count oracle.
 """
 
 import random
+from pathlib import Path
 
 import pytest
 
 from testmend.errors import CursorNotOnIdentifier
-from testmend.javasrc.format import CursorPos, canonicalize, canonicalize_with_cursor
-from testmend.javasrc.lexer import IDENT, lex, token_texts
+from testmend.javasrc import format as fmt, lexer
+from testmend.javasrc.format import CursorPos, canonical_arrays, canonicalize, canonicalize_with_cursor
+from testmend.javasrc.lexer import IDENT, lex
 
 import scanner_oracle
 
@@ -35,8 +37,7 @@ def count_statement_semicolons(source):
     stack = []
     prev = None
     count = 0
-    for tok in lex(source):
-        t = tok.text
+    for t in lex(source).texts:
         if t == "(":
             depth += 1
         elif t == ")":
@@ -66,7 +67,7 @@ def test_comments_are_stripped():
 
 
 def test_token_stream_preserved():
-    assert token_texts(canonicalize(MESSY)) == token_texts(MESSY)
+    assert lex(canonicalize(MESSY)).texts == lex(MESSY).texts
 
 
 def test_idempotent():
@@ -121,7 +122,7 @@ def test_comparison_operators_keep_spaces():
 def test_spaced_generic_close_does_not_merge_into_shift():
     src = "class A { List<List<String> > x; }"
     out = canonicalize(src)
-    assert token_texts(out) == token_texts(src)
+    assert lex(out).texts == lex(src).texts
     assert canonicalize(out) == out
 
 
@@ -164,7 +165,7 @@ def test_dots_never_glue_into_an_ellipsis():
     src = "a. . .b(c..d, e... f)"
     out = canonicalize(src)
     assert out == "a. . .b(c. .d, e... f)\n"
-    assert token_texts(out) == token_texts(src)
+    assert lex(out).texts == lex(src).texts
     assert canonicalize(out) == out
 
 
@@ -223,7 +224,7 @@ def test_properties_on_generated_sources():
     for _ in range(60):
         src = _random_source(rng)
         out = canonicalize(src)
-        assert token_texts(out) == token_texts(src), src
+        assert lex(out).texts == lex(src).texts, src
         assert canonicalize(out) == out, src
 
 
@@ -234,12 +235,31 @@ def test_cursor_lands_on_the_same_token_of_the_lexed_canonical_text():
         src = _random_source(rng)
         with_text_block += '"""' in src
         tokens = lex(src)
-        for i, tok in enumerate(tokens):
+        for i in range(len(tokens.texts)):
+            tok = tokens.token(i)
             if tok.kind != IDENT:
                 continue
             last_char = CursorPos(tok.line, tok.col + len(tok.text) - 1)
             out, pos = canonicalize_with_cursor(src, last_char)
-            canonical_tok = lex(out)[i]
+            canonical_tok = lex(out).token(i)
             assert (pos.line, pos.col) == (canonical_tok.line, canonical_tok.col), (src, tok)
             assert out.splitlines()[pos.line][pos.col :].startswith(tok.text)
     assert with_text_block > 0
+
+
+def test_canonicalizing_a_file_makes_no_lex_call(monkeypatch):
+    # The merge veto checks a token pair with the lexer's scan, so a traced
+    # lex call is a text tokenized, not a miss of the veto's cache.
+    path = Path(__file__).parent / "fixtures" / "mount" / "post" / "src" / "FileSystemMaster.java"
+    lexed = []
+    lex = lexer.lex
+
+    def counting_lex(text):
+        lexed.append(text)
+        return lex(text)
+
+    monkeypatch.setattr(lexer, "lex", counting_lex)
+    fmt._would_merge.cache_clear()
+    canonical_arrays(path.read_text(encoding="utf-8"))
+    assert fmt._would_merge.cache_info().misses > 0
+    assert lexed == []

@@ -5,13 +5,29 @@ import pytest
 from testmend.dataflow import split_statements
 from testmend.errors import ParseError
 from testmend.javasrc import lexer
-from testmend.javasrc.lexer import lex, token_texts
+from testmend.javasrc.lexer import TokenArrays, lex
 
 import scanner_oracle
 
 
 def kinds(text):
-    return [(t.kind, t.text) for t in lex(text)]
+    return list(zip(*lex(text)[:2]))
+
+
+def tokens(text):
+    """Every token of ``lex(text)``, built."""
+    arrays = lex(text)
+    return [arrays.token(i) for i in range(len(arrays.texts))]
+
+
+def test_lex_returns_token_arrays():
+    assert lex("a\n bb") == TokenArrays(
+        (lexer.IDENT, lexer.IDENT), ("a", "bb"), (0, 1), (0, 1), (0, 3)
+    )
+    # A named tuple of five tuples: its length is 5 and it is true even
+    # when it holds no token, so a caller counts or tests its texts.
+    empty = lex(" // only a comment\n")
+    assert len(empty) == 5 and empty and not empty.texts
 
 
 def test_simple_declaration_tokens():
@@ -25,27 +41,27 @@ def test_simple_declaration_tokens():
 
 
 def test_positions_are_zero_based():
-    tokens = lex("a\n  bb;")
-    assert (tokens[0].line, tokens[0].col, tokens[0].offset) == (0, 0, 0)
-    assert (tokens[1].line, tokens[1].col, tokens[1].offset) == (1, 2, 4)
-    assert tokens[1].end_offset == 6
+    toks = tokens("a\n  bb;")
+    assert (toks[0].line, toks[0].col, toks[0].offset) == (0, 0, 0)
+    assert (toks[1].line, toks[1].col, toks[1].offset) == (1, 2, 4)
+    assert toks[1].offset + len(toks[1].text) == 6
 
 
 def test_maximal_munch_operators():
-    assert token_texts("a >>>= b >>> c >> d >= e") == [
+    assert list(lex("a >>>= b >>> c >> d >= e").texts) == [
         "a", ">>>=", "b", ">>>", "c", ">>", "d", ">=", "e",
     ]
-    assert token_texts("x->y::z") == ["x", "->", "y", "::", "z"]
-    assert token_texts("i++ + ++j") == ["i", "++", "+", "++", "j"]
+    assert list(lex("x->y::z").texts) == ["x", "->", "y", "::", "z"]
+    assert list(lex("i++ + ++j").texts) == ["i", "++", "+", "++", "j"]
 
 
 def test_varargs_ellipsis_is_one_token():
-    assert token_texts("String... args") == ["String", "...", "args"]
+    assert list(lex("String... args").texts) == ["String", "...", "args"]
 
 
 def test_comments_dropped_by_default_kept_on_request():
     src = "a // line\n/* block */ b"
-    assert token_texts(src) == ["a", "b"]
+    assert list(lex(src).texts) == ["a", "b"]
     kept = [
         t for t in scanner_oracle.lex(src, keep_comments=True)
         if t.kind == scanner_oracle.COMMENT
@@ -54,8 +70,8 @@ def test_comments_dropped_by_default_kept_on_request():
 
 
 def test_string_and_char_literals():
-    toks = lex(r'say("a \"quoted\" b", '
-               r"'x', '\n')")
+    toks = tokens(r'say("a \"quoted\" b", '
+                  r"'x', '\n')")
     strings = [t.text for t in toks if t.kind == lexer.STRING]
     chars = [t.text for t in toks if t.kind == lexer.CHAR]
     assert strings == [r'"a \"quoted\" b"']
@@ -64,22 +80,21 @@ def test_string_and_char_literals():
 
 def test_text_block():
     src = 'String s = """\nhello "world"\n""";'
-    toks = lex(src)
+    toks = tokens(src)
     assert toks[3].kind == lexer.STRING
     assert toks[3].text.startswith('"""') and toks[3].text.endswith('"""')
 
 
 def test_numbers():
-    assert token_texts("1 2.5 0x1F 1_000 3e8 1.5f 2L") == [
+    assert list(lex("1 2.5 0x1F 1_000 3e8 1.5f 2L").texts) == [
         "1", "2.5", "0x1F", "1_000", "3e8", "1.5f", "2L",
     ]
     # A '.' that starts a member access never glues onto a number.
-    assert token_texts("x1.toString()") == ["x1", ".", "toString", "(", ")"]
+    assert list(lex("x1.toString()").texts) == ["x1", ".", "toString", "(", ")"]
 
 
 def test_keywords_vs_identifiers():
-    toks = lex("class clazz Class")
-    assert [t.kind for t in toks] == [lexer.KEYWORD, lexer.IDENT, lexer.IDENT]
+    assert list(lex("class clazz Class").kinds) == [lexer.KEYWORD, lexer.IDENT, lexer.IDENT]
 
 
 def test_unterminated_string_raises():
@@ -119,7 +134,7 @@ def test_error_positions(text, message, line, col):
 def test_positions_after_multiline_lexemes():
     # A text block, a block comment, a string and a character literal that
     # each hold a newline (the last two escaped, ``\`` + LF).
-    toks = lex('s = """\nab\n""" + /* x\n */ t + "a\\\nb" u + \'\\\n\' v')
+    toks = tokens('s = """\nab\n""" + /* x\n */ t + "a\\\nb" u + \'\\\n\' v')
     assert [(t.text, t.line, t.col) for t in toks[3:]] == [
         ("+", 2, 4), ("t", 3, 4), ("+", 3, 6), ('"a\\\nb"', 3, 8), ("u", 4, 3),
         ("+", 4, 5), ("'\\\n'", 4, 7), ("v", 5, 2),
@@ -131,11 +146,11 @@ def test_dot_after_number_at_end_of_text():
     # A '.' joins a number before a digit, an f/F/d/D suffix or only
     # whitespace to the end of the text; the last case keeps "1." one token
     # when the canonical text adds its final newline.
-    assert token_texts("1.") == ["1."]
-    assert token_texts("1.;") == ["1", ".", ";"]
-    assert token_texts("1.f") == ["1.f"]
-    assert token_texts("1. \n\t") == ["1."]
-    assert token_texts("1. // c") == ["1", "."]
+    assert list(lex("1.").texts) == ["1."]
+    assert list(lex("1.;").texts) == ["1", ".", ";"]
+    assert list(lex("1.f").texts) == ["1.f"]
+    assert list(lex("1. \n\t").texts) == ["1."]
+    assert list(lex("1. // c").texts) == ["1", "."]
 
 
 def test_character_classes_follow_re():
@@ -150,7 +165,7 @@ def test_character_classes_follow_re():
 
 def test_tokens_compare_and_hash_by_their_fields():
     src = "int a = b.size(); // x\nreturn 'c';"
-    first, second = lex(src), lex(src)
+    first, second = tokens(src), tokens(src)
     assert first == second
     assert [hash(t) for t in first] == [hash(t) for t in second]
     assert all(a is not b for a, b in zip(first, second))
@@ -165,7 +180,7 @@ def test_split_lines_breaks_only_at_newline():
 
 
 def test_tokens_are_slot_records():
-    tok = lex("a")[0]
+    tok = lex("a").token(0)
     assert not hasattr(tok, "__dict__")
     assert repr(tok) == "Token(kind='ident', text='a', line=0, col=0, offset=0)"
 

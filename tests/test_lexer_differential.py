@@ -46,9 +46,12 @@ PIECES = ['"""', "/*", "*/", "//", ">>>=", "...", "->", "::", "1.", ".5", "1e+",
 
 def outcome(lex, text):
     try:
-        return [(t.kind, t.text, t.line, t.col, t.offset) for t in lex(text)]
+        tokens = lex(text)
     except ParseError as exc:
         return ("error", exc.args[0], exc.line, exc.col)
+    if isinstance(tokens, lexer.TokenArrays):
+        return list(zip(*tokens))
+    return [(t.kind, t.text, t.line, t.col, t.offset) for t in tokens]
 
 
 def test_divergent_code_points_are_the_documented_ones():

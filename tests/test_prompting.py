@@ -12,7 +12,7 @@ from testmend.collectors import ClassCtxGroup, ContextChunk, TROCtxBundle
 from testmend.errors import EmptyReference, ProviderError
 from testmend.javasrc.ast import MethodDecl, parse_java
 from testmend.javasrc.format import canonicalize
-from testmend.javasrc.lexer import token_texts
+from testmend.javasrc.lexer import lex
 from testmend.prompting import (
     RepairPrompt,
     assemble_prompt,
@@ -384,12 +384,12 @@ def test_validate_syntax_agrees_with_independent_full_file_parse():
         if not isinstance(member, MethodDecl):
             return False
         try:
-            return token_texts(source[member.start : member.end]) == token_texts(text)
+            return lex(source[member.start : member.end]).texts == lex(text).texts
         except Exception:
             return False
 
     rng = random.Random(42)
-    base = token_texts(VALID_REPAIR)
+    base = lex(VALID_REPAIR).texts
     for _ in range(100):
         tokens = list(base)
         for _ in range(rng.randint(1, 3)):

@@ -66,7 +66,7 @@ def test_upper_camel_and_simple_type():
 
 def test_param_queries_setters_then_def_use_accesses():
     focal = make_focal_change(MOUNT_ORI, MOUNT_UPD)
-    param_q, ret_q = build_operation_queries(focal, MOUNT_TEST_BODY)
+    param_q, ret_q = build_operation_queries(focal, split_statements(MOUNT_TEST_BODY))
     assert ret_q == ()
     assert param_q == ("setOptions()", "setMountOptions()", "MountOptions.defaults()")
     # the documented query pair is present
@@ -78,13 +78,13 @@ def test_param_queries_literal_argument_yields_setters_only():
         sig(name="f", params=("int",), names=("count",)),
         sig(name="f", params=("long",), names=("count",)),
     )
-    param_q, _ = build_operation_queries(focal, "{\n    svc.f(3);\n}")
+    param_q, _ = build_operation_queries(focal, split_statements("{\n    svc.f(3);\n}"))
     assert param_q == ("setCount()", "setInt()")
 
 
 def test_synthesized_setters_match_shape():
     focal = make_focal_change(MOUNT_ORI, MOUNT_UPD)
-    param_q, _ = build_operation_queries(focal, MOUNT_TEST_BODY)
+    param_q, _ = build_operation_queries(focal, split_statements(MOUNT_TEST_BODY))
     setters = [q for q in param_q if q.startswith("set")]
     assert setters
     for q in setters:
@@ -94,13 +94,13 @@ def test_synthesized_setters_match_shape():
 def test_operation_queries_are_grounded_in_test_or_synthesized():
     SEP = chr(0)
     focal = make_focal_change(MOUNT_ORI, MOUNT_UPD)
-    param_q, _ = build_operation_queries(focal, MOUNT_TEST_BODY)
-    body_tokens = [t.text for t in lexer.lex(MOUNT_TEST_BODY)]
+    param_q, _ = build_operation_queries(focal, split_statements(MOUNT_TEST_BODY))
+    body_tokens = lexer.lex(MOUNT_TEST_BODY).texts
     joined = SEP.join(body_tokens)
     for q in param_q:
         if re.fullmatch(r"set[A-Z].*\(\)", q):
             continue
-        q_tokens = [t.text for t in lexer.lex(q.removesuffix("()"))]
+        q_tokens = lexer.lex(q.removesuffix("()")).texts
         assert SEP.join(q_tokens) in joined
 
 
@@ -115,26 +115,26 @@ def test_ret_queries_follow_forward_uses():
     assertEquals(expected, r.get(0));
 }
 """
-    param_q, ret_q = build_operation_queries(focal, body)
+    param_q, ret_q = build_operation_queries(focal, split_statements(body))
     assert param_q == ()
     assert ret_q == ("size()", "get()")
 
 
 def test_ret_queries_empty_without_binding():
     focal = make_focal_change(sig(name="total", ret="int"), sig(name="total", ret="Summary"))
-    _, ret_q = build_operation_queries(focal, "{\n    assertEquals(5, svc.total());\n}")
+    _, ret_q = build_operation_queries(focal, split_statements("{\n    assertEquals(5, svc.total());\n}"))
     assert ret_q == ()
 
 
 def test_norm_only_change_produces_no_operation_queries():
     focal = make_focal_change(sig(name="f"), sig(name="g"))
-    assert build_operation_queries(focal, "{\n    svc.f();\n}") == ((), ())
+    assert build_operation_queries(focal, split_statements("{\n    svc.f();\n}")) == ((), ())
 
 
 def test_missing_invocation_raises():
     focal = make_focal_change(MOUNT_ORI, MOUNT_UPD)
     with pytest.raises(FocalInvocationNotFound):
-        build_operation_queries(focal, "{\n    int x = 1;\n}")
+        build_operation_queries(focal, split_statements("{\n    int x = 1;\n}"))
 
 
 def test_find_focal_invocation_requires_call_parens():
@@ -176,14 +176,14 @@ def test_fallback_analysis_deterministic():
 
 def test_fallback_stmts_cover_documented_pair():
     focal = make_focal_change(MOUNT_ORI, MOUNT_UPD)
-    stmts = fallback_obsolete_stmts(focal, MOUNT_TEST_BODY)
+    stmts = fallback_obsolete_stmts(focal, split_statements(MOUNT_TEST_BODY))
     assert "MountOptions mountOptions = MountOptions.defaults();" in stmts
     assert "mFileSystem.mount(alluxioPath, ufsPath, mountOptions);" in stmts
 
 
 def test_fallback_stmts_only_focal_statements_for_no_change():
     focal = make_focal_change(sig(name="f"), sig(name="f"))
-    stmts = fallback_obsolete_stmts(focal, "{\n    int a = 1;\n    svc.f();\n}")
+    stmts = fallback_obsolete_stmts(focal, split_statements("{\n    int a = 1;\n    svc.f();\n}"))
     assert stmts == "svc.f();"
 
 
@@ -196,7 +196,7 @@ def test_fallback_stmts_capped_nearest_invocation():
         sig(name="f", params=("int",), names=("n",)),
         sig(name="f", params=("long",), names=("n",)),
     )
-    stmts = fallback_obsolete_stmts(focal, body)
+    stmts = fallback_obsolete_stmts(focal, split_statements(body))
     assert stmts.count(";") == STATEMENT_QUERY_CAP
     kept = {9, 10, 11, 12, 13, 14, 16, 17, 18, 19, 20}
     for i in kept:
@@ -207,7 +207,7 @@ def test_fallback_stmts_capped_nearest_invocation():
 
 def test_fallback_stmts_empty_body_uses_signature():
     focal = make_focal_change(MOUNT_ORI, MOUNT_UPD)
-    assert "mount" in fallback_obsolete_stmts(focal, "{\n}")
+    assert "mount" in fallback_obsolete_stmts(focal, split_statements("{\n}"))
 
 
 # ----------------------------------------------------------------------
@@ -240,7 +240,9 @@ def fig_inputs():
 def test_provider_two_step_flow():
     focal, diff = fig_inputs()
     provider = ScriptedProvider(["THE ANALYSIS", "THE STMTS"])
-    analysis, stmts = build_statement_queries(diff, MOUNT_TEST_BODY, provider, focal)
+    analysis, stmts = build_statement_queries(
+        diff, MOUNT_TEST_BODY, split_statements(MOUNT_TEST_BODY), provider, focal
+    )
     assert (analysis, stmts) == ("THE ANALYSIS", "THE STMTS")
     assert len(provider.calls) == 2
     first_messages, first_temp, first_attempt = provider.calls[0]
@@ -258,25 +260,31 @@ def test_provider_two_step_flow():
 def test_provider_failure_falls_back():
     focal, diff = fig_inputs()
     provider = ScriptedProvider([ProviderError("down")])
-    analysis, stmts = build_statement_queries(diff, MOUNT_TEST_BODY, provider, focal)
+    analysis, stmts = build_statement_queries(
+        diff, MOUNT_TEST_BODY, split_statements(MOUNT_TEST_BODY), provider, focal
+    )
     assert analysis == fallback_synbc_analysis(focal)
-    assert stmts == fallback_obsolete_stmts(focal, MOUNT_TEST_BODY)
+    assert stmts == fallback_obsolete_stmts(focal, split_statements(MOUNT_TEST_BODY))
 
 
 def test_provider_second_step_failure_falls_back():
     focal, diff = fig_inputs()
     provider = ScriptedProvider(["fine", ProviderError("down")])
-    analysis, stmts = build_statement_queries(diff, MOUNT_TEST_BODY, provider, focal)
+    analysis, stmts = build_statement_queries(
+        diff, MOUNT_TEST_BODY, split_statements(MOUNT_TEST_BODY), provider, focal
+    )
     assert analysis == fallback_synbc_analysis(focal)
-    assert stmts == fallback_obsolete_stmts(focal, MOUNT_TEST_BODY)
+    assert stmts == fallback_obsolete_stmts(focal, split_statements(MOUNT_TEST_BODY))
 
 
 def test_provider_blank_answers_use_fallback_values():
     focal, diff = fig_inputs()
     provider = ScriptedProvider(["   ", "\n"])
-    analysis, stmts = build_statement_queries(diff, MOUNT_TEST_BODY, provider, focal)
+    analysis, stmts = build_statement_queries(
+        diff, MOUNT_TEST_BODY, split_statements(MOUNT_TEST_BODY), provider, focal
+    )
     assert analysis == fallback_synbc_analysis(focal)
-    assert stmts == fallback_obsolete_stmts(focal, MOUNT_TEST_BODY)
+    assert stmts == fallback_obsolete_stmts(focal, split_statements(MOUNT_TEST_BODY))
 
 
 def test_fewshot_exemplars_shape():

@@ -235,7 +235,7 @@ def test_token_at_finds_the_token_a_scan_of_every_token_finds():
         'class T {\n  String s = """\n    a\n    """ + t(1);\n  int[] u = {1, 2};\n}\n'
     )
     parsed = ParsedFile(PRE, "T.java", java)
-    tokens = java.tokens.as_list()
+    tokens = [java.tokens.token(i) for i in range(len(java.tokens.texts))]
     lines = java.text.split("\n")
     for line, text in enumerate(lines):
         for col in range(len(text) + 2):
