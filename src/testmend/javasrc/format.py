@@ -15,9 +15,11 @@ rewritten here.  Guarantees:
   canonicalize(x).
 
 :func:`canonical_arrays` makes one pass over the raw text: the lexer's
-:func:`~testmend.javasrc.lexer.scan` gives each lexeme's kind and text,
-and the emitter writes the canonical text while it records each token's
-line, column and offset in the output.  It returns them as
+:func:`~testmend.javasrc.lexer.scan`, one ``findall`` of its master
+pattern and a table lookup per lexeme, gives each lexeme's kind and text
+without building a match object, and the emitter writes the canonical
+text while it records each token's line, column and offset in the
+output.  It returns them as
 :class:`~testmend.javasrc.lexer.TokenArrays` and builds no
 :class:`~testmend.javasrc.lexer.Token`; that is what the source cache,
 the parser and the statement splitter of :mod:`testmend.dataflow` read.

@@ -1,19 +1,22 @@
 """A small maximal-munch lexer for Java source text.
 
 Produces a flat token stream with positions; no semantic interpretation.
-:func:`lex` is one loop over a single compiled ``re`` master pattern with
-a named group per lexeme, tried in order (see "Writing a Tokenizer" in
-the ``re`` documentation).  Whitespace and comments are matched and
-skipped, so the stream never contains them.  A token's line and column
-come from its offset and the offset of the last newline before it.
+The lexer is one compiled ``re`` master pattern whose one capturing group
+is the lexeme.  A non-capturing prefix before the group skips whitespace
+and comments, so the stream never contains them and each match is one
+lexeme together with the whitespace and comments before it.
 
-The module owns the master pattern: :func:`scan` makes the same pass
-and yields only each token's kind and text, for the canonicalizer
+:func:`scan` gives only each token's kind and text, for the canonicalizer
 (:func:`testmend.javasrc.format.canonical_arrays`), which places the
 tokens in the text it writes, and for its check that two tokens written
-adjacently re-lex as two.  Each match of the pattern is one lexeme
-together with the whitespace and comments before it, so the loop runs
-once per token.
+adjacently re-lex as two.  It is one ``findall`` of the pattern, so no
+match object is built, and each kind is one lookup in a table that holds
+the keywords and operators and classifies any other lexeme by its first
+character: a quote starts a string or a character, a digit or a '.' a
+number, and anything else a lexeme may start with an identifier.
+:func:`lex` makes the same matches with ``finditer`` for their offsets; a
+token's line and column come from its offset and the offset of the last
+newline before it.
 
 A token stream has one shape, :class:`TokenArrays`, five parallel tuples
 that every reader indexes; a :class:`Token` is built only by
@@ -22,12 +25,23 @@ always true: count or test ``lex(t).texts``.
 
 Character classes are ``re``'s: a number starts with ``\\d`` (a Unicode
 decimal digit), an identifier with ``[^\\W\\d]`` or ``$`` and continues
-with ``\\w`` or ``$``.  So ``'²'`` and ``'Ⅷ'`` lex as identifiers.
+with ``\\w`` or ``$``.  So ``'²'`` and ``'Ⅷ'`` lex as identifiers.  A SUB
+(``\\x1a``) that is the last character of the text is ignored (JLS 3.5).
 
 The lexer is deliberately lenient about token *sequences* (it never looks
 at grammar) but strict about malformed lexemes: unterminated strings,
 text blocks, comments or characters, and characters no lexeme starts
-with, raise :class:`~testmend.errors.ParseError`.
+with, raise :class:`~testmend.errors.ParseError`.  The pattern matches
+each of them as a lexeme that has no kind.  ``findall`` does not stop at
+the first, so each malformed lexeme takes all the text that the pattern
+searched for its end: an unterminated block comment takes the rest of
+the text, since a later ``/*`` would otherwise search to the end of the
+text again, and an unterminated string or character ends where its body
+does, since a later quote inside that body would otherwise search it
+again.  So no text is searched twice, and a malformed text costs time
+linear in its length.  When
+:func:`scan` meets one, it calls :func:`lex`, which stops at the first
+and raises its error.
 """
 
 from __future__ import annotations
@@ -100,60 +114,128 @@ class TokenArrays(NamedTuple):
         return tuple.__new__(Token, fields)
 
 
-# A '.' continues a number only before a digit, an f/F/d/D suffix or
-# nothing but whitespace to the end of the text, so "1.5" and "1.f" are
-# one token but "x1.toString" is not, and a final "1." is one token
-# whether or not a newline follows it (the canonical text adds one).
-# An exponent sign follows e/E/p/P only in numbers that start with a
-# digit.  Operators are listed longest first.  The ``open_*`` groups
-# match the start of a lexeme whose end is missing.
+_OPERATORS = frozenset(
+    """
+    >>>= >>> <<= >>= ... -> :: << >> == != <= >= &= |= += -= *= /= %= ^= && || ++ --
+    ( ) { } [ ] ; , . = < > ! ~ ? : + - * / % & | ^ @
+    """.split()
+)
+
+# The prefix skips whitespace and comments.  Its loop is entered only
+# before a comment, since entering a loop of groups costs ``re`` more than
+# the lookahead does.  Each pass of the loop starts with a '/' that the
+# whitespace run cannot match, and what follows the prefix matches at any
+# position, so the prefix is never backtracked into.  The last
+# alternative, outside the group, takes the end of the text, so the group
+# is None there.
 #
-# Every match is one lexeme after the whitespace and comments before it:
-# a non-capturing prefix skips them, and the ``end`` group takes the end
-# of the text, so trailing ones make one last empty lexeme.  Each pass of
-# the prefix's loop starts with a '/' that the whitespace run cannot
-# match, and what follows the prefix matches at any position (``unexpected``
-# takes any character, ``end`` the end), so the prefix is never
-# backtracked into.
+# Lexemes start with disjoint characters, except that an identifier
+# (``[\w$]+``) starts with no digit because a number comes first, and a
+# number must come before the operators ('.5'), and so must an open
+# comment ('/*').  A '.' continues a number only before a digit, an
+# f/F/d/D suffix or nothing but whitespace to the end of the text, so
+# "1.5" and "1.f" are one token but "x1.toString" is not, and a final "1."
+# is one token whether or not a newline follows it (the canonical text
+# adds one).  An exponent sign follows e/E/p/P only in numbers that start
+# with a digit.  Operators are listed longest first.
+#
+# ``findall`` does not stop at a malformed lexeme, so each one is matched
+# as a lexeme that takes all the text its failed attempt searched, and no
+# text is searched twice: an open comment takes the rest of the text; a
+# string or character that has no closing quote takes its whole body, to
+# the newline or the end of the text (an escaped quote or newline is part
+# of the body), so :func:`_closed` tells it from a closed one; a '"""'
+# that closes no text block is taken alone, and then no '"""' follows it;
+# any other character is taken alone.
 _MASTER = re.compile(
     r'''
-    (?: [ \t\r\n\f]* (?: (?: //[^\n]* | /\*.*?\*/ ) [ \t\r\n\f]* )* )
-    (?: (?P<string> """.*?""" | "(?!"")(?:[^"\\\n]|\\.)*" )
-      | (?P<char> '(?:[^'\\\n]|\\.)*' )
-      | (?P<number> \d(?:[eEpP][+-]|\w|\.(?=[\dfFdD]|[ \t\r\n\f]*\Z))*
-                  | \.\d(?:\w|\.(?=[\dfFdD]|[ \t\r\n\f]*\Z))* )
-      | (?P<ident> (?:[^\W\d]|\$)[\w$]* )
-      | (?P<open_comment> /\* )
-      | (?P<open_text_block> """ )
-      | (?P<open_string> " )
-      | (?P<open_char> ' )
-      | (?P<op> >>>=? | <<= | >>= | \.\.\. | -> | :: | << | >> | [=!<>&|+\-*/%^]=
-              | && | \|\| | \+\+ | -- | [(){}\[\];,.=<>!~?:+\-*/%&|^@] )
-      | (?P<unexpected> . )
-      | (?P<end> \Z ) )
+    [ \t\r\n\f]* (?: (?=/[/*]) (?: (?: //[^\n]* | /\*.*?\*/ ) [ \t\r\n\f]* )* | )
+    (?: ( \d(?:[eEpP][+-]|\w|\.(?=[\dfFdD]|[ \t\r\n\f]*\Z))*
+        | [\w$]+
+        | \.\d(?:\w|\.(?=[\dfFdD]|[ \t\r\n\f]*\Z))*
+        | /\*.*
+        | >>>=? | <<= | >>= | \.\.\. | -> | :: | << | >> | [=!<>&|+\-*/%^]=
+        | && | \|\| | \+\+ | -- | [(){}\[\];,.=<>!~?:+\-*/%&|^@]
+        | """.*?""" | "(?!"")(?:[^"\\\n]|\\.)*"? | """
+        | '(?:[^'\\\n]|\\.)*'?
+        | . )
+      | \Z )
     ''',
     re.DOTALL | re.VERBOSE,
 )
 
-# Error group -> (message, columns from the lexeme start to the report);
-# an unexpected character's message names it.
-_ERRORS = {
-    "open_comment": ("unterminated block comment", 2),
-    "open_text_block": ("unterminated text block", 3),
-    "open_string": ("unterminated string literal", 0),
-    "open_char": ("unterminated character literal", 0),
-    "unexpected": ("", 0),
-}
+_KIND_TABLE_LIMIT = 1 << 13
+_MEMO_MAX_LEN = 64
 
 
-def _lexeme_error(m: re.Match[str]) -> ParseError:
-    """The error for the malformed lexeme ``m``, at its line and column."""
-    kind = m.lastgroup
-    text, start = m.string, m.start(kind)
-    message, shift = _ERRORS[kind]
-    line = text.count("\n", 0, start)
-    col = start - text.rfind("\n", 0, start) - 1 + shift
-    return ParseError(message or f"unexpected character {m[kind]!r}", line, col)
+def _closed(lexeme: str) -> bool:
+    """Whether a string, text block or character lexeme has its closing quote.
+
+    The closing quote is the last character, after the opening one, with
+    an even run of backslashes before it: an odd run escapes it.
+    """
+    body = lexeme[1:-1]
+    escapes = len(body) - len(body.rstrip("\\"))
+    return len(lexeme) > 1 and lexeme[-1] == lexeme[0] and escapes % 2 == 0
+
+
+class _KindTable(dict):
+    """Lexeme -> kind, for every lexeme the master pattern matches.
+
+    Filled with the keywords and operators; any other lexeme's kind comes
+    from its first character.  It is remembered if it is at most
+    :data:`_MEMO_MAX_LEN` characters long and the table holds fewer than
+    :data:`_KIND_TABLE_LIMIT` lexemes (other lexemes are classified again
+    at each lookup), so the table's size in bytes is bounded and does not
+    grow with a repository's vocabulary or its literals; threads that miss
+    at once may each add one lexeme past the limit.  A malformed lexeme
+    has no kind: looking it up raises :class:`KeyError`.
+    """
+
+    def __missing__(self, lexeme: str) -> str:
+        first = lexeme[0]
+        if first == '"' and lexeme != '"""' and _closed(lexeme):
+            kind = STRING
+        elif first == "'" and _closed(lexeme):
+            kind = CHAR
+        elif first.isdecimal() or (first == "." and lexeme[1:2].isdecimal()):
+            kind = NUMBER  # \d is str.isdecimal
+        elif first == "$" or first == "_" or first.isalnum():
+            kind = IDENT  # \w is str.isalnum and '_'
+        else:
+            raise KeyError(lexeme)
+        if len(lexeme) <= _MEMO_MAX_LEN and len(self) < _KIND_TABLE_LIMIT:
+            self[lexeme] = kind
+        return kind
+
+
+_KINDS = _KindTable({**dict.fromkeys(KEYWORDS, KEYWORD), **dict.fromkeys(_OPERATORS, OP)})
+
+
+def _malformed(lexeme: str, line: int, col: int) -> ParseError:
+    """The error for a lexeme that has no kind, found at ``line``, ``col``.
+
+    A block comment is reported 2 columns and a text block 3 columns after
+    its start; strings and characters at the opening quote.
+    """
+    if lexeme.startswith("/*"):
+        return ParseError("unterminated block comment", line, col + 2)
+    if lexeme == '"""':
+        return ParseError("unterminated text block", line, col + 3)
+    if lexeme.startswith('"'):
+        return ParseError("unterminated string literal", line, col)
+    if lexeme.startswith("'"):
+        return ParseError("unterminated character literal", line, col)
+    return ParseError(f"unexpected character {lexeme!r}", line, col)
+
+
+def _end(text: str) -> int:
+    """Where ``text``'s tokens end: before a SUB that is its last character.
+
+    JLS 3.5 ignores that SUB (``\\x1a``, control-Z); anywhere else it is
+    an unexpected character.
+    """
+    return len(text) - (text[-1:] == "\x1a")
 
 
 def lex(text: str) -> TokenArrays:
@@ -165,20 +247,20 @@ def lex(text: str) -> TokenArrays:
     offsets: list[int] = []
     add_kind, add_text, add_line = kinds.append, texts.append, lines.append
     add_col, add_offset = cols.append, offsets.append
+    kind_of = _KINDS.__getitem__
     line = line_start = 0
-    for m in _MASTER.finditer(text):
-        kind = m.lastgroup
-        start = m.start(kind)
+    for m in _MASTER.finditer(text, 0, _end(text)):
+        value = m[1]
+        if value is None:
+            break
+        start = m.start(1)
         if start != m.start() and "\n" in (skipped := text[m.start() : start]):
             line += skipped.count("\n")
             line_start = text.rindex("\n", 0, start) + 1
-        if kind in _ERRORS:
-            raise _lexeme_error(m)
-        if kind == "end":
-            break
-        value = m[kind]
-        if kind == IDENT and value in KEYWORDS:
-            kind = KEYWORD
+        try:
+            kind = kind_of(value)
+        except KeyError:
+            raise _malformed(value, line, start - line_start) from None
         add_kind(kind)
         add_text(value)
         add_line(line)
@@ -193,24 +275,19 @@ def lex(text: str) -> TokenArrays:
 def scan(text: str) -> tuple[list[str], list[str]]:
     """The kinds and texts of ``text``'s tokens, without positions.
 
-    One pass, as :func:`lex` makes, for a caller that places the tokens
-    itself (:func:`testmend.javasrc.format.canonical_arrays`) or needs no
-    positions; raises the :class:`ParseError` that :func:`lex` raises.
+    For a caller that places the tokens itself
+    (:func:`testmend.javasrc.format.canonical_arrays`) or needs no
+    positions: one ``findall`` and one lookup per lexeme in the kind
+    table.  On a malformed lexeme it raises what :func:`lex` raises.
     """
-    kinds: list[str] = []
-    texts: list[str] = []
-    for m in _MASTER.finditer(text):
-        kind = m.lastgroup
-        if kind in _ERRORS:
-            raise _lexeme_error(m)
-        if kind == "end":
-            break
-        value = m[kind]
-        if kind == IDENT and value in KEYWORDS:
-            kind = KEYWORD
-        kinds.append(kind)
-        texts.append(value)
-    return kinds, texts
+    texts = _MASTER.findall(text, 0, _end(text))
+    while texts and not texts[-1]:  # the end of the text matches once or twice
+        texts.pop()
+    try:
+        return list(map(_KINDS.__getitem__, texts)), texts
+    except KeyError:
+        lex(text)  # raises the first malformed lexeme's error
+        raise
 
 
 def split_lines(text: str) -> list[str]:

@@ -1,12 +1,14 @@
 """The character-by-character Java scanner, kept as a differential oracle.
 
 This is the lexer ``testmend.javasrc.lexer.lex`` replaced, unchanged
-apart from this docstring, its imports and one rule that follows the
+apart from this docstring, its imports and two rules that follow the
 master pattern: a ``.`` joins a number before nothing but whitespace to
-the end of the text (it joined only at the very end).  It walks the text
-one character at a time, tracks line and column on every step, and can
-emit comments as ``COMMENT`` tokens (``keep_comments=True``).  The tests
-compare the master-pattern lexer against it token for token.
+the end of the text (it joined only at the very end), and a SUB
+(``\x1a``) that is the last character of the text is ignored (JLS 3.5).
+It walks the text one character at a time, tracks line and column on
+every step, and can emit comments as ``COMMENT`` tokens
+(``keep_comments=True``).  The tests compare the master-pattern lexer
+against it token for token.
 """
 
 from __future__ import annotations
@@ -92,6 +94,8 @@ class _Scanner:
 
 def lex(text: str, keep_comments: bool = False) -> list[Token]:
     """Tokenize ``text``; raises :class:`ParseError` on malformed lexemes."""
+    if text.endswith("\x1a"):
+        text = text[:-1]
     s = _Scanner(text)
     tokens: list[Token] = []
 

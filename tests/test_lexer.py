@@ -1,10 +1,14 @@
 """Lexer unit tests: token kinds, positions, maximal munch, error cases."""
 
+import signal
+
 import pytest
 
 from testmend.dataflow import split_statements
 from testmend.errors import ParseError
 from testmend.javasrc import lexer
+from testmend.javasrc.ast import parse_java
+from testmend.javasrc.format import canonical_arrays
 from testmend.javasrc.lexer import TokenArrays, lex
 
 import scanner_oracle
@@ -189,3 +193,129 @@ def test_statements_holding_tokens_stay_hashable():
     statements = split_statements("{ int a = b.size(); a++; }")
     assert [s.text for s in statements] == ["int a = b.size();", "a++;"]
     assert len({*statements, *split_statements("{ int a = b.size(); a++; }")}) == 2
+
+
+def within(call, text, seconds=5):
+    """``call(text)``, raising TimeoutError after ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"{call.__name__} did not return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        return call(text)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("call", [lexer.scan, lex, canonical_arrays], ids=lambda f: f.__name__)
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("/* " * 200_000, "unterminated block comment (line 0, col 2)"),
+        ('"open\n' * 50_000, "unterminated string literal (line 0, col 0)"),
+        ('"' + "continued \\\n" * 50_000, "unterminated string literal (line 0, col 0)"),
+        ('"' + '\\"' * 50_000, "unterminated string literal (line 0, col 0)"),
+        ("'" + "\\'" * 50_000, "unterminated character literal (line 0, col 0)"),
+        ('"' + '\\"\\\n' * 50_000, "unterminated string literal (line 0, col 0)"),
+        ('s = """' + "\n a" * 100_000, "unterminated text block (line 0, col 7)"),
+        ("#" * 200_000, "unexpected character '#' (line 0, col 0)"),
+        ("\\" * 200_000, "unexpected character '\\\\' (line 0, col 0)"),
+    ],
+    ids=[
+        "open-comments", "open-strings", "continued-string", "escaped-quotes", "escaped-char-quotes",
+        "continued-escaped-quotes", "text-block", "hashes", "backslashes",
+    ],
+)
+def test_malformed_lexemes_are_scanned_past_in_linear_time(call, text, error):
+    # scan's findall does not stop at the first malformed lexeme, so each
+    # one must be scanned past once: an open comment that matched only its
+    # '/*' would search to the end of the text again at every later '/*',
+    # and an open string that matched only its '"' would search its body
+    # again from every escaped quote in it.
+    with pytest.raises(ParseError) as exc:
+        within(call, text)
+    assert str(exc.value) == error
+
+
+@pytest.mark.parametrize(
+    "text, kind",
+    [
+        ("²", lexer.IDENT),
+        ("Ⅷ", lexer.IDENT),
+        ("$x", lexer.IDENT),
+        ("_", lexer.IDENT),
+        (".5", lexer.NUMBER),
+        ("1.", lexer.NUMBER),
+        ('""', lexer.STRING),
+        ('"\\\\"', lexer.STRING),
+        ('""""""', lexer.STRING),
+        ("'\\n'", lexer.CHAR),
+    ],
+)
+def test_a_lexeme_outside_the_table_takes_its_kind_from_its_first_character(text, kind):
+    assert lexer._KindTable()[text] == kind
+    assert lexer.scan(text) == ([kind], [text])
+    assert lex(text)[:2] == ((kind,), (text,))
+
+
+def test_a_lexeme_no_token_starts_with_has_no_kind():
+    with pytest.raises(KeyError):
+        lexer._KindTable()["\v"]
+    for call in (lexer.scan, lex):
+        with pytest.raises(ParseError, match=r"^unexpected character '\\x0b' \(line 0, col 1\)$"):
+            call("a\v")
+
+
+def test_the_kind_memo_stays_bounded(monkeypatch):
+    table = lexer._KindTable(lexer._KINDS)
+    monkeypatch.setattr(lexer, "_KINDS", table)
+    bound = lexer._KIND_TABLE_LIMIT
+    words = [f"w{i}" for i in range(bound + 10)]
+    text = " ".join(words)
+    assert lexer.scan(text) == ([lexer.IDENT] * len(words), words)
+    assert len(table) == bound
+    # Past the bound a lexeme is classified again, not dropped.
+    assert lex(text).texts == tuple(words)
+    assert lexer.scan("w_new 1.5 'c'")[0] == [lexer.IDENT, lexer.NUMBER, lexer.CHAR]
+    assert len(table) == bound
+
+
+@pytest.mark.parametrize(
+    "text, kind",
+    [
+        ('"' + "x" * 100_000 + '"', lexer.STRING),
+        ("'" + "x" * 100_000 + "'", lexer.CHAR),
+        ("x" * 100_000, lexer.IDENT),
+        ("1" * 100_000, lexer.NUMBER),
+    ],
+    ids=["string", "char", "ident", "number"],
+)
+def test_the_kind_memo_keeps_no_long_lexeme(monkeypatch, text, kind):
+    table = lexer._KindTable(lexer._KINDS)
+    monkeypatch.setattr(lexer, "_KINDS", table)
+    assert lexer.scan(text) == ([kind], [text])
+    assert text not in table
+    short = text[:1] + text[-1:]
+    assert lexer.scan(short) == ([kind], [short])
+    assert short in table
+
+
+def test_a_final_sub_is_ignored():
+    # JLS 3.5: a SUB (control-Z) that is the last character of the text is
+    # ignored, after a token or a comment alike.
+    for text in ("class A { }\x1a", "class A { } // end\x1a", "class A { }\n\x1a"):
+        assert lex(text).texts == ("class", "A", "{", "}")
+        kinds = [lexer.KEYWORD, lexer.IDENT, lexer.OP, lexer.OP]
+        assert lexer.scan(text) == (kinds, ["class", "A", "{", "}"])
+        assert canonical_arrays(text) == canonical_arrays("class A { }")
+        assert [c.name for c in parse_java(text).classes] == ["A"]
+    assert lex("\x1a").texts == ()
+    assert lex("1.\x1a").texts == ("1.",)
+    # Anywhere else it is an unexpected character.
+    for text in ("class A { }\x1a\n", "\x1a\x1a", "a\x1ab"):
+        for call in (lexer.scan, lex, canonical_arrays, parse_java):
+            with pytest.raises(ParseError, match=r"^unexpected character '\\x1a'"):
+                call(text)

@@ -1,10 +1,11 @@
 """The master-pattern lexer against the character scanner it replaced.
 
 On any text the two must give the same tokens ``(kind, text, line, col,
-offset)`` or the same ParseError ``(message, line, col)``.  The domain is
-every text free of the code points where ``str.isdigit``/``str.isalpha``
-and ``re``'s ``\\d``/``[^\\W\\d]`` disagree: there the new lexer follows
-``re`` on purpose (pinned in ``test_lexer.py``).  Texts come from
+offset)`` or the same ParseError ``(message, line, col)``, and ``scan``
+the same kinds and texts or the same ParseError.  The domain is every
+text free of the code points where ``str.isdigit``/``str.isalpha`` and
+``re``'s ``\\d``/``[^\\W\\d]`` disagree: there the new lexer follows ``re``
+on purpose (pinned in ``test_lexer.py``).  Texts come from
 ``hypothesis``, from seeded mutations of the fixture sources and from the
 whole fixture sources, raw and canonical.
 """
@@ -128,3 +129,44 @@ def test_lexers_agree_on_whole_fixture_files(path):
 def test_lexers_agree_on_all_fixture_files_in_one_text():
     # One run of over a thousand tokens with their comments and whitespace.
     agree_on_whole_text("\n".join(p.read_text(encoding="utf-8") for p in FIXTURE_FILES))
+
+
+def scan_outcome(text):
+    """``scan``'s (kind, text) pairs, or its error as ``outcome`` gives it."""
+    try:
+        kinds, values = lexer.scan(text)
+    except ParseError as exc:
+        return ("error", exc.args[0], exc.line, exc.col)
+    return list(zip(kinds, values))
+
+
+def oracle_scan_outcome(text):
+    """The scanner's tokens cut to (kind, text), or its error."""
+    expected = outcome(scanner_oracle.lex, text)
+    return expected if isinstance(expected, tuple) else [token[:2] for token in expected]
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(texts)
+def test_scan_agrees_with_the_scanner_on_generated_text(text):
+    assert scan_outcome(text) == oracle_scan_outcome(text)
+
+
+def test_scan_agrees_with_the_scanner_on_mutated_fixture_sources():
+    mismatches, errors = [], 0
+    for text in mutations(4000, seed=4):
+        new = scan_outcome(text)
+        if new != oracle_scan_outcome(text):
+            mismatches.append(text)
+        errors += isinstance(new, tuple)
+    assert mismatches[:5] == []
+    assert 200 < errors < 3800
+
+
+@pytest.mark.parametrize("path", FIXTURE_FILES, ids=lambda p: p.relative_to(FIXTURES).as_posix())
+def test_scan_agrees_with_the_scanner_on_whole_fixture_files(path):
+    raw = path.read_text(encoding="utf-8")
+    for text in (raw, canonicalize(raw)):
+        new = scan_outcome(text)
+        assert isinstance(new, list) and len(new) > 1
+        assert new == oracle_scan_outcome(text)
