@@ -15,23 +15,18 @@ import os
 import re
 import sys
 from pathlib import Path
-from typing import NamedTuple, get_type_hints
+from typing import get_type_hints
 
 from testmend.dataset import load_manifest, load_sample
 from testmend.errors import InfrastructureError, InputError
 from testmend.evaluate import (
+    EvalSettings,
     evaluate_dataset,
     prepare_sample,
     render_table,
-    split_lsp_command,
     write_report,
 )
-from testmend.prompting import (
-    DEFAULT_ATTEMPTS,
-    DEFAULT_TEMPERATURE,
-    DEFAULT_TOKEN_CAP,
-    repair,
-)
+from testmend.prompting import repair
 from testmend.provider import (
     ENDPOINT_VAR,
     KEY_VAR,
@@ -41,35 +36,11 @@ from testmend.provider import (
     ReplayProvider,
     prompt_digest,
 )
-from testmend.rerank import DEFAULT_K, LexicalScorer, RemoteScorer, Scorer
+from testmend.rerank import LexicalScorer, RemoteScorer, Scorer
 from testmend.resolver import parse_source
 from testmend.signatures import focal_change, render_kinds
 
 PROG = "testmend"
-
-
-class RunConfig(NamedTuple):
-    """Merged run settings; field names double as config-file keys.
-
-    The fields of :class:`~testmend.evaluate.EvalSettings` come first, with
-    its defaults, so a config passes as the settings of an eval; the run's
-    own follow.  A non-empty ``scorer_endpoint`` selects the remote scorer;
-    an empty one, the default, selects the lexical scorer.
-    """
-
-    k: int = DEFAULT_K
-    attempts: int = DEFAULT_ATTEMPTS
-    temperature: float = DEFAULT_TEMPERATURE
-    token_cap: int = DEFAULT_TOKEN_CAP
-    jobs: int = 1
-    llm_queries: bool = False
-    lsp_command: str = ""
-    scorer_endpoint: str = ""
-    provider: str = ""  # "" (none) | "live" | "replay"
-    replay_dir: str = ""
-    llm_endpoint: str = ""
-    llm_model: str = ""
-    out: str = "out"
 
 
 def _load_config_file(path: str) -> dict:
@@ -81,7 +52,7 @@ def _load_config_file(path: str) -> dict:
         raise InputError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise InputError(f"config file {path} must hold a JSON object")
-    unknown = sorted(set(raw) - set(RunConfig._fields))
+    unknown = sorted(set(raw) - set(EvalSettings._fields))
     if unknown:
         raise InputError(f"config file {path}: unknown keys {', '.join(unknown)}")
     return raw
@@ -90,7 +61,8 @@ def _load_config_file(path: str) -> dict:
 def _coerce(key: str, value, kind: type):
     """``value`` as ``kind``, the declared type of config field ``key``."""
     try:
-        if kind is not str and isinstance(value, bool) != (kind is bool):
+        fits = isinstance(value, str) if kind is str else isinstance(value, bool) == (kind is bool)
+        if not fits:
             raise ValueError(f"expected {kind.__name__}")
         if kind is int and isinstance(value, float) and not value.is_integer():
             raise ValueError("expected a whole number")
@@ -102,18 +74,18 @@ def _coerce(key: str, value, kind: type):
 _MINIMUMS = {"k": 0, "attempts": 1, "jobs": 1}
 
 
-def resolve_config(args: argparse.Namespace) -> RunConfig:
+def resolve_config(args: argparse.Namespace) -> EvalSettings:
     """Defaults, overridden by environment, config file, then flags."""
-    config = RunConfig()
+    config = EvalSettings()
     if os.environ.get(ENDPOINT_VAR):
         config = config._replace(llm_endpoint=os.environ[ENDPOINT_VAR])
     if os.environ.get(MODEL_VAR):
         config = config._replace(llm_model=os.environ[MODEL_VAR])
     if getattr(args, "config", None):
-        types = get_type_hints(RunConfig)
+        types = get_type_hints(EvalSettings)
         for key, value in _load_config_file(args.config).items():
             config = config._replace(**{key: _coerce(key, value, types[key])})
-    for name in RunConfig._fields:
+    for name in EvalSettings._fields:
         flag_value = getattr(args, name, None)
         if flag_value is not None:
             config = config._replace(**{name: flag_value})
@@ -126,13 +98,13 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return config
 
 
-def build_scorer(config: RunConfig) -> Scorer:
+def build_scorer(config: EvalSettings) -> Scorer:
     if config.scorer_endpoint:
         return RemoteScorer(config.scorer_endpoint)
     return LexicalScorer()
 
 
-def build_provider(config: RunConfig, *, required: bool = False) -> ChatProvider | None:
+def build_provider(config: EvalSettings, *, required: bool = False) -> ChatProvider | None:
     if not config.provider:
         if required:
             raise InputError("this command requires --provider live or --provider replay")
@@ -166,7 +138,7 @@ def sanitize_id(sample_id: str) -> str:
     return "_" * max(1, len(safe)) if safe in ("", ".", "..") else safe
 
 
-def _sample_dir(config: RunConfig, sample_id: str) -> Path:
+def _sample_dir(config: EvalSettings, sample_id: str) -> Path:
     out = Path(config.out) / sanitize_id(sample_id)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -184,7 +156,7 @@ def _write_json(path: Path, payload: dict) -> Path:
 # ----------------------------------------------------------------------
 
 
-def cmd_classify(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_classify(args: argparse.Namespace, config: EvalSettings) -> int:
     sample = load_sample(args.manifest, args.sample)
     snapshot = sample.snapshot()
     focal = focal_change(
@@ -209,7 +181,7 @@ def cmd_classify(args: argparse.Namespace, config: RunConfig) -> int:
     return 0
 
 
-def cmd_collect(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_collect(args: argparse.Namespace, config: EvalSettings) -> int:
     sample = load_sample(args.manifest, args.sample)
     prepared = prepare_sample(sample, scorer=LexicalScorer(), settings=config)
     path = _write_json(
@@ -220,7 +192,7 @@ def cmd_collect(args: argparse.Namespace, config: RunConfig) -> int:
     return 0
 
 
-def cmd_rerank(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_rerank(args: argparse.Namespace, config: EvalSettings) -> int:
     sample = load_sample(args.manifest, args.sample)
     scorer = build_scorer(config)
     prepared = prepare_sample(sample, scorer=scorer, settings=config)
@@ -244,7 +216,7 @@ def cmd_rerank(args: argparse.Namespace, config: RunConfig) -> int:
     return 0
 
 
-def cmd_prompt(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_prompt(args: argparse.Namespace, config: EvalSettings) -> int:
     sample = load_sample(args.manifest, args.sample)
     scorer = build_scorer(config)
     prepared = prepare_sample(sample, scorer=scorer, settings=config)
@@ -261,7 +233,7 @@ def cmd_prompt(args: argparse.Namespace, config: RunConfig) -> int:
     return 0
 
 
-def cmd_repair(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_repair(args: argparse.Namespace, config: EvalSettings) -> int:
     sample = load_sample(args.manifest, args.sample)
     provider = build_provider(config, required=True)
     scorer = build_scorer(config)
@@ -289,13 +261,12 @@ def cmd_repair(args: argparse.Namespace, config: RunConfig) -> int:
     return 0
 
 
-def cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_eval(args: argparse.Namespace, config: EvalSettings) -> int:
     load = load_manifest(args.manifest)
     for rejected_id, rule in load.rejects:
         print(f"warning: skipping {rejected_id}: {rule}", file=sys.stderr)
     scorer = build_scorer(config)
     provider = build_provider(config)
-    split_lsp_command(config)
     report = evaluate_dataset(
         load.samples, scorer=scorer, provider=provider, settings=config
     )

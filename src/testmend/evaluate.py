@@ -21,9 +21,11 @@ import logging
 import shlex
 import threading
 import time
+from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
+from types import MappingProxyType
 from typing import NamedTuple
 
 from testmend import metrics
@@ -64,53 +66,30 @@ log = logging.getLogger(__name__)
 _STATIC_STAGES = threading.Lock()
 
 
-class SampleScore:
-    """One report row, filled in stage by stage as the sample runs.
+class SampleScore(NamedTuple):
+    """One report row: the fields of :meth:`as_dict`, in report order.
 
-    ``ROW`` names the fields of :meth:`as_dict`, in report order;
     ``timings`` holds each stage's seconds and stays out of the row.
     """
 
-    ROW = (
-        "sample_id", "code_bleu", "diff_bleu", "exact_match", "exact_match_raw",
-        "syntax_ok", "prompt_token_count", "selection_reason", "selected_text",
-        "ground_truth", "kinds", "scorer_fallback", "error",
-    )
-    __slots__ = (*ROW, "timings")
-
-    def __init__(
-        self,
-        sample_id: str,
-        code_bleu: float | None = None,
-        diff_bleu: float | None = None,
-        exact_match: bool | None = None,
-        exact_match_raw: bool | None = None,
-        syntax_ok: bool = False,
-        prompt_token_count: int = 0,
-        selection_reason: str = "",
-        selected_text: str = "",
-        ground_truth: str = "",
-        kinds: str = "",
-        scorer_fallback: bool = False,
-        error: str | None = None,
-    ):
-        self.sample_id = sample_id
-        self.code_bleu = code_bleu
-        self.diff_bleu = diff_bleu
-        self.exact_match = exact_match
-        self.exact_match_raw = exact_match_raw
-        self.syntax_ok = syntax_ok
-        self.prompt_token_count = prompt_token_count
-        self.selection_reason = selection_reason
-        self.selected_text = selected_text
-        self.ground_truth = ground_truth
-        self.kinds = kinds
-        self.scorer_fallback = scorer_fallback
-        self.error = error
-        self.timings: dict[str, float] = {}
+    sample_id: str
+    code_bleu: float | None = None
+    diff_bleu: float | None = None
+    exact_match: bool | None = None
+    exact_match_raw: bool | None = None
+    syntax_ok: bool = False
+    prompt_token_count: int = 0
+    selection_reason: str = ""
+    selected_text: str = ""
+    ground_truth: str = ""
+    kinds: str = ""
+    scorer_fallback: bool = False
+    error: str | None = None
+    timings: Mapping[str, float] = MappingProxyType({})
 
     def as_dict(self) -> dict:
-        row = {name: getattr(self, name) for name in self.ROW}
+        row = self._asdict()
+        del row["timings"]
         for name in ("code_bleu", "diff_bleu"):
             if row[name] is not None:
                 row[name] = round(row[name], 6)
@@ -118,10 +97,12 @@ class SampleScore:
 
 
 class EvalSettings(NamedTuple):
-    """Pipeline settings; field names double as config-file keys.
+    """Run settings; field names double as config-file keys.
 
-    A non-blank ``lsp_command`` selects the language-server resolver; a
-    blank one, the default, selects the builtin resolver.
+    The pipeline's settings come first, then the run's own.  A non-blank
+    ``lsp_command`` selects the language-server resolver and a non-empty
+    ``scorer_endpoint`` the remote scorer; the defaults select the builtin
+    resolver and the lexical scorer.
     """
 
     k: int = DEFAULT_K
@@ -131,6 +112,12 @@ class EvalSettings(NamedTuple):
     jobs: int = 1
     llm_queries: bool = False  # statement queries via the provider
     lsp_command: str = ""  # language server command line
+    scorer_endpoint: str = ""
+    provider: str = ""  # "" (none) | "live" | "replay"
+    replay_dir: str = ""
+    llm_endpoint: str = ""
+    llm_model: str = ""
+    out: str = "out"
 
 
 def split_lsp_command(settings: EvalSettings) -> tuple[str, ...]:
@@ -246,8 +233,10 @@ def run_sample(
     settings: EvalSettings | None = None,
 ) -> SampleScore:
     settings = settings or EvalSettings()
-    score = SampleScore(sample_id=sample.id, ground_truth=sample.ground_truth or "")
-    timings = score.timings
+    timings: dict[str, float] = {}
+    # The row's fields as the stages set them; a failed sample reports
+    # those set before the failure.
+    row: dict = {"ground_truth": sample.ground_truth or ""}
     try:
         with _STATIC_STAGES:
             prepared = prepare_sample(
@@ -257,9 +246,9 @@ def run_sample(
                 settings=settings,
                 timings=timings,
             )
-        score.kinds = prepared.kinds
-        score.scorer_fallback = prepared.scorer_fallback
-        score.prompt_token_count = prepared.prompt.token_count()
+        row["kinds"] = prepared.kinds
+        row["scorer_fallback"] = prepared.scorer_fallback
+        row["prompt_token_count"] = prepared.prompt.token_count()
         if provider is None:
             raise ProviderError("no chat provider configured")
         with _stage(timings, "repair"):
@@ -270,15 +259,15 @@ def run_sample(
                 temperature=settings.temperature,
                 ground_truth=sample.ground_truth,
             )
-            score.syntax_ok = result.syntax_ok
-            score.selection_reason = result.selection_reason
-            score.selected_text = result.selected_text
+            row["syntax_ok"] = result.syntax_ok
+            row["selection_reason"] = result.selection_reason
+            row["selected_text"] = result.selected_text
         with _stage(timings, "metrics"):
             if sample.ground_truth is not None:
                 records = result.records
                 selected = metrics.record_in(records, result.selected_text)
                 truth = metrics.record_in(records, sample.ground_truth)
-                score.code_bleu = result.code_bleu[result.selected]
+                row["code_bleu"] = result.code_bleu[result.selected]
                 # A candidate that repeats the obsolete test has its record.
                 original = records.get(prepared.test_text)
                 original_text = (
@@ -286,15 +275,15 @@ def run_sample(
                     if original is None
                     else original.text
                 )
-                score.diff_bleu = metrics.diff_bleu(original_text, selected, truth)
-                score.exact_match = metrics.exact_match(selected, truth)
-                score.exact_match_raw = metrics.exact_match_raw(
+                row["diff_bleu"] = metrics.diff_bleu(original_text, selected, truth)
+                row["exact_match"] = metrics.exact_match(selected, truth)
+                row["exact_match_raw"] = metrics.exact_match_raw(
                     result.selected_text, sample.ground_truth
                 )
     except Exception as exc:  # noqa: BLE001 — one bad sample must not stop the run
         log.warning("sample %s failed: %s", sample.id, exc)
-        score.error = f"{type(exc).__name__}: {exc}"
-    return score
+        row["error"] = f"{type(exc).__name__}: {exc}"
+    return SampleScore(sample.id, **row, timings=timings)
 
 
 class EvaluationReport(NamedTuple):
@@ -342,8 +331,7 @@ def evaluate_dataset(
     config = {
         "scorer": scorer.kind,
         "provider": "none" if provider is None else provider.kind,
-        # shlex.split gives words exactly when the text has more than its blanks.
-        "backend": "lsp" if settings.lsp_command.strip(" \t\r\n") else "builtin",
+        "backend": "lsp" if split_lsp_command(settings) else "builtin",
         "k": settings.k,
         "attempts": settings.attempts,
         "temperature": settings.temperature,

@@ -185,14 +185,18 @@ class _KindTable(dict):
     Filled with the keywords and operators; any other lexeme's kind comes
     from its first character.  It is remembered if it is at most
     :data:`_MEMO_MAX_LEN` characters long and the table holds fewer than
-    :data:`_KIND_TABLE_LIMIT` lexemes (other lexemes are classified again
-    at each lookup), so the table's size in bytes is bounded and does not
-    grow with a repository's vocabulary or its literals; threads that miss
-    at once may each add one lexeme past the limit.  A malformed lexeme
-    has no kind: looking it up raises :class:`KeyError`.
+    :data:`_KIND_TABLE_LIMIT` lexemes, so the table's size in bytes is
+    bounded and does not grow with a repository's vocabulary or its
+    literals; threads that miss at once may each add one lexeme past the
+    limit.  A miss on a full table makes :data:`_KINDS` a fresh table, so
+    later lookups remember the current vocabulary, not the first one.  The
+    full table is replaced, never cleared: a thread still reading it keeps
+    every keyword.  A malformed lexeme has no kind: looking it up raises
+    :class:`KeyError`.
     """
 
     def __missing__(self, lexeme: str) -> str:
+        global _KINDS
         first = lexeme[0]
         if first == '"' and lexeme != '"""' and _closed(lexeme):
             kind = STRING
@@ -204,12 +208,16 @@ class _KindTable(dict):
             kind = IDENT  # \w is str.isalnum and '_'
         else:
             raise KeyError(lexeme)
-        if len(lexeme) <= _MEMO_MAX_LEN and len(self) < _KIND_TABLE_LIMIT:
-            self[lexeme] = kind
+        if len(lexeme) <= _MEMO_MAX_LEN:
+            if len(self) < _KIND_TABLE_LIMIT:
+                self[lexeme] = kind
+            elif _KINDS is self:
+                _KINDS = _KindTable(_FIXED_KINDS)
         return kind
 
 
-_KINDS = _KindTable({**dict.fromkeys(KEYWORDS, KEYWORD), **dict.fromkeys(_OPERATORS, OP)})
+_FIXED_KINDS = {**dict.fromkeys(KEYWORDS, KEYWORD), **dict.fromkeys(_OPERATORS, OP)}
+_KINDS = _KindTable(_FIXED_KINDS)
 
 
 def _malformed(lexeme: str, line: int, col: int) -> ParseError:

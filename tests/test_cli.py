@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ from typing import get_type_hints
 import pytest
 
 from testmend import dataset
-from testmend.cli import RunConfig, build_parser, main, resolve_config, sanitize_id
+from testmend.cli import build_parser, main, resolve_config, sanitize_id
 from testmend.evaluate import EvalSettings
 from testmend.provider import ENDPOINT_VAR, KEY_VAR, MODEL_VAR
 
@@ -333,14 +334,47 @@ def test_importing_the_cli_builds_no_dataclasses():
 # ----------------------------------------------------------------------
 
 
-def test_run_config_leads_with_the_eval_settings():
-    # A config passes as the settings of an eval: the same fields, types
-    # and defaults first.
-    n = len(EvalSettings._fields)
-    assert RunConfig._fields[:n] == EvalSettings._fields
-    assert tuple(RunConfig())[:n] == tuple(EvalSettings())
-    run_types, eval_types = get_type_hints(RunConfig), get_type_hints(EvalSettings)
-    assert all(run_types[name] is eval_types[name] for name in EvalSettings._fields)
+def _setting_values() -> dict:
+    """A value of each setting's declared type other than its default."""
+    types = get_type_hints(EvalSettings)
+    values = {}
+    for name, default in EvalSettings._field_defaults.items():
+        if types[name] is bool:
+            values[name] = not default
+        elif types[name] is str:
+            values[name] = "replay" if name == "provider" else f"{name}-value"
+        else:
+            values[name] = types[name](default + 2)
+    return values
+
+
+def test_every_setting_is_a_config_key(tmp_path):
+    values = _setting_values()
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(values))
+    args = build_parser().parse_args(
+        ["eval", "--manifest", "m.json", "--config", str(cfg_file)]
+    )
+    config = resolve_config(args)
+    assert config._asdict() == values
+    types = get_type_hints(EvalSettings)
+    assert all(type(getattr(config, name)) is types[name] for name in values)
+
+
+@pytest.mark.parametrize("command", ["classify", "collect", "rerank", "prompt", "repair", "eval"])
+def test_every_flag_is_a_setting(capsys, command):
+    # llm_queries is set from the config file only.
+    values = {k: v for k, v in _setting_values().items() if k != "llm_queries"}
+    flags = {"--" + name.replace("_", "-"): name for name in values}
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    assert set(flags) <= listed
+    assert listed - set(flags) <= {"--help", "--config", "--manifest", "--sample"}
+    argv = [command, "--manifest", "m.json"] + ([] if command == "eval" else ["--sample", "s"])
+    for flag, name in flags.items():
+        argv += [flag, str(values[name])]
+    assert resolve_config(build_parser().parse_args(argv)) == EvalSettings(**values)
 
 
 def test_config_precedence_flags_over_file_over_env(tmp_path, monkeypatch):
@@ -403,6 +437,9 @@ def test_config_values_take_the_declared_type(tmp_path, key, value, expected):
         ("k", -1),
         ("attempts", 0),
         ("jobs", 0),
+        ("out", None),
+        ("lsp_command", ["java", "-jar"]),
+        ("provider", True),
     ],
 )
 def test_malformed_config_value_exits_2(tmp_path, capsys, key, value):

@@ -283,6 +283,20 @@ def test_the_kind_memo_stays_bounded(monkeypatch):
     assert len(table) == bound
 
 
+def test_a_full_kind_memo_gives_way_to_a_fresh_one(monkeypatch):
+    table = lexer._KindTable(lexer._KINDS)
+    monkeypatch.setattr(lexer, "_KINDS", table)
+    words = [f"w{i}" for i in range(lexer._KIND_TABLE_LIMIT)]
+    lexer.scan(" ".join(words))
+    assert len(table) == lexer._KIND_TABLE_LIMIT
+    # The full table is swapped, not cleared: a reader keeps its keywords.
+    assert lexer.scan("w_fresh1")[0] == [lexer.IDENT]
+    assert lexer._KINDS is not table and table["class"] == lexer.KEYWORD
+    assert "w_fresh1" not in table
+    assert lexer.scan("w_fresh2 class")[0] == [lexer.IDENT, lexer.KEYWORD]
+    assert "w_fresh2" in lexer._KINDS and "w0" not in lexer._KINDS
+
+
 @pytest.mark.parametrize(
     "text, kind",
     [

@@ -9,9 +9,10 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from testmend.cli import RunConfig, build_scorer
+from testmend.cli import build_scorer
 from testmend.collectors import ClassCtxGroup, ContextChunk, TROCtxBundle
 from testmend.errors import ScorerError
+from testmend.evaluate import EvalSettings
 from testmend.queries import QuerySet
 from testmend.rerank import (
     UNRANKED,
@@ -259,9 +260,9 @@ def test_remote_scorer_raises_on_http_failure(score_double):
 
 
 def test_build_scorer_follows_config():
-    assert build_scorer(RunConfig()).kind == "lexical"
-    assert build_scorer(RunConfig(scorer_endpoint="")).kind == "lexical"
-    remote = build_scorer(RunConfig(scorer_endpoint="http://127.0.0.1:1/rerank"))
+    assert build_scorer(EvalSettings()).kind == "lexical"
+    assert build_scorer(EvalSettings(scorer_endpoint="")).kind == "lexical"
+    remote = build_scorer(EvalSettings(scorer_endpoint="http://127.0.0.1:1/rerank"))
     assert remote.kind == "remote"
     assert remote.endpoint == "http://127.0.0.1:1/rerank"
     assert remote.timeout == 30.0
