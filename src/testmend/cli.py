@@ -73,6 +73,9 @@ def _coerce(key: str, value, kind: type):
 
 _MINIMUMS = {"k": 0, "attempts": 1, "jobs": 1}
 
+# The values of the provider setting; "" selects none.
+PROVIDERS = ("", "live", "replay")
+
 
 def resolve_config(args: argparse.Namespace) -> EvalSettings:
     """Defaults, overridden by environment, config file, then flags."""
@@ -95,6 +98,11 @@ def resolve_config(args: argparse.Namespace) -> EvalSettings:
             raise InputError(
                 f"config value {key}={value!r} is invalid: must be at least {minimum}"
             )
+    if config.provider not in PROVIDERS:
+        raise InputError(
+            f"config value provider={config.provider!r} is invalid: "
+            f"must be one of {', '.join(map(repr, PROVIDERS))}"
+        )
     return config
 
 
@@ -105,6 +113,7 @@ def build_scorer(config: EvalSettings) -> Scorer:
 
 
 def build_provider(config: EvalSettings, *, required: bool = False) -> ChatProvider | None:
+    """The configured provider; :func:`resolve_config` has checked its name."""
     if not config.provider:
         if required:
             raise InputError("this command requires --provider live or --provider replay")
@@ -115,16 +124,14 @@ def build_provider(config: EvalSettings, *, required: bool = False) -> ChatProvi
         if not Path(config.replay_dir).is_dir():
             raise InputError(f"replay directory does not exist: {config.replay_dir}")
         return ReplayProvider(config.replay_dir)
-    if config.provider == "live":
-        if not (config.llm_endpoint and config.llm_model):
-            raise InputError(
-                "live provider requires an endpoint and model "
-                f"(--llm-endpoint/--llm-model or {ENDPOINT_VAR}/{MODEL_VAR})"
-            )
-        return LiveProvider(
-            config.llm_endpoint, config.llm_model, key=os.environ.get(KEY_VAR, "")
+    if not (config.llm_endpoint and config.llm_model):
+        raise InputError(
+            "live provider requires an endpoint and model "
+            f"(--llm-endpoint/--llm-model or {ENDPOINT_VAR}/{MODEL_VAR})"
         )
-    raise InputError(f"unknown provider {config.provider!r}")
+    return LiveProvider(
+        config.llm_endpoint, config.llm_model, key=os.environ.get(KEY_VAR, "")
+    )
 
 
 # ----------------------------------------------------------------------
@@ -301,7 +308,7 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
         "--scorer-endpoint", dest="scorer_endpoint", default=None,
         help="HTTP endpoint of a remote reranking scorer; selects that scorer",
     )
-    parser.add_argument("--provider", choices=["live", "replay"], default=None)
+    parser.add_argument("--provider", choices=PROVIDERS[1:], default=None)
     parser.add_argument(
         "--replay-dir", dest="replay_dir", default=None,
         help="directory of canned provider responses",

@@ -6,11 +6,15 @@ candidate against the ground truth.  Failures are recorded per sample
 and never abort the run.  Report files are deterministic for a fixed
 configuration: wall-clock timings are written to their own file.
 
-Concurrency is decided here alone.  The static stages (load through
-prompt) read process-wide caches that take no lock, so :func:`run_sample`
-runs :func:`prepare_sample` under one module lock: at ``jobs`` above 1 one
-sample at a time is prepared, while the repair's provider calls and the
-metrics of the other samples overlap.
+Concurrency is decided here alone.  The stages read process-wide caches
+that take no lock, so :func:`run_sample` holds one module lock for the
+whole sample: at most one thread runs the pipeline at a time.  Threads pay
+only while a request waits outside the process, so :func:`evaluate_dataset`
+starts a pool only at ``jobs`` above 1 with a provider that waits
+(``ChatProvider.waits``, the live one), and hands the samples a wrapper
+that releases the lock while each request is in flight: the requests of
+different samples overlap, nothing else does.  Every other run, a replay
+run included, is serial and starts no thread.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ import shlex
 import threading
 import time
 from collections.abc import Mapping
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
 from types import MappingProxyType
@@ -61,9 +64,26 @@ from testmend.snapshot import unified_diff
 
 log = logging.getLogger(__name__)
 
-# Held around prepare_sample by run_sample: the static stages are
-# single-threaded by contract (see the module docstring).
-_STATIC_STAGES = threading.Lock()
+# Held by run_sample for the whole sample: the stages are single-threaded
+# by contract (see the module docstring).
+_ONE_SAMPLE = threading.Lock()
+
+
+class _Unlocking:
+    """A waiting provider whose requests let other samples run meanwhile.
+
+    Used only from inside :func:`run_sample`, which holds the lock.
+    """
+
+    def __init__(self, provider: ChatProvider):
+        self.provider = provider
+
+    def complete(self, messages, **kwargs) -> str:
+        _ONE_SAMPLE.release()
+        try:
+            return self.provider.complete(messages, **kwargs)
+        finally:
+            _ONE_SAMPLE.acquire()
 
 
 class SampleScore(NamedTuple):
@@ -161,7 +181,7 @@ def prepare_sample(
     """Run every stage up to (and including) prompt assembly.
 
     Not thread-safe: callers that run samples in threads go through
-    :func:`run_sample`, which serializes this call.
+    :func:`run_sample`, which holds one lock for the whole sample.
     """
     settings = settings or EvalSettings()
     scorer = scorer or LexicalScorer()
@@ -237,8 +257,8 @@ def run_sample(
     # The row's fields as the stages set them; a failed sample reports
     # those set before the failure.
     row: dict = {"ground_truth": sample.ground_truth or ""}
-    try:
-        with _STATIC_STAGES:
+    with _ONE_SAMPLE:
+        try:
             prepared = prepare_sample(
                 sample,
                 scorer=scorer,
@@ -246,43 +266,43 @@ def run_sample(
                 settings=settings,
                 timings=timings,
             )
-        row["kinds"] = prepared.kinds
-        row["scorer_fallback"] = prepared.scorer_fallback
-        row["prompt_token_count"] = prepared.prompt.token_count()
-        if provider is None:
-            raise ProviderError("no chat provider configured")
-        with _stage(timings, "repair"):
-            result = repair(
-                prepared.prompt,
-                provider,
-                attempts=settings.attempts,
-                temperature=settings.temperature,
-                ground_truth=sample.ground_truth,
-            )
-            row["syntax_ok"] = result.syntax_ok
-            row["selection_reason"] = result.selection_reason
-            row["selected_text"] = result.selected_text
-        with _stage(timings, "metrics"):
-            if sample.ground_truth is not None:
-                records = result.records
-                selected = metrics.record_in(records, result.selected_text)
-                truth = metrics.record_in(records, sample.ground_truth)
-                row["code_bleu"] = result.code_bleu[result.selected]
-                # A candidate that repeats the obsolete test has its record.
-                original = records.get(prepared.test_text)
-                original_text = (
-                    metrics.normalize_method_text(prepared.test_text)
-                    if original is None
-                    else original.text
+            row["kinds"] = prepared.kinds
+            row["scorer_fallback"] = prepared.scorer_fallback
+            row["prompt_token_count"] = prepared.prompt.token_count()
+            if provider is None:
+                raise ProviderError("no chat provider configured")
+            with _stage(timings, "repair"):
+                result = repair(
+                    prepared.prompt,
+                    provider,
+                    attempts=settings.attempts,
+                    temperature=settings.temperature,
+                    ground_truth=sample.ground_truth,
                 )
-                row["diff_bleu"] = metrics.diff_bleu(original_text, selected, truth)
-                row["exact_match"] = metrics.exact_match(selected, truth)
-                row["exact_match_raw"] = metrics.exact_match_raw(
-                    result.selected_text, sample.ground_truth
-                )
-    except Exception as exc:  # noqa: BLE001 — one bad sample must not stop the run
-        log.warning("sample %s failed: %s", sample.id, exc)
-        row["error"] = f"{type(exc).__name__}: {exc}"
+                row["syntax_ok"] = result.syntax_ok
+                row["selection_reason"] = result.selection_reason
+                row["selected_text"] = result.selected_text
+            with _stage(timings, "metrics"):
+                if sample.ground_truth is not None:
+                    records = result.records
+                    selected = metrics.record_in(records, result.selected_text)
+                    truth = metrics.record_in(records, sample.ground_truth)
+                    row["code_bleu"] = result.code_bleu[result.selected]
+                    # A candidate that repeats the obsolete test has its record.
+                    original = records.get(prepared.test_text)
+                    original_text = (
+                        metrics.normalize_method_text(prepared.test_text)
+                        if original is None
+                        else original.text
+                    )
+                    row["diff_bleu"] = metrics.diff_bleu(original_text, selected, truth)
+                    row["exact_match"] = metrics.exact_match(selected, truth)
+                    row["exact_match_raw"] = metrics.exact_match_raw(
+                        result.selected_text, sample.ground_truth
+                    )
+        except Exception as exc:  # noqa: BLE001 — one bad sample must not stop the run
+            log.warning("sample %s failed: %s", sample.id, exc)
+            row["error"] = f"{type(exc).__name__}: {exc}"
     return SampleScore(sample.id, **row, timings=timings)
 
 
@@ -338,20 +358,23 @@ def evaluate_dataset(
         "token_cap": settings.token_cap,
         "llm_queries": settings.llm_queries,
     }
-    if settings.jobs == 1:
-        rows = [
-            run_sample(s, scorer=scorer, provider=provider, settings=settings)
-            for s in samples
-        ]
-    else:
+    if settings.jobs > 1 and provider is not None and provider.waits:
+        from concurrent.futures import ThreadPoolExecutor  # a serial run never loads it
+
+        unlocking = _Unlocking(provider)
         with ThreadPoolExecutor(max_workers=settings.jobs) as pool:
             futures = [
                 pool.submit(
-                    run_sample, s, scorer=scorer, provider=provider, settings=settings
+                    run_sample, s, scorer=scorer, provider=unlocking, settings=settings
                 )
                 for s in samples
             ]
             rows = [f.result() for f in futures]
+    else:
+        rows = [
+            run_sample(s, scorer=scorer, provider=provider, settings=settings)
+            for s in samples
+        ]
     return EvaluationReport(rows=rows, config=config)
 
 

@@ -30,7 +30,17 @@ Message = dict[str, str]
 
 
 class ChatProvider(Protocol):
+    """A source of assistant texts.
+
+    ``waits`` is True when a request waits on something outside the
+    process, such as a network call; only then does ``eval --jobs N`` run
+    samples in threads, each releasing the pipeline's lock while its
+    request is in flight (see :mod:`testmend.evaluate`).  A provider that
+    answers at once gains nothing from threads, so it runs serially.
+    """
+
     kind: str
+    waits: bool
 
     def complete(
         self, messages: Sequence[Message], *, temperature: float = 0.0, attempt: int = 0
@@ -59,6 +69,7 @@ class LiveProvider:
     """HTTP chat-completion client with one retry per request."""
 
     kind = "live"
+    waits = True
 
     def __init__(
         self,
@@ -144,6 +155,7 @@ class ReplayProvider:
     """
 
     kind = "replay"
+    waits = False
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)

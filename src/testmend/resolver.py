@@ -56,8 +56,9 @@ Hygiene and classify read a sample's own sources through it too
 (:func:`parse_source`), so no stage parses a snapshot file's raw text.
 
 This module is single-threaded by contract: the cache takes no lock.
-:func:`testmend.evaluate.run_sample` holds one lock around the static
-stages, so at most one thread uses the cache at a time.
+:func:`testmend.evaluate.run_sample` holds one lock for the whole sample
+and lets it go only while a waiting provider's request is in flight, so
+at most one thread uses the cache at a time.
 """
 
 from __future__ import annotations

@@ -440,17 +440,24 @@ def test_config_values_take_the_declared_type(tmp_path, key, value, expected):
         ("out", None),
         ("lsp_command", ["java", "-jar"]),
         ("provider", True),
+        ("provider", "bogus"),
     ],
 )
 def test_malformed_config_value_exits_2(tmp_path, capsys, key, value):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({key: value}))
-    code = run_cli(
-        "classify", "--manifest", MANIFEST, "--sample", "mount-param",
-        "--config", str(cfg_file), "--out", str(tmp_path / "a"),
-    )
-    assert code == 2
-    assert f"config value {key}=" in capsys.readouterr().err
+    for command, sample in (
+        ("classify", ["--sample", "mount-param"]),
+        ("collect", ["--sample", "mount-param"]),
+        ("eval", []),
+    ):
+        code = run_cli(
+            command, "--manifest", MANIFEST, *sample,
+            "--config", str(cfg_file), "--out", str(tmp_path / "a"),
+        )
+        assert code == 2, command
+        assert f"config value {key}=" in capsys.readouterr().err, command
+    assert not (tmp_path / "a").exists()
 
 
 def test_out_of_range_flag_exits_2_naming_the_minimum(tmp_path, capsys):

@@ -12,7 +12,7 @@ import pytest
 
 from testmend import evaluate, metrics, resolver
 from testmend.dataset import RepairSample, load_manifest, load_sample
-from testmend.errors import ScorerError
+from testmend.errors import ProviderError, ScorerError
 from testmend.evaluate import (
     EvalSettings,
     EvaluationReport,
@@ -314,7 +314,9 @@ def test_repair_and_metrics_build_each_text_once(fixture_samples, tmp_path, monk
         return [paths[key].read_bytes() for key in ("json", "jsonl", "text", "worksheet")]
 
     parallel = evaluate_dataset(
-        [sample, sample], provider=provider, settings=EvalSettings(attempts=3, jobs=4)
+        [sample, sample],
+        provider=WaitingProvider(provider),
+        settings=EvalSettings(attempts=3, jobs=4),
     )
     assert report_bytes(serial, "jobs-1") == report_bytes(parallel, "jobs-4")
 
@@ -448,7 +450,7 @@ def test_parallel_jobs_match_serial_results(fixture_samples, tmp_path):
     provider = seed_replay(tmp_path, fixture_samples, ground_truth_response)
     serial = evaluate_dataset(fixture_samples, provider=provider)
     parallel = evaluate_dataset(
-        fixture_samples, provider=provider, settings=EvalSettings(jobs=4)
+        fixture_samples, provider=WaitingProvider(provider), settings=EvalSettings(jobs=4)
     )
     assert [r.as_dict() for r in serial.rows] == [r.as_dict() for r in parallel.rows]
 
@@ -466,7 +468,9 @@ def test_samples_sharing_files_report_alike_at_any_jobs(tmp_path, monkeypatch):
 
     def report_files(samples, jobs, out_name):
         monkeypatch.setattr(resolver, "_SOURCES", resolver.SourceCache())
-        report = evaluate_dataset(samples, provider=provider, settings=EvalSettings(jobs=jobs))
+        # Only a provider that waits runs the samples in threads.
+        runs = provider if jobs == 1 else WaitingProvider(provider)
+        report = evaluate_dataset(samples, provider=runs, settings=EvalSettings(jobs=jobs))
         paths = write_report(report, tmp_path / out_name)
         return paths["json"].read_bytes(), paths["jsonl"].read_bytes()
 
@@ -522,6 +526,7 @@ class WaitingProvider:
     """A replay provider whose calls wait (a bounded time) for a second one."""
 
     kind = "replay"
+    waits = True
 
     def __init__(self, replay):
         self.replay = replay
@@ -535,7 +540,7 @@ class WaitingProvider:
 
 def test_jobs_prepare_one_sample_at_a_time(fixture_samples, tmp_path):
     samples = fixture_samples * 2
-    provider = seed_replay(tmp_path, fixture_samples, ground_truth_response)
+    provider = WaitingProvider(seed_replay(tmp_path, fixture_samples, ground_truth_response))
     scorer = SlowScorer()
     report = evaluate_dataset(
         samples, scorer=scorer, provider=provider, settings=EvalSettings(jobs=4)
@@ -550,6 +555,100 @@ def test_jobs_overlap_provider_calls(fixture_samples, tmp_path):
     report = evaluate_dataset(samples, provider=provider, settings=EvalSettings(jobs=4))
     assert [r.exact_match for r in report.rows] == [True] * len(samples)
     assert provider.calls.most >= 2
+
+
+def test_jobs_run_one_sample_at_a_time_while_requests_overlap(
+    fixture_samples, tmp_path, monkeypatch
+):
+    """Scoring and metrics of different samples never run at once; only
+    the waiting provider's requests overlap."""
+    samples = fixture_samples * 2
+    provider = WaitingProvider(seed_replay(tmp_path, fixture_samples, ground_truth_response))
+    scorer = SlowScorer()
+    probe = scorer.calls
+    real_diff_bleu = metrics.diff_bleu
+
+    def slow_diff_bleu(*args):
+        with probe.call():
+            time.sleep(0.01)  # releases the interpreter lock
+            return real_diff_bleu(*args)
+
+    monkeypatch.setattr(metrics, "diff_bleu", slow_diff_bleu)
+    report = evaluate_dataset(
+        samples, scorer=scorer, provider=provider, settings=EvalSettings(jobs=4)
+    )
+    assert [r.exact_match for r in report.rows] == [True] * len(samples)
+    assert probe.most == 1
+    assert provider.calls.most >= 2
+
+
+@pytest.mark.parametrize("provider_kind", ["replay", "none"])
+def test_jobs_without_a_waiting_provider_start_no_thread(
+    fixture_samples, tmp_path, monkeypatch, provider_kind
+):
+    """A provider that answers at once gains nothing from threads, so
+    ``jobs`` above 1 runs serially, to the same bytes."""
+    provider = None
+    if provider_kind == "replay":
+        provider = seed_replay(tmp_path, fixture_samples, ground_truth_response)
+
+    def report_bytes(jobs):
+        report = evaluate_dataset(
+            fixture_samples, provider=provider, settings=EvalSettings(jobs=jobs)
+        )
+        paths = write_report(report, tmp_path / f"jobs-{jobs}")
+        return [paths[key].read_bytes() for key in ("json", "jsonl", "text", "worksheet")]
+
+    serial = report_bytes(1)
+
+    def no_thread(self):
+        raise AssertionError(f"thread {self.name} was started")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    assert report_bytes(4) == serial
+
+
+class RefusingProvider(WaitingProvider):
+    """A waiting provider that raises on every request for one prompt."""
+
+    def __init__(self, replay, refused_digest, error):
+        super().__init__(replay)
+        self.refused_digest = refused_digest
+        self.error = error
+
+    def complete(self, messages, **kwargs):
+        if prompt_digest(messages) == self.refused_digest:
+            raise self.error("request refused")
+        return super().complete(messages, **kwargs)
+
+
+@pytest.mark.parametrize("error", [ProviderError, RuntimeError])
+def test_jobs_a_failing_request_fails_only_its_sample(fixture_samples, tmp_path, error):
+    samples = fixture_samples * 2
+    refused = fixture_samples[0]
+    provider = RefusingProvider(
+        seed_replay(tmp_path, fixture_samples, ground_truth_response),
+        prompt_digest(prepare_sample(refused).prompt.messages()),
+        error,
+    )
+    reports = []
+    run = threading.Thread(
+        target=lambda: reports.append(
+            evaluate_dataset(samples, provider=provider, settings=EvalSettings(jobs=4))
+        ),
+        daemon=True,
+    )
+    run.start()
+    run.join(timeout=60)
+    assert not run.is_alive(), "the run hung"
+    (report,) = reports
+    failed = {
+        ProviderError: "ProviderError: all 3 repair attempts failed",
+        RuntimeError: "RuntimeError: request refused",
+    }[error]
+    assert [(r.error, r.exact_match) for r in report.rows] == [
+        (failed if s is refused else None, None if s is refused else True) for s in samples
+    ]
 
 
 def test_providers_name_their_kind(tmp_path):

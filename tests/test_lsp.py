@@ -9,7 +9,7 @@ import pytest
 from testmend import lsp
 from testmend.cli import main
 from testmend.dataset import load_manifest
-from testmend.errors import BackendUnavailable
+from testmend.errors import BackendUnavailable, ProviderError
 from testmend.evaluate import EvalSettings, evaluate_dataset, prepare_sample
 from testmend.javasrc.format import CursorPos
 from testmend.lsp import LspResolver
@@ -213,13 +213,28 @@ def test_prepare_sample_leaves_no_server_running(servers):
     assert [proc.poll() is not None for proc in servers] == [True] * len(servers)
 
 
+class RefusingProvider:
+    """A provider that waits, so ``eval`` runs its samples in threads, and
+    refuses every request."""
+
+    kind = "replay"
+    waits = True
+
+    def complete(self, messages, **kwargs):
+        raise ProviderError("request refused")
+
+
 def test_parallel_eval_leaves_no_server_running(servers):
     command = shlex.join([sys.executable, SERVER])
     samples = load_manifest(MANIFEST).samples * 2
-    report = evaluate_dataset(samples, settings=EvalSettings(jobs=4, lsp_command=command))
-    # Without a provider every sample stops after its prompt is assembled.
+    report = evaluate_dataset(
+        samples,
+        provider=RefusingProvider(),
+        settings=EvalSettings(jobs=4, lsp_command=command),
+    )
+    # Every sample stops when its repair attempts are refused.
     errors = [r.error for r in report.rows]
-    assert errors == ["ProviderError: no chat provider configured"] * len(samples)
+    assert errors == ["ProviderError: all 3 repair attempts failed"] * len(samples)
     assert len(servers) >= len(samples)
     assert [proc.poll() is not None for proc in servers] == [True] * len(servers)
 
