@@ -17,7 +17,9 @@ Three context families are gathered for a focal change:
   overlap the focal/test method bodies themselves.
 
 Both follow parents through one walk, ``ContextCollector._parent_chain``,
-which warns when a parent is outside the snapshot or the chain is
+which resolves each superclass as written, without its type arguments:
+simple, nested (``extends A.Inner``) or qualified (``extends q.Base``).
+It warns when a parent is outside the snapshot or the chain is
 truncated, and stops at a parent already in the chain.  A bundle keeps
 each warning once, in first-seen order.
 
@@ -36,6 +38,7 @@ sample's files only through that index (``index.snapshot``).
 from __future__ import annotations
 
 import logging
+import re
 from bisect import bisect_left
 from typing import NamedTuple
 
@@ -227,13 +230,14 @@ class ContextCollector:
     ) -> list[tuple[ParsedFile, ClassDecl]]:
         """``cls`` and up to ``PARENT_DEPTH_CAP`` of its superclasses, nearest first."""
         chain = [(parsed, cls)]
-        while (parent_name := _parent_simple_name(chain[-1][1])) is not None:
+        while (extends := chain[-1][1].extends) is not None:
             if len(chain) > PARENT_DEPTH_CAP:
                 warnings.append(
                     f"parent chain of {cls.name} exceeds {PARENT_DEPTH_CAP} levels; truncated"
                 )
                 break
             pf, decl = chain[-1]
+            parent_name = _erasure(extends)
             parent = self.index.resolve_class(version, pf.path, parent_name)
             if parent is None:
                 warnings.append(
@@ -457,11 +461,11 @@ class ContextCollector:
         return bundle
 
 
-def _parent_simple_name(cls: ClassDecl) -> str | None:
-    if not cls.extends:
-        return None
-    identifiers = type_identifiers(cls.extends)
-    return identifiers[0] if identifiers else None
+def _erasure(type_text: str) -> str:
+    """``type_text`` without its type arguments: ``A<K>.B<V>`` is ``A.B``."""
+    while (erased := re.sub(r"<[^<>]*>", "", type_text)) != type_text:
+        type_text = erased
+    return type_text
 
 
 def _line_span(text: str, method: MethodDecl) -> tuple[int, int]:

@@ -10,10 +10,10 @@ parameters.
 
 The parser reads a :class:`~testmend.javasrc.lexer.TokenArrays` by
 index (the canonicalizer's, or the one ``lex`` returns when it is given
-none) and builds a :class:`~testmend.javasrc.lexer.Token` only for each
-declaration's ``name_token``; skipping a balanced body is a C-level
-search of the token texts.  The three tokens ``non`` ``-`` ``sealed``
-are read as the one modifier ``non-sealed``.
+none) and builds a :class:`~testmend.javasrc.lexer.Token` only for the
+name of each declaration, and of each declarator of a field; skipping a
+balanced body is a C-level search of the token texts.  The three tokens
+``non`` ``-`` ``sealed`` are read as the one modifier ``non-sealed``.
 
 Spans are character offsets into the text handed to :func:`parse_java`;
 callers slice the same text to recover declaration snippets.  What a
@@ -62,13 +62,20 @@ class Parameter(NamedTuple):
 
 
 class FieldDecl(NamedTuple):
-    names: list[str]
     type_text: str
     modifiers: set[str]
     annotations: list[str]
     start: int
     end: int
-    name_token: Token
+    name_tokens: tuple[Token, ...]  # one per declarator, in source order
+
+    @property
+    def names(self) -> list[str]:
+        return [tok.text for tok in self.name_tokens]
+
+    @property
+    def name_token(self) -> Token:  # the first declarator's
+        return self.name_tokens[0]
 
 
 class MethodDecl(NamedTuple):
@@ -618,25 +625,23 @@ class _Parser:
         start: int,
     ) -> FieldDecl:
         """The field whose first name is token ``name``, the cursor after it."""
-        kinds, texts = self.kinds, self.texts
-        names = [texts[name]]
+        names = [name]
         type_text += self.skip_dims()
         self._skip_field_tail()
         while self.at(","):
             self.pos += 1
-            if kinds[self.pos] == IDENT:
-                names.append(texts[self.pos])
+            if self.kinds[self.pos] == IDENT:
+                names.append(self.pos)
                 self.pos += 1
             self.skip_dims()
             self._skip_field_tail()
         return FieldDecl(
-            names=names,
             type_text=type_text,
             modifiers=modifiers,
             annotations=annotations,
             start=start,
             end=self.end_offset(self.expect(";")),
-            name_token=self.tokens.token(name),
+            name_tokens=tuple(self.tokens.token(j) for j in names),
         )
 
     def _skip_field_tail(self) -> None:

@@ -7,15 +7,22 @@ canonical form (:func:`~testmend.javasrc.format.canonicalize`), which
 texts directly.  Resolution is name-based with Java scope rules
 approximated through imports and packages:
 
+* A declaration is a class, a method or a field declarator: ``int a, b;``
+  declares ``a`` and ``b``, each at its own name token.
 * ``goto_definition`` returns the declarations of the name in the same
   file if there are any; otherwise the one class that
-  :meth:`CodeIndex.resolve_class` finds: an explicit import, then the
-  wildcard imports in order, then the same package.  An explicit import
-  shadows a wildcard import of the same simple name (JLS §6.4.1).
+  :meth:`CodeIndex.resolve_class` finds by one search: of the same file,
+  then of the explicit import, then of the wildcard imports in order, then
+  of the same package.  An explicit import shadows a wildcard import of
+  the same simple name (JLS §6.4.1).  A dotted name (``A.Inner``,
+  ``q.Base``) names classes nested in the class its first segment names,
+  else it is fully qualified (JLS §6.5.2).
 * ``find_references`` is a token scan over the version's files filtered
-  by visibility (same file, import of the declaring class, or same
-  package).  Method references require an immediately following ``(``;
-  declaration name tokens themselves are excluded.
+  by visibility: the same file or package, an explicit import of the
+  declaring class or a class enclosing it, or a wildcard import of its
+  package or a class enclosing it (JLS §7.5).  Method references require
+  an immediately following ``(``; declaration name tokens themselves are
+  excluded.
 
 Lookups by name parse only the files whose raw text mentions the name
 (:meth:`CodeIndex.files_mentioning`); the rest are never canonicalized or
@@ -66,6 +73,7 @@ from __future__ import annotations
 import logging
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
+from itertools import chain
 from typing import NamedTuple, Protocol
 
 from testmend.errors import CursorNotOnIdentifier, InputError
@@ -245,63 +253,54 @@ class CodeIndex:
         return out
 
     def classes_named(self, version: str, simple_name: str) -> list[tuple[ParsedFile, ClassDecl]]:
-        hits = []
-        for parsed in self.files_mentioning(version, simple_name):
-            for cls in parsed.java.all_classes():
-                if cls.name == simple_name:
-                    hits.append((parsed, cls))
-        return hits
-
-    def class_by_fqn(self, version: str, fqn: str) -> tuple[ParsedFile, ClassDecl] | None:
-        for parsed in self.files_mentioning(version, fqn.rsplit(".", 1)[-1]):
-            for cls in parsed.java.all_classes():
-                qualified = (
-                    f"{parsed.java.package}.{cls.qualified_name}"
-                    if parsed.java.package
-                    else cls.qualified_name
-                )
-                if qualified == fqn:
-                    return parsed, cls
-        return None
+        return [
+            (parsed, cls)
+            for parsed in self.files_mentioning(version, simple_name)
+            for cls in parsed.java.all_classes()
+            if cls.name == simple_name
+        ]
 
     def resolve_class(
-        self, version: str, from_path: str, simple_name: str
+        self, version: str, from_path: str, name: str
     ) -> tuple[ParsedFile, ClassDecl] | None:
-        """Resolve a simple class name as seen from ``from_path`` (memoized)."""
-        key = (version, from_path, simple_name)
+        """The class a simple or dotted name written in ``from_path`` names
+        (memoized; the rules are in the module docstring)."""
+        key = (version, from_path, name)
         if key not in self._classes:
-            self._classes[key] = self._lookup_class(version, from_path, simple_name)
+            self._classes[key] = self._lookup_class(version, from_path, name)
         return self._classes[key]
 
     def _lookup_class(
-        self, version: str, from_path: str, simple_name: str
+        self, version: str, from_path: str, name: str
     ) -> tuple[ParsedFile, ClassDecl] | None:
+        first, dot, rest = name.partition(".")
+        hits = self.classes_named(version, first)
         origin = self.file(version, from_path)
-        if origin is not None:
-            for cls in origin.java.all_classes():
-                if cls.name == simple_name:
-                    return origin, cls
-            fqn = origin.java.imports.get(simple_name)
-            if fqn:
-                hit = self.class_by_fqn(version, fqn)
-                if hit:
-                    return hit
-            for package in origin.java.wildcard_imports:
-                hit = self.class_by_fqn(version, f"{package}.{simple_name}")
-                if hit:
-                    return hit
-            package = origin.java.package
-            for parsed, cls in self.classes_named(version, simple_name):
-                if parsed.java.package == package:
-                    return parsed, cls
-            return None
-        # No origin context: fall back to any class with that name.
-        hits = self.classes_named(version, simple_name)
-        return hits[0] if hits else None
+        if origin is None:  # no scope: any class of that name
+            hit = hits[0] if hits else None
+        else:
+            java = origin.java
+            imported = [java.imports.get(first), *(f"{p}.{first}" for p in java.wildcard_imports)]
+            in_scope = chain(
+                (hit for hit in hits if hit[0].path == from_path),
+                (hit for fqn in imported for hit in hits if _fqn(*hit) == fqn),
+                (hit for hit in hits if hit[0].java.package == java.package),
+            )
+            hit = next(in_scope, None)
+        if dot and hit is not None:  # classes nested in the one ``first`` names
+            parsed, nested = hit[0], f"{_fqn(*hit)}.{rest}"
+            inner = (cls for cls in parsed.java.all_classes() if _fqn(parsed, cls) == nested)
+            hit = next(((parsed, cls) for cls in inner), None)
+        if dot and hit is None:  # a fully qualified name
+            hits = self.classes_named(version, name.rsplit(".", 1)[-1])
+            hit = next((hit for hit in hits if _fqn(*hit) == name), None)
+        return hit
 
 
-def _class_location(parsed: ParsedFile, cls: ClassDecl) -> Location:
-    return parsed.token_location(cls.name_token)
+def _fqn(parsed: ParsedFile, cls: ClassDecl) -> str:
+    """The fully qualified name of a class declared in ``parsed``."""
+    package = parsed.java.package
+    return f"{package}.{cls.qualified_name}" if package else cls.qualified_name
 
 
 class Resolver(Protocol):
@@ -355,16 +354,11 @@ class BuiltinResolver:
     def goto_definition(self, location: Location) -> list[Location]:
         parsed, tok = self._identifier_at(location)
         name = tok.text
-        same_file = self._declarations_in_file(parsed, name)
+        same_file = [parsed.token_location(t) for _, _, t in _declarations(parsed, name)]
         if same_file:
-            return same_file
+            return sorted(same_file, key=lambda loc: (loc.start.line, loc.start.col))
         hit = self.index.resolve_class(location.version, parsed.path, name)
-        return [_class_location(*hit)] if hit else []
-
-    def _declarations_in_file(self, parsed: ParsedFile, name: str) -> list[Location]:
-        out = [parsed.token_location(t) for t in _declaration_name_tokens(parsed, name)]
-        out.sort(key=lambda loc: (loc.start.line, loc.start.col))
-        return out
+        return [hit[0].token_location(hit[1].name_token)] if hit else []
 
     # -- references ------------------------------------------------------
 
@@ -372,12 +366,11 @@ class BuiltinResolver:
         parsed, tok = self._identifier_at(location)
         name = tok.text
         decl_kind, owner = self._declaration_kind(parsed, tok)
-        version = location.version
         out: list[Location] = []
-        for candidate in self.index.files_mentioning(version, name):
+        for candidate in self.index.files_mentioning(location.version, name):
             if not self._visible_from(candidate, parsed, owner):
                 continue
-            decl_offsets = {t.offset for t in _declaration_name_tokens(candidate, name)}
+            decl_offsets = {t.offset for _, _, t in _declarations(candidate, name)}
             tokens = candidate.java.tokens
             kinds, texts, offsets = tokens.kinds, tokens.texts, tokens.offsets
             i = -1
@@ -398,14 +391,9 @@ class BuiltinResolver:
         self, parsed: ParsedFile, tok: lexer.Token
     ) -> tuple[str, ClassDecl | None]:
         """Identify what declaration the token names (and its owner class)."""
-        for cls in parsed.java.all_classes():
-            if cls.name_token.offset == tok.offset:
-                return "class", cls
-            for member in cls.members:
-                if isinstance(member, MethodDecl) and member.name_token.offset == tok.offset:
-                    return "method", cls
-                if isinstance(member, FieldDecl) and member.name_token.offset == tok.offset:
-                    return "field", cls
+        for kind, owner, decl in _declarations(parsed, tok.text):
+            if decl.offset == tok.offset:
+                return kind, owner
         # Not a declaration site: guess the kind from local context.
         texts = parsed.java.tokens.texts
         after = bisect_right(parsed.java.tokens.offsets, tok.offset)
@@ -415,30 +403,28 @@ class BuiltinResolver:
     def _visible_from(
         self, candidate: ParsedFile, origin: ParsedFile, owner: ClassDecl | None
     ) -> bool:
-        if candidate.path == origin.path:
+        """Whether ``candidate`` sees ``owner``, a class of ``origin``."""
+        if owner is None or candidate.java.package == origin.java.package:
+            return True  # no owner to filter by, or the same package (or file)
+        classes = [_fqn(origin, owner)]  # the owner, then its enclosing classes outward
+        for _ in owner.enclosing:
+            classes.append(classes[-1].rsplit(".", 1)[0])
+        imports, wildcards = candidate.java.imports, candidate.java.wildcard_imports
+        if any(imports.get(fqn.rsplit(".", 1)[-1]) == fqn for fqn in classes):
             return True
-        if candidate.java.package == origin.java.package:
-            return True
-        owner_name = owner.name if owner is not None else None
-        if owner_name is None:
-            return True  # no owner context: do not filter
-        fqn = (
-            f"{origin.java.package}.{owner_name}" if origin.java.package else owner_name
-        )
-        if candidate.java.imports.get(owner_name) == fqn:
-            return True
-        return origin.java.package in candidate.java.wildcard_imports
+        return any(scope in wildcards for scope in [origin.java.package, *classes[1:]])
 
 
-def _declaration_name_tokens(parsed: ParsedFile, name: str) -> list[lexer.Token]:
-    """Name tokens of the classes, methods and fields called ``name``."""
-    out: list[lexer.Token] = []
+def _declarations(parsed: ParsedFile, name: str) -> list[tuple[str, ClassDecl, lexer.Token]]:
+    """``(kind, owner, name token)`` of each class, method and field
+    declarator called ``name``, in source order; a class owns itself."""
+    out: list[tuple[str, ClassDecl, lexer.Token]] = []
     for cls in parsed.java.all_classes():
         if cls.name == name:
-            out.append(cls.name_token)
+            out.append(("class", cls, cls.name_token))
         for member in cls.members:
             if isinstance(member, MethodDecl) and member.name == name:
-                out.append(member.name_token)
-            elif isinstance(member, FieldDecl) and name in member.names:
-                out.append(member.name_token)
+                out.append(("method", cls, member.name_token))
+            elif isinstance(member, FieldDecl):
+                out.extend(("field", cls, t) for t in member.name_tokens if t.text == name)
     return out

@@ -356,6 +356,46 @@ def test_class_ctx_parent_chain_capped_at_five(tmp_path):
     assert any("exceeds" in w for w in warnings)
 
 
+def _class_ctx_of_new_parameter(tmp_path, files, type_name):
+    """The class context of ``S.go`` when its ``int`` parameter becomes ``type_name``."""
+    service = "package p;\npublic class S {\n    public void go(int a) {\n    }\n}\n"
+    post = {**files, "p/S.java": service.replace("int a", f"{type_name} a")}
+    snap = write_repo(tmp_path, pre={**files, "p/S.java": service}, post=post)
+    return collector_for(snap).collect_class_ctx(focal_for(snap, "p/S.java", ("S",), "go"))
+
+
+def test_class_ctx_follows_a_nested_superclass(tmp_path):
+    files = {
+        "p/A.java": (
+            "package p;\npublic class A {\n    public void outerOnly() {\n    }\n\n"
+            "    public static class Inner {\n        public void innerOnly() {\n        }\n    }\n}\n"
+        ),
+        "p/B.java": "package p;\npublic class B extends A.Inner<String> {\n    public int own;\n}\n",
+    }
+    groups, warnings = _class_ctx_of_new_parameter(tmp_path, files, "B")
+    assert groups["B"].defining_classes == ["B", "Inner"]
+    assert [c.text for c in groups["B"].chunks] == ["public int own;", "public void innerOnly();"]
+    assert warnings == []
+
+
+def test_class_ctx_follows_a_qualified_superclass(tmp_path):
+    files = {
+        "q/Base.java": "package q;\npublic class Base {\n    public void inherited() {\n    }\n}\n",
+        "p/Child.java": "package p;\npublic class Child extends q.Base {\n    public int own;\n}\n",
+        "p/Ext.java": (
+            "package p;\npublic class Ext extends java.util.AbstractList<String> {\n"
+            "    public int own;\n}\n"
+        ),
+    }
+    groups, warnings = _class_ctx_of_new_parameter(tmp_path, files, "Child")
+    assert groups["Child"].defining_classes == ["Child", "Base"]
+    assert warnings == []
+    # A qualified superclass outside the snapshot is named as written,
+    # without its type arguments.
+    _, warnings = _class_ctx_of_new_parameter(tmp_path / "ext", files, "Ext")
+    assert warnings == ["parent class java.util.AbstractList of Ext is outside the snapshot"]
+
+
 def test_class_ctx_return_role(tmp_path):
     stats = """\
 package app;

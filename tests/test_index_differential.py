@@ -1,14 +1,15 @@
 """Lookups that read only the files mentioning a name, against full scans.
 
-``find_references``, ``classes_named``, ``class_by_fqn`` and
-``resolve_class`` must answer exactly as the full scans of
+``find_references``, ``classes_named`` and ``resolve_class`` (of simple,
+nested and fully qualified names) must answer exactly as the full scans of
 ``index_oracle.py`` do.  Snapshots come from ``hypothesis``: two versions
 of a few compilation units in several packages, with explicit and
-wildcard imports, ``extends``, nested classes, calls and field uses, and
-method bodies from ``test_format._random_source``.  Names also occur only
-in comments, only in strings, only inside a longer identifier
-(``run``/``runAll``, ``Alpha``/``AlphaBeta``) or nowhere, and each version
-holds one file that lexes but does not parse.
+wildcard imports, ``extends``, nested classes, calls and field uses,
+fields of one declarator and of two, and method bodies from
+``test_format._random_source``.  Names also occur only in comments, only
+in strings, only inside a longer identifier (``run``/``runAll``,
+``Alpha``/``AlphaBeta``) or nowhere, and each version holds one file that
+lexes but does not parse.
 """
 
 import tempfile
@@ -50,6 +51,7 @@ member_decls = st.one_of(
     ),
     st.builds("static int {}() {{ return 0; }}".format, members),
     st.builds("int {} = 0;".format, members),
+    st.builds("int {}, {};".format, members, members),
 )
 imports = st.one_of(
     st.builds("import {}.{};".format, st.sampled_from(PACKAGES), st.sampled_from(CLASSES + GHOSTS)),
@@ -131,14 +133,12 @@ def test_filtered_lookups_equal_full_scans(snapshot):
                 assert [key(h) for h in index.classes_named(version, name)] == [
                     key(h) for h in index_oracle.classes_named(full, version, name)
                 ]
-                for path in [*full.snapshot.java_files(version), "src/Absent.java"]:
+            paths = [*full.snapshot.java_files(version), "src/Absent.java"]
+            for name in NAMES + FQNS:
+                for path in paths:
                     assert key(index.resolve_class(version, path, name)) == key(
                         index_oracle.resolve_class(full, version, path, name)
                     )
-            for fqn in FQNS:
-                assert key(index.class_by_fqn(version, fqn)) == key(
-                    index_oracle.class_by_fqn(full, version, fqn)
-                )
             for parsed in index_oracle.iter_files(full, version):
                 tokens = parsed.java.tokens
                 for tok in (tokens.token(i) for i in range(len(tokens.texts))):

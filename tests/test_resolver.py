@@ -295,6 +295,34 @@ def test_explicit_import_shadows_wildcard_import(tmp_path):
     assert [(d.file, d.start) for d in defs] == [("src/p/X.java", CursorPos(1, 13))]
 
 
+def test_each_declarator_of_a_field_is_a_declaration(tmp_path):
+    resolver = BuiltinResolver(
+        write_snapshot(tmp_path, {"src/A.java": "class A { int a, b; void run() { b = 1; } }\n"})
+    )
+    decl, use = (loc_of(resolver, POST, "src/A.java", "b", occurrence=k) for k in (0, 1))
+    # The declarator b is neither its own reference nor declared by a.
+    assert [r.start for r in resolver.find_references(decl)] == [use.start]
+    assert [d.start for d in resolver.goto_definition(use)] == [decl.start]
+
+
+def test_references_to_a_nested_class_member_through_an_import(tmp_path):
+    files = {
+        "src/p/Outer.java": (
+            "package p;\npublic class Outer {\n"
+            "    public static class Inner {\n        public static void ping() { }\n    }\n}\n"
+        ),
+        "src/q/User.java": "package q;\nimport p.Outer.Inner;\nclass User {\n    void go() { Inner.ping(); }\n}\n",
+        "src/r/Wild.java": "package r;\nimport p.Outer.*;\nclass Wild {\n    void go() { Inner.ping(); }\n}\n",
+        "src/s/Deep.java": "package s;\nimport p.Outer.Inner.*;\nclass Deep {\n    void go() { Inner.ping(); }\n}\n",
+    }
+    resolver = BuiltinResolver(write_snapshot(tmp_path, files))
+    decl = loc_of(resolver, POST, "src/p/Outer.java", "ping")
+    # Inner is seen through an explicit import of itself or a wildcard
+    # import of its enclosing class; a wildcard import of Inner imports
+    # only the classes nested in it.
+    assert [r.file for r in resolver.find_references(decl)] == ["src/q/User.java", "src/r/Wild.java"]
+
+
 def test_lookups_parse_only_the_files_that_mention_the_name(tmp_path, caplog):
     files = {
         "src/a/A.java": "package a;\npublic class A {\n    void run() { }\n}\n",
