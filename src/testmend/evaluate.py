@@ -288,12 +288,9 @@ def run_sample(
                     selected = metrics.record_in(records, result.selected_text)
                     truth = metrics.record_in(records, sample.ground_truth)
                     row["code_bleu"] = result.code_bleu[result.selected]
-                    # A candidate that repeats the obsolete test has its record.
-                    original = records.get(prepared.test_text)
-                    original_text = (
-                        metrics.normalize_method_text(prepared.test_text)
-                        if original is None
-                        else original.text
+                    # The prompt holds the obsolete test's canonical text.
+                    original_text = metrics.normalize_canonical(
+                        prepared.prompt.original_test_text
                     )
                     row["diff_bleu"] = metrics.diff_bleu(original_text, selected, truth)
                     row["exact_match"] = metrics.exact_match(selected, truth)

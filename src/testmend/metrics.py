@@ -43,6 +43,12 @@ def normalize_method_text(text: str) -> str:
         canonical = canonicalize(text)
     except ParseError:
         canonical = text
+    return normalize_canonical(canonical)
+
+
+def normalize_canonical(canonical: str) -> str:
+    """:func:`normalize_method_text` of a text whose canonical form is
+    ``canonical``: its lines stripped, blank ones dropped."""
     return "\n".join(line.strip() for line in lexer.split_lines(canonical) if line.strip())
 
 

@@ -351,6 +351,12 @@ def _select(
     original_test: str,
     ground_truth: str | None,
 ) -> RepairResult:
+    """The winner among ``candidates`` (rules in :func:`repair`).
+
+    Each distinct method text is scored once, its CodeBLEU or its edit
+    distance to ``original_test``, and every candidate with that text
+    gets the score; a tie goes to the earliest attempt.
+    """
     records: dict[str, MetricRecord] = {}
 
     def result(selected: int, reason: str, scores: list[float] | None = None):
@@ -358,19 +364,22 @@ def _select(
 
     if ground_truth is not None:
         truth = record_in(records, ground_truth)
-        scores = [code_bleu(record_in(records, c.method_text), truth) for c in candidates]
+        by_text = {
+            text: code_bleu(record_in(records, text), truth)
+            for text in dict.fromkeys(c.method_text for c in candidates)
+        }
+        scores = [by_text[c.method_text] for c in candidates]
         best = min(range(len(candidates)), key=lambda i: (-scores[i], i))
         return result(best, "best-code-bleu", scores)
     valid = [i for i, c in enumerate(candidates) if c.syntax_ok]
     if not valid:
         return result(0, "all-invalid")
     original_tokens = record_in(records, original_test).tokens
-
-    def distance(i: int) -> int:
-        tokens = record_in(records, candidates[i].method_text).tokens
-        return token_edit_distance(tokens, original_tokens)
-
-    best = min(valid, key=lambda i: (distance(i), i))
+    distances = {
+        text: token_edit_distance(record_in(records, text).tokens, original_tokens)
+        for text in dict.fromkeys(candidates[i].method_text for i in valid)
+    }
+    best = min(valid, key=lambda i: (distances[candidates[i].method_text], i))
     return result(best, "valid-min-edit")
 
 
@@ -390,7 +399,8 @@ def repair(
     the candidate pool; an empty pool is fatal for the sample.  Each
     distinct member body is parsed once: a bare or fenced single-method
     response is extracted and syntax-checked from one parse, and a
-    method text that repeats is given its metric record once.
+    method text that repeats is given its metric record and its score
+    (CodeBLEU or edit distance) once.
     """
     messages = prompt.messages()
     parse = functools.cache(_parse_members)

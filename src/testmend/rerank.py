@@ -10,11 +10,12 @@ scoring and do not consume ``k``.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import re
 from collections import Counter
-from typing import TYPE_CHECKING, NamedTuple, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Protocol, Sequence
 
 from testmend.collectors import ClassCtxGroup, ContextChunk, TROCtxBundle
 from testmend.errors import ScorerError
@@ -28,6 +29,7 @@ log = logging.getLogger(__name__)
 
 DEFAULT_K = 3
 UNRANKED = "unranked"
+TOKEN_MEMO = 1024  # texts whose tokens a LexicalScorer keeps
 
 _WORD_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _CAMEL_RE = re.compile(r"[A-Z]+(?![a-z])|[A-Z][a-z0-9]*|[a-z0-9]+")
@@ -60,15 +62,25 @@ class Scorer(Protocol):
 
 
 class LexicalScorer:
-    """TF-IDF cosine relevance; fully deterministic."""
+    """TF-IDF cosine relevance; fully deterministic.
+
+    A text is tokenized (:func:`identifier_tokens`) once while it stays
+    among the scorer's last :data:`TOKEN_MEMO` texts, so a document
+    scored against several queries is tokenized once.  Calls share the
+    kept token lists, which :meth:`score` only reads.
+    """
 
     kind = "lexical"
+
+    @functools.cached_property
+    def _tokens(self) -> Callable[[str], list[str]]:
+        return functools.lru_cache(maxsize=TOKEN_MEMO)(identifier_tokens)
 
     def score(self, query: str, documents: Sequence[str]) -> list[float]:
         if not documents:
             return []
-        doc_tokens = [identifier_tokens(d) for d in documents]
-        query_tf = Counter(identifier_tokens(query))
+        doc_tokens = [self._tokens(d) for d in documents]
+        query_tf = Counter(self._tokens(query))
         n_docs = len(documents)
         df: Counter[str] = Counter()
         for tokens in doc_tokens:

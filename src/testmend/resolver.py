@@ -35,7 +35,11 @@ its files once, with raw system calls, into one byte buffer
 <testmend.snapshot.RepoSnapshot.version_text>`) that the snapshot keeps,
 so every index over that snapshot searches the same buffer.  Every lookup
 is then a C-level search of that buffer, which holds each file's bytes
-once; a file is decoded only to be parsed.
+once; a file is decoded only to be parsed.  A dotted name's first segment
+is looked up as a class only if a regex search of that buffer finds a
+possible declaration of it
+(:meth:`~testmend.snapshot.VersionText.may_declare_class`), so a package
+segment such as ``java`` parses no file.
 
 A language-server backend implementing the same protocol lives in
 :mod:`testmend.lsp`; it maps between raw and canonical positions itself.
@@ -274,7 +278,13 @@ class CodeIndex:
         self, version: str, from_path: str, name: str
     ) -> tuple[ParsedFile, ClassDecl] | None:
         first, dot, rest = name.partition(".")
-        hits = self.classes_named(version, first)
+        # The first segment of a dotted name is often a package, such as
+        # ``java``, that nearly every file mentions and none declares: one
+        # search of the version's bytes spares parsing those files.
+        if dot and not self.snapshot.version_text(version).may_declare_class(first):
+            hits = []
+        else:
+            hits = self.classes_named(version, first)
         origin = self.file(version, from_path)
         if origin is None:  # no scope: any class of that name
             hit = hits[0] if hits else None

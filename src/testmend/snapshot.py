@@ -11,6 +11,7 @@ unified or changed-lines-only.
 from __future__ import annotations
 
 import os
+import re
 from bisect import bisect_left, bisect_right
 from difflib import SequenceMatcher
 from pathlib import Path
@@ -25,6 +26,13 @@ POST = "post"
 VERSIONS = (PRE, POST)
 
 _CHUNK = 1 << 16  # bytes asked of each os.read
+
+# What the lexer skips between two tokens: whitespace, line comments and
+# block comments.  Each comment is matched whole (a line comment to the
+# line's end, a block comment to its first "*/"), as the lexer matches it,
+# so no text between two tokens splits two ways and a failed search never
+# backtracks into the gap.
+_GAP = rb"[ \t\r\n\f]*(?:(?://[^\r\n]*(?![^\r\n])|/\*(?:(?!\*/).)*\*/)[ \t\r\n\f]*)*"
 
 
 class Location(NamedTuple):
@@ -52,8 +60,9 @@ class RepoSnapshot:
     cached.  The snapshot owns each version's buffer: the first
     :meth:`version_text` of a version lists it and reads every listed file
     into one byte buffer, each once, and keeps it for every later caller.
-    From then on :meth:`read` decodes such a file from the buffer, and a
-    search by name (:class:`VersionText`) decodes none.  The buffer holds
+    From then on :meth:`read` decodes such a file from the buffer,
+    :meth:`exists` takes its existence from the listing without a stat,
+    and a search by name (:class:`VersionText`) decodes none.  The buffer holds
     each file's bytes once; as ``str``, a text with one character past
     U+00FF would take two or four bytes for each of its characters.
     """
@@ -76,6 +85,15 @@ class RepoSnapshot:
         return Path(self._root(version))
 
     def exists(self, version: str, relpath: str) -> bool:
+        """Whether ``relpath`` is a file (or a symlink to one) of ``version``.
+
+        Once the version's buffer is built (:meth:`version_text`), a path
+        of its listing is answered from the listing; any other path, such
+        as one under a symlinked directory, by a stat.
+        """
+        joined = self._versions.get(version)
+        if joined is not None and joined.has(relpath):
+            return True
         return os.path.isfile(os.path.join(self._root(version), relpath))
 
     def read(self, version: str, relpath: str) -> str:
@@ -175,6 +193,11 @@ class VersionText:
         """The text of file *i*, decoded as :meth:`RepoSnapshot.read` decodes it."""
         return _decode(self.data[self.starts[i] : self.starts[i + 1] - 1])
 
+    def has(self, path: str) -> bool:
+        """Whether the listing holds ``path``."""
+        i = bisect_left(self.paths, path)
+        return self.paths[i : i + 1] == [path]
+
     def read(self, path: str) -> str | None:
         """The text of ``path``; None if the listing lacks it."""
         i = bisect_left(self.paths, path)
@@ -199,6 +222,24 @@ class VersionText:
             out.append(paths[i])
             at = find(needle, starts[i + 1])
         return out
+
+    def may_declare_class(self, name: str) -> bool:
+        """False only if no file declares a class (or interface, enum or
+        record) named ``name``.
+
+        A declaration's name is the token after the type keyword, so a
+        file that declares ``name`` holds the keyword, then what the lexer
+        skips between two tokens, then ``name`` not followed by an
+        identifier character; the search looks for that in the bytes.  A
+        name that is not printable ASCII is assumed declared.
+        """
+        if not (name.isascii() and name.isprintable()):
+            return True
+        pattern = rb"(?:class|interface|enum|record)%s%s(?![\w$])" % (
+            _GAP,
+            re.escape(name.encode("ascii")),
+        )
+        return re.search(pattern, self.data, re.DOTALL) is not None
 
 
 def _decode(data: bytes | bytearray) -> str:
@@ -295,8 +336,13 @@ class DiffText(NamedTuple):
 
 
 def unified_diff(a: str, b: str) -> DiffText:
-    """Line diff of two texts (SequenceMatcher alignment, autojunk off)."""
+    """Line diff of two texts (SequenceMatcher alignment, autojunk off).
+
+    Equal texts have no hunks, and no matcher is built for them.
+    """
     a_lines = tuple(split_lines(a))
+    if a == b:
+        return DiffText(a_lines=a_lines, b_lines=a_lines, hunks=())
     b_lines = tuple(split_lines(b))
     matcher = SequenceMatcher(a=a_lines, b=b_lines, autojunk=False)
     hunks = [

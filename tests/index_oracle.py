@@ -22,8 +22,10 @@ from testmend.snapshot import Location
 
 
 def iter_files(index: CodeIndex, version: str) -> list[ParsedFile]:
+    """Every parsable file of the version's listing, which the snapshot
+    lists once and keeps."""
     out = []
-    for path in index.snapshot.java_files(version):
+    for path in index.snapshot.version_text(version).paths:
         parsed = index.file(version, path)
         if parsed is not None:
             out.append(parsed)

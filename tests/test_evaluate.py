@@ -305,8 +305,9 @@ def test_repair_and_metrics_build_each_text_once(fixture_samples, tmp_path, monk
     for name, texts in seen.items():
         repeated = {text for text in texts if texts.count(text) > 1}
         assert not repeated, f"{name} ran more than once on {sorted(repeated)}"
-    # Attempt 0 returns the obsolete test unchanged, which diff_bleu also
-    # reads; attempts 1 and 2 return the ground truth.  So two texts.
+    # Attempt 0 returns the obsolete test unchanged and attempts 1 and 2
+    # the ground truth, so two texts; diff_bleu reads the obsolete test's
+    # canonical text from the prompt.
     assert sorted(seen["canonicalize"]) == sorted({prepared.test_text, sample.ground_truth})
 
     def report_bytes(report, out_name):
@@ -319,6 +320,28 @@ def test_repair_and_metrics_build_each_text_once(fixture_samples, tmp_path, monk
         settings=EvalSettings(attempts=3, jobs=4),
     )
     assert report_bytes(serial, "jobs-1") == report_bytes(parallel, "jobs-4")
+
+
+def test_run_sample_canonicalizes_the_obsolete_test_once(fixture_samples, tmp_path, monkeypatch):
+    """The prompt's canonical test text serves the metrics stage too."""
+    sample = fixture_samples[0]
+    prepared = prepare_sample(sample)
+    provider = seed_attempts(tmp_path, sample, [ground_truth_response(sample, prepared)] * 3)
+    canonicalized = []
+
+    def counting_canonicalize(text, *args):
+        canonicalized.append(text)
+        return canonicalize(text, *args)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("testmend") and getattr(module, "canonicalize", None) is canonicalize:
+            monkeypatch.setattr(module, "canonicalize", counting_canonicalize)
+    row = run_sample(sample, provider=provider)
+    assert row.error is None and row.exact_match is True
+    assert canonicalized.count(prepared.test_text) == 1
+    assert row.diff_bleu == metrics_oracle.diff_bleu(
+        prepared.test_text, row.selected_text, sample.ground_truth
+    )
 
 
 def test_row_scores_the_lowest_of_tied_candidates_like_the_oracle(fixture_samples, tmp_path):

@@ -5,7 +5,8 @@ nested and fully qualified names) must answer exactly as the full scans of
 ``index_oracle.py`` do.  Snapshots come from ``hypothesis``: two versions
 of a few compilation units in several packages, with explicit and
 wildcard imports, ``extends``, nested classes, calls and field uses,
-fields of one declarator and of two, and method bodies from
+fields of one declarator and of two, class names that follow a comment
+after ``class``, and method bodies from
 ``test_format._random_source``.  Names also occur only in comments, only
 in strings, only inside a longer identifier (``run``/``runAll``,
 ``Alpha``/``AlphaBeta``) or nowhere, and each version holds one file that
@@ -53,6 +54,8 @@ member_decls = st.one_of(
     st.builds("int {} = 0;".format, members),
     st.builds("int {}, {};".format, members, members),
 )
+# What may stand between ``class`` and the class name.
+gaps = st.sampled_from([" ", " /* c */ ", "/**/", " // c\n    "])
 imports = st.one_of(
     st.builds("import {}.{};".format, st.sampled_from(PACKAGES), st.sampled_from(CLASSES + GHOSTS)),
     st.builds("import {}.*;".format, st.sampled_from(PACKAGES)),
@@ -72,12 +75,12 @@ def units(draw) -> tuple[str, str]:
     name = draw(classes)
     parent = draw(st.sampled_from(["", *CLASSES, *GHOSTS]))
     nested = draw(st.lists(
-        st.builds("static class {} {{ {} }}".format, classes, member_decls), max_size=2
+        st.builds("static class{}{} {{ {} }}".format, gaps, classes, member_decls), max_size=2
     ))
     lines = [f"package {package};"] if package else []
     lines += draw(st.lists(imports, max_size=3))
     lines.append(f"/* mentions {draw(names)} */")
-    lines.append(f"public class {name}{f' extends {parent}' if parent else ''} {{")
+    lines.append(f"public class{draw(gaps)}{name}{f' extends {parent}' if parent else ''} {{")
     lines.append(f'    String label = "{draw(names)}";')
     lines += draw(st.lists(member_decls, max_size=4))
     lines += nested

@@ -13,6 +13,7 @@ from testmend.errors import EmptyReference, ProviderError
 from testmend.javasrc.ast import MethodDecl, parse_java
 from testmend.javasrc.format import canonicalize
 from testmend.javasrc.lexer import lex
+from testmend.metrics import metric_record
 from testmend.prompting import (
     RepairPrompt,
     assemble_prompt,
@@ -450,6 +451,45 @@ def test_eval_mode_selects_highest_code_bleu():
     result = repair(make_prompt(), provider, ground_truth=VALID_REPAIR)
     assert result.selected == 1
     assert result.selected_text == VALID_REPAIR
+
+
+def test_eval_mode_scores_each_distinct_text_once(monkeypatch):
+    """Attempts A, B, A: two CodeBLEU calls, and every candidate's score
+    is the one a direct computation gives; the tie goes to attempt 0."""
+    near_miss = VALID_REPAIR.replace("getDefaultInstance", "newBuilder")
+    scored = []
+    real_code_bleu = prompting.code_bleu
+
+    def counting_code_bleu(candidate, reference):
+        scored.append(candidate.text)
+        return real_code_bleu(candidate, reference)
+
+    monkeypatch.setattr(prompting, "code_bleu", counting_code_bleu)
+    provider = ScriptedProvider([near_miss, VALID_REPAIR, near_miss])
+    result = repair(make_prompt(), provider, ground_truth=near_miss)
+    assert len(scored) == len(set(scored)) == 2
+    truth = metric_record(near_miss)
+    assert result.code_bleu == [
+        real_code_bleu(metric_record(c.method_text), truth) for c in result.candidates
+    ]
+    assert result.selected == 0
+
+
+def test_repair_mode_measures_each_distinct_valid_text_once(monkeypatch):
+    far = "public void mount() { totally.different(); body.here(); now(); }"
+    measured = []
+    real_distance = prompting.token_edit_distance
+
+    def counting_distance(a, b):
+        measured.append(tuple(a))
+        return real_distance(a, b)
+
+    monkeypatch.setattr(prompting, "token_edit_distance", counting_distance)
+    provider = ScriptedProvider([far, VALID_REPAIR, "void broken() {", far, VALID_REPAIR])
+    result = repair(make_prompt(), provider, attempts=5)
+    assert len(measured) == len(set(measured)) == 2
+    assert result.selected == 1
+    assert result.selection_reason == "valid-min-edit"
 
 
 def test_eval_mode_rejects_a_ground_truth_without_tokens():

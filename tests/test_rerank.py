@@ -9,6 +9,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from testmend import rerank
 from testmend.cli import build_scorer
 from testmend.collectors import ClassCtxGroup, ContextChunk, TROCtxBundle
 from testmend.errors import ScorerError
@@ -152,6 +153,24 @@ def test_lexical_scores_bounded_and_zero_for_disjoint_vocab():
     assert all(0.0 <= s <= 1.0 for s in scores)
     assert scores[0] == 0.0
     assert scores[1] > 0.0
+
+
+def test_lexical_tokenizes_each_text_once(monkeypatch):
+    """Documents scored against two queries are tokenized once, and the
+    scores equal those of a new scorer."""
+    tokenized = []
+
+    def counting_tokens(text):
+        tokenized.append(text)
+        return identifier_tokens(text)
+
+    monkeypatch.setattr(rerank, "identifier_tokens", counting_tokens)
+    scorer = LexicalScorer()
+    first = scorer.score(MEMBER_QUERY, MEMBER_DOCS)
+    second = scorer.score("getDefaultInstance", MEMBER_DOCS)
+    assert sorted(tokenized) == sorted({MEMBER_QUERY, "getDefaultInstance", *MEMBER_DOCS})
+    assert first == LexicalScorer().score(MEMBER_QUERY, MEMBER_DOCS)
+    assert second == LexicalScorer().score("getDefaultInstance", MEMBER_DOCS)
 
 
 def test_lexical_empty_inputs():

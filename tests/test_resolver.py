@@ -394,6 +394,31 @@ def work_counts(monkeypatch):
     assert not canonical_texts & lexed
 
 
+def test_dotted_name_parses_no_file_for_a_package_segment(tmp_path, work_counts):
+    """``java`` and ``org`` are in every file and declare no class, so the
+    lookups parse only the origin and the files that mention the last
+    segment."""
+    files = {
+        f"src/org/demo/U{i}.java": (
+            f"// dotted-package-{i}\npackage org.demo;\nimport java.util.List;\n"
+            f"class U{i} {{ java.util.List<String> items; }}\n"
+        )
+        for i in range(5)
+    }
+    files["src/java/util/AbstractList.java"] = (
+        "// dotted-package-base\npackage java.util;\npublic class AbstractList { }\n"
+    )
+    files["src/org/demo/Child.java"] = (
+        "// dotted-package-child\npackage org.demo;\nclass Child extends java.util.AbstractList { }\n"
+    )
+    index = CodeIndex(write_snapshot(tmp_path, files))
+    hit = index.resolve_class(POST, "src/org/demo/Child.java", "java.util.AbstractList")
+    assert (hit[0].path, hit[1].name) == ("src/java/util/AbstractList.java", "AbstractList")
+    assert work_counts["parse_java"] == 2
+    assert index.resolve_class(POST, "src/org/demo/Child.java", "org.Nope.Base") is None
+    assert work_counts["parse_java"] == 2
+
+
 def test_identical_snapshot_elsewhere_is_neither_canonicalized_nor_parsed(tmp_path, work_counts):
     files = {
         "src/a/A.java": "// cache-copy-a\npackage a;\npublic class A {\n    void run() { }\n}\n",

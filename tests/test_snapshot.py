@@ -4,15 +4,18 @@ import os
 import random
 import stat
 import tempfile
+from difflib import SequenceMatcher
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from testmend import snapshot
 from testmend.errors import InputError
+from testmend.javasrc.lexer import split_lines
 from testmend.resolver import CodeIndex
-from testmend.snapshot import POST, PRE, RepoSnapshot, unified_diff
+from testmend.snapshot import POST, PRE, DiffText, RepoSnapshot, unified_diff
 
 from diff_oracle import apply_diff
 
@@ -80,6 +83,34 @@ def test_diff_lines_are_token_lines_past_a_latin1_0x85(tmp_path):
     [two] = [tokens.token(i) for i, text in enumerate(tokens.texts) if text == "2"]
     assert hunk.added == ("        g(2);",)
     assert hunk.post_start == two.line == 3
+
+
+def test_exists_takes_a_listed_path_from_the_listing(tmp_path, monkeypatch):
+    pre, post = two_roots(tmp_path)
+    (pre / "Top.java").write_text("class Top { }\n")
+    outside = tmp_path / "outside"
+    outside.mkdir()
+    (outside / "Out.java").write_text("class Out { }\n")
+    (pre / "linked").symlink_to(outside, target_is_directory=True)
+    s = RepoSnapshot(pre, post)
+    stats = []
+    real_isfile = os.path.isfile
+
+    def counting_isfile(path):
+        stats.append(os.path.relpath(path, pre))
+        return real_isfile(path)
+
+    monkeypatch.setattr(os.path, "isfile", counting_isfile)
+    assert s.exists(PRE, "Top.java")  # no buffer yet: a stat answers
+    assert stats == ["Top.java"]
+    assert s.version_text(PRE).paths == ["Top.java"]
+    stats.clear()
+    assert s.exists(PRE, "Top.java")
+    assert stats == []
+    # Unlisted paths keep the stat: under a symlinked directory, or absent.
+    assert s.exists(PRE, "linked/Out.java")
+    assert not s.exists(PRE, "Absent.java")
+    assert stats == ["linked/Out.java", "Absent.java"]
 
 
 def test_java_files_sorted(snap):
@@ -312,6 +343,22 @@ def test_search_sees_decoded_folded_text(tmp_path):
     assert s.read(POST, "Latin.java") == "// Ren\u00e9\nclass Latin { }"
 
 
+def test_may_declare_class_reads_the_gap_as_the_lexer_does(tmp_path):
+    files = {
+        "A.java": b"package java.util;\nclass /* c */ Block {}\n",
+        "B.java": b"interface // c\r\n  Line {}\n",
+        "C.java": b"record\tRec(int a) {}\n@interface\fNote {}\nenum E {}\n",
+        "D.java": b"import java.util.List;\nclass ListHolder { java.util.List<String> x; }\n",
+    }
+    s, _ = version_of(tmp_path, files)
+    version = s.version_text(POST)
+    for name in ("Block", "Line", "Rec", "Note", "E", "ListHolder"):
+        assert version.may_declare_class(name), name
+    for name in ("java", "util", "List", "c", "Bloc", "String", "x"):
+        assert not version.may_declare_class(name), name
+    assert version.may_declare_class("Caf\u00e9")  # not ASCII: assumed declared
+
+
 PIECES = [b"a", b"b", b"ab", b" ", b"\0", b"\r", b"\n", b"\r\n", b"\xe9", b"\xff",
           "\u00e9".encode("utf-8"), "\u2014".encode("utf-8")]
 
@@ -333,6 +380,20 @@ def test_search_equals_a_scan_of_each_text(datas, name):
 def test_missing_root_raises(tmp_path):
     with pytest.raises(InputError):
         RepoSnapshot(tmp_path / "nope", tmp_path)
+
+
+@pytest.mark.parametrize("text", ["", "one\n", "one\ntwo\n\nthree", "a\r\nb\n"])
+def test_diff_of_equal_texts_builds_no_matcher(monkeypatch, text):
+    lines = tuple(split_lines(text))
+    # What the matcher gives for equal texts: no hunk.
+    opcodes = SequenceMatcher(a=lines, b=lines, autojunk=False).get_opcodes()
+    assert all(tag == "equal" for tag, *_ in opcodes)
+
+    def no_matcher(*args, **kwargs):
+        raise AssertionError("SequenceMatcher built for equal texts")
+
+    monkeypatch.setattr(snapshot, "SequenceMatcher", no_matcher)
+    assert unified_diff(text, text) == DiffText(lines, lines, ())
 
 
 def test_diff_structure():
