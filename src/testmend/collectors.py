@@ -20,8 +20,10 @@ Both follow parents through one walk, ``ContextCollector._parent_chain``,
 which resolves each superclass as written, without its type arguments:
 simple, nested (``extends A.Inner``) or qualified (``extends q.Base``).
 It warns when a parent is outside the snapshot or the chain is
-truncated, and stops at a parent already in the chain.  A bundle keeps
-each warning once, in first-seen order.
+truncated, and stops at a parent already in the chain.
+
+:func:`construct_bundle` builds one :class:`TROCtxBundle` from the
+finished families, keeping each warning once, in first-seen order.
 
 All chunk text is canonical-form source, so chunks never contain comment
 syntax.  A single chunk is capped at 40 lines plus a trailing
@@ -40,7 +42,8 @@ from __future__ import annotations
 import logging
 import re
 from bisect import bisect_left
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Sequence
 
 from testmend.errors import CursorNotOnIdentifier, InputError, LocatorNotFound
 from testmend.javasrc import lexer
@@ -89,24 +92,15 @@ class ClassCtxGroup(NamedTuple):
     defining_classes: list[str]
 
 
-class TROCtxBundle:
-    """The collected context: the collector and the reranker fill it in."""
+class TROCtxBundle(NamedTuple):
+    """One sample's context families and collection warnings, built whole
+    by :func:`construct_bundle` (collected) and ``rerank_bundle`` (kept)."""
 
-    __slots__ = ("class_ctx", "usage_ctx", "env_ctx_focal", "env_ctx_test", "warnings")
-
-    def __init__(
-        self,
-        class_ctx: dict[str, ClassCtxGroup] | None = None,
-        usage_ctx: list[ContextChunk] | None = None,
-        env_ctx_focal: list[ContextChunk] | None = None,
-        env_ctx_test: list[ContextChunk] | None = None,
-        warnings: list[str] | None = None,
-    ):
-        self.class_ctx = {} if class_ctx is None else class_ctx
-        self.usage_ctx = [] if usage_ctx is None else usage_ctx
-        self.env_ctx_focal = [] if env_ctx_focal is None else env_ctx_focal
-        self.env_ctx_test = [] if env_ctx_test is None else env_ctx_test
-        self.warnings = [] if warnings is None else warnings
+    class_ctx: Mapping[str, ClassCtxGroup] = MappingProxyType({})
+    usage_ctx: Sequence[ContextChunk] = ()
+    env_ctx_focal: Sequence[ContextChunk] = ()
+    env_ctx_test: Sequence[ContextChunk] = ()
+    warnings: Sequence[str] = ()
 
     def as_dict(self) -> dict:
         return {
@@ -193,15 +187,18 @@ class ContextCollector:
         )
         header_tokens = [tokens.token(i) for i in header if tokens.kinds[i] == lexer.IDENT]
         for type_name, role in roles.items():
-            group = ClassCtxGroup(type_name, role, [], [])
-            groups[type_name] = group
             definition = self._resolve_type(type_name, parsed, header_tokens)
             if definition is None:
                 warnings.append(f"type {type_name} is not defined inside the snapshot")
-                continue
-            for pf, cls in self._parent_chain(POST, *definition, warnings):
-                group.defining_classes.append(cls.name)
-                group.chunks.extend(self._member_chunks(pf, cls))
+                chain = []
+            else:
+                chain = self._parent_chain(POST, *definition, warnings)
+            groups[type_name] = ClassCtxGroup(
+                type_name,
+                role,
+                [chunk for pf, cls in chain for chunk in self._member_chunks(pf, cls)],
+                [cls.name for _, cls in chain],
+            )
         return groups, warnings
 
     def _resolve_type(
@@ -438,28 +435,6 @@ class ContextCollector:
                 spans.append(_line_span(parsed.java.text, method))
         return pre_spans, post_spans
 
-    # ------------------------------------------------------------------
-    # bundle
-    # ------------------------------------------------------------------
-
-    def collect_bundle(
-        self, focal: FocalChange, test_locator: MethodLocator
-    ) -> TROCtxBundle:
-        bundle = TROCtxBundle()
-        if focal.kinds & {SynBCKind.PARAM, SynBCKind.RET}:
-            bundle.class_ctx, class_warnings = self.collect_class_ctx(focal)
-            bundle.warnings.extend(class_warnings)
-        usage, usage_warnings = self.collect_usage_ctx(focal, test_locator)
-        bundle.usage_ctx = usage
-        bundle.warnings.extend(usage_warnings)
-        focal_env, test_env, env_warnings = self.collect_env_ctx(focal, test_locator)
-        bundle.env_ctx_focal = focal_env
-        bundle.env_ctx_test = test_env
-        bundle.warnings.extend(env_warnings)
-        # The class context and both environment walks can meet the same parent.
-        bundle.warnings = list(dict.fromkeys(bundle.warnings))
-        return bundle
-
 
 def _erasure(type_text: str) -> str:
     """``type_text`` without its type arguments: ``A<K>.B<V>`` is ``A.B``."""
@@ -500,4 +475,15 @@ def construct_bundle(
     test_locator: MethodLocator,
     resolver: Resolver,
 ) -> TROCtxBundle:
-    return ContextCollector(resolver).collect_bundle(focal, test_locator)
+    """The context families of ``focal`` and ``test_locator``; class
+    context only for a parameter or return change."""
+    collector = ContextCollector(resolver)
+    if focal.kinds & {SynBCKind.PARAM, SynBCKind.RET}:
+        class_ctx, class_warnings = collector.collect_class_ctx(focal)
+    else:
+        class_ctx, class_warnings = {}, []
+    usage, usage_warnings = collector.collect_usage_ctx(focal, test_locator)
+    focal_env, test_env, env_warnings = collector.collect_env_ctx(focal, test_locator)
+    # The class context and both environment walks can meet the same parent.
+    warnings = list(dict.fromkeys([*class_warnings, *usage_warnings, *env_warnings]))
+    return TROCtxBundle(class_ctx, usage, focal_env, test_env, warnings)

@@ -183,20 +183,21 @@ def load_manifest(path: str | Path) -> ManifestLoad:
     """Samples that pass hygiene, plus (id, rule) pairs for the rest."""
     p = Path(path)
     entries = read_manifest(p)
-    load = ManifestLoad([], [])
+    samples: list[RepairSample] = []
+    rejects: list[tuple[str, str]] = []
     seen: set[str] = set()
     for entry in entries:
         entry_id = entry["id"]
         if entry_id in seen:
-            load.rejects.append((entry_id, "duplicate-id"))
+            rejects.append((entry_id, "duplicate-id"))
             continue
         seen.add(entry_id)
         admitted = _admit(entry, p.parent)
         if isinstance(admitted, str):
-            load.rejects.append((entry_id, admitted))
+            rejects.append((entry_id, admitted))
         else:
-            load.samples.append(admitted)
-    return load
+            samples.append(admitted)
+    return ManifestLoad(samples, rejects)
 
 
 def load_sample(path: str | Path, sample_id: str) -> RepairSample:

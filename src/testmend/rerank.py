@@ -263,8 +263,11 @@ def rerank_bundle(
     scorer: Scorer | None = None,
     k: int = DEFAULT_K,
 ) -> RerankResult:
+    """A new bundle of each family's top ``k`` chunks (class-context
+    constructors kept besides), and each family's ranking."""
     scorer = scorer or LexicalScorer()
-    result = RerankResult(TROCtxBundle(warnings=list(bundle.warnings)), {})
+    rankings: dict[str, list[ScoredChunk]] = {}
+    class_ctx: dict[str, ClassCtxGroup] = {}
     for type_name, group in bundle.class_ctx.items():
         constructors = [c for c in group.chunks if c.is_constructor]
         others = [c for c in group.chunks if not c.is_constructor]
@@ -275,19 +278,18 @@ def rerank_bundle(
             [[c.signature_form or c.text] for c in others],
             k,
         )
-        result.rankings[f"class:{type_name}"] = ranked
-        result.bundle.class_ctx[type_name] = group._replace(
-            chunks=constructors + [s.chunk for s in ranked]
-        )
+        rankings[f"class:{type_name}"] = ranked
+        class_ctx[type_name] = group._replace(chunks=constructors + [s.chunk for s in ranked])
     # Rankings keep the order class:*, usage, env_focal, env_test.
     flat_families = (
-        ("usage", "usage_ctx", queries.obsolete_stmts, _usage_sides),
-        ("env_focal", "env_ctx_focal", queries.synbc_analysis, lambda c: [c.text]),
-        ("env_test", "env_ctx_test", queries.obsolete_stmts, lambda c: [c.text]),
+        ("usage", bundle.usage_ctx, queries.obsolete_stmts, _usage_sides),
+        ("env_focal", bundle.env_ctx_focal, queries.synbc_analysis, lambda c: [c.text]),
+        ("env_test", bundle.env_ctx_test, queries.obsolete_stmts, lambda c: [c.text]),
     )
-    for key, attr, query, sides in flat_families:
-        chunks = getattr(bundle, attr)
-        ranked = _rank(scorer, (query,), chunks, [sides(c) for c in chunks], k)
-        result.rankings[key] = ranked
-        setattr(result.bundle, attr, [s.chunk for s in ranked])
-    return result
+    for key, chunks, query, sides in flat_families:
+        rankings[key] = _rank(scorer, (query,), chunks, [sides(c) for c in chunks], k)
+    usage, env_focal, env_test = ([s.chunk for s in rankings[key]] for key, *_ in flat_families)
+    kept = bundle._replace(
+        class_ctx=class_ctx, usage_ctx=usage, env_ctx_focal=env_focal, env_ctx_test=env_test
+    )
+    return RerankResult(kept, rankings)

@@ -106,14 +106,16 @@ class FocalChange(NamedTuple):
 
 
 def type_identifiers(type_text: str) -> list[str]:
-    """Identifier tokens of a type text, in order, deduplicated."""
+    """Identifier tokens of a type text, in order, deduplicated, without
+    the qualifiers before a ``.``: ``java.util.Map<K, V>`` gives ``Map``,
+    ``K`` and ``V``, and ``Outer.Inner`` gives ``Inner``."""
     seen: list[str] = []
     try:
         kinds, texts, *_ = lexer.lex(type_text)
     except ParseError:
         return seen
-    for kind, text in zip(kinds, texts):
-        if kind == lexer.IDENT and text not in seen:
+    for kind, text, after in zip(kinds, texts, [*texts[1:], ""]):
+        if kind == lexer.IDENT and after != "." and text not in seen:
             seen.append(text)
     return seen
 

@@ -182,12 +182,13 @@ class VersionText:
     the same character, and only for it, under UTF-8 and ISO-8859-1.
     """
 
-    __slots__ = ("paths", "data", "starts")
+    __slots__ = ("paths", "data", "starts", "_declared")
 
     def __init__(self, paths: list[str], data: bytearray, starts: list[int]):
         self.paths = paths
         self.data = data
         self.starts = starts
+        self._declared: dict[str, bool] = {}  # may_declare_class's answers
 
     def text(self, i: int) -> str:
         """The text of file *i*, decoded as :meth:`RepoSnapshot.read` decodes it."""
@@ -230,16 +231,16 @@ class VersionText:
         A declaration's name is the token after the type keyword, so a
         file that declares ``name`` holds the keyword, then what the lexer
         skips between two tokens, then ``name`` not followed by an
-        identifier character; the search looks for that in the bytes.  A
-        name that is not printable ASCII is assumed declared.
+        identifier character; the search looks for that in the bytes, once
+        per name.  A name that is not printable ASCII is assumed declared.
         """
         if not (name.isascii() and name.isprintable()):
             return True
-        pattern = rb"(?:class|interface|enum|record)%s%s(?![\w$])" % (
-            _GAP,
-            re.escape(name.encode("ascii")),
-        )
-        return re.search(pattern, self.data, re.DOTALL) is not None
+        if name not in self._declared:
+            needle = re.escape(name.encode("ascii"))
+            pattern = rb"(?:class|interface|enum|record)%s%s(?![\w$])" % (_GAP, needle)
+            self._declared[name] = re.search(pattern, self.data, re.DOTALL) is not None
+        return self._declared[name]
 
 
 def _decode(data: bytes | bytearray) -> str:

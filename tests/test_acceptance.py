@@ -409,18 +409,14 @@ _WORDS = ["mount", "option", "read", "only", "path", "journal", "default",
 
 
 def _random_bundle(rng):
-    bundle = TROCtxBundle()
+    class_ctx = {}
     for g in range(rng.randrange(0, 3)):
         name = f"Type{g}"
-        group = ClassCtxGroup(
-            type_name=name,
-            role=rng.choice(["param", "return", "both"]),
-            chunks=[],
-            defining_classes=[],
-        )
+        role = rng.choice(["param", "return", "both"])
+        chunks = []
         for c in range(rng.randrange(0, 8)):
             text = " ".join(rng.sample(_WORDS, rng.randrange(1, 5))) + f" m{c}();"
-            group.chunks.append(
+            chunks.append(
                 ContextChunk(
                     text=text,
                     group_label=f"Defined in class {name}",
@@ -428,23 +424,26 @@ def _random_bundle(rng):
                     is_constructor=rng.random() < 0.25,
                 )
             )
-        bundle.class_ctx[name] = group
+        class_ctx[name] = ClassCtxGroup(
+            type_name=name, role=role, chunks=chunks, defining_classes=[]
+        )
+    usage = []
     for c in range(rng.randrange(0, 6)):
         words = rng.sample(_WORDS, 3)
-        bundle.usage_ctx.append(
+        usage.append(
             ContextChunk(
                 text=f"- old {' '.join(words)};\n+ new {' '.join(words)};",
                 group_label="Usage change in src/X.java",
             )
         )
-    for c in range(rng.randrange(0, 4)):
-        bundle.env_ctx_focal.append(
-            ContextChunk(
-                text=f"+ {rng.choice(_WORDS)} {rng.choice(_WORDS)};",
-                group_label="Environment change in src/Y.java",
-            )
+    env_focal = [
+        ContextChunk(
+            text=f"+ {rng.choice(_WORDS)} {rng.choice(_WORDS)};",
+            group_label="Environment change in src/Y.java",
         )
-    return bundle
+        for _ in range(rng.randrange(0, 4))
+    ]
+    return TROCtxBundle(class_ctx=class_ctx, usage_ctx=usage, env_ctx_focal=env_focal)
 
 
 def _random_queries(rng):

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from testmend import resolver
 from testmend.collectors import (
     TRUNCATION_MARKER,
     ContextCollector,
@@ -394,6 +395,65 @@ def test_class_ctx_follows_a_qualified_superclass(tmp_path):
     # without its type arguments.
     _, warnings = _class_ctx_of_new_parameter(tmp_path / "ext", files, "Ext")
     assert warnings == ["parent class java.util.AbstractList of Ext is outside the snapshot"]
+
+
+def test_class_ctx_skips_package_qualifiers(tmp_path, monkeypatch):
+    """``java`` and ``util`` qualify ``Map``: they get no group, no warning
+    and no lookup, so only the focal file and ``Opts`` are parsed."""
+    parses = []
+    parse_java_of_cache = resolver.parse_java
+
+    def counted(*args):
+        parses.append(args[0])
+        return parse_java_of_cache(*args)
+
+    monkeypatch.setattr(resolver, "_SOURCES", resolver.SourceCache())
+    monkeypatch.setattr(resolver, "parse_java", counted)
+    files = {
+        f"p/U{i}.java": (
+            f"package p;\nimport java.util.List;\nclass U{i} {{\n    List<U{i}> items;\n}}\n"
+        )
+        for i in range(20)
+    }
+    files["p/Opts.java"] = "package p;\npublic class Opts {\n    public int size;\n}\n"
+    groups, warnings = _class_ctx_of_new_parameter(
+        tmp_path, files, "java.util.Map<String, Opts>"
+    )
+    assert list(groups) == ["Map", "String", "Opts"]
+    assert [c.text for c in groups["Opts"].chunks] == ["public int size;"]
+    assert warnings == [
+        "type Map is not defined inside the snapshot",
+        "type String is not defined inside the snapshot",
+    ]
+    assert len(parses) == 2
+
+
+def test_class_ctx_stops_at_an_inheritance_cycle(tmp_path):
+    files = {
+        "p/A.java": "package p;\npublic class A extends B {\n    public int a;\n}\n",
+        "p/B.java": "package p;\npublic class B extends A {\n    public int b;\n}\n",
+    }
+    groups, warnings = _class_ctx_of_new_parameter(tmp_path, files, "A")
+    assert groups["A"].defining_classes == ["A", "B"]
+    assert [c.text for c in groups["A"].chunks] == ["public int a;", "public int b;"]
+    assert warnings == []
+
+
+def test_class_ctx_lists_interface_methods_without_a_body_whole(tmp_path):
+    files = {
+        "p/Opts.java": (
+            "package p;\npublic interface Opts {\n    int size();\n\n"
+            "    default boolean empty() {\n        return size() == 0;\n    }\n\n"
+            "    static Opts none() {\n        return null;\n    }\n}\n"
+        ),
+    }
+    groups, warnings = _class_ctx_of_new_parameter(tmp_path, files, "Opts")
+    assert [c.text for c in groups["Opts"].chunks] == [
+        "int size();",
+        "default boolean empty();",
+        "static Opts none();",
+    ]
+    assert warnings == []
 
 
 def test_class_ctx_return_role(tmp_path):

@@ -359,6 +359,28 @@ def test_may_declare_class_reads_the_gap_as_the_lexer_does(tmp_path):
     assert version.may_declare_class("Caf\u00e9")  # not ASCII: assumed declared
 
 
+def test_may_declare_class_searches_the_buffer_once_per_name(tmp_path, monkeypatch):
+    files = {
+        "A.java": b"package p;\nclass A extends java.util.AbstractList { }\n",
+        "B.java": b"package p;\nclass B extends java.util.AbstractList { }\n",
+    }
+    s, _ = version_of(tmp_path, files)
+    buffer = s.version_text(POST).data
+    searches = []
+    search = snapshot.re.search
+
+    def counted(pattern, string, *args):
+        if string is buffer:
+            searches.append(pattern)
+        return search(pattern, string, *args)
+
+    monkeypatch.setattr(snapshot.re, "search", counted)
+    index = CodeIndex(s)
+    assert index.resolve_class(POST, "A.java", "java.util.AbstractList") is None
+    assert index.resolve_class(POST, "B.java", "java.util.AbstractList") is None
+    assert len(searches) == 1
+
+
 PIECES = [b"a", b"b", b"ab", b" ", b"\0", b"\r", b"\n", b"\r\n", b"\xe9", b"\xff",
           "\u00e9".encode("utf-8"), "\u2014".encode("utf-8")]
 
