@@ -4,7 +4,8 @@ Three context families are gathered for a focal change:
 
 * **class context** — member declarations of class types that are new in
   the updated signature (parameter or return position), including
-  members inherited from parents up to five levels.  Private members are
+  members inherited from parents (superclasses, or an interface's
+  super-interfaces) up to five of them.  Private members are
   dropped unless a Lombok ``@Data``/``@Getter``/``@Setter`` annotation
   implies generated accessors for a private field.
 * **usage context** — for every other reference of the updated focal
@@ -16,11 +17,12 @@ Three context families are gathered for a focal change:
   its parents' files (and likewise for the test), excluding hunks that
   overlap the focal/test method bodies themselves.
 
-Both follow parents through one walk, ``ContextCollector._parent_chain``,
-which resolves each superclass as written, without its type arguments:
-simple, nested (``extends A.Inner``) or qualified (``extends q.Base``).
-It warns when a parent is outside the snapshot or the chain is
-truncated, and stops at a parent already in the chain.
+Both follow parents through one walk, ``ContextCollector._parent_chain``:
+a class's superclass, and an interface's super-interfaces in written
+order, breadth first.  It resolves each parent as written, without its
+type arguments: simple, nested (``extends A.Inner``) or qualified
+(``extends q.Base``).  It warns when a parent is outside the snapshot or
+the chain is truncated, and skips a parent already in the chain.
 
 :func:`construct_bundle` builds one :class:`TROCtxBundle` from the
 finished families, keeping each warning once, in first-seen order.
@@ -225,25 +227,26 @@ class ContextCollector:
     def _parent_chain(
         self, version: str, parsed: ParsedFile, cls: ClassDecl, warnings: list[str]
     ) -> list[tuple[ParsedFile, ClassDecl]]:
-        """``cls`` and up to ``PARENT_DEPTH_CAP`` of its superclasses, nearest first."""
+        """``cls`` and up to ``PARENT_DEPTH_CAP`` of its supertypes, breadth
+        first: a class's superclass, an interface's super-interfaces in
+        written order, each type once."""
         chain = [(parsed, cls)]
-        while (extends := chain[-1][1].extends) is not None:
-            if len(chain) > PARENT_DEPTH_CAP:
-                warnings.append(
-                    f"parent chain of {cls.name} exceeds {PARENT_DEPTH_CAP} levels; truncated"
-                )
-                break
-            pf, decl = chain[-1]
-            parent_name = _erasure(extends)
-            parent = self.index.resolve_class(version, pf.path, parent_name)
-            if parent is None:
-                warnings.append(
-                    f"parent class {parent_name} of {decl.name} is outside the snapshot"
-                )
-                break
-            if any(known is parent[1] for _, known in chain):
-                break  # inheritance cycle
-            chain.append(parent)
+        for pf, decl in chain:  # reaches the parents appended on the way
+            written = decl.implements if decl.keyword == "interface" else [decl.extends]
+            for parent_type in filter(None, written):
+                if len(chain) > PARENT_DEPTH_CAP:
+                    warnings.append(
+                        f"parent chain of {cls.name} exceeds {PARENT_DEPTH_CAP} levels; truncated"
+                    )
+                    return chain
+                parent_name = _erasure(parent_type)
+                parent = self.index.resolve_class(version, pf.path, parent_name)
+                if parent is None:
+                    warnings.append(
+                        f"parent class {parent_name} of {decl.name} is outside the snapshot"
+                    )
+                elif all(known is not parent[1] for _, known in chain):  # else a cycle
+                    chain.append(parent)
         return chain
 
     def _member_chunks(self, pf: ParsedFile, cls: ClassDecl) -> list[ContextChunk]:

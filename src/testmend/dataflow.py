@@ -143,18 +143,12 @@ def dataflow_edges(kinds: Sequence[str], texts: Sequence[str]) -> set[tuple[str,
     assigned, or bound in an enhanced-for).  Each later occurrence is a
     use and links to the latest definition's ordinal.
     """
-    defined: set[str] = set()
-    for i, kind in enumerate(kinds):
-        if kind == IDENT and _is_def_site(kinds, texts, i):
-            defined.add(texts[i])
     edges: set[tuple[str, int, int]] = set()
-    def_count: dict[str, int] = {}
+    def_count: dict[str, int] = {}  # definitions so far; a name without one has no use
     use_count: dict[str, int] = {}
     for i, name in enumerate(texts):
-        if kinds[i] != IDENT or name not in defined:
-            continue
-        if i > 0 and texts[i - 1] == ".":
-            continue  # member name, not the variable
+        if kinds[i] != IDENT or (i > 0 and texts[i - 1] == "."):
+            continue  # not an identifier, or a member name, not the variable
         if _is_def_site(kinds, texts, i):
             if _is_compound_def(texts, i) and name in def_count:
                 edges.add((name, def_count[name] - 1, use_count.get(name, 0)))

@@ -62,6 +62,10 @@ _BRACE_GLUE = frozenset({";", ")", ",", ".", "::", "else", "catch", "finally", "
 _NO_SPACE_AFTER = frozenset({"(", "[", ".", "@", "::"})
 _NO_SPACE_BEFORE = frozenset({")", "]", ";", ",", ".", "::", "..."})
 
+# After these a '{' opens an array or annotation initializer, not a block
+# (``new int[] {`` too); so does a '{' right after an initializer's '{'.
+_INIT_AFTER = frozenset({"=", ",", "(", "[", "]"})
+
 _CLOSERS = frozenset({")", "]"})
 _UNARY = frozenset({"+", "-", "!", "~", "++", "--"})
 _POSTFIX = frozenset({")", "]", "++", "--"})
@@ -89,82 +93,46 @@ class CursorPos(NamedTuple):
     col: int
 
 
-def _classify_braces(texts: Sequence[str]) -> list[str | None]:
-    """Each token's brace kind: 'block' or 'init' for '{'/'}', else None."""
-    kinds: list[str | None] = [None] * len(texts)
-    stack: list[str] = []
-    prev: str | None = None
-    prev_kind: str | None = None
-    for i, text in enumerate(texts):
-        if text == "{":
-            if prev is None:
-                kind = "block"
-            elif prev in ("=", ",", "(", "["):
-                kind = "init"
-            elif prev == "]":
-                kind = "init"  # new int[] { ... }
-            elif prev == "{" and prev_kind == "init":
-                kind = "init"  # nested initializer rows
+def _generic_region(kinds: Sequence[str], texts: Sequence[str], i: int) -> list[int]:
+    """The angle tokens of the type-argument region that opens with the
+    ``<`` at ``i``; empty if the tokens after it do not close one within
+    ``_GENERIC_SCAN_LIMIT`` tokens."""
+    depth = 1
+    region = [i]
+    for j in range(i + 1, min(len(texts), i + _GENERIC_SCAN_LIMIT + 1)):
+        text = texts[j]
+        kind = kinds[j]
+        if text in _ANGLE:
+            region.append(j)
+            if text == "<":
+                depth += 1
             else:
-                kind = "block"
-            kinds[i] = kind
-            stack.append(kind)
-        elif text == "}":
-            kinds[i] = stack.pop() if stack else "block"
-        prev_kind = kinds[i]
-        prev = text
-    return kinds
-
-
-def _mark_generic_angles(kinds: Sequence[str], texts: Sequence[str]) -> set[int]:
-    """Indices of angle tokens that participate in a type-argument region."""
-    marked: set[int] = set()
-    n = len(texts)
-    for i, text in enumerate(texts):
-        if text != "<" or i in marked:
-            continue
-        depth = 1
-        region = [i]
-        j = i + 1
-        ok = False
-        while j < n and j - i <= _GENERIC_SCAN_LIMIT:
-            text = texts[j]
-            kind = kinds[j]
-            if text in _ANGLE:
-                region.append(j)
-                if text == "<":
-                    depth += 1
-                else:
-                    depth -= {">": 1, ">>": 2, ">>>": 3}[text]
-                if depth <= 0:
-                    ok = depth == 0
-                    break
-            elif kind == IDENT or (
-                kind == KEYWORD and (text in _GENERIC_BODY or text in PRIMITIVE_WORDS)
-            ):
-                pass
-            elif kind == OP and text in _GENERIC_BODY:
-                pass
-            else:
-                break
-            j += 1
-        if ok:
-            marked.update(region)
-    return marked
+                depth -= {">": 1, ">>": 2, ">>>": 3}[text]
+            if depth <= 0:
+                return region if depth == 0 else []
+        elif not (
+            kind == IDENT
+            or (kind == KEYWORD and (text in _GENERIC_BODY or text in PRIMITIVE_WORDS))
+            or (kind == OP and text in _GENERIC_BODY)
+        ):
+            return []
+    return []
 
 
 def _emit(kinds: Sequence[str], texts: Sequence[str]) -> tuple[str, TokenArrays]:
     """The canonical text of a token stream, and its tokens positioned in it.
 
-    One loop writes each token and decides the space, line break and
-    indent before it; ``offset``, ``line`` and ``line_start`` follow what
-    is written, newlines inside string, text-block and char tokens too.
+    One loop decides each brace's kind (block or initializer) and each
+    type-argument region as it reaches them, writes each token and decides
+    the space, line break and indent before it; ``offset``, ``line`` and
+    ``line_start`` follow what is written, newlines inside string,
+    text-block and char tokens too.
     Each token's line, column and offset go to three lists, so no
     :class:`~testmend.javasrc.lexer.Token` is built.
     """
     n = len(texts)
-    braces = _classify_braces(texts)
-    angles = _mark_generic_angles(kinds, texts)
+    angles: set[int] = set()  # angle tokens of the type-argument regions seen so far
+    open_braces: list[str] = []  # the kind of each open brace
     parts: list[str] = []
     write = parts.append
     lines: list[int] = []
@@ -181,7 +149,16 @@ def _emit(kinds: Sequence[str], texts: Sequence[str]) -> tuple[str, TokenArrays]
     for i in range(n):
         kind = kinds[i]
         text = texts[i]
-        brace = braces[i]
+        if text == "{":
+            init = prev_text in _INIT_AFTER or (prev_text == "{" and prev_brace == "init")
+            brace: str | None = "init" if init else "block"
+            open_braces.append(brace)
+        elif text == "}":
+            brace = open_braces.pop() if open_braces else "block"
+        else:
+            brace = None
+            if text == "<" and i not in angles:
+                angles.update(_generic_region(kinds, texts, i))
         block_open = block_close = False
         if brace == "block":
             if text == "{":

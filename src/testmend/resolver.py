@@ -24,22 +24,24 @@ approximated through imports and packages:
   an immediately following ``(``; declaration name tokens themselves are
   excluded.
 
-Lookups by name parse only the files whose raw text mentions the name
-(:meth:`CodeIndex.files_mentioning`); the rest are never canonicalized or
-parsed.  This is safe because the lexer and ``canonicalize`` copy
-identifier text verbatim and decode no ``\\uXXXX`` escapes: a file whose
-raw text lacks the name holds no identifier token, class name or
-reference equal to it.  The first such lookup in a version reads each of
-its files once, with raw system calls, into one byte buffer
-(:meth:`RepoSnapshot.version_text
+Lookups by name parse only the files that may hold the name; the rest are
+never canonicalized or parsed.  A reference lookup parses the files whose
+raw text mentions the name (:meth:`CodeIndex.files_mentioning`), and a
+class lookup, of every segment it resolves, only those of them whose raw
+text holds a type keyword, what the lexer skips between two tokens, then
+the name (:meth:`~testmend.snapshot.VersionText.declaring`), so a name
+that many files use and none declares, such as ``String`` or the package
+segment ``java``, parses no file.  This is safe because the lexer and
+``canonicalize`` copy identifier text verbatim and decode no ``\\uXXXX``
+escapes: a file whose raw text lacks the name holds no identifier token,
+class name or reference equal to it, and a file that declares a class
+holds its keyword, gap and name verbatim.  The first such lookup in a
+version reads each of its files once, with raw system calls, into one
+byte buffer (:meth:`RepoSnapshot.version_text
 <testmend.snapshot.RepoSnapshot.version_text>`) that the snapshot keeps,
 so every index over that snapshot searches the same buffer.  Every lookup
 is then a C-level search of that buffer, which holds each file's bytes
-once; a file is decoded only to be parsed.  A dotted name's first segment
-is looked up as a class only if a regex search of that buffer finds a
-possible declaration of it
-(:meth:`~testmend.snapshot.VersionText.may_declare_class`), so a package
-segment such as ``java`` parses no file.
+once; a file is decoded only to be parsed.
 
 A language-server backend implementing the same protocol lives in
 :mod:`testmend.lsp`; it maps between raw and canonical positions itself.
@@ -257,12 +259,14 @@ class CodeIndex:
         return out
 
     def classes_named(self, version: str, simple_name: str) -> list[tuple[ParsedFile, ClassDecl]]:
-        return [
-            (parsed, cls)
-            for parsed in self.files_mentioning(version, simple_name)
-            for cls in parsed.java.all_classes()
-            if cls.name == simple_name
-        ]
+        """The classes called ``simple_name``, parsing only the files that may declare it."""
+        out = []
+        for path in self.snapshot.version_text(version).declaring(simple_name):
+            parsed = self.file(version, path)
+            if parsed is not None:
+                classes = parsed.java.all_classes()
+                out.extend((parsed, cls) for cls in classes if cls.name == simple_name)
+        return out
 
     def resolve_class(
         self, version: str, from_path: str, name: str
@@ -278,13 +282,7 @@ class CodeIndex:
         self, version: str, from_path: str, name: str
     ) -> tuple[ParsedFile, ClassDecl] | None:
         first, dot, rest = name.partition(".")
-        # The first segment of a dotted name is often a package, such as
-        # ``java``, that nearly every file mentions and none declares: one
-        # search of the version's bytes spares parsing those files.
-        if dot and not self.snapshot.version_text(version).may_declare_class(first):
-            hits = []
-        else:
-            hits = self.classes_named(version, first)
+        hits = self.classes_named(version, first)
         origin = self.file(version, from_path)
         if origin is None:  # no scope: any class of that name
             hit = hits[0] if hits else None

@@ -34,6 +34,11 @@ _CHUNK = 1 << 16  # bytes asked of each os.read
 # backtracks into the gap.
 _GAP = rb"[ \t\r\n\f]*(?:(?://[^\r\n]*(?![^\r\n])|/\*(?:(?!\*/).)*\*/)[ \t\r\n\f]*)*"
 
+# A type keyword and the word after the gap, the word read in a lookahead:
+# a keyword that ends an identifier (``@myrecord class Foo``) then consumes
+# only itself, and the search goes on to find the next keyword.
+_DECLARATION = re.compile(rb"(?:class|interface|enum|record)(?=%s([\w$]+))" % _GAP, re.DOTALL)
+
 
 class Location(NamedTuple):
     """A range inside one file of one snapshot version."""
@@ -180,6 +185,9 @@ class VersionText:
     such a name holds no CR, LF or NUL, so CR folding cannot make or break
     a match and no match spans two files; and an ASCII byte stands for
     the same character, and only for it, under UTF-8 and ISO-8859-1.
+
+    :meth:`containing` finds the files that mention a name, and
+    :meth:`declaring` those of them that may declare a type of that name.
     """
 
     __slots__ = ("paths", "data", "starts", "_declared")
@@ -188,7 +196,7 @@ class VersionText:
         self.paths = paths
         self.data = data
         self.starts = starts
-        self._declared: dict[str, bool] = {}  # may_declare_class's answers
+        self._declared: dict[int, set[bytes]] = {}  # file index -> _declared_in
 
     def text(self, i: int) -> str:
         """The text of file *i*, decoded as :meth:`RepoSnapshot.read` decodes it."""
@@ -224,23 +232,30 @@ class VersionText:
             at = find(needle, starts[i + 1])
         return out
 
-    def may_declare_class(self, name: str) -> bool:
-        """False only if no file declares a class (or interface, enum or
-        record) named ``name``.
+    def declaring(self, name: str) -> list[str]:
+        """The paths of :meth:`containing` whose bytes may declare a class
+        (or interface, enum or record) named ``name``, in path order.
 
-        A declaration's name is the token after the type keyword, so a
-        file that declares ``name`` holds the keyword, then what the lexer
-        skips between two tokens, then ``name`` not followed by an
-        identifier character; the search looks for that in the bytes, once
-        per name.  A name that is not printable ASCII is assumed declared.
+        A file that declares ``name`` holds the type keyword, then what the
+        lexer skips between two tokens, then ``name`` verbatim.  The words
+        after a type keyword and such a gap are found once per file, by one
+        search of its bytes (:data:`_DECLARATION`), and kept by file index.
+        A name that is not printable ASCII is looked for as
+        :meth:`containing` looks for it.
         """
+        paths = self.containing(name)
         if not (name.isascii() and name.isprintable()):
-            return True
-        if name not in self._declared:
-            needle = re.escape(name.encode("ascii"))
-            pattern = rb"(?:class|interface|enum|record)%s%s(?![\w$])" % (_GAP, needle)
-            self._declared[name] = re.search(pattern, self.data, re.DOTALL) is not None
-        return self._declared[name]
+            return paths
+        needle = name.encode("ascii")
+        return [p for p in paths if needle in self._declared_in(bisect_left(self.paths, p))]
+
+    def _declared_in(self, i: int) -> set[bytes]:
+        """The words that follow a type keyword in file *i*."""
+        words = self._declared.get(i)
+        if words is None:
+            found = _DECLARATION.finditer(self.data, self.starts[i], self.starts[i + 1] - 1)
+            words = self._declared[i] = {match[1] for match in found}
+        return words
 
 
 def _decode(data: bytes | bytearray) -> str:

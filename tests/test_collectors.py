@@ -13,9 +13,9 @@ from testmend.collectors import (
     construct_bundle,
 )
 from testmend.javasrc.ast import parse_java
-from testmend.resolver import BuiltinResolver, CodeIndex
+from testmend.resolver import BuiltinResolver
 from testmend.signatures import MethodLocator, focal_change
-from testmend.snapshot import POST, PRE, RepoSnapshot
+from testmend.snapshot import POST, PRE, RepoSnapshot, VersionText
 
 import scanner_oracle
 
@@ -320,13 +320,13 @@ def test_class_ctx_unresolved_type_warns(tmp_path, monkeypatch):
         post={"app/S.java": "package app;\npublic class S {\n    public void go(ExternalThing a) {\n    }\n}\n"},
     )
     scans = Counter()
-    files_mentioning = CodeIndex.files_mentioning
+    declaring = VersionText.declaring
 
-    def counted(index, version, name):
+    def counted(version_text, name):
         scans[name] += 1
-        return files_mentioning(index, version, name)
+        return declaring(version_text, name)
 
-    monkeypatch.setattr(CodeIndex, "files_mentioning", counted)
+    monkeypatch.setattr(VersionText, "declaring", counted)
     focal = focal_for(snap, "app/S.java", ("S",), "go")
     groups, warnings = collector_for(snap).collect_class_ctx(focal)
     assert groups["ExternalThing"].chunks == []
@@ -395,6 +395,34 @@ def test_class_ctx_follows_a_qualified_superclass(tmp_path):
     # without its type arguments.
     _, warnings = _class_ctx_of_new_parameter(tmp_path / "ext", files, "Ext")
     assert warnings == ["parent class java.util.AbstractList of Ext is outside the snapshot"]
+
+
+def test_class_ctx_follows_super_interfaces(tmp_path):
+    files = {
+        "p/Base.java": "package p;\npublic interface Base {\n    void base();\n}\n",
+        "p/Opts.java": "package p;\npublic interface Opts extends Base {\n    int size();\n}\n",
+    }
+    groups, warnings = _class_ctx_of_new_parameter(tmp_path, files, "Opts")
+    assert groups["Opts"].defining_classes == ["Opts", "Base"]
+    assert [c.text for c in groups["Opts"].chunks] == ["int size();", "void base();"]
+    assert warnings == []
+    # Breadth first, in written order, each type once, past a missing one.
+    files = {
+        "p/Root.java": "package p;\npublic interface Root {\n    void root();\n}\n",
+        "p/Base.java": "package p;\npublic interface Base extends Root {\n    void base();\n}\n",
+        "p/Extra.java": "package p;\npublic interface Extra extends Root {\n    void extra();\n}\n",
+        "p/Opts.java": (
+            "package p;\npublic interface Opts extends Base, Missing, Extra {\n    int size();\n}\n"
+        ),
+        # A class's interfaces are not followed.
+        "p/Impl.java": "package p;\npublic class Impl implements Opts {\n    public int own;\n}\n",
+    }
+    groups, warnings = _class_ctx_of_new_parameter(tmp_path / "bfs", files, "Opts")
+    assert groups["Opts"].defining_classes == ["Opts", "Base", "Extra", "Root"]
+    assert warnings == ["parent class Missing of Opts is outside the snapshot"]
+    groups, warnings = _class_ctx_of_new_parameter(tmp_path / "impl", files, "Impl")
+    assert groups["Impl"].defining_classes == ["Impl"]
+    assert warnings == []
 
 
 def test_class_ctx_skips_package_qualifiers(tmp_path, monkeypatch):

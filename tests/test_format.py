@@ -114,6 +114,23 @@ def test_generics_render_tightly():
     assert "Map<String, List<Integer>> m(List<? extends Number> x) {" in out
 
 
+def test_generic_region_closing_at_the_scan_limit_renders_tightly():
+    """The '>' is the ``_GENERIC_SCAN_LIMIT``-th token after the '<'."""
+    arguments = ", ".join(["A"] * 60)  # 119 tokens
+    assert len(lex(arguments).texts) == fmt._GENERIC_SCAN_LIMIT - 1
+    out = canonicalize(f"List<{arguments}> x;")
+    assert out == f"List<{arguments}> x;\n"
+
+
+def test_generic_region_closing_past_the_scan_limit_keeps_spaces():
+    """One token later the outer pair reads as comparisons; the inner
+    ``Set<A>`` is still a region of its own."""
+    arguments = ", ".join(["Set<A>"] + ["A"] * 58)  # 120 tokens
+    assert len(lex(arguments).texts) == fmt._GENERIC_SCAN_LIMIT
+    out = canonicalize(f"List<{arguments}> x;")
+    assert out == f"List < {arguments} > x;\n"
+
+
 def test_comparison_operators_keep_spaces():
     out = canonicalize("class A { boolean m(int a, int b) { return a < b && b > a; } }")
     assert "return a < b && b > a;" in out

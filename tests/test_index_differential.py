@@ -1,4 +1,4 @@
-"""Lookups that read only the files mentioning a name, against full scans.
+"""Lookups that read only the files that may hold a name, against full scans.
 
 ``find_references``, ``classes_named`` and ``resolve_class`` (of simple,
 nested and fully qualified names) must answer exactly as the full scans of
@@ -6,7 +6,8 @@ nested and fully qualified names) must answer exactly as the full scans of
 of a few compilation units in several packages, with explicit and
 wildcard imports, ``extends``, nested classes, calls and field uses,
 fields of one declarator and of two, class names that follow a comment
-after ``class``, and method bodies from
+after ``class`` or an annotation whose name ends in a type keyword
+(``@myrecord class``), and method bodies from
 ``test_format._random_source``.  Names also occur only in comments, only
 in strings, only inside a longer identifier (``run``/``runAll``,
 ``Alpha``/``AlphaBeta``) or nowhere, and each version holds one file that
@@ -56,6 +57,9 @@ member_decls = st.one_of(
 )
 # What may stand between ``class`` and the class name.
 gaps = st.sampled_from([" ", " /* c */ ", "/**/", " // c\n    "])
+# What may stand just before ``class``: a lowercase annotation whose name
+# ends in a type keyword.
+annotations = st.sampled_from(["", "@myrecord ", "@subclass "])
 imports = st.one_of(
     st.builds("import {}.{};".format, st.sampled_from(PACKAGES), st.sampled_from(CLASSES + GHOSTS)),
     st.builds("import {}.*;".format, st.sampled_from(PACKAGES)),
@@ -80,7 +84,8 @@ def units(draw) -> tuple[str, str]:
     lines = [f"package {package};"] if package else []
     lines += draw(st.lists(imports, max_size=3))
     lines.append(f"/* mentions {draw(names)} */")
-    lines.append(f"public class{draw(gaps)}{name}{f' extends {parent}' if parent else ''} {{")
+    extends = f" extends {parent}" if parent else ""
+    lines.append(f"public {draw(annotations)}class{draw(gaps)}{name}{extends} {{")
     lines.append(f'    String label = "{draw(names)}";')
     lines += draw(st.lists(member_decls, max_size=4))
     lines += nested

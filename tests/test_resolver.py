@@ -419,6 +419,18 @@ def test_dotted_name_parses_no_file_for_a_package_segment(tmp_path, work_counts)
     assert work_counts["parse_java"] == 2
 
 
+def test_a_common_name_that_no_file_declares_parses_only_the_origin(tmp_path, work_counts):
+    """Every file mentions ``String`` and none declares it: the lookup
+    parses the origin, for its imports and package, and no other file."""
+    files = {
+        f"src/pkg/C{i}.java": f"// common-name-{i}\npackage pkg;\nclass C{i} {{ String label; }}\n"
+        for i in range(40)
+    }
+    index = CodeIndex(write_snapshot(tmp_path, files))
+    assert index.resolve_class(POST, "src/pkg/C0.java", "String") is None
+    assert work_counts["parse_java"] <= 1
+
+
 def test_identical_snapshot_elsewhere_is_neither_canonicalized_nor_parsed(tmp_path, work_counts):
     files = {
         "src/a/A.java": "// cache-copy-a\npackage a;\npublic class A {\n    void run() { }\n}\n",

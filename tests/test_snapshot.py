@@ -343,42 +343,61 @@ def test_search_sees_decoded_folded_text(tmp_path):
     assert s.read(POST, "Latin.java") == "// Ren\u00e9\nclass Latin { }"
 
 
-def test_may_declare_class_reads_the_gap_as_the_lexer_does(tmp_path):
+def test_declaring_reads_the_gap_as_the_lexer_does(tmp_path):
     files = {
         "A.java": b"package java.util;\nclass /* c */ Block {}\n",
         "B.java": b"interface // c\r\n  Line {}\n",
         "C.java": b"record\tRec(int a) {}\n@interface\fNote {}\nenum E {}\n",
         "D.java": b"import java.util.List;\nclass ListHolder { java.util.List<String> x; }\n",
+        "F.java": b"@myrecord class Foo {}\n",
+        "G.java": b"class G { Subclass Other; int enumerated = Block.size(); }\n",
+        "H.java": "class Caf\u00e9 {}\n".encode("utf-8"),
+        "I.java": "// Caf\u00e9 Block E\n".encode("utf-8"),
     }
     s, _ = version_of(tmp_path, files)
     version = s.version_text(POST)
-    for name in ("Block", "Line", "Rec", "Note", "E", "ListHolder"):
-        assert version.may_declare_class(name), name
-    for name in ("java", "util", "List", "c", "Bloc", "String", "x"):
-        assert not version.may_declare_class(name), name
-    assert version.may_declare_class("Caf\u00e9")  # not ASCII: assumed declared
+    expected = {
+        "Block": ["A.java"],
+        "Line": ["B.java"],
+        "Rec": ["C.java"],
+        "Note": ["C.java"],
+        "E": ["C.java"],
+        "ListHolder": ["D.java"],
+        # A keyword that ends an identifier does not hide the declaration after it.
+        "Foo": ["F.java"],
+        "G": ["G.java"],
+        # A keyword inside an identifier reads as a keyword: a superset of
+        # the declaring files, which the parse then filters.
+        "Other": ["G.java"],
+        "Caf\u00e9": ["H.java", "I.java"],  # not ASCII: every file that mentions it
+    }
+    for name, paths in expected.items():
+        assert version.declaring(name) == paths, name
+    for name in ("java", "util", "List", "c", "Bloc", "String", "x", "myrecord", "size"):
+        assert version.declaring(name) == [], name
 
 
-def test_may_declare_class_searches_the_buffer_once_per_name(tmp_path, monkeypatch):
+def test_declaring_reads_each_files_declarations_once(tmp_path, monkeypatch):
     files = {
         "A.java": b"package p;\nclass A extends java.util.AbstractList { }\n",
         "B.java": b"package p;\nclass B extends java.util.AbstractList { }\n",
+        "C.java": b"package p;\nclass C { }\n",
     }
     s, _ = version_of(tmp_path, files)
-    buffer = s.version_text(POST).data
-    searches = []
-    search = snapshot.re.search
+    starts = s.version_text(POST).starts
+    scanned = []
+    pattern = snapshot._DECLARATION
 
-    def counted(pattern, string, *args):
-        if string is buffer:
-            searches.append(pattern)
-        return search(pattern, string, *args)
+    class Counted:
+        def finditer(self, data, start, end):
+            scanned.append(start)
+            return pattern.finditer(data, start, end)
 
-    monkeypatch.setattr(snapshot.re, "search", counted)
+    monkeypatch.setattr(snapshot, "_DECLARATION", Counted())
     index = CodeIndex(s)
     assert index.resolve_class(POST, "A.java", "java.util.AbstractList") is None
     assert index.resolve_class(POST, "B.java", "java.util.AbstractList") is None
-    assert len(searches) == 1
+    assert scanned == starts[:2]  # A.java and B.java, once each; C.java never
 
 
 PIECES = [b"a", b"b", b"ab", b" ", b"\0", b"\r", b"\n", b"\r\n", b"\xe9", b"\xff",
