@@ -16,8 +16,8 @@ file.  A hit that is not on an identifier (say, a word inside a comment)
 has no canonical position and is dropped.
 
 Failure policy: each request gets a timeout (default 30 s) and a single
-retry; a second failure — or a dead server process — raises
-:class:`~testmend.errors.BackendUnavailable`.
+retry; a second failure, a dead server process or an error reply (whatever
+its ``error`` value) raises :class:`~testmend.errors.BackendUnavailable`.
 
 A resolver belongs to one sample and is used from one thread, so each
 client has one request in flight at a time.  The client's reader thread
@@ -173,9 +173,11 @@ class JsonRpcClient:
                 continue
             if response is None:
                 last_error = "server closed the connection"
-            elif "error" in response:
+            elif "error" in response:  # any error value, object or not, ends the request
                 error = response["error"]
-                raise BackendUnavailable(f"{method} failed: {error.get('message', error)}")
+                if isinstance(error, dict):
+                    error = error.get("message", error)
+                raise BackendUnavailable(f"{method} failed: {error}")
             else:
                 return response.get("result")
         raise BackendUnavailable(f"{method}: {last_error}")

@@ -29,19 +29,20 @@ never canonicalized or parsed.  A reference lookup parses the files whose
 raw text mentions the name (:meth:`CodeIndex.files_mentioning`), and a
 class lookup, of every segment it resolves, only those of them whose raw
 text holds a type keyword, what the lexer skips between two tokens, then
-the name (:meth:`~testmend.snapshot.VersionText.declaring`), so a name
-that many files use and none declares, such as ``String`` or the package
-segment ``java``, parses no file.  This is safe because the lexer and
-``canonicalize`` copy identifier text verbatim and decode no ``\\uXXXX``
-escapes: a file whose raw text lacks the name holds no identifier token,
-class name or reference equal to it, and a file that declares a class
-holds its keyword, gap and name verbatim.  The first such lookup in a
-version reads each of its files once, with raw system calls, into one
-byte buffer (:meth:`RepoSnapshot.version_text
+the name (:meth:`SourceCache.declared`), so a name that many files use
+and none declares, such as ``String`` or the package segment ``java``,
+parses no file.  This is safe because the lexer and ``canonicalize`` copy
+identifier text verbatim and decode no ``\\uXXXX`` escapes: a file whose
+raw text lacks the name holds no identifier token, class name or
+reference equal to it, and a file that declares a class holds its
+keyword, gap and name verbatim, the name ending where the lexer ends it.
+The first such lookup in a version reads each of its files once, with raw
+system calls, into one byte buffer (:meth:`RepoSnapshot.version_text
 <testmend.snapshot.RepoSnapshot.version_text>`) that the snapshot keeps,
-so every index over that snapshot searches the same buffer.  Every lookup
-is then a C-level search of that buffer, which holds each file's bytes
-once; a file is decoded only to be parsed.
+so every index over that snapshot searches the same buffer.  A lookup is
+then a C-level search of that buffer, which holds each file's bytes once;
+a file is decoded only if it mentions the name and the lookup asks what
+it declares or parses it.
 
 A language-server backend implementing the same protocol lives in
 :mod:`testmend.lsp`; it maps between raw and canonical positions itself.
@@ -50,13 +51,14 @@ builtin backend when the command is empty.
 
 :class:`CodeIndex` owns each file's parse and PRE→POST diff, and
 computes each once, as it does each class lookup.  A ``CodeIndex`` lives
-for one sample, but it reads canonical texts, tokens and parses through
-one content cache shared by every sample in the process
+for one sample, but it reads canonical texts, tokens, parses and declared
+words through one content cache shared by every sample in the process
 (:class:`SourceCache`).  The cache is keyed by a file's raw text alone,
-since ``canonical_arrays`` and ``parse_java`` depend on nothing else, so
-byte-identical files are canonicalized and parsed once whichever sample
-or version they belong to, and each is lexed once: the parse reads the
-token arrays the canonicalizer wrote.  It is an LRU bounded by the
+since ``canonical_arrays``, ``parse_java`` and the declaration search
+depend on nothing else, so byte-identical files are searched for
+declarations, canonicalized and parsed once whichever sample or version
+they belong to, and each is lexed once: the parse reads the token arrays
+the canonicalizer wrote.  It is an LRU bounded by the
 characters of its keys (:data:`SOURCE_CACHE_CHARS`), and it caches no
 failure.  Its :class:`~testmend.javasrc.ast.JavaFile` values are shared
 across samples: nothing mutates a ``JavaFile`` once ``parse_java``
@@ -77,10 +79,11 @@ at most one thread uses the cache at a time.
 from __future__ import annotations
 
 import logging
+import re
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from itertools import chain
-from typing import NamedTuple, Protocol
+from typing import Any, Callable, NamedTuple, Protocol
 
 from testmend.errors import CursorNotOnIdentifier, InputError
 from testmend.javasrc import lexer
@@ -122,21 +125,37 @@ class ParsedFile(NamedTuple):
 # some 29 MB besides its keys.
 SOURCE_CACHE_CHARS = 1 << 20
 
-# A cached source: its canonical text and tokens, and their parse once made.
-_Entry = tuple[str, lexer.TokenArrays, JavaFile | None]
+# What the lexer skips between two tokens: whitespace, line comments and
+# block comments.  Each comment is matched whole (a line comment to the
+# line's end, a block comment to its first "*/"), as the lexer matches it,
+# so no text between two tokens splits two ways and a failed search never
+# backtracks into the gap.
+_GAP = r"[ \t\r\n\f]*(?:(?://[^\r\n]*(?![^\r\n])|/\*(?:(?!\*/).)*\*/)[ \t\r\n\f]*)*"
+
+# A type keyword and the word after the gap, the word read in a lookahead:
+# a keyword that ends an identifier (``@myrecord class Foo``) then consumes
+# only itself, and the search goes on to find the next keyword.  On ``str``,
+# ``[\w$]+`` is the lexer's identifier.
+_DECLARATION = re.compile(r"(?:class|interface|enum|record)(?=%s([\w$]+))" % _GAP, re.DOTALL)
+
+# The facts of a cached source, each None until asked for: its canonical
+# text and tokens, their parse, and its declared words.
+_CANONICAL, _PARSE, _DECLARED = range(3)
 
 _NO_TOKENS = lexer.TokenArrays((), (), (), (), ())
 
 
 class SourceCache:
-    """Canonical texts, tokens and parses of Java sources, keyed by the raw text.
+    """Facts of Java sources, keyed by the raw text, each made on first ask.
 
-    Each entry is the ``canonical_arrays`` pair of one raw text (its
-    tokens as :class:`~testmend.javasrc.lexer.TokenArrays`, so the cache
-    holds no :class:`~testmend.javasrc.lexer.Token` per token) and, once
-    asked for, the parse of that text: ``parse_java`` reads the arrays the
-    emitter wrote, so no canonical text is lexed again, and the parse's
-    ``tokens`` are those same arrays.  An LRU whose keys total at most
+    An entry holds up to three facts of one raw text: its
+    ``canonical_arrays`` pair (its tokens as
+    :class:`~testmend.javasrc.lexer.TokenArrays`, so the cache holds no
+    :class:`~testmend.javasrc.lexer.Token` per token); the parse of that
+    pair, for which ``parse_java`` reads the arrays the emitter wrote, so
+    no canonical text is lexed again and the parse's ``tokens`` are those
+    same arrays; and the words that follow a type keyword in the raw text
+    (:meth:`declared`).  An LRU whose keys total at most
     :data:`SOURCE_CACHE_CHARS` characters; a text longer than that is
     never stored.  An
     :class:`~testmend.errors.InputError` from ``canonical_arrays`` or
@@ -146,43 +165,47 @@ class SourceCache:
     """
 
     def __init__(self) -> None:
-        self._entries: OrderedDict[str, _Entry] = OrderedDict()
+        self._entries: OrderedDict[str, list[Any]] = OrderedDict()
         self._chars = 0
 
     def canonical(self, raw: str) -> tuple[str, lexer.TokenArrays]:
         """``canonical_arrays(raw)``, or ``""`` and no tokens for a blank text."""
-        text, tokens, _ = self._entry(raw, parse=False)
-        return text, tokens
+        return self._fact(raw, _CANONICAL, _canonical)
 
     def parse(self, raw: str) -> JavaFile:
         """``parse_java`` of the text's canonical form."""
-        java = self._entry(raw, parse=True)[2]
-        assert java is not None
-        return java
+        pair = self.canonical(raw)  # stored first, so kept if the parse fails
+        return self._fact(raw, _PARSE, lambda _: parse_java(*pair))
 
-    def _entry(self, raw: str, parse: bool) -> _Entry:
-        """The entry of ``raw``, computing and storing what it lacks."""
-        entry = self._entries.get(raw)
-        if entry is None:
-            text, tokens = canonical_arrays(raw) if raw.strip() else ("", _NO_TOKENS)
-            entry = (text, tokens, None)
-        if parse and entry[2] is None:
-            self._store(raw, entry)  # kept if the parse fails
-            entry = (entry[0], entry[1], parse_java(entry[0], entry[1]))
-        self._store(raw, entry)
-        return entry
+    def declared(self, raw: str) -> frozenset[str]:
+        """The words that follow a type keyword and what the lexer skips
+        between two tokens, in the raw text: a superset of the names of
+        the classes, interfaces, enums and records it declares."""
+        return self._fact(raw, _DECLARED, _declared)
 
-    def _store(self, raw: str, entry: _Entry) -> None:
-        """Store ``raw`` as the most recently used entry, within the bound."""
-        if len(raw) > SOURCE_CACHE_CHARS:
-            return
-        if raw not in self._entries:
-            self._chars += len(raw)
-        self._entries[raw] = entry
-        self._entries.move_to_end(raw)
-        while self._chars > SOURCE_CACHE_CHARS:
-            evicted, _ = self._entries.popitem(last=False)
-            self._chars -= len(evicted)
+    def _fact(self, raw: str, i: int, make: Callable[[str], Any]) -> Any:
+        """Fact ``i`` of ``raw``, made if its entry lacks it; the entry is
+        then stored as the most recently used, within the bound."""
+        entry = self._entries.get(raw) or [None, None, None]
+        if entry[i] is None:
+            entry[i] = make(raw)
+        if len(raw) <= SOURCE_CACHE_CHARS:
+            if raw not in self._entries:
+                self._chars += len(raw)
+            self._entries[raw] = entry
+            self._entries.move_to_end(raw)
+            while self._chars > SOURCE_CACHE_CHARS:
+                evicted, _ = self._entries.popitem(last=False)
+                self._chars -= len(evicted)
+        return entry[i]
+
+
+def _canonical(raw: str) -> tuple[str, lexer.TokenArrays]:
+    return canonical_arrays(raw) if raw.strip() else ("", _NO_TOKENS)
+
+
+def _declared(raw: str) -> frozenset[str]:
+    return frozenset(match[1] for match in _DECLARATION.finditer(raw))
 
 
 _SOURCES = SourceCache()
@@ -196,9 +219,9 @@ def parse_source(raw: str) -> JavaFile:
 class CodeIndex:
     """Lazily computed canonical texts, parses and diffs of a snapshot's files.
 
-    One index serves one sample; canonical texts and parses come through
-    the process-wide :class:`SourceCache`, and the raw texts and version
-    buffers through the snapshot.
+    One index serves one sample; canonical texts, parses and declared
+    words come through the process-wide :class:`SourceCache`, and the raw
+    texts and version buffers through the snapshot.
     """
 
     def __init__(self, snapshot: RepoSnapshot):
@@ -260,8 +283,11 @@ class CodeIndex:
 
     def classes_named(self, version: str, simple_name: str) -> list[tuple[ParsedFile, ClassDecl]]:
         """The classes called ``simple_name``, parsing only the files that may declare it."""
+        joined = self.snapshot.version_text(version)
         out = []
-        for path in self.snapshot.version_text(version).declaring(simple_name):
+        for path in joined.containing(simple_name):
+            if simple_name not in _SOURCES.declared(joined.read(path)):
+                continue
             parsed = self.file(version, path)
             if parsed is not None:
                 classes = parsed.java.all_classes()

@@ -11,7 +11,6 @@ unified or changed-lines-only.
 from __future__ import annotations
 
 import os
-import re
 from bisect import bisect_left, bisect_right
 from difflib import SequenceMatcher
 from pathlib import Path
@@ -26,19 +25,6 @@ POST = "post"
 VERSIONS = (PRE, POST)
 
 _CHUNK = 1 << 16  # bytes asked of each os.read
-
-# What the lexer skips between two tokens: whitespace, line comments and
-# block comments.  Each comment is matched whole (a line comment to the
-# line's end, a block comment to its first "*/"), as the lexer matches it,
-# so no text between two tokens splits two ways and a failed search never
-# backtracks into the gap.
-_GAP = rb"[ \t\r\n\f]*(?:(?://[^\r\n]*(?![^\r\n])|/\*(?:(?!\*/).)*\*/)[ \t\r\n\f]*)*"
-
-# A type keyword and the word after the gap, the word read in a lookahead:
-# a keyword that ends an identifier (``@myrecord class Foo``) then consumes
-# only itself, and the search goes on to find the next keyword.
-_DECLARATION = re.compile(rb"(?:class|interface|enum|record)(?=%s([\w$]+))" % _GAP, re.DOTALL)
-
 
 class Location(NamedTuple):
     """A range inside one file of one snapshot version."""
@@ -67,9 +53,10 @@ class RepoSnapshot:
     into one byte buffer, each once, and keeps it for every later caller.
     From then on :meth:`read` decodes such a file from the buffer,
     :meth:`exists` takes its existence from the listing without a stat,
-    and a search by name (:class:`VersionText`) decodes none.  The buffer holds
-    each file's bytes once; as ``str``, a text with one character past
-    U+00FF would take two or four bytes for each of its characters.
+    and a search by name (:meth:`VersionText.containing`) decodes none.
+    The buffer holds each file's bytes once; as ``str``, a text with one
+    character past U+00FF would take two or four bytes for each of its
+    characters.
     """
 
     def __init__(self, pre_root: str | Path, post_root: str | Path):
@@ -186,17 +173,18 @@ class VersionText:
     a match and no match spans two files; and an ASCII byte stands for
     the same character, and only for it, under UTF-8 and ISO-8859-1.
 
-    :meth:`containing` finds the files that mention a name, and
-    :meth:`declaring` those of them that may declare a type of that name.
+    It only holds a version's bytes and searches them: :meth:`containing`
+    finds the files that mention a name, and :meth:`read` decodes one.
+    What a text declares is a fact of the text, which
+    :class:`testmend.resolver.SourceCache` keeps once per distinct text.
     """
 
-    __slots__ = ("paths", "data", "starts", "_declared")
+    __slots__ = ("paths", "data", "starts")
 
     def __init__(self, paths: list[str], data: bytearray, starts: list[int]):
         self.paths = paths
         self.data = data
         self.starts = starts
-        self._declared: dict[int, set[bytes]] = {}  # file index -> _declared_in
 
     def text(self, i: int) -> str:
         """The text of file *i*, decoded as :meth:`RepoSnapshot.read` decodes it."""
@@ -231,31 +219,6 @@ class VersionText:
             out.append(paths[i])
             at = find(needle, starts[i + 1])
         return out
-
-    def declaring(self, name: str) -> list[str]:
-        """The paths of :meth:`containing` whose bytes may declare a class
-        (or interface, enum or record) named ``name``, in path order.
-
-        A file that declares ``name`` holds the type keyword, then what the
-        lexer skips between two tokens, then ``name`` verbatim.  The words
-        after a type keyword and such a gap are found once per file, by one
-        search of its bytes (:data:`_DECLARATION`), and kept by file index.
-        A name that is not printable ASCII is looked for as
-        :meth:`containing` looks for it.
-        """
-        paths = self.containing(name)
-        if not (name.isascii() and name.isprintable()):
-            return paths
-        needle = name.encode("ascii")
-        return [p for p in paths if needle in self._declared_in(bisect_left(self.paths, p))]
-
-    def _declared_in(self, i: int) -> set[bytes]:
-        """The words that follow a type keyword in file *i*."""
-        words = self._declared.get(i)
-        if words is None:
-            found = _DECLARATION.finditer(self.data, self.starts[i], self.starts[i + 1] - 1)
-            words = self._declared[i] = {match[1] for match in found}
-        return words
 
 
 def _decode(data: bytes | bytearray) -> str:

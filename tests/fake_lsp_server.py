@@ -17,7 +17,13 @@ Environment knobs used by tests:
   client after its timeout, while it waits for its retry;
 * ``FAKE_LSP_STALL=always`` — swallow every definition request;
 * ``FAKE_LSP_STALL=initialize`` — swallow the initialize request;
-* ``FAKE_LSP_LINKS=1`` — answer definitions as LocationLink objects.
+* ``FAKE_LSP_LINKS=1`` — answer definitions as LocationLink objects;
+* ``FAKE_LSP_FAIL=error-object`` — answer each definition request with
+  an error object whose message counts the definition requests so far;
+* ``FAKE_LSP_FAIL=error-string`` — answer each definition request with
+  the error string ``"boom"``;
+* ``FAKE_LSP_FAIL=exit`` — exit, without answering, on the first
+  definition request.
 """
 
 import json
@@ -30,6 +36,7 @@ ROOT = Path.cwd()
 DOCS = {}
 STALL = os.environ.get("FAKE_LSP_STALL", "")
 LINKS = os.environ.get("FAKE_LSP_LINKS", "") == "1"
+FAIL = os.environ.get("FAKE_LSP_FAIL", "")
 definition_calls = 0
 late_definition = None  # the id of a definition request held back
 
@@ -162,6 +169,15 @@ def main():
             DOCS[doc["uri"]] = doc["text"]
         elif method == "textDocument/definition":
             definition_calls += 1
+            if FAIL == "exit":
+                return
+            if FAIL == "error-object":
+                send({"jsonrpc": "2.0", "id": msg_id, "error": {
+                    "code": -32603, "message": f"boom (definition request {definition_calls})"}})
+                continue
+            if FAIL == "error-string":
+                send({"jsonrpc": "2.0", "id": msg_id, "error": "boom"})
+                continue
             if STALL == "always" or (STALL == "first-definition" and definition_calls == 1):
                 continue  # never answer: the client must retry / give up
             if STALL == "late-first-definition" and definition_calls == 1:

@@ -3,8 +3,8 @@
 :class:`~testmend.resolver.CodeIndex` answers lookups by name from the
 files whose raw text mentions the name
 (:meth:`~testmend.resolver.CodeIndex.files_mentioning`), and class lookups
-from those of them that may declare it
-(:meth:`~testmend.snapshot.VersionText.declaring`).  These are the
+from those of them whose text may declare it
+(:meth:`~testmend.resolver.SourceCache.declared`).  These are the
 full scans it replaced: every file is parsed, nothing is memoized, and
 each function answers as the pipeline did before the filter.  The tests
 compare the filtered lookups against them.  The oracle shares no name rule

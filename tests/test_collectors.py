@@ -14,7 +14,7 @@ from testmend.collectors import (
 )
 from testmend.javasrc.ast import parse_java
 from testmend.resolver import BuiltinResolver
-from testmend.signatures import MethodLocator, focal_change
+from testmend.signatures import MethodLocator, MethodSignature, focal_change, make_focal_change
 from testmend.snapshot import POST, PRE, RepoSnapshot, VersionText
 
 import scanner_oracle
@@ -225,6 +225,29 @@ def test_new_type_names_roles(mini):
     assert collector.new_type_names(focal) == {"MountPOptions": "param"}
 
 
+def signature(params, ret):
+    return MethodSignature(
+        name="go",
+        param_types=tuple(params),
+        return_type=ret,
+        modifiers=frozenset({"public"}),
+        param_names=tuple(f"p{i}" for i in range(len(params))),
+    )
+
+
+@pytest.mark.parametrize(
+    "original, updated",
+    [
+        (signature(["int"], "Opts"), signature(["Settings"], "Settings")),
+        # Map and K are in the original: the return type adds only Settings.
+        (signature(["Map<K, V>"], "void"), signature(["Settings"], "Map<K, Settings>")),
+    ],
+)
+def test_new_type_names_param_and_return_make_both(mini, original, updated):
+    _, collector, _, _ = mini
+    assert collector.new_type_names(make_focal_change(original, updated)) == {"Settings": "both"}
+
+
 def test_class_ctx_member_counts_and_privacy(mini):
     _, collector, focal, _ = mini
     groups, warnings = collector.collect_class_ctx(focal)
@@ -320,13 +343,13 @@ def test_class_ctx_unresolved_type_warns(tmp_path, monkeypatch):
         post={"app/S.java": "package app;\npublic class S {\n    public void go(ExternalThing a) {\n    }\n}\n"},
     )
     scans = Counter()
-    declaring = VersionText.declaring
+    containing = VersionText.containing
 
     def counted(version_text, name):
         scans[name] += 1
-        return declaring(version_text, name)
+        return containing(version_text, name)
 
-    monkeypatch.setattr(VersionText, "declaring", counted)
+    monkeypatch.setattr(VersionText, "containing", counted)
     focal = focal_for(snap, "app/S.java", ("S",), "go")
     groups, warnings = collector_for(snap).collect_class_ctx(focal)
     assert groups["ExternalThing"].chunks == []
@@ -540,6 +563,22 @@ def test_usage_excludes_obsolete_test_method(mini):
     # without the test locator the test-file reference is eligible
     chunks_all, _ = collector.collect_usage_ctx(focal, None)
     assert any("ServiceTest" in c.group_label for c in chunks_all)
+
+
+def test_usage_with_the_test_file_absent_from_the_post_tree(mini, tmp_path):
+    snap, collector, focal, test_loc = mini
+    (snap.root(POST) / test_loc.file).unlink()  # the test was deleted
+    chunks, warnings = collector.collect_usage_ctx(focal, test_loc)
+    assert warnings == []
+    assert [(c.group_label, c.text) for c in chunks] == [
+        (
+            "Usage change in app/Caller.java",
+            "- MountOptions o = new MountOptions();\n"
+            "- o.setRw(true);\n"
+            "+ MountPOptions o = new MountPOptions();\n"
+            "+ o.setReadOnly(true);",
+        )
+    ]
 
 
 def test_usage_ret_takes_invocation_and_after_context(tmp_path):

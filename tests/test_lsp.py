@@ -191,6 +191,39 @@ def test_persistent_timeout_raises_backend_unavailable(repo, monkeypatch):
         resolver.close()
 
 
+@pytest.mark.parametrize(
+    "fail, message",
+    [
+        ("error-object", "textDocument/definition failed: boom (definition request 1)"),
+        ("error-string", "textDocument/definition failed: boom"),
+        ("exit", "language server process exited"),
+    ],
+)
+def test_failed_definition_raises_backend_unavailable(repo, monkeypatch, servers, fail, message):
+    resolver = make(repo, monkeypatch, FAKE_LSP_FAIL=fail)
+    try:
+        with pytest.raises(BackendUnavailable) as raised:
+            resolver.goto_definition(gadget_usage_location(repo, resolver))
+        assert str(raised.value) == message
+    finally:
+        resolver.close()
+    assert len(servers) == 1
+    assert servers[0].poll() is not None
+
+
+def test_error_reply_is_not_retried(repo, monkeypatch):
+    # The server numbers its definition requests in the error's message:
+    # each call sends one request, so no error is asked again.
+    resolver = make(repo, monkeypatch, FAKE_LSP_FAIL="error-object")
+    try:
+        usage = gadget_usage_location(repo, resolver)
+        for n in (1, 2):
+            with pytest.raises(BackendUnavailable, match=rf"\(definition request {n}\)$"):
+                resolver.goto_definition(usage)
+    finally:
+        resolver.close()
+
+
 def test_missing_command_raises(repo):
     with pytest.raises(BackendUnavailable):
         LspResolver(repo, ())

@@ -169,6 +169,24 @@ def test_fallback_analysis_norm_rename():
     assert "renamed to g()" in fallback_synbc_analysis(focal)
 
 
+def test_fallback_analysis_norm_modifiers_only():
+    original = sig(name="close")
+    updated = original._replace(modifiers=frozenset({"public", "synchronized"}))
+    assert fallback_synbc_analysis(make_focal_change(original, updated)) == (
+        "The method close() has been updated: its modifiers changed from "
+        "[public] to [public synchronized]."
+    )
+
+
+def test_fallback_analysis_norm_throws_only():
+    original = sig(name="close")._replace(throws=frozenset({"IOException"}))
+    updated = original._replace(throws=frozenset())
+    assert fallback_synbc_analysis(make_focal_change(original, updated)) == (
+        "The method close() has been updated: its declared exceptions changed from "
+        "[IOException] to [none]."
+    )
+
+
 def test_fallback_analysis_deterministic():
     focal = make_focal_change(MOUNT_ORI, MOUNT_UPD)
     assert fallback_synbc_analysis(focal) == fallback_synbc_analysis(focal)

@@ -431,6 +431,20 @@ def test_a_common_name_that_no_file_declares_parses_only_the_origin(tmp_path, wo
     assert work_counts["parse_java"] <= 1
 
 
+def test_a_non_ascii_name_that_only_a_comment_mentions_parses_only_the_origin(
+    tmp_path, work_counts
+):
+    files = {
+        "src/a/Use.java": "// non-ascii-use\npackage a;\nclass Use { /* Caf\u00e9 */ }\n",
+        "src/a/Note.java": "// non-ascii-note: Caf\u00e9\npackage a;\nclass Note { }\n",
+    }
+    index = CodeIndex(write_snapshot(tmp_path, files))
+    assert index.classes_named(POST, "Caf\u00e9") == []
+    assert work_counts["parse_java"] == 0
+    assert index.resolve_class(POST, "src/a/Use.java", "Caf\u00e9") is None
+    assert work_counts["parse_java"] == 1
+
+
 def test_identical_snapshot_elsewhere_is_neither_canonicalized_nor_parsed(tmp_path, work_counts):
     files = {
         "src/a/A.java": "// cache-copy-a\npackage a;\npublic class A {\n    void run() { }\n}\n",
@@ -509,3 +523,69 @@ def test_cache_keeps_the_canonical_form_of_a_text_that_does_not_parse(work_count
             cache.parse(broken)
     assert cache.canonical(broken) == canonical_arrays(broken)
     assert work_counts == {"canonical_arrays": 1, "parse_java": 2}
+
+
+def test_declared_reads_the_gap_as_the_lexer_does(tmp_path):
+    files = {
+        "A.java": b"package java.util;\nclass /* c */ Block {}\n",
+        "B.java": b"interface // c\r\n  Line {}\n",
+        "C.java": b"record\tRec(int a) {}\n@interface\fNote {}\nenum E {}\n",
+        "D.java": b"import java.util.List;\nclass ListHolder { java.util.List<String> x; }\n",
+        "F.java": b"@myrecord class Foo {}\n",
+        "G.java": b"class G { Subclass Other; int enumerated = Block.size(); }\n",
+        "H.java": "class Caf\u00e9 {}\n".encode("utf-8"),
+        "I.java": "// Caf\u00e9 Block E\n".encode("utf-8"),
+    }
+    (tmp_path / "pre").mkdir()
+    (tmp_path / "post").mkdir()
+    for name, data in files.items():
+        (tmp_path / "post" / name).write_bytes(data)
+    snapshot = RepoSnapshot(tmp_path / "pre", tmp_path / "post")
+    cache = resolver_module.SourceCache()
+    declared = {path: cache.declared(snapshot.read(POST, path)) for path in files}
+    expected = {
+        "Block": ["A.java"],
+        "Line": ["B.java"],
+        "Rec": ["C.java"],
+        "Note": ["C.java"],
+        "E": ["C.java"],
+        "ListHolder": ["D.java"],
+        # A keyword that ends an identifier does not hide the declaration after it.
+        "Foo": ["F.java"],
+        "G": ["G.java"],
+        # A keyword inside an identifier reads as a keyword: a superset of
+        # the declaring files, which the parse then filters.
+        "Other": ["G.java"],
+        # Read as the lexer reads it; I.java only mentions it in a comment.
+        "Caf\u00e9": ["H.java"],
+    }
+    for name, paths in expected.items():
+        assert [path for path in files if name in declared[path]] == paths, name
+    for name in ("java", "util", "List", "c", "Bloc", "String", "x", "myrecord", "size"):
+        assert not any(name in words for words in declared.values()), name
+
+
+def test_declared_words_are_searched_once_per_distinct_text(tmp_path, monkeypatch):
+    """Two snapshots hold byte-identical A.java and B.java: the declaration
+    search runs once per distinct text, and never on C.java, which does
+    not mention the names looked up."""
+    files = {
+        "A.java": "package p;\nclass A extends java.util.AbstractList { }\n",
+        "B.java": "package p;\nclass B extends java.util.AbstractList { }\n",
+        "C.java": "package p;\nclass C { }\n",
+    }
+    monkeypatch.setattr(resolver_module, "_SOURCES", resolver_module.SourceCache())
+    scanned = []
+    pattern = resolver_module._DECLARATION
+
+    class Counted:
+        def finditer(self, raw):
+            scanned.append(raw)
+            return pattern.finditer(raw)
+
+    monkeypatch.setattr(resolver_module, "_DECLARATION", Counted())
+    for copy in ("one", "two"):
+        index = CodeIndex(write_snapshot(tmp_path / copy, files))
+        assert index.resolve_class(POST, "A.java", "java.util.AbstractList") is None
+        assert index.resolve_class(POST, "B.java", "java.util.AbstractList") is None
+    assert scanned == [files["A.java"], files["B.java"]]

@@ -2,6 +2,7 @@
 
 import random
 import time
+from itertools import combinations
 
 from testmend.javasrc.ast import parse_java
 from testmend.signatures import (
@@ -122,6 +123,13 @@ def test_obsolete_params_on_removal_and_reorder():
     assert get_obsolete_params(orig, orig) == []
 
 
+def test_obsolete_params_on_insertion_before_the_kept_ones():
+    orig = sig(params=("String", "Opts"), names=("id", "o"))
+    upd = sig(params=("Ctx", "String", "Settings"), names=("c", "id", "s"))
+    obs = get_obsolete_params(orig, upd)
+    assert [(o.type_text, o.name, o.position) for o in obs] == [("Opts", "o", 1)]
+
+
 # --- randomized brute-force comparison (mirrors the acceptance bar) -----
 
 TYPES = ["int", "long", "String", "AlluxioURI", "MountOptions", "List<String>", "List<Integer>"]
@@ -192,3 +200,33 @@ def test_random_pairs_match_brute_force():
         b = mutate(rng, a) if rng.random() < 0.8 else random_signature(rng)
         assert diff_signatures(a, b) == brute_force_kinds(a, b), (a, b)
     assert time.monotonic() - start < 1.0
+
+
+def is_subsequence(items, sequence):
+    rest = iter(sequence)
+    return all(item in rest for item in items)
+
+
+def brute_force_lcs_length(a, b):
+    """The longest subsequence of ``a`` that is one of ``b``, by trying all."""
+    for k in range(min(len(a), len(b)), 0, -1):
+        if any(is_subsequence(c, b) for c in combinations(a, k)):
+            return k
+    return 0
+
+
+def test_random_obsolete_params_leave_a_longest_common_subsequence():
+    rng = random.Random(535353)
+    pairs = [("int", "a"), ("int", "b"), ("String", "a"), ("Opts", "o")]
+    for _ in range(300):
+        a = [rng.choice(pairs) for _ in range(rng.randint(0, 5))]
+        b = [rng.choice(pairs) for _ in range(rng.randint(0, 5))]
+        obs = get_obsolete_params(
+            sig(params=[t for t, _ in a], names=[n for _, n in a]),
+            sig(params=[t for t, _ in b], names=[n for _, n in b]),
+        )
+        assert len(obs) == len(a) - brute_force_lcs_length(a, b), (a, b)
+        assert all(a[o.position] == (o.type_text, o.name) for o in obs), (a, b)
+        gone = {o.position for o in obs}
+        kept = [pair for i, pair in enumerate(a) if i not in gone]
+        assert is_subsequence(kept, b), (a, b)
